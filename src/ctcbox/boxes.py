@@ -8,16 +8,24 @@ no-signaling checks and the reference tables downstream are bit-exact.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Mapping
 
-from .forms import BooleanForm, as_bit, evaluate_form, input_names, output_names, xor_bits
+from .forms import (BooleanForm, as_bit, evaluate_form, input_names, normalize_pattern,
+                    output_names, xor_bits)
 
 CHSH_CLASSICAL_BOUND = Fraction(2)
 CHSH_TSIRELSON_BOUND = 2 * math.sqrt(2)
+# the most parties a spec file may ask for: a box has 2**n rows of up to
+# 2**n outcomes, and parity_box already takes about a second at n = 9
+MAX_PARTIES = 10
+# an optional sign, then an integer or integer/integer; Fraction itself also
+# takes decimals and exponents, and for "1e99999999" it builds 10**99999999
+_EXACT_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def all_bit_tuples(n: int) -> list[tuple[int, ...]]:
@@ -32,6 +40,9 @@ def exact_fraction(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if not _EXACT_STRING.fullmatch(value):
+            raise ValueError(f"probability {value!r} is not an integer "
+                             f"or 'num/den' string")
         return Fraction(value)
     raise TypeError(
         f"probabilities must be exact (Fraction, int or 'num/den' string), "
@@ -162,20 +173,12 @@ class MarginalDistribution:
     probs: dict[tuple[int, ...], Fraction]
 
 
-def _normalize_coalition(n: int, coalition: Iterable[int]) -> tuple[int, ...]:
-    coal = tuple(sorted({int(i) for i in coalition}))
-    if not coal:
-        raise ValueError("coalition must be nonempty")
-    for i in coal:
-        if not 0 <= i < n:
-            raise ValueError(f"party index {i} out of range for {n} parties")
-    return coal
-
-
 def marginal(box: NoSignalBox, coalition: Iterable[int],
              inputs: Iterable[int]) -> MarginalDistribution:
     """Sum the box row over the outputs of parties outside the coalition."""
-    coal = _normalize_coalition(box.n, coalition)
+    coal = normalize_pattern(box.n, coalition)
+    if not coal:
+        raise ValueError("coalition must be nonempty")
     full = tuple(as_bit(b) for b in inputs)
     if len(full) != box.n:
         raise ValueError(f"expected {box.n} inputs, got {len(full)}")
@@ -221,10 +224,10 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
             others = [i for i in range(n) if i not in coalition]
             for r_inputs in all_bit_tuples(size):
                 completions = all_bit_tuples(len(others))
-                base = _assemble_inputs(n, coalition, r_inputs, others, completions[0])
+                base = assemble_inputs(n, coalition, r_inputs, others, completions[0])
                 base_marg = marginal(box, coalition, base)
                 for completion in completions[1:]:
-                    trial = _assemble_inputs(n, coalition, r_inputs, others, completion)
+                    trial = assemble_inputs(n, coalition, r_inputs, others, completion)
                     trial_marg = marginal(box, coalition, trial)
                     if trial_marg.probs != base_marg.probs:
                         return NoSignalingVerdict(False, SignalingWitness(
@@ -233,7 +236,8 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     return NoSignalingVerdict(True)
 
 
-def _assemble_inputs(n, coalition, coalition_bits, others, other_bits) -> tuple[int, ...]:
+def assemble_inputs(n, coalition, coalition_bits, others, other_bits) -> tuple[int, ...]:
+    """Full input tuple from the bits of two disjoint groups of parties."""
     full = [0] * n
     for i, b in zip(coalition, coalition_bits):
         full[i] = b
@@ -287,8 +291,10 @@ def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
     if not isinstance(data, dict):
         raise BoxSpecError("box spec must be a JSON object")
     parties = data.get("parties")
-    if not isinstance(parties, int) or isinstance(parties, bool) or parties < 1:
-        raise BoxSpecError("field 'parties' must be a positive integer")
+    if (not isinstance(parties, int) or isinstance(parties, bool)
+            or not 1 <= parties <= MAX_PARTIES):
+        raise BoxSpecError(
+            f"field 'parties' must be an integer from 1 to {MAX_PARTIES}")
     has_constraint = "constraint" in data
     has_table = "table" in data
     if has_constraint == has_table:
@@ -325,8 +331,6 @@ def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
             raise BoxSpecError(f"{where}: {err}") from err
         if len(inputs) != parties or len(outputs) != parties:
             raise BoxSpecError(f"{where}: 'in' and 'out' must have {parties} bits")
-        if inputs not in rows:
-            raise BoxSpecError(f"{where}: bad input tuple {inputs}")
         if outputs in rows[inputs]:
             raise BoxSpecError(f"{where}: duplicate entry for {inputs} -> {outputs}")
         rows[inputs][outputs] = p

@@ -9,6 +9,9 @@ Subcommands:
     deutsch     solve the loop fixed-point equation for a small system
     reproduce   rebuild the reference scenario tables and compare
 
+Each subcommand builds one JSON payload and a text renderer for it;
+``main`` prints either the payload (``--json``) or the rendered lines.
+
 Exit codes: 0 on success, 1 when a requested check fails (signaling
 witness found, scenario mismatch, solver did not converge), 2 on usage
 or input errors.  All output is deterministic; the NONLOCAL_CTC_SEED
@@ -22,106 +25,63 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
+from typing import Callable, Iterator
 
-import numpy as np
-
-from .boxes import (BoxName, BoxSpecError, NoSignalBox, box_from_spec,
-                    box_to_spec, chsh_value, is_no_signaling, named_box,
-                    parity_equation)
+from .boxes import (NAMED_FORMS, BoxName, NoSignalBox, box_from_spec, box_to_spec,
+                    chsh_value, is_no_signaling, named_box, parity_equation)
 from .ctc import constrain, constrained_to_json, parse_pattern
 from .deutsch import (EXAMPLE_NAMES, classical_consistency_crosscheck, cr_output,
-                      example, fixed_point, is_basis_permutation, matrix_from_json,
+                      example, fixed_point, matrix_from_json,
                       matrix_to_json, MAX_ITERATIONS, RESIDUAL_TOL)
 from .forms import input_names, output_names, party_names
 from .signaling import report_json, scan_report_json
-from .tables import (SCENARIO_KEYS, SCENARIOS, render_mapping, scenario,
-                     scenario_header, scenario_relation, verify_scenario)
+from .tables import (SCENARIO_KEYS, SCENARIOS, Scenario, scenario,
+                     scenario_relation, verify_scenario)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+Render = Callable[[dict], Iterator[str]]
 
-class CliError(Exception):
-    """Input or usage problem; reported on stderr with exit code 2."""
+
+def _read_json(path: str) -> tuple[object, str]:
+    """Parsed JSON from a file, or from stdin for '-', and its label."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin), "stdin"
+        with open(path) as handle:
+            return json.load(handle), path
+    except OSError as err:
+        raise ValueError(f"cannot read {path}: {err}") from err
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise ValueError(f"{path} is not valid JSON: {err}") from err
 
 
 def _load_box(args) -> tuple[NoSignalBox, str]:
-    path = getattr(args, "spec", None)
-    if getattr(args, "box", None):
+    if args.box and args.spec:
+        raise ValueError("give either --box or --spec, not both")
+    path = args.spec
+    if args.box:
         name = args.box.lower()
-        if name.startswith("spec:"):
-            path = args.box[len("spec:"):]
-        else:
+        if not name.startswith("spec:"):
             return named_box(name), name
+        path = args.box[len("spec:"):]
     if not path:
-        raise CliError("give a box with --box NAME, --box spec:FILE "
-                       "or --spec FILE")
-    try:
-        if path == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(path) as handle:
-                data = json.load(handle)
-    except OSError as err:
-        raise CliError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise CliError(f"{path} is not valid JSON: {err}") from err
-    label = "stdin" if path == "-" else path
+        raise ValueError("give a box with --box NAME, --box spec:FILE "
+                         "or --spec FILE")
+    data, label = _read_json(path)
     return box_from_spec(data, label=label), label
 
 
-def _split_parties(text: str) -> list[str]:
-    return [tok for tok in text.replace(",", " ").split() if tok]
+def _parties(text: str | None, n: int) -> tuple[int, ...]:
+    """Party indices from comma- or space-separated names or indices."""
+    return parse_pattern(n, (text or "").replace(",", " ").split())
 
 
-def _pattern_from(args, n: int) -> tuple[int, ...]:
-    raw = getattr(args, "ctc", None)
-    if not raw:
-        return ()
-    return parse_pattern(n, _split_parties(raw))
-
-
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _format_float(x: float) -> str:
-    return f"{x:.6f}"
-
-
-def cmd_list(args) -> int:
-    boxes = []
-    for name in BoxName:
-        box = named_box(name)
-        boxes.append({
-            "name": name.value,
-            "parties": box.n,
-            "relation": parity_equation(box.form),
-            "constraint": [list(m) for m in box.form.sorted_monomials()],
-        })
-    payload = {
-        "boxes": boxes,
-        "scenarios": [
-            {"key": s.key, "box": s.box.value,
-             "ctc": [party_names(named_box(s.box).n)[i] for i in s.pattern]}
-            for s in SCENARIOS.values()
-        ],
-        "deutsch_examples": list(EXAMPLE_NAMES),
-    }
-    if args.json:
-        _print_json(payload)
-        return EXIT_OK
-    print("boxes:")
-    for info in payload["boxes"]:
-        print(f"  {info['name']:<12} {info['parties']} parties   {info['relation']}")
-    print("scenarios:")
-    for info in payload["scenarios"]:
-        print(f"  {info['key']:<4} {info['box']} with self-consistent "
-              f"parties: {', '.join(info['ctc'])}")
-    print("deutsch examples:")
-    print(f"  {', '.join(payload['deutsch_examples'])}")
-    return EXIT_OK
+def _bits(bits) -> str:
+    return " ".join(map(str, bits))
 
 
 def _describe_box(box: NoSignalBox, label: str) -> str:
@@ -130,63 +90,86 @@ def _describe_box(box: NoSignalBox, label: str) -> str:
     return f"box {label} ({box.n} parties): explicit table"
 
 
-def cmd_show(args) -> int:
+def _scenario_ctc(s: Scenario) -> list[str]:
+    names = party_names(NAMED_FORMS[s.box].n)
+    return [names[i] for i in s.pattern]
+
+
+def cmd_list(args) -> tuple[dict, Render]:
+    payload = {
+        "boxes": [{"name": name.value,
+                   "parties": form.n,
+                   "relation": parity_equation(form),
+                   "constraint": [list(m) for m in form.sorted_monomials()]}
+                  for name, form in NAMED_FORMS.items()],
+        "scenarios": [{"key": s.key, "box": s.box.value, "ctc": _scenario_ctc(s)}
+                      for s in SCENARIOS.values()],
+        "deutsch_examples": list(EXAMPLE_NAMES),
+    }
+    return payload, _render_list
+
+
+def _render_list(payload: dict) -> Iterator[str]:
+    yield "boxes:"
+    for info in payload["boxes"]:
+        yield f"  {info['name']:<12} {info['parties']} parties   {info['relation']}"
+    yield "scenarios:"
+    for info in payload["scenarios"]:
+        yield (f"  {info['key']:<4} {info['box']} with self-consistent "
+               f"parties: {', '.join(info['ctc'])}")
+    yield "deutsch examples:"
+    yield f"  {', '.join(payload['deutsch_examples'])}"
+
+
+def cmd_show(args) -> tuple[dict, Render]:
     box, label = _load_box(args)
-    pattern = _pattern_from(args, box.n)
-    names = party_names(box.n)
+    pattern = _parties(args.ctc, box.n)
     if not pattern:
-        if args.json:
-            _print_json(box_to_spec(box))
-            return EXIT_OK
-        print(_describe_box(box, label))
-        ins = " ".join(input_names(box.n))
-        outs = " ".join(output_names(box.n))
-        print(f"{ins} | {outs} : p")
-        for inputs in sorted(box.rows):
-            for outputs in sorted(box.rows[inputs]):
-                left = " ".join(map(str, inputs))
-                right = " ".join(map(str, outputs))
-                print(f"{left} | {right} : {box.rows[inputs][outputs]}")
-        return EXIT_OK
-    cbox = constrain(box, pattern)
-    if args.json:
-        _print_json({
-            "box": label,
-            "ctc": [names[i] for i in pattern],
-            "rows": constrained_to_json(cbox),
-        })
-        return EXIT_OK
-    print(_describe_box(box, label))
-    print(f"self-consistent parties: {', '.join(names[i] for i in pattern)}")
+        return box_to_spec(box), partial(_render_box, box, label)
+    names = party_names(box.n)
+    payload = {
+        "box": label,
+        "ctc": [names[i] for i in pattern],
+        "rows": constrained_to_json(constrain(box, pattern)),
+    }
+    return payload, partial(_render_constrained, box, label)
+
+
+def _render_box(box: NoSignalBox, label: str, payload: dict) -> Iterator[str]:
+    """The full table; the spec payload of a parity box lists no rows."""
+    yield _describe_box(box, label)
+    yield f"{' '.join(input_names(box.n))} | {' '.join(output_names(box.n))} : p"
+    for inputs in sorted(box.rows):
+        for outputs in sorted(box.rows[inputs]):
+            yield f"{_bits(inputs)} | {_bits(outputs)} : {box.rows[inputs][outputs]}"
+
+
+def _render_constrained(box: NoSignalBox, label: str, payload: dict) -> Iterator[str]:
+    yield _describe_box(box, label)
+    yield f"self-consistent parties: {', '.join(payload['ctc'])}"
     in_syms = input_names(box.n)
     outs = " ".join(output_names(box.n))
-    for inputs in sorted(cbox.rows):
-        row = cbox.rows[inputs]
-        left = " ".join(f"{nm}={b}" for nm, b in zip(in_syms, inputs))
-        if row.paradox:
-            print(f"{left} : PARADOX (no self-consistent outcome)")
+    for row in payload["rows"]:
+        left = " ".join(f"{nm}={b}" for nm, b in zip(in_syms, row["inputs"]))
+        if row["paradox"]:
+            yield f"{left} : PARADOX (no self-consistent outcome)"
             continue
-        parts = [f"({outs})=({' '.join(map(str, out))}) w.p. {p}"
-                 for out, p in sorted(row.outcomes.items())]
-        print(f"{left} : {'; '.join(parts)}")
-    return EXIT_OK
+        parts = [f"({outs})=({_bits(o['out'])}) w.p. {o['p']}" for o in row["outcomes"]]
+        yield f"{left} : {'; '.join(parts)}"
 
 
-def cmd_verify(args) -> int:
-    targets: list[tuple[NoSignalBox, str]]
-    if getattr(args, "box", None) or getattr(args, "spec", None):
+def cmd_verify(args) -> tuple[dict, Render]:
+    if args.box or args.spec:
         targets = [_load_box(args)]
     else:
         targets = [(named_box(name), name.value) for name in BoxName]
     results = []
-    all_ok = True
     for box, label in targets:
         verdict = is_no_signaling(box)
         info = {"box": label, "no_signaling": verdict.ok}
         if box.n == 2:
             info["chsh"] = str(chsh_value(box))
         if not verdict.ok:
-            all_ok = False
             w = verdict.witness
             names = party_names(box.n)
             info["witness"] = {
@@ -199,49 +182,54 @@ def cmd_verify(args) -> int:
                                for k, v in sorted(w.marginal_b.items())},
             }
         results.append(info)
-    if args.json:
-        _print_json({"results": results, "ok": all_ok})
-    else:
-        for info in results:
-            if info["no_signaling"]:
-                extra = f" (CHSH value {info['chsh']})" if "chsh" in info else ""
-                print(f"{info['box']}: no-signaling OK{extra}")
-            else:
-                w = info["witness"]
-                print(f"{info['box']}: SIGNALING for coalition "
-                      f"({', '.join(w['coalition'])}): inputs {w['inputs_a']} "
-                      f"vs {w['inputs_b']} give different marginals")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    payload = {"results": results,
+               "ok": all(info["no_signaling"] for info in results)}
+    return payload, _render_verify
 
 
-def cmd_analyze(args) -> int:
+def _render_verify(payload: dict) -> Iterator[str]:
+    for info in payload["results"]:
+        if info["no_signaling"]:
+            extra = f" (CHSH value {info['chsh']})" if "chsh" in info else ""
+            yield f"{info['box']}: no-signaling OK{extra}"
+        else:
+            w = info["witness"]
+            yield (f"{info['box']}: SIGNALING for coalition "
+                   f"({', '.join(w['coalition'])}): inputs {w['inputs_a']} "
+                   f"vs {w['inputs_b']} give different marginals")
+
+
+def cmd_analyze(args) -> tuple[dict, Render]:
     box, label = _load_box(args)
-    pattern = _pattern_from(args, box.n)
+    pattern = _parties(args.ctc, box.n)
     cbox = constrain(box, pattern)
-    names = party_names(box.n)
     if bool(args.sender) != bool(args.receivers):
-        raise CliError("--sender and --receivers go together; "
-                       "give both or neither")
+        raise ValueError("--sender and --receivers go together; "
+                         "give both or neither")
+    names = party_names(box.n)
+    header = [_describe_box(box, label), "self-consistent parties: "
+              + (", ".join(names[i] for i in pattern) or "none")]
     if not args.sender:
-        return _analyze_scan(args, cbox, label, names, pattern)
-    sender_ids = parse_pattern(box.n, _split_parties(args.sender))
+        return scan_report_json(label, cbox), partial(_render_scan, header)
+    sender_ids = _parties(args.sender, box.n)
     if len(sender_ids) != 1:
-        raise CliError("--sender takes exactly one party")
-    sender = sender_ids[0]
-    coalition = parse_pattern(box.n, _split_parties(args.receivers))
-    try:
-        payload = report_json(label, cbox, sender, coalition)
-    except ValueError as err:
-        raise CliError(str(err)) from err
-    if args.json:
-        _print_json(payload)
-        return EXIT_OK
-    print(_describe_box(box, label))
-    constrained = ", ".join(names[i] for i in pattern) if pattern else "none"
-    print(f"self-consistent parties: {constrained}")
-    print(f"sender: {names[sender]}; receivers: "
-          f"{', '.join(names[i] for i in coalition)}")
+        raise ValueError("--sender takes exactly one party")
+    coalition = _parties(args.receivers, box.n)
+    payload = report_json(label, cbox, sender_ids[0], coalition)
     setting_names = [input_names(box.n)[i] for i in coalition]
+    return payload, partial(_render_report, header, setting_names)
+
+
+def _counts(s: dict) -> str:
+    return (f"{s['dependent_settings']}/{s['settings']} settings dependent "
+            f"({s['dependent_cases']}/{s['cases']} cases)")
+
+
+def _render_report(header: list[str], setting_names: list[str],
+                   payload: dict) -> Iterator[str]:
+    yield from header
+    yield (f"sender: {payload['sender']}; receivers: "
+           f"{', '.join(payload['coalition'])}")
     for entry in payload["entries"]:
         setting = " ".join(f"{nm}={b}" for nm, b in
                            zip(setting_names, entry["setting"]))
@@ -250,216 +238,182 @@ def cmd_analyze(args) -> int:
                              for obs, guess in entry["rule"].items())
             line = (f"setting {setting}: dependent; guess {rule}; "
                     f"success {entry['success']}; "
-                    f"information {_format_float(entry['mi_bits'])} bits")
+                    f"information {entry['mi_bits']:.6f} bits")
         else:
             line = f"setting {setting}: independent"
         if entry["impractical"]:
             line += " [receiver inside the constrained loop]"
-        print(line)
+        yield line
         if entry["note"]:
-            print(f"  note: {entry['note']}")
+            yield f"  note: {entry['note']}"
     s = payload["summary"]
-    print(f"summary: {s['dependent_settings']}/{s['settings']} settings "
-          f"dependent ({s['dependent_cases']}/{s['cases']} cases); "
-          f"max success {s['max_success']}; mean information "
-          f"{_format_float(s['mean_mi_bits'])} bits")
-    return EXIT_OK
+    yield (f"summary: {_counts(s)}; max success {s['max_success']}; "
+           f"mean information {s['mean_mi_bits']:.6f} bits")
 
 
-def _analyze_scan(args, cbox, label, names, pattern) -> int:
-    try:
-        payload = scan_report_json(label, cbox)
-    except ValueError as err:
-        raise CliError(str(err)) from err
-    if args.json:
-        _print_json(payload)
-        return EXIT_OK
-    print(_describe_box(cbox.box, label))
-    constrained = ", ".join(names[i] for i in pattern) if pattern else "none"
-    print(f"self-consistent parties: {constrained}")
+def _render_scan(header: list[str], payload: dict) -> Iterator[str]:
+    yield from header
     for report in payload["reports"]:
         s = report["summary"]
         line = (f"direction {report['sender']} -> "
-                f"{','.join(report['coalition'])}: "
-                f"{s['dependent_settings']}/{s['settings']} settings dependent "
-                f"({s['dependent_cases']}/{s['cases']} cases)")
+                f"{','.join(report['coalition'])}: {_counts(s)}")
         if s["impractical"]:
             line += " [receiver inside the constrained loop]"
-        print(line)
+        yield line
     s = payload["summary"]
-    print(f"overall: {s['dependent_directions']}/{s['directions']} directions "
-          f"signal; {s['dependent_settings']}/{s['settings']} settings "
-          f"dependent ({s['dependent_cases']}/{s['cases']} cases)")
-    return EXIT_OK
+    yield (f"overall: {s['dependent_directions']}/{s['directions']} directions "
+           f"signal; {_counts(s)}")
 
 
-def _format_matrix(matrix: np.ndarray) -> list[str]:
-    lines = []
-    for row in np.asarray(matrix):
-        cells = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
-        lines.append(f"  [{cells}]")
-    return lines
+def _load_problem(path: str):
+    data, label = _read_json(path)
+    if not isinstance(data, dict):
+        raise ValueError("problem file must be a JSON object")
+    try:
+        u = matrix_from_json(data["unitary"], name="unitary")
+        rho = matrix_from_json(data["rho_cr"], name="rho_cr")
+        d_loop = data["d_loop"]
+    except KeyError as err:
+        raise ValueError(f"problem file is missing field {err}") from err
+    if not isinstance(d_loop, int) or isinstance(d_loop, bool) or d_loop < 1:
+        raise ValueError("field 'd_loop' must be a positive integer")
+    return u, rho, d_loop, label
 
 
-def cmd_deutsch(args) -> int:
+def cmd_deutsch(args) -> tuple[dict, Render]:
     if args.example and args.file:
-        raise CliError("give either --example or --file, not both")
+        raise ValueError("give either --example or --file, not both")
     if args.example:
         u, rho, d_loop = example(args.example)
         label = args.example.lower()
     elif args.file:
-        try:
-            if args.file == "-":
-                data = json.load(sys.stdin)
-            else:
-                with open(args.file) as handle:
-                    data = json.load(handle)
-        except OSError as err:
-            raise CliError(f"cannot read {args.file}: {err}") from err
-        except json.JSONDecodeError as err:
-            raise CliError(f"{args.file} is not valid JSON: {err}") from err
-        if not isinstance(data, dict):
-            raise CliError("problem file must be a JSON object")
-        try:
-            u = matrix_from_json(data["unitary"], name="unitary")
-            rho = matrix_from_json(data["rho_cr"], name="rho_cr")
-            d_loop = data["d_loop"]
-        except KeyError as err:
-            raise CliError(f"problem file is missing field {err}") from err
-        except ValueError as err:
-            raise CliError(str(err)) from err
-        if not isinstance(d_loop, int) or isinstance(d_loop, bool) or d_loop < 1:
-            raise CliError("field 'd_loop' must be a positive integer")
-        label = "stdin" if args.file == "-" else args.file
+        u, rho, d_loop, label = _load_problem(args.file)
     else:
-        raise CliError("give a problem with --example NAME or --file FILE")
+        raise ValueError("give a problem with --example NAME or --file FILE")
 
-    try:
-        result = fixed_point(u, rho, d_loop, tol=args.tol,
-                             max_iterations=args.max_iter)
-    except ValueError as err:
-        raise CliError(str(err)) from err
-    rho_out = cr_output(u, rho, result.sigma)
-
-    crosscheck = None
+    result = fixed_point(u, rho, d_loop, tol=args.tol,
+                         max_iterations=args.max_iter)
+    payload = {
+        "problem": label,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "residual": result.residual,
+        "from_average": result.from_average,
+        "sigma": matrix_to_json(result.sigma),
+        "cr_output": matrix_to_json(cr_output(u, rho, result.sigma)),
+    }
+    ok = result.converged
     if args.crosscheck:
-        if is_basis_permutation(u) is None:
-            raise CliError("crosscheck needs a basis-permutation unitary")
-        crosscheck = classical_consistency_crosscheck(u, rho, d_loop, tol=args.tol)
-
-    ok = result.converged and (crosscheck is None or crosscheck.ok)
-    if args.json:
-        payload = {
-            "problem": label,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "residual": result.residual,
-            "from_average": result.from_average,
-            "sigma": matrix_to_json(result.sigma),
-            "cr_output": matrix_to_json(rho_out),
+        check = classical_consistency_crosscheck(u, rho, d_loop, tol=args.tol)
+        payload["crosscheck"] = {
+            "permutation": check.permutation,
+            "diagonal": check.diagonal,
+            "invariance_residual": check.invariance_residual,
+            "consistent_sets": {str(k): list(v) for k, v in
+                                sorted(check.consistent_sets.items())},
+            "prediction": check.prediction,
+            "prediction_match": check.prediction_match,
+            "ok": check.ok,
         }
-        if crosscheck is not None:
-            payload["crosscheck"] = {
-                "permutation": crosscheck.permutation,
-                "diagonal": crosscheck.diagonal,
-                "invariance_residual": crosscheck.invariance_residual,
-                "consistent_sets": {str(k): list(v) for k, v in
-                                    sorted(crosscheck.consistent_sets.items())},
-                "prediction": crosscheck.prediction,
-                "prediction_match": crosscheck.prediction_match,
-                "ok": crosscheck.ok,
-            }
-        payload["ok"] = ok
-        _print_json(payload)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-    print(f"problem {label}: CR dim {rho.shape[0]}, loop dim {d_loop}")
-    status = "converged" if result.converged else "DID NOT CONVERGE"
-    source = "averaged iterates" if result.from_average else "raw iterate"
-    print(f"{status} after {result.iterations} iteration(s), "
-          f"residual {result.residual:.3e} ({source})")
-    print("loop state sigma*:")
-    for line in _format_matrix(result.sigma):
-        print(line)
-    print("CR output state:")
-    for line in _format_matrix(rho_out):
-        print(line)
-    if crosscheck is not None:
-        print(f"crosscheck: permutation {crosscheck.permutation}; "
-              f"diagonal {'ok' if crosscheck.diagonal else 'FAILED'}; "
-              f"invariance residual {crosscheck.invariance_residual:.3e}")
-        sets = "; ".join(f"{k}:{{{','.join(map(str, v))}}}"
-                         for k, v in sorted(crosscheck.consistent_sets.items()))
-        print(f"consistent loop values per CR value: {sets}")
-        if crosscheck.prediction is None:
-            print("conditioning prediction: none (some branch has no "
-                  "self-consistent value)")
-        else:
-            pred = ", ".join(_format_float(x) for x in crosscheck.prediction)
-            verdict = "matches" if crosscheck.prediction_match else "DIFFERS"
-            print(f"conditioning prediction: [{pred}] {verdict}")
-        print(f"crosscheck {'OK' if crosscheck.ok else 'FAILED'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        ok = ok and check.ok
+    payload["ok"] = ok
+    return payload, _render_deutsch
 
 
-def cmd_reproduce(args) -> int:
-    choice = "all" if args.all else args.table
-    if choice == "all":
-        keys = list(SCENARIO_KEYS)
+def _matrix_lines(matrix: list) -> Iterator[str]:
+    for row in matrix:
+        yield f"  [{', '.join(f'{re:+.6f}{im:+.6f}j' for re, im in row)}]"
+
+
+def _render_deutsch(payload: dict) -> Iterator[str]:
+    yield (f"problem {payload['problem']}: CR dim {len(payload['cr_output'])}, "
+           f"loop dim {len(payload['sigma'])}")
+    status = "converged" if payload["converged"] else "DID NOT CONVERGE"
+    source = "averaged iterates" if payload["from_average"] else "raw iterate"
+    yield (f"{status} after {payload['iterations']} iteration(s), "
+           f"residual {payload['residual']:.3e} ({source})")
+    yield "loop state sigma*:"
+    yield from _matrix_lines(payload["sigma"])
+    yield "CR output state:"
+    yield from _matrix_lines(payload["cr_output"])
+    check = payload.get("crosscheck")
+    if check is None:
+        return
+    yield (f"crosscheck: permutation {check['permutation']}; "
+           f"diagonal {'ok' if check['diagonal'] else 'FAILED'}; "
+           f"invariance residual {check['invariance_residual']:.3e}")
+    sets = "; ".join(f"{k}:{{{','.join(map(str, v))}}}"
+                     for k, v in check["consistent_sets"].items())
+    yield f"consistent loop values per CR value: {sets}"
+    if check["prediction"] is None:
+        yield ("conditioning prediction: none (some branch has no "
+               "self-consistent value)")
     else:
-        keys = [scenario(choice).key]
-    results = []
-    all_ok = True
-    for key in keys:
-        s = SCENARIOS[key]
+        pred = ", ".join(f"{x:.6f}" for x in check["prediction"])
+        verdict = "matches" if check["prediction_match"] else "DIFFERS"
+        yield f"conditioning prediction: [{pred}] {verdict}"
+    yield f"crosscheck {'OK' if check['ok'] else 'FAILED'}"
+
+
+def cmd_reproduce(args) -> tuple[dict, Render]:
+    choice = "all" if args.all else args.table
+    chosen = SCENARIOS.values() if choice == "all" else [scenario(choice)]
+    scenarios = []
+    for s in chosen:
         check = verify_scenario(s)
-        all_ok = all_ok and check.ok
-        results.append((s, check))
-    if args.json:
-        names = party_names
-        payload = {
-            "scenarios": [
-                {
-                    "key": s.key,
-                    "box": s.box.value,
-                    "ctc": [names(named_box(s.box).n)[i] for i in s.pattern],
-                    "relation": scenario_relation(s),
-                    "rows": [{"in": list(i), "out": list(o)}
-                             for i, o in sorted((check.computed or {}).items())],
-                    "ok": check.ok,
-                }
-                for s, check in results
-            ],
-            "ok": all_ok,
-        }
-        _print_json(payload)
-        return EXIT_OK if all_ok else EXIT_CHECK_FAILED
-    for s, check in results:
-        print(scenario_header(s))
-        print(f"induced relation: {scenario_relation(s)}")
-        if check.computed is None:
-            print("check: FAIL (constrained box is not deterministic)")
-            print()
+        scenarios.append({
+            "key": s.key,
+            "box": s.box.value,
+            "ctc": _scenario_ctc(s),
+            "relation": scenario_relation(s),
+            "rows": [{"in": list(i), "out": list(o)}
+                     for i, o in sorted((check.computed or {}).items())],
+            "ok": check.ok,
+        })
+    payload = {"scenarios": scenarios, "ok": all(s["ok"] for s in scenarios)}
+    return payload, _render_reproduce
+
+
+def _render_reproduce(payload: dict) -> Iterator[str]:
+    for s in payload["scenarios"]:
+        yield (f"scenario {s['key']}: box {s['box']}, "
+               f"self-consistent parties: {', '.join(s['ctc'])}")
+        yield f"induced relation: {s['relation']}"
+        # a deterministic map has a row for every input, so no rows means
+        # the constrained box was not deterministic
+        if not s["rows"]:
+            yield "check: FAIL (constrained box is not deterministic)"
+            yield ""
             continue
-        for line in render_mapping(s, check.computed):
-            print(line)
-        print(f"check: {'OK' if check.ok else 'FAIL'} "
-              f"(computed table {'matches' if check.ok else 'differs from'} "
-              f"the frozen reference)")
-        print()
-    print(f"overall: {'OK' if all_ok else 'FAIL'}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
-
-
-def _add_box_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--box", metavar="NAME",
-                        help="built-in box name "
-                             f"({', '.join(b.value for b in BoxName)})")
-    parser.add_argument("--spec", metavar="FILE",
-                        help="JSON box spec file, or - for stdin")
+        n = len(s["rows"][0]["in"])
+        ins = " ".join(input_names(n))
+        outs = " ".join(output_names(n))
+        yield f"{ins} | {outs}"
+        yield "-" * (len(ins) + len(outs) + 3)
+        for row in s["rows"]:
+            yield f"{_bits(row['in'])} | {_bits(row['out'])}"
+        yield (f"check: {'OK' if s['ok'] else 'FAIL'} "
+               f"(computed table {'matches' if s['ok'] else 'differs from'} "
+               f"the frozen reference)")
+        yield ""
+    yield f"overall: {'OK' if payload['ok'] else 'FAIL'}"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true",
+                          help="print the JSON payload instead of text")
+    box_opt = argparse.ArgumentParser(add_help=False)
+    box_opt.add_argument("--box", metavar="NAME",
+                         help="built-in box name "
+                              f"({', '.join(b.value for b in BoxName)})")
+    box_opt.add_argument("--spec", metavar="FILE",
+                         help="JSON box spec file, or - for stdin")
+    ctc_opt = argparse.ArgumentParser(add_help=False)
+    ctc_opt.add_argument("--ctc", metavar="PARTIES",
+                         help="comma-separated self-consistent parties "
+                              "(names or indices)")
+
     parser = argparse.ArgumentParser(
         prog="ctcbox",
         description="exact analysis of correlation boxes under "
@@ -469,74 +423,64 @@ def build_parser() -> argparse.ArgumentParser:
                "deterministic. Exit codes: 0 ok, 1 check failed, 2 bad input.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", help="list built-in boxes and scenarios")
-    p_list.add_argument("--json", action="store_true")
-    p_list.set_defaults(func=cmd_list)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[*parents, json_opt])
+        p.set_defaults(func=func)
+        return p
 
-    p_show = sub.add_parser("show", help="print a box table")
-    _add_box_arguments(p_show)
-    p_show.add_argument("--ctc", metavar="PARTIES",
-                        help="comma-separated self-consistent parties "
-                             "(names or indices)")
-    p_show.add_argument("--json", action="store_true")
-    p_show.set_defaults(func=cmd_show)
+    command("list", cmd_list, "list built-in boxes and scenarios")
+    command("show", cmd_show, "print a box table", box_opt, ctc_opt)
 
-    p_verify = sub.add_parser("verify",
-                              help="check the no-signaling conditions")
+    p_verify = command("verify", cmd_verify,
+                       "check the no-signaling conditions", box_opt)
     p_verify.add_argument("check", nargs="?", default="no-signaling",
                           choices=["no-signaling"],
                           help="property to verify (default: no-signaling)")
-    _add_box_arguments(p_verify)
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_analyze = sub.add_parser("analyze", help="signaling report")
-    _add_box_arguments(p_analyze)
-    p_analyze.add_argument("--ctc", metavar="PARTIES",
-                           help="comma-separated self-consistent parties")
+    p_analyze = command("analyze", cmd_analyze, "signaling report",
+                        box_opt, ctc_opt)
     p_analyze.add_argument("--sender", metavar="PARTY",
                            help="signaling party; omit both --sender and "
                                 "--receivers to scan every split")
     p_analyze.add_argument("--receivers", metavar="PARTIES",
                            help="comma-separated receiving coalition")
-    p_analyze.add_argument("--json", action="store_true")
-    p_analyze.set_defaults(func=cmd_analyze)
 
-    p_deutsch = sub.add_parser("deutsch",
-                               help="solve the loop fixed-point equation")
+    p_deutsch = command("deutsch", cmd_deutsch,
+                        "solve the loop fixed-point equation")
     p_deutsch.add_argument("--example", metavar="NAME",
                            help=f"built-in instance ({', '.join(EXAMPLE_NAMES)})")
     p_deutsch.add_argument("--file", metavar="FILE",
                            help="JSON problem with unitary, rho_cr, d_loop")
-    p_deutsch.add_argument("--tol", type=float, default=RESIDUAL_TOL)
+    p_deutsch.add_argument("--tol", type=float, default=RESIDUAL_TOL,
+                           help="residual tolerance, positive and finite")
     p_deutsch.add_argument("--max-iter", type=int, default=MAX_ITERATIONS,
                            metavar="N", help="iteration budget for the solver")
     p_deutsch.add_argument("--crosscheck", action="store_true",
                            help="compare against classical conditioning "
                                 "(permutation unitaries only)")
-    p_deutsch.add_argument("--json", action="store_true")
-    p_deutsch.set_defaults(func=cmd_deutsch)
 
-    p_rep = sub.add_parser("reproduce",
-                           help="rebuild the reference scenario tables")
+    p_rep = command("reproduce", cmd_reproduce,
+                    "rebuild the reference scenario tables")
     p_rep.add_argument("--table", default="all", metavar="KEY",
                        help=f"one of {', '.join(SCENARIO_KEYS)} or all")
     p_rep.add_argument("--all", action="store_true",
                        help="rebuild every scenario (same as --table all)")
-    p_rep.add_argument("--json", action="store_true")
-    p_rep.set_defaults(func=cmd_reproduce)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CliError, BoxSpecError, ValueError) as err:
+        payload, render = args.func(args)
+    except ValueError as err:  # every input or usage problem (exit code 2)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in render(payload):
+            print(line)
+    return EXIT_OK if payload.get("ok", True) else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

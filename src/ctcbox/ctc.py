@@ -24,16 +24,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .boxes import NoSignalBox
-from .forms import BooleanForm
-
-
-def normalize_pattern(n: int, pattern: Iterable[int]) -> tuple[int, ...]:
-    """Sorted, deduplicated party indices, validated against n."""
-    pat = tuple(sorted({int(i) for i in pattern}))
-    for i in pat:
-        if not 0 <= i < n:
-            raise ValueError(f"party index {i} out of range for {n} parties")
-    return pat
+from .forms import PARTY_NAMES, BooleanForm, normalize_pattern, party_names
 
 
 @dataclass(frozen=True)
@@ -52,7 +43,6 @@ class ConstrainedBox:
         self.box = box
         self.n = box.n
         self.pattern = normalize_pattern(box.n, pattern)
-        self.free = tuple(i for i in range(box.n) if i not in self.pattern)
         rows: dict[tuple[int, ...], ConstrainedRow] = {}
         for inputs, row in box.rows.items():
             kept = {out: p for out, p in row.items()
@@ -125,20 +115,26 @@ def constrained_to_json(cbox: ConstrainedBox) -> list[dict]:
 
 
 def parse_pattern(n: int, spec: Iterable) -> tuple[int, ...]:
-    """Pattern from party names or indices ('alice', 1, 'charlie', ...)."""
-    from .forms import PARTY_NAMES
+    """Pattern from party names or indices ('alice', 1, 'party3', ...).
+
+    alice, bob and charlie always name parties 0-2; every label that
+    ``party_names(n)`` prints (party0, party1, ... above three parties)
+    names its party too.
+    """
+    known = {name: i for names in (PARTY_NAMES, party_names(n))
+             for i, name in enumerate(names)}
     indices = []
     for item in spec:
         if isinstance(item, str):
             name = item.strip().lower()
-            if name in PARTY_NAMES:
-                indices.append(PARTY_NAMES.index(name))
+            if name in known:
+                indices.append(known[name])
                 continue
             if name.isdigit():
                 indices.append(int(name))
                 continue
             raise ValueError(f"unknown party {item!r}; "
-                             f"use an index or one of {', '.join(PARTY_NAMES)}")
+                             f"use an index or one of {', '.join(known)}")
         else:
             indices.append(int(item))
     return normalize_pattern(n, indices)

@@ -25,8 +25,11 @@ the conditioned uniform mixture over each branch's consistent set.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -68,32 +71,24 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _partial_trace_first(matrix: np.ndarray, d_first: int, d_second: int) -> np.ndarray:
-    """Trace out the first tensor factor of a (d_first*d_second)^2 matrix."""
-    t = matrix.reshape(d_first, d_second, d_first, d_second)
-    return np.trace(t, axis1=0, axis2=2)
-
-
-def _partial_trace_second(matrix: np.ndarray, d_first: int, d_second: int) -> np.ndarray:
-    """Trace out the second tensor factor."""
-    t = matrix.reshape(d_first, d_second, d_first, d_second)
-    return np.trace(t, axis1=1, axis2=3)
+def _reduced_output(u: np.ndarray, rho_cr: np.ndarray, sigma: np.ndarray,
+                    traced: int) -> np.ndarray:
+    """Trace factor ``traced`` (0 = CR, 1 = loop) out of U (rho_cr (x) sigma) U^dagger."""
+    d_cr = rho_cr.shape[0]
+    d_loop = sigma.shape[0]
+    joint = u @ np.kron(rho_cr, sigma) @ u.conj().T
+    t = joint.reshape(d_cr, d_loop, d_cr, d_loop)
+    return np.trace(t, axis1=traced, axis2=traced + 2)
 
 
 def loop_map(u: np.ndarray, rho_cr: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """One trip around the loop: Tr_CR( U (rho_cr (x) sigma) U^dagger )."""
-    d_cr = rho_cr.shape[0]
-    d_loop = sigma.shape[0]
-    joint = u @ np.kron(rho_cr, sigma) @ u.conj().T
-    return _partial_trace_first(joint, d_cr, d_loop)
+    return _reduced_output(u, rho_cr, sigma, 0)
 
 
 def cr_output(u: np.ndarray, rho_cr: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """State of the CR system after the interaction with the loop state."""
-    d_cr = rho_cr.shape[0]
-    d_loop = sigma.shape[0]
-    joint = u @ np.kron(rho_cr, sigma) @ u.conj().T
-    return _partial_trace_second(joint, d_cr, d_loop)
+    return _reduced_output(u, rho_cr, sigma, 1)
 
 
 @dataclass(frozen=True)
@@ -115,6 +110,10 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
                 tol: float = RESIDUAL_TOL,
                 max_iterations: int = MAX_ITERATIONS) -> FixedPointResult:
     """Solve sigma = Tr_CR(U (rho_cr (x) sigma) U^dagger) from sigma = I/d."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if max_iterations < 0:
+        raise ValueError(f"iteration budget must be nonnegative, got {max_iterations}")
     u = check_unitary(u)
     rho_cr = check_density_matrix(rho_cr, name="rho_cr")
     d_cr = rho_cr.shape[0]
@@ -276,11 +275,12 @@ def matrix_from_json(data, *, name: str = "matrix") -> np.ndarray:
         width = len(row)
         entries = []
         for c, cell in enumerate(row):
+            # the bound rejects NaN, infinities and ints beyond float range
             if (not isinstance(cell, list) or len(cell) != 2
                     or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                               for x in cell)):
+                               and abs(x) <= sys.float_info.max for x in cell)):
                 raise ValueError(
-                    f"{name}[{r}][{c}] must be a [re, im] pair of numbers")
+                    f"{name}[{r}][{c}] must be a [re, im] pair of finite numbers")
             entries.append(complex(cell[0], cell[1]))
         rows.append(entries)
     return np.array(rows, dtype=complex)
@@ -290,39 +290,46 @@ def _qubit_density(p0: Fraction | float) -> np.ndarray:
     return np.diag([float(p0), 1 - float(p0)]).astype(complex)
 
 
+def _hadamard() -> np.ndarray:
+    return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+# builders rather than arrays: each call gets fresh arrays, and importing
+# the module does no numpy work
+EXAMPLES: dict[str, Callable[[], tuple[np.ndarray, np.ndarray, int]]] = {
+    "swap": lambda: (np.array([[1, 0, 0, 0],
+                               [0, 0, 1, 0],
+                               [0, 1, 0, 0],
+                               [0, 0, 0, 1]], dtype=complex),
+                     _qubit_density(Fraction(3, 4)), 2),
+    "grandfather": lambda: (np.kron(np.eye(2, dtype=complex),
+                                    np.array([[0, 1], [1, 0]], dtype=complex)),
+                            _qubit_density(1), 2),
+    "cnot": lambda: (np.array([[1, 0, 0, 0],
+                               [0, 1, 0, 0],
+                               [0, 0, 0, 1],
+                               [0, 0, 1, 0]], dtype=complex),
+                     _qubit_density(1), 2),
+    "product": lambda: (np.kron(_hadamard(), _hadamard()), _qubit_density(1), 2),
+}
+EXAMPLE_NAMES = tuple(EXAMPLES)
+
+
 def example(name: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Built-in (U, rho_cr, d_loop) instances used by the CLI and tests.
 
     swap         exchanges CR and loop qubits; the loop must copy rho_cr.
     grandfather  flips the loop qubit unconditionally; no basis value is
-                 self-consistent, the fixed point is the even mixture.
+                 self-consistent.  The solver returns the even mixture,
+                 but every mixture of |+> and |-> is fixed as well.
     cnot         flips the loop qubit when the CR qubit is 1; with the
                  CR qubit at |0> every loop state is consistent.
     product      non-interacting H (x) H; the loop keeps I/2 and the CR
                  qubit evolves unitarily on its own.
     """
-    eye2 = np.eye(2, dtype=complex)
-    flip = np.array([[0, 1], [1, 0]], dtype=complex)
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    swap = np.array([[1, 0, 0, 0],
-                     [0, 0, 1, 0],
-                     [0, 1, 0, 0],
-                     [0, 0, 0, 1]], dtype=complex)
-    cnot = np.array([[1, 0, 0, 0],
-                     [0, 1, 0, 0],
-                     [0, 0, 0, 1],
-                     [0, 0, 1, 0]], dtype=complex)
-    known = {
-        "swap": (swap, _qubit_density(Fraction(3, 4)), 2),
-        "grandfather": (np.kron(eye2, flip), _qubit_density(1), 2),
-        "cnot": (cnot, _qubit_density(1), 2),
-        "product": (np.kron(hadamard, hadamard), _qubit_density(1), 2),
-    }
     try:
-        return known[name.lower()]
+        build = EXAMPLES[name.lower()]
     except KeyError:
         raise ValueError(f"unknown example {name!r}; "
-                         f"known: {', '.join(sorted(known))}") from None
-
-
-EXAMPLE_NAMES = ("swap", "grandfather", "cnot", "product")
+                         f"known: {', '.join(sorted(EXAMPLES))}") from None
+    return build()

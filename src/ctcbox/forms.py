@@ -45,6 +45,15 @@ def output_names(n: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(n))
 
 
+def normalize_pattern(n: int, pattern: Iterable[int]) -> tuple[int, ...]:
+    """Sorted, deduplicated party indices, validated against n."""
+    pat = tuple(sorted({int(i) for i in pattern}))
+    for i in pat:
+        if not 0 <= i < n:
+            raise ValueError(f"party index {i} out of range for {n} parties")
+    return pat
+
+
 def party_names(n: int) -> tuple[str, ...]:
     """Party labels (alice, bob, charlie up to three parties)."""
     if n <= len(PARTY_NAMES):
@@ -72,10 +81,7 @@ class BooleanForm:
         if self.n < 1:
             raise ValueError("a form needs at least one party")
         for mono in self.monomials:
-            for index in mono:
-                if not 0 <= index < self.n:
-                    raise ValueError(
-                        f"monomial index {index} out of range for {self.n} parties")
+            normalize_pattern(self.n, mono)
 
     @classmethod
     def from_monomials(cls, n: int, monomials: Iterable[Iterable[int]]) -> "BooleanForm":
@@ -95,8 +101,6 @@ class BooleanForm:
 
     @classmethod
     def variable(cls, n: int, index: int) -> "BooleanForm":
-        if not 0 <= index < n:
-            raise ValueError(f"index {index} out of range for {n} parties")
         return cls(n, frozenset({frozenset({index})}))
 
     def __xor__(self, other: "BooleanForm") -> "BooleanForm":

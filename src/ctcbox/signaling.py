@@ -37,9 +37,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .boxes import all_bit_tuples
+from .boxes import all_bit_tuples, assemble_inputs
 from .ctc import ConstrainedBox
-from .forms import party_names, xor_bits
+from .forms import normalize_pattern, party_names, xor_bits
 
 
 def entropy_bits(dist: Mapping[tuple, Fraction]) -> float:
@@ -54,15 +54,10 @@ def entropy_bits(dist: Mapping[tuple, Fraction]) -> float:
 
 def _check_scenario(cbox: ConstrainedBox, sender: int,
                     coalition: tuple[int, ...]) -> tuple[int, ...]:
-    n = cbox.n
-    if not 0 <= sender < n:
-        raise ValueError(f"sender index {sender} out of range for {n} parties")
-    coal = tuple(sorted({int(i) for i in coalition}))
+    normalize_pattern(cbox.n, (sender,))
+    coal = normalize_pattern(cbox.n, coalition)
     if not coal:
         raise ValueError("receiver coalition must be nonempty")
-    for i in coal:
-        if not 0 <= i < n:
-            raise ValueError(f"party index {i} out of range for {n} parties")
     if sender in coal:
         raise ValueError("sender cannot be part of the receiver coalition")
     return coal
@@ -83,18 +78,13 @@ def receiver_observation(cbox: ConstrainedBox, sender: int,
         raise ValueError(f"setting must give one bit per coalition party")
     bystanders = [i for i in range(cbox.n) if i != sender and i not in coal]
     weight = Fraction(1, 2 ** len(bystanders))
+    pinned, pinned_bits = (sender, *coal), (sender_value, *setting)
     obs: dict[tuple[int, ...], Fraction] = {}
     for extra in all_bit_tuples(len(bystanders)):
-        full = [0] * cbox.n
-        full[sender] = sender_value
-        for i, b in zip(coal, setting):
-            full[i] = b
-        for i, b in zip(bystanders, extra):
-            full[i] = b
-        row = cbox.rows[tuple(full)]
+        full = assemble_inputs(cbox.n, pinned, pinned_bits, bystanders, extra)
+        row = cbox.rows[full]
         if row.paradox:
-            raise ValueError(
-                f"observation undefined: paradox row at inputs {tuple(full)}")
+            raise ValueError(f"observation undefined: paradox row at inputs {full}")
         for out, p in row.outcomes.items():
             key = tuple(out[i] for i in coal)
             obs[key] = obs.get(key, Fraction(0)) + weight * p
@@ -252,24 +242,30 @@ def entry_to_json(entry: SignalingEntry, n: int) -> dict:
     }
 
 
+def _direction_json(cbox: ConstrainedBox, sender: int, coalition: tuple[int, ...],
+                    entries: list[SignalingEntry]) -> dict:
+    names = party_names(cbox.n)
+    summary = _count_summary(entries)
+    summary["impractical"] = bool(set(coalition) & set(cbox.pattern))
+    return {
+        "sender": names[sender],
+        "coalition": [names[i] for i in coalition],
+        "entries": [entry_to_json(e, cbox.n) for e in entries],
+        "summary": summary,
+    }
+
+
 def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
                 coalition: Iterable[int]) -> dict:
     """Full signaling report for one sender/coalition pair as a JSON dict."""
     coal = _check_scenario(cbox, sender, tuple(coalition))
     entries = analyze(cbox, sender, coal)
     names = party_names(cbox.n)
-    summary = _count_summary(entries)
-    summary["impractical"] = bool(set(coal) & set(cbox.pattern))
-    summary["max_success"] = str(max(e.success for e in entries))
-    summary["mean_mi_bits"] = mean_mi_bits(entries)
-    return {
-        "box": box_label,
-        "ctc": [names[i] for i in cbox.pattern],
-        "sender": names[sender],
-        "coalition": [names[i] for i in coal],
-        "entries": [entry_to_json(e, cbox.n) for e in entries],
-        "summary": summary,
-    }
+    report = {"box": box_label, "ctc": [names[i] for i in cbox.pattern],
+              **_direction_json(cbox, sender, coal, entries)}
+    report["summary"]["max_success"] = str(max(e.success for e in entries))
+    report["summary"]["mean_mi_bits"] = mean_mi_bits(entries)
+    return report
 
 
 def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:
@@ -280,15 +276,8 @@ def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:
     dependent_directions = 0
     for sender, coalition, entries in full_scan(cbox):
         all_entries.extend(entries)
-        summary = _count_summary(entries)
-        summary["impractical"] = bool(set(coalition) & set(cbox.pattern))
         dependent_directions += any(e.dependent for e in entries)
-        reports.append({
-            "sender": names[sender],
-            "coalition": [names[i] for i in coalition],
-            "entries": [entry_to_json(e, cbox.n) for e in entries],
-            "summary": summary,
-        })
+        reports.append(_direction_json(cbox, sender, coalition, entries))
     overall = _count_summary(all_entries)
     overall["directions"] = len(reports)
     overall["dependent_directions"] = dependent_directions

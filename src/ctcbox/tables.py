@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .boxes import BoxName, named_box
 from .ctc import constrain, induced_parity_form
-from .forms import input_names, output_names, party_names
+from .forms import input_names, output_names
 
 Bits = tuple[int, ...]
 
@@ -98,24 +98,3 @@ def scenario_relation(s: Scenario) -> str:
     free = [i for i in range(box.n) if i not in s.pattern]
     lhs = " ^ ".join(output_names(box.n)[i] for i in free) or "0"
     return f"{lhs} = {g.render(input_names(box.n))}"
-
-
-def scenario_header(s: Scenario) -> str:
-    box = named_box(s.box)
-    names = party_names(box.n)
-    pattern = ", ".join(names[i] for i in s.pattern)
-    return (f"scenario {s.key}: box {s.box.value}, "
-            f"self-consistent parties: {pattern}")
-
-
-def render_mapping(s: Scenario, mapping: dict[Bits, Bits]) -> list[str]:
-    """Fixed-width text rows, inputs then outputs, lexicographic order."""
-    box = named_box(s.box)
-    ins = " ".join(input_names(box.n))
-    outs = " ".join(output_names(box.n))
-    lines = [f"{ins} | {outs}", "-" * (len(ins) + len(outs) + 3)]
-    for inputs in sorted(mapping):
-        left = " ".join(str(b) for b in inputs)
-        right = " ".join(str(b) for b in mapping[inputs])
-        lines.append(f"{left} | {right}")
-    return lines

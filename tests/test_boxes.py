@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ctcbox.boxes import (BoxName, BoxSpecError, CHSH_CLASSICAL_BOUND,
-                          CHSH_TSIRELSON_BOUND, NAMED_FORMS, NoSignalBox,
+                          CHSH_TSIRELSON_BOUND, MAX_PARTIES, NAMED_FORMS, NoSignalBox,
                           all_bit_tuples, box_from_spec, box_to_spec,
                           chsh_value, exact_fraction, is_no_signaling,
                           marginal, named_box, parity_box, parity_equation)
@@ -30,6 +30,33 @@ def test_exact_fraction_coercion():
 def test_exact_fraction_rejects_inexact(bad):
     with pytest.raises(TypeError):
         exact_fraction(bad)
+
+
+@pytest.mark.parametrize("bad", ["0.5", "1e5", "1/2e5", "1_000", " 1/2", "1/-2",
+                                 "inf", "nan", ""])
+def test_exact_fraction_takes_only_integer_ratio_strings(bad):
+    with pytest.raises(ValueError):
+        exact_fraction(bad)
+
+
+def test_negative_probability_strings_reach_the_sign_check():
+    assert exact_fraction("-1/2") == Fraction(-1, 2)
+    assert exact_fraction("+3") == Fraction(3)
+    spec = {"parties": 1, "table": [{"in": [0], "out": [0], "p": "3/2"},
+                                    {"in": [0], "out": [1], "p": "-1/2"},
+                                    {"in": [1], "out": [0], "p": "1"}]}
+    with pytest.raises(BoxSpecError, match="negative probability"):
+        box_from_spec(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"parties": MAX_PARTIES + 1, "constraint": [[0, 1]]},
+    {"parties": 64, "constraint": [[0, 1]]},
+    {"parties": 64, "table": []},
+])
+def test_spec_party_count_is_bounded(spec):
+    with pytest.raises(BoxSpecError, match="parties"):
+        box_from_spec(spec)
 
 
 def test_parity_box_structure():

@@ -184,6 +184,14 @@ def test_bad_spec_file_reports_usage_error(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (["show", "--spec", str(path)], ["deutsch", "--file", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "not valid JSON" in err
+
+
 def test_deutsch_example_json(capsys):
     code, out, _ = run(capsys, "deutsch", "--example", "swap",
                        "--crosscheck", "--json")
@@ -274,6 +282,67 @@ def test_reproduce_json(capsys):
 def test_reproduce_rejects_unknown_table(capsys):
     code, _, err = run(capsys, "reproduce", "--table", "V")
     assert code == 2 and "error:" in err
+
+
+def test_box_and_spec_together_are_rejected(capsys, tmp_path):
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"parties": 2, "constraint": [[0, 1]]}))
+    for command in ("show", "verify", "analyze"):
+        code, out, err = run(capsys, command, "--box", "pr", "--spec", str(path))
+        assert code == 2 and out == "" and "not both" in err
+
+
+def test_printed_party_names_round_trip(capsys, tmp_path):
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps({"parties": 4, "constraint": [[0, 1], [1, 2, 3]]}))
+    code, out, _ = run(capsys, "analyze", "--spec", str(path), "--ctc", "party1",
+                       "--sender", "party1", "--receivers", "party0,party2",
+                       "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ctc"] == ["party1"] and data["sender"] == "party1"
+    assert data["coalition"] == ["party0", "party2"]
+    code, same, _ = run(capsys, "analyze", "--spec", str(path), "--ctc", "bob",
+                        "--sender", "bob", "--receivers", "alice,charlie",
+                        "--json")
+    assert code == 0 and same == out
+
+
+@pytest.mark.parametrize("spec", [{"parties": 64, "constraint": [[0, 1]]},
+                                  {"parties": 11, "table": []}])
+def test_oversized_box_spec_is_a_usage_error(capsys, tmp_path, spec):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "show", "--spec", str(path))
+    assert code == 2 and out == "" and "parties" in err
+
+
+def test_exponent_probability_fails_fast(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"parties": 1, "table": [
+        {"in": [0], "out": [0], "p": "1e99999999"},
+        {"in": [1], "out": [0], "p": "1"}]}))
+    proc = subprocess.run([sys.executable, "-m", "ctcbox.cli", "show", "--spec",
+                           str(path)], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("option", ["--max-iter=-1", "--tol=nan", "--tol=inf",
+                                    "--tol=0", "--tol=-1e-9"])
+def test_deutsch_rejects_meaningless_budgets(capsys, option):
+    code, out, err = run(capsys, "deutsch", "--example", "swap", option, "--json")
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_deutsch_rejects_non_finite_matrix_entries(capsys, tmp_path):
+    u, rho, d_loop = example("swap")
+    unitary = matrix_to_json(u)
+    unitary[0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"unitary": unitary, "rho_cr": matrix_to_json(rho),
+                                "d_loop": d_loop}))
+    code, out, err = run(capsys, "deutsch", "--file", str(path), "--max-iter", "10")
+    assert code == 2 and out == "" and "finite" in err
 
 
 def test_seed_variable_is_inert():

@@ -7,7 +7,7 @@ from ctcbox.boxes import (BoxName, NAMED_FORMS, NoSignalBox, all_bit_tuples,
                           named_box)
 from ctcbox.ctc import (constrain, constrained_to_json, induced_parity_form,
                         normalize_pattern, parse_pattern, uniform_row_counts)
-from ctcbox.forms import evaluate_form, xor_bits
+from ctcbox.forms import evaluate_form, party_names, xor_bits
 
 
 def test_normalize_pattern():
@@ -27,6 +27,14 @@ def test_parse_pattern_names_and_indices():
         parse_pattern(3, ["dave"])
     with pytest.raises(ValueError):
         parse_pattern(2, ["charlie"])
+
+
+def test_parse_pattern_accepts_printed_party_names():
+    for n in range(1, 7):
+        assert parse_pattern(n, party_names(n)) == tuple(range(n))
+    assert parse_pattern(5, ["alice", "Party4", "bob"]) == (0, 1, 4)
+    with pytest.raises(ValueError, match="unknown party"):
+        parse_pattern(4, ["party4"])
 
 
 def test_empty_pattern_keeps_rows():

@@ -170,6 +170,31 @@ def test_matrix_json_round_trip():
         matrix_from_json("nope")
 
 
+@pytest.mark.parametrize("cell", [[float("nan"), 0], [0, float("inf")],
+                                  [-float("inf"), 0], [10 ** 400, 0]])
+def test_matrix_from_json_rejects_non_finite_entries(cell):
+    with pytest.raises(ValueError, match="finite"):
+        matrix_from_json([[cell]])
+
+
+@pytest.mark.parametrize("budget", [{"tol": float("nan")}, {"tol": float("inf")},
+                                    {"tol": 0.0}, {"tol": -1e-9},
+                                    {"max_iterations": -1}])
+def test_fixed_point_rejects_meaningless_budgets(budget):
+    u, rho, d = example("swap")
+    with pytest.raises(ValueError):
+        fixed_point(u, rho, d, **budget)
+
+
+def test_examples_are_fresh_arrays():
+    u, rho, _ = example("swap")
+    u[:] = 0
+    rho[:] = 0
+    u, rho, _ = example("swap")
+    check_unitary(u)
+    check_density_matrix(rho)
+
+
 def test_nonconvergent_map_reports_honestly():
     # a map whose orbit from I/d neither settles nor averages out fast:
     # loop values 0 and 1 pile onto 2, value 2 returns to 0 only, so the
