@@ -182,11 +182,18 @@ def marginal(box: NoSignalBox, coalition: Iterable[int],
     full = tuple(as_bit(b) for b in inputs)
     if len(full) != box.n:
         raise ValueError(f"expected {box.n} inputs, got {len(full)}")
+    return MarginalDistribution(coal, full,
+                                project_outcomes(box.rows[full].items(), coal))
+
+
+def project_outcomes(outcomes: Iterable[tuple[tuple[int, ...], Fraction]],
+                     coalition: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    """Sum (outputs, p) pairs over the outputs of parties outside ``coalition``."""
     probs: dict[tuple[int, ...], Fraction] = {}
-    for outputs, p in box.rows[full].items():
-        key = tuple(outputs[i] for i in coal)
+    for outputs, p in outcomes:
+        key = tuple(outputs[i] for i in coalition)
         probs[key] = probs.get(key, Fraction(0)) + p
-    return MarginalDistribution(coal, full, probs)
+    return probs
 
 
 @dataclass(frozen=True)
@@ -222,17 +229,16 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     for size in range(1, n):
         for coalition in combinations(range(n), size):
             others = [i for i in range(n) if i not in coalition]
+            completions = all_bit_tuples(len(others))
             for r_inputs in all_bit_tuples(size):
-                completions = all_bit_tuples(len(others))
                 base = assemble_inputs(n, coalition, r_inputs, others, completions[0])
-                base_marg = marginal(box, coalition, base)
+                base_marg = project_outcomes(box.rows[base].items(), coalition)
                 for completion in completions[1:]:
                     trial = assemble_inputs(n, coalition, r_inputs, others, completion)
-                    trial_marg = marginal(box, coalition, trial)
-                    if trial_marg.probs != base_marg.probs:
+                    trial_marg = project_outcomes(box.rows[trial].items(), coalition)
+                    if trial_marg != base_marg:
                         return NoSignalingVerdict(False, SignalingWitness(
-                            coalition, base, trial,
-                            base_marg.probs, trial_marg.probs))
+                            coalition, base, trial, base_marg, trial_marg))
     return NoSignalingVerdict(True)
 
 

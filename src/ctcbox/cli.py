@@ -275,8 +275,6 @@ def _load_problem(path: str):
         d_loop = data["d_loop"]
     except KeyError as err:
         raise ValueError(f"problem file is missing field {err}") from err
-    if not isinstance(d_loop, int) or isinstance(d_loop, bool) or d_loop < 1:
-        raise ValueError("field 'd_loop' must be a positive integer")
     return u, rho, d_loop, label
 
 
@@ -291,8 +289,10 @@ def cmd_deutsch(args) -> tuple[dict, Render]:
     else:
         raise ValueError("give a problem with --example NAME or --file FILE")
 
-    result = fixed_point(u, rho, d_loop, tol=args.tol,
-                         max_iterations=args.max_iter)
+    budget = {"tol": args.tol, "max_iterations": args.max_iter}
+    check = (classical_consistency_crosscheck(u, rho, d_loop, **budget)
+             if args.crosscheck else None)
+    result = check.solve if check else fixed_point(u, rho, d_loop, **budget)
     payload = {
         "problem": label,
         "converged": result.converged,
@@ -302,9 +302,7 @@ def cmd_deutsch(args) -> tuple[dict, Render]:
         "sigma": matrix_to_json(result.sigma),
         "cr_output": matrix_to_json(cr_output(u, rho, result.sigma)),
     }
-    ok = result.converged
-    if args.crosscheck:
-        check = classical_consistency_crosscheck(u, rho, d_loop, tol=args.tol)
+    if check:
         payload["crosscheck"] = {
             "permutation": check.permutation,
             "diagonal": check.diagonal,
@@ -315,8 +313,7 @@ def cmd_deutsch(args) -> tuple[dict, Render]:
             "prediction_match": check.prediction_match,
             "ok": check.ok,
         }
-        ok = ok and check.ok
-    payload["ok"] = ok
+    payload["ok"] = check.ok if check else result.converged
     return payload, _render_deutsch
 
 

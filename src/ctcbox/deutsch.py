@@ -117,7 +117,9 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
     u = check_unitary(u)
     rho_cr = check_density_matrix(rho_cr, name="rho_cr")
     d_cr = rho_cr.shape[0]
-    if d_loop < 1 or u.shape[0] != d_cr * d_loop:
+    if not isinstance(d_loop, int) or isinstance(d_loop, bool) or d_loop < 1:
+        raise ValueError(f"loop dimension must be a positive integer, got {d_loop!r}")
+    if u.shape[0] != d_cr * d_loop:
         raise ValueError(
             f"unitary dimension {u.shape[0]} does not match CR dim {d_cr} "
             f"times loop dim {d_loop}")
@@ -129,23 +131,20 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
     best = FixedPointResult(sigma, 0, float("inf"), False, False)
     for k in range(max_iterations + 1):
         stepped = loop_map(u, rho_cr, sigma)
-        residual = trace_norm(stepped - sigma)
-        if residual < best.residual:
-            best = FixedPointResult(sigma, k, residual, False, False)
-        if residual <= tol:
-            return FixedPointResult(sigma, k, residual, True, False)
-        if k > 0:
-            avg_residual = trace_norm(loop_map(u, rho_cr, average) - average)
-            if avg_residual <= tol:
-                return FixedPointResult(average, k, avg_residual, True, True)
-            if avg_residual < best.residual:
-                best = FixedPointResult(average, k, avg_residual, False, True)
+        # at k = 0 the average is still the start, so only the raw iterate counts
+        for candidate, from_average in ((sigma, False), (average, True))[:k + 1]:
+            image = loop_map(u, rho_cr, candidate) if from_average else stepped
+            residual = trace_norm(image - candidate)
+            if residual <= tol:
+                return FixedPointResult(candidate, k, residual, True, from_average)
+            if residual < best.residual:
+                best = FixedPointResult(candidate, k, residual, False, from_average)
         sigma = _hermitize(stepped)
         average = _hermitize((average * (k + 1) + sigma) / (k + 2))
     return best
 
 
-def is_basis_permutation(u: np.ndarray, *, tol: float = UNITARY_TOL) -> list[int] | None:
+def is_basis_permutation(u: np.ndarray) -> list[int] | None:
     """The permutation p with U|j> = |p[j]> if U is one, else None."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
@@ -153,9 +152,9 @@ def is_basis_permutation(u: np.ndarray, *, tol: float = UNITARY_TOL) -> list[int
     for j in range(d):
         column = u[:, j]
         i = int(np.argmax(np.abs(column)))
-        if abs(column[i] - 1) > tol:
+        if abs(column[i] - 1) > UNITARY_TOL:
             return None
-        rest = np.abs(column) > tol
+        rest = np.abs(column) > UNITARY_TOL
         rest[i] = False
         if rest.any():
             return None
@@ -167,8 +166,9 @@ def is_basis_permutation(u: np.ndarray, *, tol: float = UNITARY_TOL) -> list[int
 
 @dataclass(frozen=True)
 class ClassicalCrosscheck:
-    """Agreement between the quantum fixed point and classical conditioning."""
+    """The loop solve ``solve`` checked against classical conditioning."""
 
+    solve: FixedPointResult
     permutation: list[int]
     cr_distribution: list[float]
     loop_distribution: list[float]
@@ -183,13 +183,15 @@ class ClassicalCrosscheck:
 def classical_consistency_crosscheck(
         u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
         tol: float = RESIDUAL_TOL,
-        match_tol: float = MATCH_TOL) -> ClassicalCrosscheck:
+        max_iterations: int = MAX_ITERATIONS) -> ClassicalCrosscheck:
     """Check the solver against exact classical reasoning.
 
     Requires a basis-permutation unitary and a diagonal rho_cr, so the
     loop dynamics is classical: CR value u sends loop value v to the
-    loop part of the permuted pair (u, v).  Checks that the fixed point
-    is diagonal and its diagonal is invariant under that stochastic map.
+    loop part of the permuted pair (u, v).  Solves the loop once under
+    ``tol`` and ``max_iterations``, returns that result as ``solve`` (ok
+    is False unless it converged), and checks that its fixed point is
+    diagonal and its diagonal is invariant under that stochastic map.
     When every CR value in the support leaves at least one
     self-consistent loop value, also compares against conditioning:
     the mixture over u of the uniform distribution on u's consistent
@@ -209,10 +211,10 @@ def classical_consistency_crosscheck(
     if np.abs(rho_cr - np.diag(np.diag(rho_cr))).max() > HERMITIAN_TOL:
         raise ValueError("crosscheck needs a diagonal rho_cr")
 
-    result = fixed_point(u, rho_cr, d_loop, tol=tol)
+    result = fixed_point(u, rho_cr, d_loop, tol=tol, max_iterations=max_iterations)
     sigma = result.sigma
     off = sigma - np.diag(np.diag(sigma))
-    diagonal = bool(np.abs(off).max() <= match_tol)
+    diagonal = bool(np.abs(off).max() <= MATCH_TOL)
     q = np.real(np.diag(sigma))
     p = np.real(np.diag(rho_cr))
 
@@ -229,7 +231,8 @@ def classical_consistency_crosscheck(
                                   if loop_part(cr_value, v) == v)
                   for cr_value in range(d_cr)}
     supported = [cr_value for cr_value in range(d_cr) if p[cr_value] > TRACE_TOL]
-    prediction: list[float] | None
+    prediction: list[float] | None = None
+    prediction_match: bool | None = None
     if all(consistent[cr_value] for cr_value in supported):
         pred = np.zeros(d_loop)
         for cr_value in supported:
@@ -237,15 +240,13 @@ def classical_consistency_crosscheck(
             for v in consistent[cr_value]:
                 pred[v] += share
         prediction = [float(x) for x in pred]
-        prediction_match = bool(np.abs(pred - q).sum() <= match_tol)
-    else:
-        prediction = None
-        prediction_match = None
+        prediction_match = bool(np.abs(pred - q).sum() <= MATCH_TOL)
 
     ok = (result.converged and diagonal
-          and invariance_residual <= match_tol
+          and invariance_residual <= MATCH_TOL
           and prediction_match is not False)
     return ClassicalCrosscheck(
+        solve=result,
         permutation=perm,
         cr_distribution=[float(x) for x in p],
         loop_distribution=[float(x) for x in q],

@@ -31,18 +31,20 @@ def xor_bits(bits: Iterable[int]) -> int:
     return out
 
 
+def _labels(short: tuple[str, ...], prefix: str, n: int) -> tuple[str, ...]:
+    if n <= len(short):
+        return short[:n]
+    return tuple(f"{prefix}{i}" for i in range(n))
+
+
 def input_names(n: int) -> tuple[str, ...]:
     """Input symbols for an n-party box (x, y, z up to three parties)."""
-    if n <= len(INPUT_NAMES):
-        return INPUT_NAMES[:n]
-    return tuple(f"x{i}" for i in range(n))
+    return _labels(INPUT_NAMES, "x", n)
 
 
 def output_names(n: int) -> tuple[str, ...]:
     """Output symbols for an n-party box (a, b, c up to three parties)."""
-    if n <= len(OUTPUT_NAMES):
-        return OUTPUT_NAMES[:n]
-    return tuple(f"a{i}" for i in range(n))
+    return _labels(OUTPUT_NAMES, "a", n)
 
 
 def normalize_pattern(n: int, pattern: Iterable[int]) -> tuple[int, ...]:
@@ -56,9 +58,7 @@ def normalize_pattern(n: int, pattern: Iterable[int]) -> tuple[int, ...]:
 
 def party_names(n: int) -> tuple[str, ...]:
     """Party labels (alice, bob, charlie up to three parties)."""
-    if n <= len(PARTY_NAMES):
-        return PARTY_NAMES[:n]
-    return tuple(f"party{i}" for i in range(n))
+    return _labels(PARTY_NAMES, "party", n)
 
 
 @dataclass(frozen=True)

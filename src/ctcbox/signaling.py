@@ -34,10 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping
 
-from .boxes import all_bit_tuples, assemble_inputs
+from .boxes import all_bit_tuples, assemble_inputs, project_outcomes
 from .ctc import ConstrainedBox
 from .forms import normalize_pattern, party_names, xor_bits
 
@@ -79,16 +79,15 @@ def receiver_observation(cbox: ConstrainedBox, sender: int,
     bystanders = [i for i in range(cbox.n) if i != sender and i not in coal]
     weight = Fraction(1, 2 ** len(bystanders))
     pinned, pinned_bits = (sender, *coal), (sender_value, *setting)
-    obs: dict[tuple[int, ...], Fraction] = {}
+    rows = []
     for extra in all_bit_tuples(len(bystanders)):
         full = assemble_inputs(cbox.n, pinned, pinned_bits, bystanders, extra)
         row = cbox.rows[full]
         if row.paradox:
             raise ValueError(f"observation undefined: paradox row at inputs {full}")
-        for out, p in row.outcomes.items():
-            key = tuple(out[i] for i in coal)
-            obs[key] = obs.get(key, Fraction(0)) + weight * p
-    return obs
+        rows.append(row.outcomes.items())
+    return {key: weight * p
+            for key, p in project_outcomes(chain.from_iterable(rows), coal).items()}
 
 
 def map_rule(p0: Mapping[tuple, Fraction],
@@ -103,10 +102,7 @@ def map_rule(p0: Mapping[tuple, Fraction],
 def success_probability(p0: Mapping[tuple, Fraction],
                         p1: Mapping[tuple, Fraction]) -> Fraction:
     """Exact success of the best rule for a uniformly random sender bit."""
-    total = Fraction(0)
-    for out in set(p0) | set(p1):
-        total += max(p0.get(out, Fraction(0)), p1.get(out, Fraction(0)))
-    return total / 2
+    return rule_success(map_rule(p0, p1), p0, p1)
 
 
 def rule_success(rule: Mapping[tuple, int], p0: Mapping[tuple, Fraction],
@@ -167,13 +163,14 @@ def analyze_setting(cbox: ConstrainedBox, sender: int,
     p1 = receiver_observation(cbox, sender, coal, setting, 1)
     dependent = p0 != p1
     note = None if dependent else _parity_note(p0, p1)
+    rule = map_rule(p0, p1)
     return SignalingEntry(
         sender=sender,
         coalition=coal,
         setting=setting,
         dependent=dependent,
-        rule=map_rule(p0, p1),
-        success=success_probability(p0, p1),
+        rule=rule,
+        success=rule_success(rule, p0, p1),
         mi_bits=mutual_information_bits(p0, p1),
         impractical=bool(set(coal) & set(cbox.pattern)),
         note=note,
@@ -258,11 +255,10 @@ def _direction_json(cbox: ConstrainedBox, sender: int, coalition: tuple[int, ...
 def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
                 coalition: Iterable[int]) -> dict:
     """Full signaling report for one sender/coalition pair as a JSON dict."""
-    coal = _check_scenario(cbox, sender, tuple(coalition))
-    entries = analyze(cbox, sender, coal)
+    entries = analyze(cbox, sender, coalition)
     names = party_names(cbox.n)
     report = {"box": box_label, "ctc": [names[i] for i in cbox.pattern],
-              **_direction_json(cbox, sender, coal, entries)}
+              **_direction_json(cbox, sender, entries[0].coalition, entries)}
     report["summary"]["max_success"] = str(max(e.success for e in entries))
     report["summary"]["mean_mi_bits"] = mean_mi_bits(entries)
     return report

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boxes import BoxName, named_box
+from .boxes import NAMED_FORMS, BoxName, named_box
 from .ctc import constrain, induced_parity_form
 from .forms import input_names, output_names
 
@@ -92,9 +92,8 @@ def verify_scenario(s: Scenario) -> ScenarioCheck:
 
 def scenario_relation(s: Scenario) -> str:
     """The induced relation, solved for the one unconstrained output."""
-    box = named_box(s.box)
-    form = box.form
+    form = NAMED_FORMS[s.box]
     g = induced_parity_form(form, s.pattern)
-    free = [i for i in range(box.n) if i not in s.pattern]
-    lhs = " ^ ".join(output_names(box.n)[i] for i in free) or "0"
-    return f"{lhs} = {g.render(input_names(box.n))}"
+    free = [i for i in range(form.n) if i not in s.pattern]
+    lhs = " ^ ".join(output_names(form.n)[i] for i in free) or "0"
+    return f"{lhs} = {g.render(input_names(form.n))}"

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ctcbox import cli, deutsch
 from ctcbox.boxes import box_from_spec, named_box
 from ctcbox.cli import main
 from ctcbox.deutsch import example, matrix_to_json
@@ -233,12 +234,9 @@ def test_deutsch_usage_errors(capsys, tmp_path):
     assert code == 2
 
 
-def test_deutsch_max_iter_budget(capsys, tmp_path):
-    code, _, _ = run(capsys, "deutsch", "--example", "swap", "--max-iter", "5")
-    assert code == 0
-
-    # converges at step 1 through the averaged iterates; a zero budget
-    # stops before that and must be reported as a failed check
+def oscillating_problem(tmp_path):
+    """Problem file for a permutation map that converges at step 1 through
+    the averaged iterates."""
     perm = [2, 5, 0, 8, 11, 1, 3, 6, 9, 4, 7, 10]
     u = np.zeros((12, 12))
     for source, target in enumerate(perm):
@@ -248,12 +246,57 @@ def test_deutsch_max_iter_budget(capsys, tmp_path):
                "d_loop": 3}
     path = tmp_path / "oscillating.json"
     path.write_text(json.dumps(problem))
+    return path
+
+
+def test_deutsch_max_iter_budget(capsys, tmp_path):
+    code, _, _ = run(capsys, "deutsch", "--example", "swap", "--max-iter", "5")
+    assert code == 0
+
+    # a zero budget stops before step 1 and must be reported as a failed check
+    path = oscillating_problem(tmp_path)
     code, out, _ = run(capsys, "deutsch", "--file", str(path),
                        "--max-iter", "0")
     assert code == 1 and "DID NOT CONVERGE" in out
     code, out, _ = run(capsys, "deutsch", "--file", str(path), "--json")
     data = json.loads(out)
     assert code == 0 and data["converged"] and data["from_average"]
+
+
+def test_crosscheck_checks_the_printed_solve(capsys, tmp_path):
+    # the crosscheck judges the unconverged solve printed above it: the
+    # uniform start, whose diagonal the map moves by 2/3 in L1 norm
+    path = oscillating_problem(tmp_path)
+    code, out, _ = run(capsys, "deutsch", "--file", str(path),
+                       "--max-iter", "0", "--crosscheck")
+    assert code == 1 and "DID NOT CONVERGE" in out
+    assert "invariance residual 6.667e-01" in out
+    assert "crosscheck FAILED" in out and "crosscheck OK" not in out
+
+
+def test_deutsch_crosscheck_solves_once(capsys, monkeypatch):
+    calls = []
+    real = deutsch.fixed_point
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fixed_point", counting)
+    monkeypatch.setattr(deutsch, "fixed_point", counting)
+    code, _, _ = run(capsys, "deutsch", "--example", "swap", "--crosscheck")
+    assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("d_loop", [2.5, True])
+def test_deutsch_rejects_non_integer_loop_dimension(capsys, tmp_path, d_loop):
+    # with a 2 x 2 unitary and a qubit CR state, d_loop = 1 would be valid
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"unitary": matrix_to_json(np.eye(2)),
+                                "rho_cr": matrix_to_json(np.eye(2) / 2),
+                                "d_loop": d_loop}))
+    code, out, err = run(capsys, "deutsch", "--file", str(path))
+    assert code == 2 and out == "" and "positive integer" in err
 
 
 def test_reproduce_single_and_all(capsys):

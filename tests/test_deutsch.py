@@ -207,6 +207,30 @@ def test_nonconvergent_map_reports_honestly():
     assert result.residual > 0
 
 
+def test_crosscheck_returns_the_solve_it_checked():
+    perm = [2, 5, 0, 8, 11, 1, 3, 6, 9, 4, 7, 10]
+    u = permutation_unitary(perm)
+    rho = np.diag([1, 0, 0, 0]).astype(complex)
+    cc = classical_consistency_crosscheck(u, rho, 3, max_iterations=50)
+    result = fixed_point(u, rho, 3, max_iterations=50)
+    assert not cc.ok
+    assert np.array_equal(cc.solve.sigma, result.sigma)
+    assert (cc.solve.iterations, cc.solve.residual, cc.solve.converged,
+            cc.solve.from_average) == (result.iterations, result.residual,
+                                       result.converged, result.from_average)
+    assert cc.loop_distribution == [float(x) for x in np.real(np.diag(result.sigma))]
+
+
+@pytest.mark.parametrize("d_loop", [2.0, True])
+def test_fixed_point_rejects_non_integer_loop_dimension(d_loop):
+    # a 2 x 2 unitary with a qubit CR state would be valid for d_loop = 1
+    with pytest.raises(ValueError, match="positive integer"):
+        fixed_point(np.eye(2), np.eye(2) / 2, d_loop)
+    u, rho, _ = example("swap")
+    with pytest.raises(ValueError, match="positive integer"):
+        fixed_point(u, rho, d_loop)
+
+
 def random_unitary(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, _ = np.linalg.qr(g)

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from ctcbox.boxes import all_bit_tuples, is_no_signaling, marginal, parity_box
+from ctcbox.boxes import (NoSignalBox, all_bit_tuples, is_no_signaling, marginal,
+                          parity_box)
 from ctcbox.ctc import constrain, induced_parity_form
 from ctcbox.forms import BooleanForm, evaluate_form, xor_bits
 from ctcbox.signaling import analyze
@@ -35,6 +37,55 @@ def signaling_scenarios(draw):
     others = [i for i in range(n) if i != sender]
     coalition = draw(st.sets(st.sampled_from(others), min_size=1))
     return form, tuple(sorted(pattern)), sender, tuple(sorted(coalition))
+
+
+@st.composite
+def parity_deterministic_mixtures(draw):
+    """A 2- or 3-party parity box mixed with a deterministic table at an
+    exact weight: weight 0 is no-signaling, most others signal."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    monomials = draw(st.lists(
+        st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=4))
+    parity = parity_box(BooleanForm.from_monomials(n, monomials))
+    weight = draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
+    bits = st.tuples(*[st.integers(min_value=0, max_value=1)] * n)
+    rows = {}
+    for inputs in all_bit_tuples(n):
+        row = {out: (1 - weight) * p for out, p in parity.rows[inputs].items()}
+        out = draw(bits)
+        row[out] = row.get(out, Fraction(0)) + weight
+        rows[inputs] = row
+    return NoSignalBox(n, rows)
+
+
+def first_witness_by_marginals(box):
+    """The documented scan written with the public ``marginal``: coalitions
+    by size, then lexicographically, then coalition inputs, then
+    completions, all lexicographic."""
+    n = box.n
+    for size in range(1, n):
+        for coalition in combinations(range(n), size):
+            for r_inputs in all_bit_tuples(size):
+                fulls = [full for full in all_bit_tuples(n)
+                         if tuple(full[i] for i in coalition) == r_inputs]
+                base = marginal(box, coalition, fulls[0]).probs
+                for trial in fulls[1:]:
+                    probs = marginal(box, coalition, trial).probs
+                    if probs != base:
+                        return coalition, fulls[0], trial, base, probs
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(parity_deterministic_mixtures())
+def test_no_signaling_scan_matches_marginal_scan(box):
+    verdict = is_no_signaling(box)
+    expected = first_witness_by_marginals(box)
+    assert verdict.ok == (expected is None)
+    if expected is not None:
+        w = verdict.witness
+        assert (w.coalition, w.inputs_a, w.inputs_b,
+                w.marginal_a, w.marginal_b) == expected
 
 
 @settings(max_examples=60, deadline=None)
