@@ -4,6 +4,9 @@ The package builds no-signaling boxes from parity constraints over
 party inputs, conditions them on chosen parties reproducing their own
 inputs, measures the signaling that conditioning creates, and solves
 the density-matrix fixed-point equation for the analogous quantum loop.
+
+Only the quantum-loop names, those of `deutsch`, need numpy; they are
+loaded on first access, so importing the package does not load numpy.
 """
 
 from .boxes import (BoxName, BoxSpecError, CHSH_CLASSICAL_BOUND,
@@ -14,10 +17,6 @@ from .boxes import (BoxName, BoxSpecError, CHSH_CLASSICAL_BOUND,
                     parity_equation)
 from .ctc import (ConstrainedBox, ConstrainedRow, constrain, constrained_to_json,
                   induced_parity_form, normalize_pattern, parse_pattern)
-from .deutsch import (ClassicalCrosscheck, FixedPointResult,
-                      classical_consistency_crosscheck, cr_output, example,
-                      fixed_point, is_basis_permutation, loop_map,
-                      matrix_from_json, matrix_to_json, trace_norm)
 from .forms import (BooleanForm, as_bit, evaluate_form, input_names,
                     output_names, party_names, xor_bits)
 from .signaling import (SignalingEntry, analyze, analyze_setting, entropy_bits,
@@ -47,3 +46,19 @@ __all__ = [
     "rule_success", "scan_report_json", "scenario", "scenario_relation",
     "success_probability", "trace_norm", "verify_scenario", "xor_bits",
 ]
+
+_DEUTSCH_NAMES = ("ClassicalCrosscheck", "FixedPointResult",
+                  "classical_consistency_crosscheck", "cr_output", "example",
+                  "fixed_point", "is_basis_permutation", "loop_map",
+                  "matrix_from_json", "matrix_to_json", "trace_norm")
+
+
+def __getattr__(name: str):
+    if name in _DEUTSCH_NAMES:
+        from . import deutsch
+        return getattr(deutsch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEUTSCH_NAMES})

@@ -11,6 +11,7 @@ Subcommands:
 
 Each subcommand builds one JSON payload and a text renderer for it;
 ``main`` prints either the payload (``--json``) or the rendered lines.
+Only ``deutsch`` loads numpy, when it runs; the other subcommands never do.
 
 Exit codes: 0 on success, 1 when a requested check fails (signaling
 witness found, scenario mismatch, solver did not converge), 2 on usage
@@ -31,9 +32,7 @@ from typing import Callable, Iterator
 from .boxes import (NAMED_FORMS, BoxName, NoSignalBox, box_from_spec, box_to_spec,
                     chsh_value, is_no_signaling, named_box, parity_equation)
 from .ctc import constrain, constrained_to_json, parse_pattern
-from .deutsch import (EXAMPLE_NAMES, classical_consistency_crosscheck, cr_output,
-                      example, fixed_point, matrix_from_json,
-                      matrix_to_json, MAX_ITERATIONS, RESIDUAL_TOL)
+from .deutsch_defaults import EXAMPLE_NAMES, MAX_ITERATIONS, RESIDUAL_TOL
 from .forms import input_names, output_names, party_names
 from .signaling import report_json, scan_report_json
 from .tables import (SCENARIO_KEYS, SCENARIOS, Scenario, scenario,
@@ -266,6 +265,8 @@ def _render_scan(header: list[str], payload: dict) -> Iterator[str]:
 
 
 def _load_problem(path: str):
+    from .deutsch import matrix_from_json
+
     data, label = _read_json(path)
     if not isinstance(data, dict):
         raise ValueError("problem file must be a JSON object")
@@ -279,6 +280,11 @@ def _load_problem(path: str):
 
 
 def cmd_deutsch(args) -> tuple[dict, Render]:
+    # numpy is imported here, not at module level, so that the classical
+    # subcommands start without it
+    from .deutsch import (classical_consistency_crosscheck, cr_output, example,
+                          fixed_point, matrix_to_json)
+
     if args.example and args.file:
         raise ValueError("give either --example or --file, not both")
     if args.example:

@@ -33,8 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-RESIDUAL_TOL = 1e-10
-MAX_ITERATIONS = 100_000
+# EXAMPLE_NAMES is re-exported: it names the keys of EXAMPLES below
+from .deutsch_defaults import EXAMPLE_NAMES, MAX_ITERATIONS, RESIDUAL_TOL
+
 MAX_DIM = 16
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -147,6 +148,8 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
 def is_basis_permutation(u: np.ndarray) -> list[int] | None:
     """The permutation p with U|j> = |p[j]> if U is one, else None."""
     u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return None
     d = u.shape[0]
     perm = []
     for j in range(d):
@@ -201,17 +204,21 @@ def classical_consistency_crosscheck(
     differs sets ok=False; this marks the pair for inspection rather
     than proving the solver wrong, since cycle structure can make other
     invariant distributions equally legitimate fixed points.
+
+    The permutation and diagonal requirements are checked before the
+    solve; every other check on the inputs is `fixed_point`'s.
     """
-    u = check_unitary(u)
-    rho_cr = check_density_matrix(rho_cr, name="rho_cr")
-    d_cr = rho_cr.shape[0]
     perm = is_basis_permutation(u)
     if perm is None:
         raise ValueError("crosscheck needs a basis-permutation unitary")
-    if np.abs(rho_cr - np.diag(np.diag(rho_cr))).max() > HERMITIAN_TOL:
+    rho_cr = np.asarray(rho_cr, dtype=complex)
+    # a matrix that is not square fails fixed_point's shape check instead
+    square = rho_cr.ndim == 2 and rho_cr.shape[0] == rho_cr.shape[1]
+    if square and np.abs(rho_cr - np.diag(np.diag(rho_cr))).max() > HERMITIAN_TOL:
         raise ValueError("crosscheck needs a diagonal rho_cr")
 
     result = fixed_point(u, rho_cr, d_loop, tol=tol, max_iterations=max_iterations)
+    d_cr = rho_cr.shape[0]
     sigma = result.sigma
     off = sigma - np.diag(np.diag(sigma))
     diagonal = bool(np.abs(off).max() <= MATCH_TOL)
@@ -313,7 +320,6 @@ EXAMPLES: dict[str, Callable[[], tuple[np.ndarray, np.ndarray, int]]] = {
                      _qubit_density(1), 2),
     "product": lambda: (np.kron(_hadamard(), _hadamard()), _qubit_density(1), 2),
 }
-EXAMPLE_NAMES = tuple(EXAMPLES)
 
 
 def example(name: str) -> tuple[np.ndarray, np.ndarray, int]:

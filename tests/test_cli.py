@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ctcbox import cli, deutsch
+from ctcbox import deutsch
 from ctcbox.boxes import box_from_spec, named_box
 from ctcbox.cli import main
 from ctcbox.deutsch import example, matrix_to_json
@@ -282,7 +282,6 @@ def test_deutsch_crosscheck_solves_once(capsys, monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "fixed_point", counting)
     monkeypatch.setattr(deutsch, "fixed_point", counting)
     code, _, _ = run(capsys, "deutsch", "--example", "swap", "--crosscheck")
     assert code == 0 and len(calls) == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ctcbox import deutsch
 from ctcbox.deutsch import (EXAMPLE_NAMES, MAX_DIM, classical_consistency_crosscheck,
                             check_density_matrix, check_unitary, cr_output,
                             example, fixed_point, is_basis_permutation, loop_map,
@@ -219,6 +220,33 @@ def test_crosscheck_returns_the_solve_it_checked():
             cc.solve.from_average) == (result.iterations, result.residual,
                                        result.converged, result.from_average)
     assert cc.loop_distribution == [float(x) for x in np.real(np.diag(result.sigma))]
+
+
+def test_crosscheck_validates_its_inputs_once(monkeypatch):
+    checked = []
+    for name in ("check_unitary", "check_density_matrix"):
+        real = getattr(deutsch, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            checked.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(deutsch, name, counting)
+    assert classical_consistency_crosscheck(*example("swap")).ok
+    assert checked == ["check_unitary", "check_density_matrix"]
+
+
+def test_crosscheck_rejects_a_non_permutation_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a problem the crosscheck cannot check")
+
+    monkeypatch.setattr(deutsch, "fixed_point", no_solve)
+    u, rho, d = example("product")
+    with pytest.raises(ValueError, match="permutation"):
+        classical_consistency_crosscheck(u, rho, d)
+    u, _, d = example("swap")
+    with pytest.raises(ValueError, match="diagonal"):
+        classical_consistency_crosscheck(u, np.full((2, 2), 0.5), d)
 
 
 @pytest.mark.parametrize("d_loop", [2.0, True])
