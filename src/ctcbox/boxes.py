@@ -217,29 +217,57 @@ class NoSignalingVerdict:
 
 
 def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
-    """Exhaustive marginal-independence check over every proper coalition.
+    """Complete no-signaling check: n conditions, then the ordered witness scan.
 
-    For each coalition R and each fixing of R's inputs, the marginal of
-    R's outputs must not depend on the remaining parties' inputs.  The
-    scan is deterministic (coalitions by size then lexicographically,
-    completions lexicographically) so the first witness found is the
-    lexicographically smallest one.
+    A box is no-signaling iff, for every proper coalition R and every
+    fixing of R's inputs, the marginal of R's outputs does not depend on
+    the other parties' inputs.  It suffices to check n conditions: party
+    j's input must not move the joint marginal of the other n-1 parties
+    (Barrett et al., Phys. Rev. A 71, 022101, 2005).  Proof: for j outside
+    R, R's marginal is a marginal of the other n-1 parties' marginal, so
+    it does not move with x_j either; changing the outside inputs one at
+    a time then leaves it fixed.
+
+    The parties that fail their condition are the signaling set S.  When S
+    is empty the box passes.  Otherwise the scan runs in the documented
+    order (coalitions by size then lexicographically, coalition inputs,
+    completions, all lexicographic) and returns the lexicographically
+    first witness.  It skips every coalition that contains S, which passes
+    by the proof above, and varies only the inputs of S outside R, since
+    no other input moves R's marginal: the first completion with a given
+    pattern of those bits has all other bits 0, so the witness is the one
+    a scan over every completion finds.
     """
     n = box.n
+    rows = box.rows
+    signaling = []
+    for j in range(n):
+        rest = tuple(i for i in range(n) if i != j)
+        for inputs, row in rows.items():
+            if inputs[j] == 0:
+                flipped = inputs[:j] + (1,) + inputs[j + 1:]
+                if (project_outcomes(row.items(), rest)
+                        != project_outcomes(rows[flipped].items(), rest)):
+                    signaling.append(j)
+                    break
+    if not signaling:
+        return NoSignalingVerdict(True)
     for size in range(1, n):
         for coalition in combinations(range(n), size):
-            others = [i for i in range(n) if i not in coalition]
-            completions = all_bit_tuples(len(others))
+            senders = [i for i in signaling if i not in coalition]
+            if not senders:
+                continue
+            patterns = all_bit_tuples(len(senders))
             for r_inputs in all_bit_tuples(size):
-                base = assemble_inputs(n, coalition, r_inputs, others, completions[0])
-                base_marg = project_outcomes(box.rows[base].items(), coalition)
-                for completion in completions[1:]:
-                    trial = assemble_inputs(n, coalition, r_inputs, others, completion)
-                    trial_marg = project_outcomes(box.rows[trial].items(), coalition)
+                base = assemble_inputs(n, coalition, r_inputs, senders, patterns[0])
+                base_marg = project_outcomes(rows[base].items(), coalition)
+                for pattern in patterns[1:]:
+                    trial = assemble_inputs(n, coalition, r_inputs, senders, pattern)
+                    trial_marg = project_outcomes(rows[trial].items(), coalition)
                     if trial_marg != base_marg:
                         return NoSignalingVerdict(False, SignalingWitness(
                             coalition, base, trial, base_marg, trial_marg))
-    return NoSignalingVerdict(True)
+    raise AssertionError("a signaling party leaves a witness")
 
 
 def assemble_inputs(n, coalition, coalition_bits, others, other_bits) -> tuple[int, ...]:

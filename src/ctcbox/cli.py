@@ -4,7 +4,7 @@ Subcommands:
 
     list        built-in boxes, reference scenarios, solver examples
     show        print a box table, optionally under a constraint pattern
-    verify      exhaustive no-signaling check of a box
+    verify      complete no-signaling check of a box
     analyze     signaling report for a sender/receiver split
     deutsch     solve the loop fixed-point equation for a small system
     reproduce   rebuild the reference scenario tables and compare

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ctcbox import boxes
 from ctcbox.boxes import (BoxName, BoxSpecError, CHSH_CLASSICAL_BOUND,
                           CHSH_TSIRELSON_BOUND, MAX_PARTIES, NAMED_FORMS, NoSignalBox,
                           all_bit_tuples, box_from_spec, box_to_spec,
@@ -157,6 +158,22 @@ def test_no_signaling_witness_is_lexicographically_first():
     assert (w.inputs_a, w.inputs_b) == ((0, 0), (0, 1))
     assert w.marginal_a == {(0,): Fraction(1)}
     assert w.marginal_b == {(1,): Fraction(1)}
+
+
+def test_passing_verdict_checks_n_conditions(monkeypatch):
+    # n conditions of 2**(n-1) row pairs each
+    calls = []
+    project = boxes.project_outcomes
+
+    def counting(outcomes, coalition):
+        calls.append(coalition)
+        return project(outcomes, coalition)
+
+    monkeypatch.setattr(boxes, "project_outcomes", counting)
+    n = 6
+    cycle = BooleanForm.from_monomials(n, [[i, (i + 1) % n] for i in range(n)])
+    assert is_no_signaling(parity_box(cycle)).ok
+    assert len(calls) <= n * 2 ** n
 
 
 def test_chsh_values():

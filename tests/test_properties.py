@@ -1,7 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctcbox.boxes import (NoSignalBox, all_bit_tuples, is_no_signaling, marginal,
                           parity_box)
@@ -58,6 +58,24 @@ def parity_deterministic_mixtures(draw):
     return NoSignalBox(n, rows)
 
 
+@st.composite
+def loop_cases(draw):
+    """A random parity form at n = 3..5 and 1..n-1 looped parties."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    monomials = draw(st.lists(
+        st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=6))
+    looped = draw(st.sets(st.integers(min_value=0, max_value=n - 1),
+                          min_size=1, max_size=n - 1))
+    return BooleanForm.from_monomials(n, monomials), tuple(sorted(looped))
+
+
+def loop_table(form, looped):
+    """The loop table as a plain box; with a free party no row is a paradox."""
+    cbox = constrain(parity_box(form), looped)
+    return NoSignalBox(form.n, {inputs: row.outcomes
+                                for inputs, row in cbox.rows.items()})
+
+
 def first_witness_by_marginals(box):
     """The documented scan written with the public ``marginal``: coalitions
     by size, then lexicographically, then coalition inputs, then
@@ -86,6 +104,37 @@ def test_no_signaling_scan_matches_marginal_scan(box):
         w = verdict.witness
         assert (w.coalition, w.inputs_a, w.inputs_b,
                 w.marginal_a, w.marginal_b) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(loop_cases())
+# witness coalition (1, 2); witness coalition (2, 3) with parties 0 and 1 signaling
+@example((BooleanForm.from_monomials(3, [[0, 1]]), (0,)))
+@example((BooleanForm.from_monomials(4, []), (0, 1)))
+def test_loop_table_scan_matches_marginal_scan(case):
+    box = loop_table(*case)
+    verdict = is_no_signaling(box)
+    w = verdict.witness
+    found = None if verdict.ok else (w.coalition, w.inputs_a, w.inputs_b,
+                                     w.marginal_a, w.marginal_b)
+    assert found == first_witness_by_marginals(box)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_cases())
+def test_only_looped_parties_signal(case):
+    form, looped = case
+    box = loop_table(form, looped)
+    n = form.n
+    for sender in range(n):
+        if sender in looped:
+            continue
+        rest = [i for i in range(n) if i != sender]
+        for inputs in all_bit_tuples(n):
+            if inputs[sender] == 0:
+                flipped = inputs[:sender] + (1,) + inputs[sender + 1:]
+                assert (marginal(box, rest, inputs).probs
+                        == marginal(box, rest, flipped).probs)
 
 
 @settings(max_examples=60, deadline=None)
