@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable
 
-from .boxes import NoSignalBox
+from .boxes import NoSignalBox, all_bit_tuples
 from .forms import PARTY_NAMES, BooleanForm, normalize_pattern, party_names
 
 
@@ -34,6 +36,14 @@ class ConstrainedRow:
     inputs: tuple[int, ...]
     outcomes: dict[tuple[int, ...], Fraction]
     paradox: bool
+
+
+def bits_code(bits: Iterable[int]) -> int:
+    """The bits read as a binary number, first bit most significant."""
+    code = 0
+    for b in bits:
+        code = code << 1 | b
+    return code
 
 
 class ConstrainedBox:
@@ -54,6 +64,26 @@ class ConstrainedBox:
                 rows[inputs] = ConstrainedRow(
                     inputs, {out: p / mass for out, p in kept.items()}, False)
         self.rows = rows
+
+    @cached_property
+    def integer_rows(self) -> tuple[int, list[tuple[tuple[int, int], ...] | None]]:
+        """The rows as integer numerators over their least common denominator.
+
+        The pair (denominator, rows), built on first use: ``rows[k]`` is
+        the row of the k-th input tuple in lexicographic order, as
+        (outcome code, numerator) pairs in the row's own outcome order, or
+        None on a paradox row.  Codes are ``bits_code`` of the bits, so k
+        codes the inputs.
+        """
+        denominator = lcm(*{p.denominator for row in self.rows.values()
+                            for p in row.outcomes.values()})
+        rows = []
+        for inputs in all_bit_tuples(self.n):
+            row = self.rows[inputs]
+            rows.append(None if row.paradox else tuple(
+                (bits_code(out), p.numerator * (denominator // p.denominator))
+                for out, p in row.outcomes.items()))
+        return denominator, rows
 
     @property
     def paradox_inputs(self) -> list[tuple[int, ...]]:

@@ -7,6 +7,7 @@ the correlation boxes in this package: XOR of all outputs == form(inputs).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,12 +49,25 @@ def output_names(n: int) -> tuple[str, ...]:
 
 
 def normalize_pattern(n: int, pattern: Iterable[int]) -> tuple[int, ...]:
-    """Sorted, deduplicated party indices, validated against n."""
-    pat = tuple(sorted({int(i) for i in pattern}))
+    """Sorted, deduplicated party indices, validated against n.
+
+    Indices must be integers: a float such as 0.9 or 1.0, a string or a
+    bool raises rather than being truncated or taken as 0 or 1.
+    """
+    pat = tuple(sorted({_party_index(i) for i in pattern}))
     for i in pat:
         if not 0 <= i < n:
             raise ValueError(f"party index {i} out of range for {n} parties")
     return pat
+
+
+def _party_index(value) -> int:
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"party index {value!r} is not an integer")
 
 
 def party_names(n: int) -> tuple[str, ...]:

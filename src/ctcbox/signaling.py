@@ -27,6 +27,22 @@ an ordinary distant-laboratory measurement.
 Summaries state dependence counts in both common conventions: per
 receiver setting, and per (setting, sender bit) case, which doubles the
 totals for a binary sender.
+
+Every observation comes from one exact pass per direction (sender and
+coalition).  The constrained box scales its rows once to integer
+numerators over one common denominator D (``ConstrainedBox.integer_rows``).
+The pass visits the 2^n rows once, in lexicographic input order, and adds
+each outcome's numerator into the bucket of the row's (setting, sender
+bit), keyed by the coalition's outputs; with b bystanders every bucket is
+then a distribution over D * 2^b.  Keys keep the order in which they first
+appear, the order in which entropies sum their floats.  The rule, the
+success and the information are computed from these integers, and
+Fractions are built only when p0, p1 or a success probability is
+returned; v / (D * 2^b) is the same correctly rounded float as the
+Fraction it stands for.  A paradox row leaves its bucket undefined: the
+bucket remembers the first such row, bystanders in lexicographic order,
+and raises only when it is read, so a setting whose rows are all
+consistent is observed even when another setting is not.
 """
 
 from __future__ import annotations
@@ -34,33 +50,101 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Mapping
 
-from .boxes import all_bit_tuples, assemble_inputs, project_outcomes
-from .ctc import ConstrainedBox
-from .forms import normalize_pattern, party_names, xor_bits
+from .boxes import all_bit_tuples
+from .ctc import ConstrainedBox, bits_code
+from .forms import as_bit, normalize_pattern, party_names, xor_bits
 
 
 def entropy_bits(dist: Mapping[tuple, Fraction]) -> float:
     """Shannon entropy of a distribution in bits; zero entries are ignored."""
+    return _entropy(dist.values(), 1)
+
+
+def _entropy(masses: Iterable, denominator: int) -> float:
     total = 0.0
-    for p in dist.values():
-        if p > 0:
-            x = float(p)
+    for m in masses:
+        if m > 0:
+            x = float(m / denominator)
             total -= x * math.log2(x)
     return total
 
 
 def _check_scenario(cbox: ConstrainedBox, sender: int,
-                    coalition: tuple[int, ...]) -> tuple[int, ...]:
-    normalize_pattern(cbox.n, (sender,))
+                    coalition: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    (sender,) = normalize_pattern(cbox.n, (sender,))
     coal = normalize_pattern(cbox.n, coalition)
     if not coal:
         raise ValueError("receiver coalition must be nonempty")
     if sender in coal:
         raise ValueError("sender cannot be part of the receiver coalition")
-    return coal
+    return sender, coal
+
+
+def _check_setting(setting: Iterable[int],
+                   coal: tuple[int, ...]) -> tuple[int, ...]:
+    setting = tuple(as_bit(b) for b in setting)
+    if len(setting) != len(coal):
+        raise ValueError("setting must give one bit per coalition party")
+    return setting
+
+
+class _Observations:
+    """Every (setting, sender bit) observation of one direction.
+
+    ``buckets[2 * s + v]`` holds setting s (its lexicographic index) with
+    sender bit v as numerators over ``denominator``, keyed by the code of
+    the coalition's outputs; ``paradox`` maps a bucket to the code of its
+    first paradox row.
+    """
+
+    def __init__(self, n: int, width: int, denominator: int,
+                 buckets: list[dict[int, int]], paradox: dict[int, int]):
+        self.n = n
+        self.width = width
+        self.denominator = denominator
+        self.buckets = buckets
+        self.paradox = paradox
+
+    def read(self, setting: tuple[int, ...], bit: int) -> dict[tuple[int, ...], int]:
+        index = 2 * bits_code(setting) + bit
+        if index in self.paradox:
+            code = self.paradox[index]
+            inputs = tuple(code >> (self.n - 1 - i) & 1 for i in range(self.n))
+            raise ValueError(f"observation undefined: paradox row at inputs {inputs}")
+        keys = all_bit_tuples(self.width)
+        return {keys[k]: v for k, v in self.buckets[index].items()}
+
+
+def _observations(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
+                  only: tuple[int, ...] | None = None) -> _Observations:
+    """One pass over the rows, adding each into its bucket; with ``only``,
+    rows of other settings are skipped and their buckets stay empty."""
+    n = cbox.n
+    denominator, rows = cbox.integer_rows
+    # the coalition's bits of any n-bit code, itself coded: a row's setting
+    # for an input code, the observed key for an outcome code
+    project = [bits_code(code >> (n - 1 - i) & 1 for i in coal)
+               for code in range(2 ** n)]
+    shift = n - 1 - sender
+    buckets: list[dict[int, int]] = [{} for _ in range(2 ** (len(coal) + 1))]
+    paradox: dict[int, int] = {}
+    wanted = None if only is None else bits_code(only)
+    for code, row in enumerate(rows):
+        if wanted is not None and project[code] != wanted:
+            continue
+        index = 2 * project[code] + (code >> shift & 1)
+        if row is None:
+            paradox.setdefault(index, code)
+            continue
+        bucket = buckets[index]
+        for out, num in row:
+            key = project[out]
+            bucket[key] = bucket.get(key, 0) + num
+    bystanders = n - 1 - len(coal)
+    return _Observations(n, len(coal), denominator << bystanders, buckets, paradox)
 
 
 def receiver_observation(cbox: ConstrainedBox, sender: int,
@@ -69,25 +153,16 @@ def receiver_observation(cbox: ConstrainedBox, sender: int,
     """Distribution of the coalition's outputs for one sender input value.
 
     The coalition's inputs are pinned to ``setting``; inputs of parties
-    outside coalition and sender are averaged uniformly.  Raises on
-    paradox rows, where observation statistics are undefined.
+    outside coalition and sender are averaged uniformly.  Raises when one
+    of the rows averaged is a paradox row, where observation statistics
+    are undefined; paradox rows elsewhere in the table do not matter.
     """
-    coal = _check_scenario(cbox, sender, tuple(coalition))
-    setting = tuple(setting)
-    if len(setting) != len(coal):
-        raise ValueError(f"setting must give one bit per coalition party")
-    bystanders = [i for i in range(cbox.n) if i != sender and i not in coal]
-    weight = Fraction(1, 2 ** len(bystanders))
-    pinned, pinned_bits = (sender, *coal), (sender_value, *setting)
-    rows = []
-    for extra in all_bit_tuples(len(bystanders)):
-        full = assemble_inputs(cbox.n, pinned, pinned_bits, bystanders, extra)
-        row = cbox.rows[full]
-        if row.paradox:
-            raise ValueError(f"observation undefined: paradox row at inputs {full}")
-        rows.append(row.outcomes.items())
-    return {key: weight * p
-            for key, p in project_outcomes(chain.from_iterable(rows), coal).items()}
+    sender, coal = _check_scenario(cbox, sender, coalition)
+    setting = _check_setting(setting, coal)
+    bit = as_bit(sender_value)
+    obs = _observations(cbox, sender, coal, setting)
+    return {key: Fraction(v, obs.denominator)
+            for key, v in obs.read(setting, bit).items()}
 
 
 def map_rule(p0: Mapping[tuple, Fraction],
@@ -108,23 +183,27 @@ def success_probability(p0: Mapping[tuple, Fraction],
 def rule_success(rule: Mapping[tuple, int], p0: Mapping[tuple, Fraction],
                  p1: Mapping[tuple, Fraction]) -> Fraction:
     """Exact success of an arbitrary guessing rule; unmapped outcomes guess 0."""
-    total = Fraction(0)
-    for out, p in p0.items():
-        if rule.get(out, 0) == 0:
-            total += p
-    for out, p in p1.items():
-        if rule.get(out, 0) == 1:
-            total += p
-    return total / 2
+    return Fraction(_guessed_mass(rule, p0, p1)) / 2
+
+
+def _guessed_mass(rule: Mapping[tuple, int], p0: Mapping, p1: Mapping):
+    """Mass the rule guesses right, summed over both sender bits."""
+    return (sum(p for out, p in p0.items() if rule.get(out, 0) == 0)
+            + sum(p for out, p in p1.items() if rule.get(out, 0) == 1))
 
 
 def mutual_information_bits(p0: Mapping[tuple, Fraction],
                             p1: Mapping[tuple, Fraction]) -> float:
     """I(sender bit; observation) with a uniform sender bit, in bits."""
-    mix = {}
-    for out in set(p0) | set(p1):
-        mix[out] = (p0.get(out, Fraction(0)) + p1.get(out, Fraction(0))) / 2
-    return entropy_bits(mix) - (entropy_bits(p0) + entropy_bits(p1)) / 2
+    return _mutual_information(p0, p1, 1)
+
+
+def _mutual_information(p0: Mapping, p1: Mapping, denominator: int) -> float:
+    # the mixture is summed in the iteration order of this set union
+    mix = [p0.get(out, 0) + p1.get(out, 0) for out in set(p0) | set(p1)]
+    return (_entropy(mix, 2 * denominator)
+            - (_entropy(p0.values(), denominator)
+               + _entropy(p1.values(), denominator)) / 2)
 
 
 def _parity_note(p0: Mapping[tuple, Fraction],
@@ -154,15 +233,10 @@ class SignalingEntry:
     note: str | None
 
 
-def analyze_setting(cbox: ConstrainedBox, sender: int,
-                    coalition: Iterable[int],
-                    setting: Iterable[int]) -> SignalingEntry:
-    coal = _check_scenario(cbox, sender, tuple(coalition))
-    setting = tuple(setting)
-    p0 = receiver_observation(cbox, sender, coal, setting, 0)
-    p1 = receiver_observation(cbox, sender, coal, setting, 1)
+def _entry(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
+           setting: tuple[int, ...], obs: _Observations) -> SignalingEntry:
+    p0, p1 = obs.read(setting, 0), obs.read(setting, 1)
     dependent = p0 != p1
-    note = None if dependent else _parity_note(p0, p1)
     rule = map_rule(p0, p1)
     return SignalingEntry(
         sender=sender,
@@ -170,18 +244,28 @@ def analyze_setting(cbox: ConstrainedBox, sender: int,
         setting=setting,
         dependent=dependent,
         rule=rule,
-        success=rule_success(rule, p0, p1),
-        mi_bits=mutual_information_bits(p0, p1),
+        success=Fraction(_guessed_mass(rule, p0, p1), 2 * obs.denominator),
+        mi_bits=_mutual_information(p0, p1, obs.denominator),
         impractical=bool(set(coal) & set(cbox.pattern)),
-        note=note,
+        note=None if dependent else _parity_note(p0, p1),
     )
+
+
+def analyze_setting(cbox: ConstrainedBox, sender: int,
+                    coalition: Iterable[int],
+                    setting: Iterable[int]) -> SignalingEntry:
+    sender, coal = _check_scenario(cbox, sender, coalition)
+    setting = _check_setting(setting, coal)
+    return _entry(cbox, sender, coal, setting,
+                  _observations(cbox, sender, coal, setting))
 
 
 def analyze(cbox: ConstrainedBox, sender: int,
             coalition: Iterable[int]) -> list[SignalingEntry]:
     """One entry per receiver setting, settings in lexicographic order."""
-    coal = _check_scenario(cbox, sender, tuple(coalition))
-    return [analyze_setting(cbox, sender, coal, setting)
+    sender, coal = _check_scenario(cbox, sender, coalition)
+    obs = _observations(cbox, sender, coal)
+    return [_entry(cbox, sender, coal, setting, obs)
             for setting in all_bit_tuples(len(coal))]
 
 

@@ -19,6 +19,12 @@ def test_normalize_pattern():
         normalize_pattern(2, [-1])
 
 
+@pytest.mark.parametrize("bad", [0.9, 1.0, True, "1", None])
+def test_normalize_pattern_rejects_non_integer_indices(bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        normalize_pattern(3, [bad])
+
+
 def test_parse_pattern_names_and_indices():
     assert parse_pattern(3, ["alice", "charlie"]) == (0, 2)
     assert parse_pattern(3, ["BOB"]) == (1,)
@@ -124,6 +130,11 @@ def test_constrained_to_json_layout():
 def test_pattern_out_of_range_rejected():
     with pytest.raises(ValueError):
         constrain(named_box("pr"), [3])
+
+
+def test_fractional_pattern_is_not_truncated():
+    with pytest.raises(ValueError, match="not an integer"):
+        constrain(named_box("svetlichny"), [0.9])
 
 
 def relabel_box(box, perm):

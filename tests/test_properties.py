@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,8 @@ from ctcbox.boxes import (NoSignalBox, all_bit_tuples, is_no_signaling, marginal
                           parity_box)
 from ctcbox.ctc import constrain, induced_parity_form
 from ctcbox.forms import BooleanForm, evaluate_form, xor_bits
-from ctcbox.signaling import analyze
+from ctcbox.signaling import (SignalingEntry, _parity_note, analyze, analyze_setting,
+                              receiver_observation)
 
 MI_TOL = 1e-12
 
@@ -188,3 +190,107 @@ def test_signaling_measures_agree(case):
         assert entry.dependent == (entry.success > Fraction(1, 2))
         assert entry.dependent == (entry.mi_bits > MI_TOL)
         assert entry.impractical == bool(set(coalition) & set(pattern))
+
+
+@st.composite
+def observed_boxes(draw):
+    """A parity box or a mixture of three over a ~1e18 denominator at
+    n = 2..5, under any loop pattern; looping every party makes paradox
+    rows."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    forms = [BooleanForm.from_monomials(n, draw(st.lists(
+        st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=5)))
+        for _ in range(3)]
+    if draw(st.booleans()):
+        box = parity_box(forms[0])
+    else:
+        den = draw(st.integers(min_value=10 ** 18, max_value=2 * 10 ** 18))
+        a = draw(st.integers(min_value=1, max_value=den - 2))
+        b = draw(st.integers(min_value=1, max_value=den - a - 1))
+        weights = (Fraction(a, den), Fraction(b, den), Fraction(den - a - b, den))
+        rows = {inputs: {} for inputs in all_bit_tuples(n)}
+        for w, form in zip(weights, forms):
+            for inputs, row in parity_box(form).rows.items():
+                for out, p in row.items():
+                    rows[inputs][out] = rows[inputs].get(out, 0) + w * p
+        box = NoSignalBox(n, rows)
+    pattern = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    return constrain(box, pattern)
+
+
+def observation_by_rows(cbox, sender, coalition, setting, value):
+    """The observation summed outcome by outcome in Fractions, bystanders
+    in lexicographic order, each row weighted 1/2^bystanders."""
+    n = cbox.n
+    bystanders = [i for i in range(n) if i != sender and i not in coalition]
+    weight = Fraction(1, 2 ** len(bystanders))
+    probs = {}
+    for extra in all_bit_tuples(len(bystanders)):
+        full = [0] * n
+        for i, bit in zip((sender, *coalition, *bystanders),
+                          (value, *setting, *extra)):
+            full[i] = bit
+        row = cbox.rows[tuple(full)]
+        if row.paradox:
+            raise ValueError(f"observation undefined: paradox row at inputs {tuple(full)}")
+        for out, p in row.outcomes.items():
+            key = tuple(out[i] for i in coalition)
+            probs[key] = probs.get(key, Fraction(0)) + weight * p
+    return probs
+
+
+def float_entropy(probs):
+    total = 0.0
+    for p in probs:
+        x = float(p)
+        total -= x * math.log2(x)
+    return total
+
+
+def entry_by_rows(cbox, sender, coalition, setting):
+    p0 = observation_by_rows(cbox, sender, coalition, setting, 0)
+    p1 = observation_by_rows(cbox, sender, coalition, setting, 1)
+    support = set(p0) | set(p1)
+    rule = {out: int(p1.get(out, 0) > p0.get(out, 0)) for out in sorted(support)}
+    success = (sum((p for out, p in p0.items() if rule[out] == 0), Fraction(0))
+               + sum((p for out, p in p1.items() if rule[out] == 1), Fraction(0))) / 2
+    mix = [(p0.get(out, Fraction(0)) + p1.get(out, Fraction(0))) / 2 for out in support]
+    mi = float_entropy(mix) - (float_entropy(p0.values()) + float_entropy(p1.values())) / 2
+    dependent = p0 != p1
+    return SignalingEntry(sender, coalition, setting, dependent, rule, success, mi,
+                          bool(set(coalition) & set(cbox.pattern)),
+                          None if dependent else _parity_note(p0, p1))
+
+
+def outcome(call):
+    """The value of call(), with a dict as its item list (values and key
+    order), or the message of the ValueError it raises."""
+    try:
+        value = call()
+    except ValueError as err:
+        return f"ValueError: {err}"
+    return list(value.items()) if isinstance(value, dict) else value
+
+
+@settings(max_examples=40, deadline=None)
+@given(observed_boxes())
+def test_signaling_engine_matches_row_sums(cbox):
+    n = cbox.n
+    for sender in range(n):
+        others = [i for i in range(n) if i != sender]
+        for size in range(1, n):
+            for coalition in combinations(others, size):
+                expected = []
+                for setting in all_bit_tuples(size):
+                    for value in (0, 1):
+                        assert outcome(lambda: receiver_observation(
+                            cbox, sender, coalition, setting, value)) == outcome(
+                            lambda: observation_by_rows(
+                                cbox, sender, coalition, setting, value))
+                    entry = outcome(lambda: entry_by_rows(cbox, sender, coalition, setting))
+                    assert outcome(lambda: analyze_setting(
+                        cbox, sender, coalition, setting)) == entry
+                    expected.append(entry)
+                first_error = next((e for e in expected if isinstance(e, str)), None)
+                assert outcome(lambda: analyze(cbox, sender, coalition)) == (
+                    first_error or expected)

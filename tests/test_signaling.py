@@ -1,8 +1,10 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from ctcbox import boxes, signaling
 from ctcbox.boxes import NoSignalBox, all_bit_tuples, named_box, parity_box
 from ctcbox.ctc import constrain
 from ctcbox.forms import BooleanForm
@@ -46,6 +48,48 @@ def test_observation_rejects_paradox_rows():
     cbox = constrain(named_box("pr"), [0, 1])
     with pytest.raises(ValueError, match="paradox"):
         receiver_observation(cbox, 0, [1], (1,), 0)
+
+
+def test_paradox_rows_are_raised_per_bucket():
+    # x ^ y = x.y holds only at (0, 0): setting y = 0 with x = 0 is
+    # observable, x = 1 is not
+    cbox = constrain(named_box("pr"), [0, 1])
+    assert receiver_observation(cbox, 0, [1], (0,), 0) == {(0,): 1}
+    with pytest.raises(ValueError, match=r"paradox row at inputs \(1, 0\)"):
+        receiver_observation(cbox, 0, [1], (0,), 1)
+    with pytest.raises(ValueError, match=r"paradox row at inputs \(1, 0\)"):
+        analyze(cbox, 0, [1])
+
+
+def test_scan_does_not_project_setting_by_setting(monkeypatch):
+    def boom(*args):
+        raise AssertionError("per-setting projection called")
+
+    for module in (boxes, signaling):
+        monkeypatch.setattr(module, "project_outcomes", boom, raising=False)
+        monkeypatch.setattr(module, "assemble_inputs", boom, raising=False)
+    payload = scan_report_json("svetlichny", constrain(named_box("svetlichny"), [0]))
+    assert payload["summary"]["dependent_settings"] == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda cbox: receiver_observation(cbox, 1, [0], (2,), 0),
+    lambda cbox: receiver_observation(cbox, 1, [0], (0,), 2),
+    lambda cbox: analyze_setting(cbox, 1, [0], (5,)),
+    lambda cbox: analyze(cbox, 2.5, [1.2]),
+    lambda cbox: analyze(cbox, 1, [0.5]),
+], ids=["setting-2", "sender-value-2", "setting-5", "float-parties",
+        "float-coalition"])
+def test_non_bit_and_non_integer_arguments_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call(constrain(named_box("svetlichny"), [1]))
+
+
+def test_bool_setting_is_a_bit():
+    cbox = constrain(named_box("svetlichny"), [1])
+    entry = analyze_setting(cbox, 1, [0], (True,))
+    assert entry == analyze_setting(cbox, 1, [0], (1,))
+    assert json.dumps(entry_to_json(entry, 3)["setting"]) == "[1]"
 
 
 def test_scenario_validation():
