@@ -11,9 +11,10 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .forms import (BooleanForm, as_bit, evaluate_form, input_names, normalize_pattern,
                     output_names, xor_bits)
@@ -237,47 +238,102 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     no other input moves R's marginal: the first completion with a given
     pattern of those bits has all other bits 0, so the witness is the one
     a scan over every completion finds.
+
+    Both stages compare marginals in the integer format of
+    ``integer_row``: each row over its own denominator and two marginals
+    over the lcm of their two only, so a table whose rows have unrelated
+    denominators never builds a number with all of their primes.  Only
+    the witness returned is built as tuples and Fractions.
     """
     n = box.n
-    rows = box.rows
-    signaling = []
-    for j in range(n):
-        rest = tuple(i for i in range(n) if i != j)
-        for inputs, row in rows.items():
-            if inputs[j] == 0:
-                flipped = inputs[:j] + (1,) + inputs[j + 1:]
-                if (project_outcomes(row.items(), rest)
-                        != project_outcomes(rows[flipped].items(), rest)):
-                    signaling.append(j)
-                    break
+    table = list(box.rows.values())
+    row = cache(lambda code: integer_row(n, table[code]))  # coded when first compared
+
+    def first_move(coalition, senders):
+        # the first (base, trial) input codes, coalition inputs then sender
+        # patterns lexicographic, between which the coalition's marginal moves
+        project = projection(n, coalition)
+        patterns = _spread(n, senders)[1:]
+        for base in _spread(n, coalition):
+            for pattern in patterns:
+                a, b = (add_row((1, {}), row(code), project)
+                        for code in (base, base | pattern))
+                # entries are positive: different supports differ unscaled
+                _, a, b = common_scale(a, b) if a[1].keys() == b[1].keys() else (0, a, b)
+                if a != b:
+                    return base, base | pattern
+
+    signaling = [j for j in range(n)
+                 if first_move([i for i in range(n) if i != j], [j])]
     if not signaling:
         return NoSignalingVerdict(True)
     for size in range(1, n):
         for coalition in combinations(range(n), size):
             senders = [i for i in signaling if i not in coalition]
-            if not senders:
-                continue
-            patterns = all_bit_tuples(len(senders))
-            for r_inputs in all_bit_tuples(size):
-                base = assemble_inputs(n, coalition, r_inputs, senders, patterns[0])
-                base_marg = project_outcomes(rows[base].items(), coalition)
-                for pattern in patterns[1:]:
-                    trial = assemble_inputs(n, coalition, r_inputs, senders, pattern)
-                    trial_marg = project_outcomes(rows[trial].items(), coalition)
-                    if trial_marg != base_marg:
-                        return NoSignalingVerdict(False, SignalingWitness(
-                            coalition, base, trial, base_marg, trial_marg))
+            move = senders and first_move(coalition, senders)
+            if move:
+                a, b = (list(box.rows)[code] for code in move)
+                return NoSignalingVerdict(False, SignalingWitness(
+                    coalition, a, b,
+                    project_outcomes(box.rows[a].items(), coalition),
+                    project_outcomes(box.rows[b].items(), coalition)))
     raise AssertionError("a signaling party leaves a witness")
 
 
-def assemble_inputs(n, coalition, coalition_bits, others, other_bits) -> tuple[int, ...]:
-    """Full input tuple from the bits of two disjoint groups of parties."""
-    full = [0] * n
-    for i, b in zip(coalition, coalition_bits):
-        full[i] = b
-    for i, b in zip(others, other_bits):
-        full[i] = b
-    return tuple(full)
+def integer_row(n: int, row: Mapping) -> tuple[int, tuple]:
+    """The exact integer format of an outcome row (outputs -> Fraction):
+    (denominator, ((outcome code, numerator), ...)) over the row's own
+    least common denominator; an empty row is (1, ())."""
+    codes = bit_codes(n)
+    den = math.lcm(*(p.denominator for p in row.values()))
+    return den, tuple((codes[out], p.numerator * (den // p.denominator))
+                      for out, p in row.items())
+
+
+# {bits: code} for the n-bit tuples, the code being the bits read as a binary
+# number (the index in all_bit_tuples); one shared dict per n, read only
+bit_codes = cache(lambda n: {bits: k for k, bits in enumerate(all_bit_tuples(n))})
+
+
+def projection(n: int, parties: Sequence[int]) -> list[int]:
+    """For each n-bit code, the code of the bits of ``parties``, in that order."""
+    weight = {i: 1 << k for k, i in enumerate(reversed(parties))}
+    table = [0]
+    for w in [weight.get(i, 0) for i in reversed(range(n))]:
+        table += [v + w for v in table]
+    return table
+
+
+def add_row(bucket: tuple[int, dict], row: tuple[int, tuple],
+            project: list[int]) -> tuple[int, dict]:
+    """The bucket plus the row keyed by ``project``, over the lcm of their
+    denominators; the bucket's dict may be updated in place."""
+    den, counts = bucket
+    common = math.lcm(den, row[0])
+    counts = _scaled(counts, common // den)
+    scale = common // row[0]
+    for out, num in row[1]:
+        key = project[out]
+        counts[key] = counts.get(key, 0) + num * scale
+    return common, counts
+
+
+def common_scale(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict, dict]:
+    """Two buckets over the lcm of their denominators: (lcm, a's, b's)."""
+    common = math.lcm(a[0], b[0])
+    return (common,) + tuple(_scaled(counts, common // den) for den, counts in (a, b))
+
+
+def _scaled(counts: dict, factor: int) -> dict:
+    return counts if factor == 1 else {key: v * factor for key, v in counts.items()}
+
+
+def _spread(n: int, parties: Iterable[int]) -> list[int]:
+    """Input codes with bits only at ``parties``, lexicographic in those bits."""
+    codes = [0]
+    for i in parties:
+        codes = [c | b for c in codes for b in (0, 1 << (n - 1 - i))]
+    return codes
 
 
 def chsh_value(box: NoSignalBox) -> Fraction:

@@ -15,6 +15,11 @@ the forced bits turns each surviving row into the induced relation
 
 which `induced_parity_form` computes symbolically; the table built by
 `constrain` realizes the same relation outcome by outcome.
+
+``ConstrainedBox.integer_rows`` gives the rows in the exact integer format
+of ``boxes`` for the signaling scan, each over its own denominator: every
+row is divided by its own surviving mass, and a denominator shared by the
+table would carry the primes of every row's mass in every numerator.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable
 
-from .boxes import NoSignalBox, all_bit_tuples
+from .boxes import NoSignalBox, integer_row
 from .forms import PARTY_NAMES, BooleanForm, normalize_pattern, party_names
 
 
@@ -36,14 +40,6 @@ class ConstrainedRow:
     inputs: tuple[int, ...]
     outcomes: dict[tuple[int, ...], Fraction]
     paradox: bool
-
-
-def bits_code(bits: Iterable[int]) -> int:
-    """The bits read as a binary number, first bit most significant."""
-    code = 0
-    for b in bits:
-        code = code << 1 | b
-    return code
 
 
 class ConstrainedBox:
@@ -58,32 +54,15 @@ class ConstrainedBox:
             kept = {out: p for out, p in row.items()
                     if all(out[i] == inputs[i] for i in self.pattern)}
             mass = sum(kept.values(), Fraction(0))
-            if mass == 0:
-                rows[inputs] = ConstrainedRow(inputs, {}, True)
-            else:
-                rows[inputs] = ConstrainedRow(
-                    inputs, {out: p / mass for out, p in kept.items()}, False)
+            # rows are sparse, so a paradox row keeps nothing to divide
+            rows[inputs] = ConstrainedRow(
+                inputs, {out: p / mass for out, p in kept.items()}, mass == 0)
         self.rows = rows
 
     @cached_property
-    def integer_rows(self) -> tuple[int, list[tuple[tuple[int, int], ...] | None]]:
-        """The rows as integer numerators over their least common denominator.
-
-        The pair (denominator, rows), built on first use: ``rows[k]`` is
-        the row of the k-th input tuple in lexicographic order, as
-        (outcome code, numerator) pairs in the row's own outcome order, or
-        None on a paradox row.  Codes are ``bits_code`` of the bits, so k
-        codes the inputs.
-        """
-        denominator = lcm(*{p.denominator for row in self.rows.values()
-                            for p in row.outcomes.values()})
-        rows = []
-        for inputs in all_bit_tuples(self.n):
-            row = self.rows[inputs]
-            rows.append(None if row.paradox else tuple(
-                (bits_code(out), p.numerator * (denominator // p.denominator))
-                for out, p in row.outcomes.items()))
-        return denominator, rows
+    def integer_rows(self) -> list[tuple[int, tuple]]:
+        """``boxes.integer_row`` of each row (paradox rows empty), built once."""
+        return [integer_row(self.n, row.outcomes) for row in self.rows.values()]
 
     @property
     def paradox_inputs(self) -> list[tuple[int, ...]]:
@@ -153,21 +132,18 @@ def parse_pattern(n: int, spec: Iterable) -> tuple[int, ...]:
     """
     known = {name: i for names in (PARTY_NAMES, party_names(n))
              for i, name in enumerate(names)}
-    indices = []
-    for item in spec:
-        if isinstance(item, str):
-            name = item.strip().lower()
-            if name in known:
-                indices.append(known[name])
-                continue
-            if name.isdigit():
-                indices.append(int(name))
-                continue
-            raise ValueError(f"unknown party {item!r}; "
-                             f"use an index or one of {', '.join(known)}")
-        else:
-            indices.append(int(item))
-    return normalize_pattern(n, indices)
+
+    def index(item):
+        if not isinstance(item, str):
+            return item  # normalize_pattern rejects anything but an integer
+        name = item.strip().lower()
+        if name in known:
+            return known[name]
+        if name.isdigit():
+            return int(name)
+        raise ValueError(f"unknown party {item!r}; "
+                         f"use an index or one of {', '.join(known)}")
+    return normalize_pattern(n, map(index, spec))
 
 
 def uniform_row_counts(cbox: ConstrainedBox) -> dict[tuple[int, ...], int]:

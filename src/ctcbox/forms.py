@@ -102,7 +102,7 @@ class BooleanForm:
         """Build a form from monomial index lists, cancelling repeats mod 2."""
         acc: set[frozenset[int]] = set()
         for mono in monomials:
-            acc ^= {frozenset(int(i) for i in mono)}
+            acc ^= {frozenset(normalize_pattern(n, mono))}
         return cls(n, frozenset(acc))
 
     @classmethod

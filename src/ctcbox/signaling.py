@@ -29,20 +29,19 @@ receiver setting, and per (setting, sender bit) case, which doubles the
 totals for a binary sender.
 
 Every observation comes from one exact pass per direction (sender and
-coalition).  The constrained box scales its rows once to integer
-numerators over one common denominator D (``ConstrainedBox.integer_rows``).
-The pass visits the 2^n rows once, in lexicographic input order, and adds
-each outcome's numerator into the bucket of the row's (setting, sender
-bit), keyed by the coalition's outputs; with b bystanders every bucket is
-then a distribution over D * 2^b.  Keys keep the order in which they first
-appear, the order in which entropies sum their floats.  The rule, the
-success and the information are computed from these integers, and
-Fractions are built only when p0, p1 or a success probability is
-returned; v / (D * 2^b) is the same correctly rounded float as the
-Fraction it stands for.  A paradox row leaves its bucket undefined: the
-bucket remembers the first such row, bystanders in lexicographic order,
-and raises only when it is read, so a setting whose rows are all
-consistent is observed even when another setting is not.
+coalition) over ``ConstrainedBox.integer_rows``, each row's numerators
+over its own denominator (see ``boxes.integer_row``).  The pass visits
+the 2^n rows in lexicographic input order and adds each into the bucket
+of its (setting, sender bit), keyed by the coalition's outputs, over the
+lcm of its rows' denominators times 2^b for b bystanders.  Keys keep the
+order in which they first appear, the order in which entropies sum their
+floats.  Rule, success and information come from the two buckets of a
+setting scaled to one denominator d; Fractions are built only when p0, p1
+or a success probability is returned, and v / d is the same correctly
+rounded float as the Fraction it stands for.  A paradox row leaves its
+bucket undefined: the bucket remembers the first such row, bystanders in
+lexicographic order, and raises only when it is read, so a setting whose
+rows are all consistent is observed even when another setting is not.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .boxes import all_bit_tuples
-from .ctc import ConstrainedBox, bits_code
+from .boxes import add_row, all_bit_tuples, bit_codes, common_scale, projection
+from .ctc import ConstrainedBox
 from .forms import as_bit, normalize_pattern, party_names, xor_bits
 
 
@@ -83,68 +82,45 @@ def _check_scenario(cbox: ConstrainedBox, sender: int,
     return sender, coal
 
 
-def _check_setting(setting: Iterable[int],
-                   coal: tuple[int, ...]) -> tuple[int, ...]:
+def _observations(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
+                  only: tuple[int, ...] | None = None):
+    """``read(setting, bit)``: that bucket as (denominator, numerators by
+    the coalition's outputs); with ``only``, other settings stay empty."""
+    # the coalition's bits: of an input code the setting, of an outcome the key
+    project = projection(cbox.n, coal)
+    bucket_of = projection(cbox.n, coal + (sender,))
+    keys, codes = all_bit_tuples(len(coal)), bit_codes(len(coal))
+    wanted = None if only is None else codes[only]
+    buckets = [(1, {}) for _ in range(2 ** (len(coal) + 1))]
+    paradox: dict[int, tuple[int, ...]] = {}
+    for inputs, row, setting, index in zip(cbox.rows, cbox.integer_rows,
+                                           project, bucket_of):
+        if wanted is not None and setting != wanted:
+            continue
+        if not row[1]:
+            paradox.setdefault(index, inputs)
+        else:
+            buckets[index] = add_row(buckets[index], row, project)
+    completions = 2 ** (cbox.n - 1 - len(coal))
+
+    def read(setting: tuple[int, ...], bit: int) -> tuple[int, dict]:
+        index = 2 * codes[setting] + bit
+        if index in paradox:
+            raise ValueError("observation undefined: paradox row at inputs "
+                             f"{paradox[index]}")
+        den, counts = buckets[index]
+        return den * completions, {keys[k]: v for k, v in counts.items()}
+    return read
+
+
+def _one_setting(cbox: ConstrainedBox, sender: int, coalition: Iterable[int],
+                 setting: Iterable[int]) -> tuple:
+    """The checked sender, coalition and setting, and that setting's ``read``."""
+    sender, coal = _check_scenario(cbox, sender, coalition)
     setting = tuple(as_bit(b) for b in setting)
     if len(setting) != len(coal):
         raise ValueError("setting must give one bit per coalition party")
-    return setting
-
-
-class _Observations:
-    """Every (setting, sender bit) observation of one direction.
-
-    ``buckets[2 * s + v]`` holds setting s (its lexicographic index) with
-    sender bit v as numerators over ``denominator``, keyed by the code of
-    the coalition's outputs; ``paradox`` maps a bucket to the code of its
-    first paradox row.
-    """
-
-    def __init__(self, n: int, width: int, denominator: int,
-                 buckets: list[dict[int, int]], paradox: dict[int, int]):
-        self.n = n
-        self.width = width
-        self.denominator = denominator
-        self.buckets = buckets
-        self.paradox = paradox
-
-    def read(self, setting: tuple[int, ...], bit: int) -> dict[tuple[int, ...], int]:
-        index = 2 * bits_code(setting) + bit
-        if index in self.paradox:
-            code = self.paradox[index]
-            inputs = tuple(code >> (self.n - 1 - i) & 1 for i in range(self.n))
-            raise ValueError(f"observation undefined: paradox row at inputs {inputs}")
-        keys = all_bit_tuples(self.width)
-        return {keys[k]: v for k, v in self.buckets[index].items()}
-
-
-def _observations(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
-                  only: tuple[int, ...] | None = None) -> _Observations:
-    """One pass over the rows, adding each into its bucket; with ``only``,
-    rows of other settings are skipped and their buckets stay empty."""
-    n = cbox.n
-    denominator, rows = cbox.integer_rows
-    # the coalition's bits of any n-bit code, itself coded: a row's setting
-    # for an input code, the observed key for an outcome code
-    project = [bits_code(code >> (n - 1 - i) & 1 for i in coal)
-               for code in range(2 ** n)]
-    shift = n - 1 - sender
-    buckets: list[dict[int, int]] = [{} for _ in range(2 ** (len(coal) + 1))]
-    paradox: dict[int, int] = {}
-    wanted = None if only is None else bits_code(only)
-    for code, row in enumerate(rows):
-        if wanted is not None and project[code] != wanted:
-            continue
-        index = 2 * project[code] + (code >> shift & 1)
-        if row is None:
-            paradox.setdefault(index, code)
-            continue
-        bucket = buckets[index]
-        for out, num in row:
-            key = project[out]
-            bucket[key] = bucket.get(key, 0) + num
-    bystanders = n - 1 - len(coal)
-    return _Observations(n, len(coal), denominator << bystanders, buckets, paradox)
+    return sender, coal, setting, _observations(cbox, sender, coal, setting)
 
 
 def receiver_observation(cbox: ConstrainedBox, sender: int,
@@ -157,21 +133,16 @@ def receiver_observation(cbox: ConstrainedBox, sender: int,
     of the rows averaged is a paradox row, where observation statistics
     are undefined; paradox rows elsewhere in the table do not matter.
     """
-    sender, coal = _check_scenario(cbox, sender, coalition)
-    setting = _check_setting(setting, coal)
-    bit = as_bit(sender_value)
-    obs = _observations(cbox, sender, coal, setting)
-    return {key: Fraction(v, obs.denominator)
-            for key, v in obs.read(setting, bit).items()}
+    _, _, setting, read = _one_setting(cbox, sender, coalition, setting)
+    den, counts = read(setting, as_bit(sender_value))
+    return {key: Fraction(v, den) for key, v in counts.items()}
 
 
 def map_rule(p0: Mapping[tuple, Fraction],
              p1: Mapping[tuple, Fraction]) -> dict[tuple[int, ...], int]:
     """Most-likely sender bit for each observable outcome, ties going to 0."""
-    rule = {}
-    for out in sorted(set(p0) | set(p1)):
-        rule[out] = 1 if p1.get(out, 0) > p0.get(out, 0) else 0
-    return rule
+    return {out: int(p1.get(out, 0) > p0.get(out, 0))
+            for out in sorted(set(p0) | set(p1))}
 
 
 def success_probability(p0: Mapping[tuple, Fraction],
@@ -234,8 +205,8 @@ class SignalingEntry:
 
 
 def _entry(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
-           setting: tuple[int, ...], obs: _Observations) -> SignalingEntry:
-    p0, p1 = obs.read(setting, 0), obs.read(setting, 1)
+           setting: tuple[int, ...], read) -> SignalingEntry:
+    den, p0, p1 = common_scale(read(setting, 0), read(setting, 1))
     dependent = p0 != p1
     rule = map_rule(p0, p1)
     return SignalingEntry(
@@ -244,8 +215,8 @@ def _entry(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
         setting=setting,
         dependent=dependent,
         rule=rule,
-        success=Fraction(_guessed_mass(rule, p0, p1), 2 * obs.denominator),
-        mi_bits=_mutual_information(p0, p1, obs.denominator),
+        success=Fraction(_guessed_mass(rule, p0, p1), 2 * den),
+        mi_bits=_mutual_information(p0, p1, den),
         impractical=bool(set(coal) & set(cbox.pattern)),
         note=None if dependent else _parity_note(p0, p1),
     )
@@ -254,18 +225,15 @@ def _entry(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
 def analyze_setting(cbox: ConstrainedBox, sender: int,
                     coalition: Iterable[int],
                     setting: Iterable[int]) -> SignalingEntry:
-    sender, coal = _check_scenario(cbox, sender, coalition)
-    setting = _check_setting(setting, coal)
-    return _entry(cbox, sender, coal, setting,
-                  _observations(cbox, sender, coal, setting))
+    return _entry(cbox, *_one_setting(cbox, sender, coalition, setting))
 
 
 def analyze(cbox: ConstrainedBox, sender: int,
             coalition: Iterable[int]) -> list[SignalingEntry]:
     """One entry per receiver setting, settings in lexicographic order."""
     sender, coal = _check_scenario(cbox, sender, coalition)
-    obs = _observations(cbox, sender, coal)
-    return [_entry(cbox, sender, coal, setting, obs)
+    read = _observations(cbox, sender, coal)
+    return [_entry(cbox, sender, coal, setting, read)
             for setting in all_bit_tuples(len(coal))]
 
 

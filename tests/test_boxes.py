@@ -161,19 +161,23 @@ def test_no_signaling_witness_is_lexicographically_first():
 
 
 def test_passing_verdict_checks_n_conditions(monkeypatch):
-    # n conditions of 2**(n-1) row pairs each
-    calls = []
-    project = boxes.project_outcomes
+    # n conditions of 2**(n-1) row pairs each, every row added into its
+    # marginal once per pair; Fraction marginals are built for a witness only
+    calls = {"add_row": 0, "project_outcomes": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(boxes, name)):
+            calls[_name] += 1
+            return _original(*args)
 
-    def counting(outcomes, coalition):
-        calls.append(coalition)
-        return project(outcomes, coalition)
-
-    monkeypatch.setattr(boxes, "project_outcomes", counting)
+        monkeypatch.setattr(boxes, name, counting)
     n = 6
     cycle = BooleanForm.from_monomials(n, [[i, (i + 1) % n] for i in range(n)])
     assert is_no_signaling(parity_box(cycle)).ok
-    assert len(calls) <= n * 2 ** n
+    assert 0 < calls["add_row"] <= n * 2 ** n
+    assert calls["project_outcomes"] == 0
+    mapping = {(0, 0): (0, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
+    assert not is_no_signaling(deterministic_box(2, mapping)).ok
+    assert calls["project_outcomes"] <= 2
 
 
 def test_chsh_values():

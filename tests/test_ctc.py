@@ -7,7 +7,7 @@ from ctcbox.boxes import (BoxName, NAMED_FORMS, NoSignalBox, all_bit_tuples,
                           named_box)
 from ctcbox.ctc import (constrain, constrained_to_json, induced_parity_form,
                         normalize_pattern, parse_pattern, uniform_row_counts)
-from ctcbox.forms import evaluate_form, party_names, xor_bits
+from ctcbox.forms import BooleanForm, evaluate_form, party_names, xor_bits
 
 
 def test_normalize_pattern():
@@ -23,6 +23,19 @@ def test_normalize_pattern():
 def test_normalize_pattern_rejects_non_integer_indices(bad):
     with pytest.raises(ValueError, match="not an integer"):
         normalize_pattern(3, [bad])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BooleanForm.from_monomials(3, [[0.9, 1]]),
+    lambda: BooleanForm.from_monomials(3, [[True, 2]]),
+    lambda: BooleanForm.from_monomials(3, [["2"]]),
+    lambda: BooleanForm.from_monomials(3, [[[0]]]),
+    lambda: parse_pattern(3, [0.9]),
+], ids=["monomial-float", "monomial-bool", "monomial-string", "monomial-list",
+        "parse-float"])
+def test_monomials_and_parsed_patterns_reject_non_integer_indices(build):
+    with pytest.raises(ValueError, match="not an integer"):
+        build()
 
 
 def test_parse_pattern_names_and_indices():

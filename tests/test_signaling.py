@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,35 @@ def test_scan_does_not_project_setting_by_setting(monkeypatch):
         monkeypatch.setattr(module, "assemble_inputs", boom, raising=False)
     payload = scan_report_json("svetlichny", constrain(named_box("svetlichny"), [0]))
     assert payload["summary"]["dependent_settings"] == 2
+
+
+def test_row_denominators_stay_local():
+    # every row over its own 15 primes above 1000: one denominator for the
+    # whole table would be a product of 3,840 primes, ~5 kB per numerator
+    n = 8
+    sieve = bytearray([1]) * 40000
+    primes = []
+    for p in range(2, len(sieve)):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+            if p > 1000:
+                primes.append(p)
+    outcomes = all_bit_tuples(n)
+    rows = {}
+    for k, inputs in enumerate(all_bit_tuples(n)):
+        # outcome codes k, k + 16, ... mod 256: both values of the first bit
+        row = {outcomes[(k + 16 * m) % 256]: Fraction(1, primes[15 * k + m])
+               for m in range(15)}
+        row[outcomes[(k + 240) % 256]] = 1 - sum(row.values())
+        rows[inputs] = row
+    box = NoSignalBox(n, rows)
+    tracemalloc.start()
+    try:
+        analyze(constrain(box, [0]), 0, range(1, 7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("call", [
