@@ -242,8 +242,8 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     Both stages compare marginals in the integer format of
     ``integer_row``: each row over its own denominator and two marginals
     over the lcm of their two only, so a table whose rows have unrelated
-    denominators never builds a number with all of their primes.  Only
-    the witness returned is built as tuples and Fractions.
+    denominators never builds a number with all of their primes.  The
+    witness marginals are decoded from the two buckets found unequal.
     """
     n = box.n
     table = list(box.rows.values())
@@ -251,17 +251,18 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
 
     def first_move(coalition, senders):
         # the first (base, trial) input codes, coalition inputs then sender
-        # patterns lexicographic, between which the coalition's marginal moves
+        # patterns lexicographic, between which the coalition's marginal
+        # moves, and the two marginals compared
         project = projection(n, coalition)
-        patterns = _spread(n, senders)[1:]
-        for base in _spread(n, coalition):
+        patterns = spread(n, senders)[1:]
+        for base in spread(n, coalition):
             for pattern in patterns:
                 a, b = (add_row((1, {}), row(code), project)
                         for code in (base, base | pattern))
                 # entries are positive: different supports differ unscaled
-                _, a, b = common_scale(a, b) if a[1].keys() == b[1].keys() else (0, a, b)
-                if a != b:
-                    return base, base | pattern
+                _, x, y = common_scale(a, b) if a[1].keys() == b[1].keys() else (0, a, b)
+                if x != y:
+                    return (base, base | pattern), (a, b)
 
     signaling = [j for j in range(n)
                  if first_move([i for i in range(n) if i != j], [j])]
@@ -272,11 +273,10 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
             senders = [i for i in signaling if i not in coalition]
             move = senders and first_move(coalition, senders)
             if move:
-                a, b = (list(box.rows)[code] for code in move)
+                inputs = list(box.rows)
                 return NoSignalingVerdict(False, SignalingWitness(
-                    coalition, a, b,
-                    project_outcomes(box.rows[a].items(), coalition),
-                    project_outcomes(box.rows[b].items(), coalition)))
+                    coalition, *(inputs[code] for code in move[0]),
+                    *(decode_bucket(bucket, size) for bucket in move[1])))
     raise AssertionError("a signaling party leaves a witness")
 
 
@@ -328,7 +328,13 @@ def _scaled(counts: dict, factor: int) -> dict:
     return counts if factor == 1 else {key: v * factor for key, v in counts.items()}
 
 
-def _spread(n: int, parties: Iterable[int]) -> list[int]:
+def decode_bucket(bucket: tuple[int, dict], width: int) -> dict[tuple, Fraction]:
+    """A bucket keyed by ``width``-bit codes as {bits: Fraction}."""
+    keys = all_bit_tuples(width)
+    return {keys[k]: Fraction(v, bucket[0]) for k, v in bucket[1].items()}
+
+
+def spread(n: int, parties: Iterable[int]) -> list[int]:
     """Input codes with bits only at ``parties``, lexicographic in those bits."""
     codes = [0]
     for i in parties:

@@ -58,20 +58,20 @@ def _read_json(path: str) -> tuple[object, str]:
         raise ValueError(f"{path} is not valid JSON: {err}") from err
 
 
-def _load_box(args) -> tuple[NoSignalBox, str]:
+def _load_box(args) -> NoSignalBox:
     if args.box and args.spec:
         raise ValueError("give either --box or --spec, not both")
     path = args.spec
     if args.box:
         name = args.box.lower()
         if not name.startswith("spec:"):
-            return named_box(name), name
+            return named_box(name)
         path = args.box[len("spec:"):]
     if not path:
         raise ValueError("give a box with --box NAME, --box spec:FILE "
                          "or --spec FILE")
     data, label = _read_json(path)
-    return box_from_spec(data, label=label), label
+    return box_from_spec(data, label=label)
 
 
 def _parties(text: str | None, n: int) -> tuple[int, ...]:
@@ -83,10 +83,9 @@ def _bits(bits) -> str:
     return " ".join(map(str, bits))
 
 
-def _describe_box(box: NoSignalBox, label: str) -> str:
-    if box.form is not None:
-        return f"box {label} ({box.n} parties): {parity_equation(box.form)}"
-    return f"box {label} ({box.n} parties): explicit table"
+def _describe_box(box: NoSignalBox) -> str:
+    kind = "explicit table" if box.form is None else parity_equation(box.form)
+    return f"box {box.label} ({box.n} parties): {kind}"
 
 
 def _scenario_ctc(s: Scenario) -> list[str]:
@@ -121,30 +120,30 @@ def _render_list(payload: dict) -> Iterator[str]:
 
 
 def cmd_show(args) -> tuple[dict, Render]:
-    box, label = _load_box(args)
+    box = _load_box(args)
     pattern = _parties(args.ctc, box.n)
     if not pattern:
-        return box_to_spec(box), partial(_render_box, box, label)
+        return box_to_spec(box), partial(_render_box, box)
     names = party_names(box.n)
     payload = {
-        "box": label,
+        "box": box.label,
         "ctc": [names[i] for i in pattern],
         "rows": constrained_to_json(constrain(box, pattern)),
     }
-    return payload, partial(_render_constrained, box, label)
+    return payload, partial(_render_constrained, box)
 
 
-def _render_box(box: NoSignalBox, label: str, payload: dict) -> Iterator[str]:
+def _render_box(box: NoSignalBox, payload: dict) -> Iterator[str]:
     """The full table; the spec payload of a parity box lists no rows."""
-    yield _describe_box(box, label)
+    yield _describe_box(box)
     yield f"{' '.join(input_names(box.n))} | {' '.join(output_names(box.n))} : p"
     for inputs in sorted(box.rows):
         for outputs in sorted(box.rows[inputs]):
             yield f"{_bits(inputs)} | {_bits(outputs)} : {box.rows[inputs][outputs]}"
 
 
-def _render_constrained(box: NoSignalBox, label: str, payload: dict) -> Iterator[str]:
-    yield _describe_box(box, label)
+def _render_constrained(box: NoSignalBox, payload: dict) -> Iterator[str]:
+    yield _describe_box(box)
     yield f"self-consistent parties: {', '.join(payload['ctc'])}"
     in_syms = input_names(box.n)
     outs = " ".join(output_names(box.n))
@@ -158,14 +157,12 @@ def _render_constrained(box: NoSignalBox, label: str, payload: dict) -> Iterator
 
 
 def cmd_verify(args) -> tuple[dict, Render]:
-    if args.box or args.spec:
-        targets = [_load_box(args)]
-    else:
-        targets = [(named_box(name), name.value) for name in BoxName]
+    targets = ([_load_box(args)] if args.box or args.spec
+               else [named_box(name) for name in BoxName])
     results = []
-    for box, label in targets:
+    for box in targets:
         verdict = is_no_signaling(box)
-        info = {"box": label, "no_signaling": verdict.ok}
+        info = {"box": box.label, "no_signaling": verdict.ok}
         if box.n == 2:
             info["chsh"] = str(chsh_value(box))
         if not verdict.ok:
@@ -199,22 +196,22 @@ def _render_verify(payload: dict) -> Iterator[str]:
 
 
 def cmd_analyze(args) -> tuple[dict, Render]:
-    box, label = _load_box(args)
+    box = _load_box(args)
     pattern = _parties(args.ctc, box.n)
     cbox = constrain(box, pattern)
     if bool(args.sender) != bool(args.receivers):
         raise ValueError("--sender and --receivers go together; "
                          "give both or neither")
     names = party_names(box.n)
-    header = [_describe_box(box, label), "self-consistent parties: "
+    header = [_describe_box(box), "self-consistent parties: "
               + (", ".join(names[i] for i in pattern) or "none")]
     if not args.sender:
-        return scan_report_json(label, cbox), partial(_render_scan, header)
+        return scan_report_json(box.label, cbox), partial(_render_scan, header)
     sender_ids = _parties(args.sender, box.n)
     if len(sender_ids) != 1:
         raise ValueError("--sender takes exactly one party")
     coalition = _parties(args.receivers, box.n)
-    payload = report_json(label, cbox, sender_ids[0], coalition)
+    payload = report_json(box.label, cbox, sender_ids[0], coalition)
     setting_names = [input_names(box.n)[i] for i in coalition]
     return payload, partial(_render_report, header, setting_names)
 

@@ -28,20 +28,20 @@ Summaries state dependence counts in both common conventions: per
 receiver setting, and per (setting, sender bit) case, which doubles the
 totals for a binary sender.
 
-Every observation comes from one exact pass per direction (sender and
-coalition) over ``ConstrainedBox.integer_rows``, each row's numerators
-over its own denominator (see ``boxes.integer_row``).  The pass visits
-the 2^n rows in lexicographic input order and adds each into the bucket
-of its (setting, sender bit), keyed by the coalition's outputs, over the
-lcm of its rows' denominators times 2^b for b bystanders.  Keys keep the
-order in which they first appear, the order in which entropies sum their
-floats.  Rule, success and information come from the two buckets of a
-setting scaled to one denominator d; Fractions are built only when p0, p1
-or a success probability is returned, and v / d is the same correctly
-rounded float as the Fraction it stands for.  A paradox row leaves its
-bucket undefined: the bucket remembers the first such row, bystanders in
-lexicographic order, and raises only when it is read, so a setting whose
-rows are all consistent is observed even when another setting is not.
+Every observation is the bucket of one (setting, sender bit), summed
+from its own 2^b rows of ``ConstrainedBox.integer_rows`` for b
+bystanders, each row over its own denominator (``boxes.integer_row``):
+the setting's and the sender's bits with every bystander pattern, added
+in lexicographic input order and keyed by the coalition's outputs, over
+the lcm of their denominators times 2^b.  A direction reads each row
+once; a single setting reads only its own rows.  Keys keep the order in
+which they first appear, the order in which entropies sum their floats.
+Rule, success and information come from the two buckets of a setting
+scaled to one denominator d; Fractions are built only when p0, p1 or a
+success probability is returned, and v / d is the same correctly rounded
+float as the Fraction it stands for.  Reading a bucket raises at its
+first paradox row, so a setting whose rows are all consistent is
+observed even when another setting is not.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .boxes import add_row, all_bit_tuples, bit_codes, common_scale, projection
+from .boxes import (add_row, all_bit_tuples, bit_codes, common_scale, decode_bucket,
+                    projection, spread)
 from .ctc import ConstrainedBox
 from .forms import as_bit, normalize_pattern, party_names, xor_bits
 
@@ -82,45 +83,36 @@ def _check_scenario(cbox: ConstrainedBox, sender: int,
     return sender, coal
 
 
-def _observations(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
-                  only: tuple[int, ...] | None = None):
+def _observations(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...]):
     """``read(setting, bit)``: that bucket as (denominator, numerators by
-    the coalition's outputs); with ``only``, other settings stay empty."""
-    # the coalition's bits: of an input code the setting, of an outcome the key
-    project = projection(cbox.n, coal)
-    bucket_of = projection(cbox.n, coal + (sender,))
-    keys, codes = all_bit_tuples(len(coal)), bit_codes(len(coal))
-    wanted = None if only is None else codes[only]
-    buckets = [(1, {}) for _ in range(2 ** (len(coal) + 1))]
-    paradox: dict[int, tuple[int, ...]] = {}
-    for inputs, row, setting, index in zip(cbox.rows, cbox.integer_rows,
-                                           project, bucket_of):
-        if wanted is not None and setting != wanted:
-            continue
-        if not row[1]:
-            paradox.setdefault(index, inputs)
-        else:
-            buckets[index] = add_row(buckets[index], row, project)
-    completions = 2 ** (cbox.n - 1 - len(coal))
+    the code of the coalition's outputs), summed from its own rows."""
+    project = projection(cbox.n, coal)  # outcome code -> coalition's code
+    settings, bits = spread(cbox.n, coal), spread(cbox.n, (sender,))
+    bystanders = spread(cbox.n, [i for i in range(cbox.n)
+                                 if i != sender and i not in coal])
+    codes, rows = bit_codes(len(coal)), cbox.integer_rows
 
     def read(setting: tuple[int, ...], bit: int) -> tuple[int, dict]:
-        index = 2 * codes[setting] + bit
-        if index in paradox:
-            raise ValueError("observation undefined: paradox row at inputs "
-                             f"{paradox[index]}")
-        den, counts = buckets[index]
-        return den * completions, {keys[k]: v for k, v in counts.items()}
+        base = settings[codes[setting]] | bits[bit]
+        bucket = (1, {})
+        for code in (base | pattern for pattern in bystanders):
+            row = rows[code]
+            if not row[1]:
+                raise ValueError("observation undefined: paradox row at inputs "
+                                 f"{list(cbox.rows)[code]}")
+            bucket = add_row(bucket, row, project)
+        return bucket[0] * len(bystanders), bucket[1]
     return read
 
 
 def _one_setting(cbox: ConstrainedBox, sender: int, coalition: Iterable[int],
                  setting: Iterable[int]) -> tuple:
-    """The checked sender, coalition and setting, and that setting's ``read``."""
+    """The checked sender, coalition and setting."""
     sender, coal = _check_scenario(cbox, sender, coalition)
     setting = tuple(as_bit(b) for b in setting)
     if len(setting) != len(coal):
         raise ValueError("setting must give one bit per coalition party")
-    return sender, coal, setting, _observations(cbox, sender, coal, setting)
+    return sender, coal, setting
 
 
 def receiver_observation(cbox: ConstrainedBox, sender: int,
@@ -133,9 +125,9 @@ def receiver_observation(cbox: ConstrainedBox, sender: int,
     of the rows averaged is a paradox row, where observation statistics
     are undefined; paradox rows elsewhere in the table do not matter.
     """
-    _, _, setting, read = _one_setting(cbox, sender, coalition, setting)
-    den, counts = read(setting, as_bit(sender_value))
-    return {key: Fraction(v, den) for key, v in counts.items()}
+    sender, coal, setting = _one_setting(cbox, sender, coalition, setting)
+    read = _observations(cbox, sender, coal)
+    return decode_bucket(read(setting, as_bit(sender_value)), len(coal))
 
 
 def map_rule(p0: Mapping[tuple, Fraction],
@@ -205,8 +197,9 @@ class SignalingEntry:
 
 
 def _entry(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
-           setting: tuple[int, ...], read) -> SignalingEntry:
+           setting: tuple[int, ...], read, keys: list) -> SignalingEntry:
     den, p0, p1 = common_scale(read(setting, 0), read(setting, 1))
+    p0, p1 = ({keys[k]: v for k, v in p.items()} for p in (p0, p1))
     dependent = p0 != p1
     rule = map_rule(p0, p1)
     return SignalingEntry(
@@ -225,7 +218,9 @@ def _entry(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
 def analyze_setting(cbox: ConstrainedBox, sender: int,
                     coalition: Iterable[int],
                     setting: Iterable[int]) -> SignalingEntry:
-    return _entry(cbox, *_one_setting(cbox, sender, coalition, setting))
+    sender, coal, setting = _one_setting(cbox, sender, coalition, setting)
+    return _entry(cbox, sender, coal, setting, _observations(cbox, sender, coal),
+                  all_bit_tuples(len(coal)))
 
 
 def analyze(cbox: ConstrainedBox, sender: int,
@@ -233,8 +228,9 @@ def analyze(cbox: ConstrainedBox, sender: int,
     """One entry per receiver setting, settings in lexicographic order."""
     sender, coal = _check_scenario(cbox, sender, coalition)
     read = _observations(cbox, sender, coal)
-    return [_entry(cbox, sender, coal, setting, read)
-            for setting in all_bit_tuples(len(coal))]
+    bit_tuples = all_bit_tuples(len(coal))  # the settings, and the output keys
+    return [_entry(cbox, sender, coal, setting, read, bit_tuples)
+            for setting in bit_tuples]
 
 
 def mean_mi_bits(entries: Iterable[SignalingEntry]) -> float:

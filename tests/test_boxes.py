@@ -141,6 +141,13 @@ def test_marginal_validation():
         marginal(box, [0], (0, 0, 0))
 
 
+def test_marginal_keys_follow_the_coalition_order():
+    # a = 1 and b = c = 0 at every input, so the key of parties 0 and 2 is (1, 0)
+    box = deterministic_box(3, {inputs: (1, 0, 0) for inputs in all_bit_tuples(3)})
+    for inputs in all_bit_tuples(3):
+        assert marginal(box, [0, 2], inputs).probs == {(1, 0): Fraction(1)}
+
+
 def test_no_signaling_holds_for_named_boxes():
     for name in BoxName:
         assert is_no_signaling(named_box(name)).ok
@@ -158,6 +165,21 @@ def test_no_signaling_witness_is_lexicographically_first():
     assert (w.inputs_a, w.inputs_b) == ((0, 0), (0, 1))
     assert w.marginal_a == {(0,): Fraction(1)}
     assert w.marginal_b == {(1,): Fraction(1)}
+
+
+def test_witness_is_decoded_from_the_compared_marginals(monkeypatch):
+    def boom(*args):
+        raise AssertionError("project_outcomes called")
+
+    monkeypatch.setattr(boxes, "project_outcomes", boom)
+    mapping = {(0, 0): (0, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
+    w = is_no_signaling(deterministic_box(2, mapping)).witness
+    assert w.coalition == (0,)
+    assert (w.inputs_a, w.inputs_b) == ((0, 0), (0, 1))
+    assert w.marginal_a == {(0,): 1}
+    assert w.marginal_b == {(1,): 1}
+    assert all(type(p) is Fraction for p in [*w.marginal_a.values(),
+                                              *w.marginal_b.values()])
 
 
 def test_passing_verdict_checks_n_conditions(monkeypatch):

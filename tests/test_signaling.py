@@ -62,6 +62,38 @@ def test_paradox_rows_are_raised_per_bucket():
         analyze(cbox, 0, [1])
 
 
+class RecordingRows(list):
+    """A row list that records the code of every row read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.touched = []
+
+    def __getitem__(self, code):
+        self.touched.append(code)
+        return super().__getitem__(code)
+
+    def __iter__(self):
+        self.touched.extend(range(len(self)))
+        return super().__iter__()
+
+
+def test_a_setting_reads_only_its_own_rows():
+    n = 6
+    cycle = BooleanForm.from_monomials(n, [[i, (i + 1) % n] for i in range(n)])
+    cbox = constrain(parity_box(cycle), [0])
+    rows = cbox.__dict__["integer_rows"] = RecordingRows(cbox.integer_rows)
+    # sender x0 = 1, setting (x1..x4) = (1, 0, 1, 1), either value of x5
+    receiver_observation(cbox, 0, range(1, 5), (1, 0, 1, 1), 1)
+    assert sorted(rows.touched) == [0b110110, 0b110111]
+    rows.touched.clear()
+    analyze_setting(cbox, 0, range(1, 5), (1, 0, 1, 1))
+    assert sorted(rows.touched) == [0b010110, 0b010111, 0b110110, 0b110111]
+    rows.touched.clear()
+    analyze(cbox, 0, range(1, 5))
+    assert sorted(rows.touched) == list(range(2 ** n))
+
+
 def test_scan_does_not_project_setting_by_setting(monkeypatch):
     def boom(*args):
         raise AssertionError("per-setting projection called")
