@@ -173,7 +173,6 @@ class ClassicalCrosscheck:
 
     solve: FixedPointResult
     permutation: list[int]
-    cr_distribution: list[float]
     loop_distribution: list[float]
     diagonal: bool
     invariance_residual: float
@@ -255,7 +254,6 @@ def classical_consistency_crosscheck(
     return ClassicalCrosscheck(
         solve=result,
         permutation=perm,
-        cr_distribution=[float(x) for x in p],
         loop_distribution=[float(x) for x in q],
         diagonal=diagonal,
         invariance_residual=invariance_residual,

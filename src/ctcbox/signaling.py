@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .boxes import (add_row, all_bit_tuples, bit_codes, common_scale, decode_bucket,
                     projection, spread)
@@ -241,23 +241,20 @@ def mean_mi_bits(entries: Iterable[SignalingEntry]) -> float:
     return sum(e.mi_bits for e in entries) / len(entries)
 
 
-def full_scan(cbox: ConstrainedBox) -> list[tuple[int, tuple[int, ...],
-                                                  list[SignalingEntry]]]:
+def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
+                                                      list[SignalingEntry]]]:
     """Entries for every sender and every coalition of the remaining parties.
 
-    Directions are ordered by sender, then coalition size, then coalition
-    indices; an unconstrained no-signaling box yields no dependent entry
-    anywhere.
+    Yields one direction at a time, by sender, then coalition size, then
+    coalition indices; an unconstrained no-signaling box yields no
+    dependent entry anywhere.
     """
-    results = []
     n = cbox.n
     for sender in range(n):
         others = [i for i in range(n) if i != sender]
         for size in range(1, n):
             for coalition in combinations(others, size):
-                results.append((sender, coalition,
-                                analyze(cbox, sender, coalition)))
-    return results
+                yield sender, coalition, analyze(cbox, sender, coalition)
 
 
 def _count_summary(entries: list[SignalingEntry]) -> dict:
@@ -290,12 +287,18 @@ def entry_to_json(entry: SignalingEntry, n: int) -> dict:
 def _direction_json(cbox: ConstrainedBox, sender: int, coalition: tuple[int, ...],
                     entries: list[SignalingEntry]) -> dict:
     names = party_names(cbox.n)
+    coalition_names = [names[i] for i in coalition]
+    try:  # str() refuses an integer longer than sys.get_int_max_str_digits()
+        entries_json = [entry_to_json(e, cbox.n) for e in entries]
+    except ValueError as err:
+        raise ValueError(f"direction {names[sender]} -> "
+                         f"{','.join(coalition_names)}: {err}") from err
     summary = _count_summary(entries)
     summary["impractical"] = bool(set(coalition) & set(cbox.pattern))
     return {
         "sender": names[sender],
-        "coalition": [names[i] for i in coalition],
-        "entries": [entry_to_json(e, cbox.n) for e in entries],
+        "coalition": coalition_names,
+        "entries": entries_json,
         "summary": summary,
     }
 
@@ -313,18 +316,15 @@ def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
 
 
 def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:
-    """Reports for every direction, with overall dependence counts."""
+    """Each direction's report, built as it is scanned, and overall counts."""
     names = party_names(cbox.n)
-    reports = []
-    all_entries: list[SignalingEntry] = []
-    dependent_directions = 0
-    for sender, coalition, entries in full_scan(cbox):
-        all_entries.extend(entries)
-        dependent_directions += any(e.dependent for e in entries)
-        reports.append(_direction_json(cbox, sender, coalition, entries))
-    overall = _count_summary(all_entries)
+    reports = [_direction_json(cbox, sender, coalition, entries)
+               for sender, coalition, entries in full_scan(cbox)]
+    overall = {key: sum(r["summary"][key] for r in reports) for key in
+               ("settings", "dependent_settings", "cases", "dependent_cases")}
     overall["directions"] = len(reports)
-    overall["dependent_directions"] = dependent_directions
+    overall["dependent_directions"] = sum(r["summary"]["dependent_settings"] > 0
+                                          for r in reports)
     return {
         "box": box_label,
         "ctc": [names[i] for i in cbox.pattern],

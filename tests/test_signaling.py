@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -78,10 +79,15 @@ class RecordingRows(list):
         return super().__iter__()
 
 
+def _looped_cycle(n: int):
+    """f = x0.x1 ^ x1.x2 ^ ... ^ x(n-1).x0 with party 0 looped."""
+    cycle = BooleanForm.from_monomials(n, [[i, (i + 1) % n] for i in range(n)])
+    return constrain(parity_box(cycle), [0])
+
+
 def test_a_setting_reads_only_its_own_rows():
     n = 6
-    cycle = BooleanForm.from_monomials(n, [[i, (i + 1) % n] for i in range(n)])
-    cbox = constrain(parity_box(cycle), [0])
+    cbox = _looped_cycle(n)
     rows = cbox.__dict__["integer_rows"] = RecordingRows(cbox.integer_rows)
     # sender x0 = 1, setting (x1..x4) = (1, 0, 1, 1), either value of x5
     receiver_observation(cbox, 0, range(1, 5), (1, 0, 1, 1), 1)
@@ -105,17 +111,20 @@ def test_scan_does_not_project_setting_by_setting(monkeypatch):
     assert payload["summary"]["dependent_settings"] == 2
 
 
-def test_row_denominators_stay_local():
-    # every row over its own 15 primes above 1000: one denominator for the
-    # whole table would be a product of 3,840 primes, ~5 kB per numerator
-    n = 8
-    sieve = bytearray([1]) * 40000
+def _primes(low: int, high: int) -> list[int]:
+    sieve = bytearray([1]) * high
     primes = []
-    for p in range(2, len(sieve)):
+    for p in range(2, high):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(sieve[p * p::p]))
-            if p > 1000:
+            if p > low:
                 primes.append(p)
+    return primes
+
+
+def _row_local_box(primes: list[int]) -> NoSignalBox:
+    """8 parties; row k has 15 outcomes 1/p over its own primes, and the rest."""
+    n = 8
     outcomes = all_bit_tuples(n)
     rows = {}
     for k, inputs in enumerate(all_bit_tuples(n)):
@@ -124,7 +133,13 @@ def test_row_denominators_stay_local():
                for m in range(15)}
         row[outcomes[(k + 240) % 256]] = 1 - sum(row.values())
         rows[inputs] = row
-    box = NoSignalBox(n, rows)
+    return NoSignalBox(n, rows)
+
+
+def test_row_denominators_stay_local():
+    # every row over its own 15 primes above 1000: one denominator for the
+    # whole table would be a product of 3,840 primes, ~5 kB per numerator
+    box = _row_local_box(_primes(1000, 40000))
     tracemalloc.start()
     try:
         analyze(constrain(box, [0]), 0, range(1, 7))
@@ -132,6 +147,28 @@ def test_row_denominators_stay_local():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on integer string conversion")
+def test_unprintable_direction_stops_the_scan_and_is_named(monkeypatch):
+    # averaged over 64 rows of six-digit primes, a success probability of
+    # party0 -> party1 has a denominator of more than 4,300 digits
+    cbox = constrain(_row_local_box(_primes(10 ** 5, 10 ** 6)), [])
+    named = r"^direction party0 -> party1: .*digits"
+    with pytest.raises(ValueError, match=named):
+        report_json("hostile", cbox, 0, [1])
+    calls = []
+    analyze_direction = signaling.analyze
+
+    def analyze_once(*args):
+        calls.append(args)
+        assert len(calls) == 1, "the scan went on past an unprintable direction"
+        return analyze_direction(*args)
+
+    monkeypatch.setattr(signaling, "analyze", analyze_once)
+    with pytest.raises(ValueError, match=named):
+        scan_report_json("hostile", cbox)
 
 
 @pytest.mark.parametrize("call", [
@@ -291,6 +328,19 @@ def test_full_scan_direction_order():
         (1, (0,)), (1, (2,)), (1, (0, 2)),
         (2, (0,)), (2, (1,)), (2, (0, 1)),
     ]
+
+
+def test_scan_keeps_nothing_it_has_reported():
+    cbox = _looped_cycle(6)
+    cbox.integer_rows  # built once, before the measurement
+    tracemalloc.start()
+    try:
+        payload = scan_report_json("cycle", cbox)
+        final, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload["summary"]["directions"] == 6 * (2 ** 5 - 1)
+    assert peak - final < 0.25 * 2 ** 20
 
 
 def test_scan_report_counts_both_conventions():
