@@ -9,7 +9,9 @@ reproduce itself around the loop:
 `fixed_point` solves this by iterating the map from the maximally mixed
 state and tracking both the raw iterates and their running average; the
 first of the two whose residual (trace-norm distance moved by one more
-map application) drops below tolerance is returned.  The raw sequence
+map application) drops below tolerance is returned.  The map is linear
+in sigma, so its d_loop^2 x d_loop^2 matrix is built once per solve and
+each step is a matrix-vector product.  The raw sequence
 catches maps that settle in a step or two, the averaged one catches
 oscillating maps; a map can in principle defeat both within the
 iteration budget, in which case the result reports non-convergence
@@ -26,6 +28,7 @@ the conditioned uniform mixture over each branch's consistent set.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +38,7 @@ import numpy as np
 
 # EXAMPLE_NAMES is re-exported: it names the keys of EXAMPLES below
 from .deutsch_defaults import EXAMPLE_NAMES, MAX_ITERATIONS, RESIDUAL_TOL
+from .forms import as_index
 
 MAX_DIM = 16
 HERMITIAN_TOL = 1e-12
@@ -44,15 +48,37 @@ UNITARY_TOL = 1e-10
 MATCH_TOL = 1e-9
 
 
+def _hermitian_trace_norms(matrices: np.ndarray) -> np.ndarray:
+    """Trace norms of a stack of Hermitian matrices, in one eigvalsh call."""
+    # eigvalsh reads only the lower triangle, so the matrix must be Hermitian
+    return np.abs(np.linalg.eigvalsh(matrices)).sum(axis=-1)
+
+
 def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(matrix, compute_uv=False).sum())
+    """Sum of the absolute eigenvalues of a Hermitian matrix.
+
+    This is the trace norm of the differences of states compared here.
+    A matrix that is not Hermitian within HERMITIAN_TOL is rejected.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]
+            or not np.abs(matrix - matrix.conj().T).max() <= HERMITIAN_TOL):
+        raise ValueError(f"trace_norm needs a Hermitian matrix within {HERMITIAN_TOL}")
+    return float(_hermitian_trace_norms(matrix))
+
+
+def _square(matrix: np.ndarray, name: str) -> np.ndarray:
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{name} must be a square matrix")
+    # a NaN would pass every comparison below, since each one is False
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return matrix
 
 
 def check_density_matrix(rho: np.ndarray, *, name: str = "rho") -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
+    rho = _square(rho, name)
     if np.abs(rho - rho.conj().T).max() > HERMITIAN_TOL:
         raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL}")
     if abs(np.trace(rho) - 1) > TRACE_TOL:
@@ -63,9 +89,7 @@ def check_density_matrix(rho: np.ndarray, *, name: str = "rho") -> np.ndarray:
 
 
 def check_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("unitary must be a square matrix")
+    u = _square(u, "unitary")
     d = u.shape[0]
     if np.abs(u.conj().T @ u - np.eye(d)).max() > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
@@ -87,6 +111,17 @@ def loop_map(u: np.ndarray, rho_cr: np.ndarray, sigma: np.ndarray) -> np.ndarray
     return _reduced_output(u, rho_cr, sigma, 0)
 
 
+def _loop_superoperator(u: np.ndarray, rho_cr: np.ndarray, d_loop: int) -> np.ndarray:
+    """The matrix of `loop_map` on row-major vec(sigma), d_loop^2 x d_loop^2."""
+    d_cr = rho_cr.shape[0]
+    t = u.reshape(d_cr, d_loop, d_cr, d_loop)
+    # out[a, b] = sum U[c a, i k] rho[i, j] sigma[k, l] conj(U[c b, j l]);
+    # the path contracts rho first, then conj(U), and is not searched per call
+    m = np.einsum("caik,ij,cbjl->abkl", t, rho_cr, t.conj(),
+                  optimize=["einsum_path", (0, 1), (0, 1)])
+    return m.reshape(d_loop * d_loop, d_loop * d_loop)
+
+
 def cr_output(u: np.ndarray, rho_cr: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """State of the CR system after the interaction with the loop state."""
     return _reduced_output(u, rho_cr, sigma, 1)
@@ -102,19 +137,23 @@ class FixedPointResult:
 
 
 def _hermitize(matrix: np.ndarray) -> np.ndarray:
-    sym = (matrix + matrix.conj().T) / 2
-    tr = np.trace(sym).real
-    return sym / tr if tr != 0 else sym
+    """(M + M^dagger) / 2, divided by its trace unless that is zero."""
+    # the halving cancels in the ratio, exactly, since it scales by a power of 2
+    sym = matrix + matrix.conj().T
+    tr = sym.trace().real
+    return sym / tr if tr != 0 else sym / 2
 
 
 def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
                 tol: float = RESIDUAL_TOL,
                 max_iterations: int = MAX_ITERATIONS) -> FixedPointResult:
     """Solve sigma = Tr_CR(U (rho_cr (x) sigma) U^dagger) from sigma = I/d."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if max_iterations < 0:
-        raise ValueError(f"iteration budget must be nonnegative, got {max_iterations}")
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol > 0)):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    budget = as_index(max_iterations, "iteration budget")
+    if budget < 0:
+        raise ValueError(f"iteration budget must be nonnegative, got {budget}")
     u = check_unitary(u)
     rho_cr = check_density_matrix(rho_cr, name="rho_cr")
     d_cr = rho_cr.shape[0]
@@ -127,20 +166,24 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
     if u.shape[0] > MAX_DIM:
         raise ValueError(f"combined dimension exceeds {MAX_DIM}")
 
+    # each step maps the raw iterate and the average together: row-major
+    # vec(sigma) times the transposed superoperator
+    step = _loop_superoperator(u, rho_cr, d_loop).T
     sigma = np.eye(d_loop, dtype=complex) / d_loop
     average = sigma.copy()
     best = FixedPointResult(sigma, 0, float("inf"), False, False)
-    for k in range(max_iterations + 1):
-        stepped = loop_map(u, rho_cr, sigma)
+    for k in range(budget + 1):
+        states = np.stack((sigma, average))
+        images = (states.reshape(2, -1) @ step).reshape(states.shape)
+        residuals = _hermitian_trace_norms(images - states).tolist()
         # at k = 0 the average is still the start, so only the raw iterate counts
-        for candidate, from_average in ((sigma, False), (average, True))[:k + 1]:
-            image = loop_map(u, rho_cr, candidate) if from_average else stepped
-            residual = trace_norm(image - candidate)
+        for candidate, residual, from_average in zip((sigma, average)[:k + 1],
+                                                     residuals, (False, True)):
             if residual <= tol:
                 return FixedPointResult(candidate, k, residual, True, from_average)
             if residual < best.residual:
                 best = FixedPointResult(candidate, k, residual, False, from_average)
-        sigma = _hermitize(stepped)
+        sigma = _hermitize(images[0])
         average = _hermitize((average * (k + 1) + sigma) / (k + 2))
     return best
 

@@ -54,20 +54,21 @@ def normalize_pattern(n: int, pattern: Iterable[int]) -> tuple[int, ...]:
     Indices must be integers: a float such as 0.9 or 1.0, a string or a
     bool raises rather than being truncated or taken as 0 or 1.
     """
-    pat = tuple(sorted({_party_index(i) for i in pattern}))
+    pat = tuple(sorted({as_index(i, "party index") for i in pattern}))
     for i in pat:
         if not 0 <= i < n:
             raise ValueError(f"party index {i} out of range for {n} parties")
     return pat
 
 
-def _party_index(value) -> int:
+def as_index(value, what: str) -> int:
+    """``value`` as a plain int by ``operator.index``; a bool is not one."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"party index {value!r} is not an integer")
+    raise ValueError(f"{what} {value!r} is not an integer")
 
 
 def party_names(n: int) -> tuple[str, ...]:

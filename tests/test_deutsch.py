@@ -27,6 +27,21 @@ def test_trace_norm():
     assert trace_norm(np.zeros((2, 2))) == 0
 
 
+def test_trace_norm_is_the_nuclear_norm_of_hermitian_matrices():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5, 16):
+        m = random_density(rng, d) - random_density(rng, d)
+        assert trace_norm(m) == pytest.approx(np.linalg.norm(m, "nuc"), abs=1e-12)
+
+
+@pytest.mark.parametrize("matrix", [[[0, 1], [0, 0]], [[1, 1j], [1j, 0]],
+                                    [[1, 0, 0]], [1, 2]])
+def test_trace_norm_rejects_non_hermitian_matrices(matrix):
+    # eigvalsh would read one triangle: [[0, 1], [0, 0]] would give 0, not 1
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_norm(np.array(matrix))
+
+
 def test_density_matrix_validation():
     check_density_matrix(np.eye(2) / 2)
     with pytest.raises(ValueError, match="square"):
@@ -43,6 +58,26 @@ def test_unitary_validation():
     check_unitary(np.eye(3))
     with pytest.raises(ValueError, match="unitary"):
         check_unitary(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 complex(0, float("nan"))])
+def test_non_finite_matrices_are_rejected(bad):
+    # every comparison with NaN is False, so no other check would catch it
+    rho = np.array([[bad, 0], [0, 1]], dtype=complex)
+    with pytest.raises(ValueError, match="non-finite"):
+        check_density_matrix(rho)
+    u = np.eye(2, dtype=complex)
+    u[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        check_unitary(u)
+    swap, _, d = example("swap")
+    with pytest.raises(ValueError, match="non-finite"):
+        fixed_point(swap, rho, d)
+    u = np.eye(4, dtype=complex)
+    u[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fixed_point(u, np.eye(2) / 2, d)
 
 
 def test_dimension_checks():
@@ -185,6 +220,22 @@ def test_fixed_point_rejects_meaningless_budgets(budget):
     u, rho, d = example("swap")
     with pytest.raises(ValueError):
         fixed_point(u, rho, d, **budget)
+
+
+@pytest.mark.parametrize("budget", [{"max_iterations": 2.5}, {"max_iterations": "3"},
+                                    {"max_iterations": True}, {"max_iterations": None},
+                                    {"tol": True}, {"tol": "1e-10"}])
+def test_fixed_point_rejects_budgets_of_the_wrong_type(budget):
+    u, rho, d = example("swap")
+    with pytest.raises(ValueError, match="iteration budget|tolerance"):
+        fixed_point(u, rho, d, **budget)
+
+
+def test_fixed_point_takes_any_integer_budget():
+    # the operator.index rule: numpy integers are integers
+    u, rho, d = example("swap")
+    result = fixed_point(u, rho, d, tol=np.float64(1e-10), max_iterations=np.int64(5))
+    assert result.converged and result.iterations <= 2
 
 
 def test_examples_are_fresh_arrays():
@@ -339,3 +390,54 @@ def test_crosscheck_reports_legitimate_disagreement():
     assert cc.prediction == pytest.approx([0, 0, 0, 1])
     assert cc.prediction_match is False
     assert not cc.ok
+
+
+def test_superoperator_is_the_loop_map():
+    rng = np.random.default_rng(16)
+    shapes = [(d_cr, d_loop) for d_cr in range(1, MAX_DIM + 1)
+              for d_loop in range(1, MAX_DIM // d_cr + 1)]
+    assert (1, 16) in shapes and (16, 1) in shapes and (4, 4) in shapes
+    for d_cr, d_loop in shapes:
+        u = random_unitary(rng, d_cr * d_loop)
+        rho = random_density(rng, d_cr)
+        matrix = deutsch._loop_superoperator(u, rho, d_loop)
+        assert matrix.shape == (d_loop ** 2, d_loop ** 2)
+        for _ in range(2):
+            sigma = random_density(rng, d_loop)
+            image = (matrix @ sigma.reshape(-1)).reshape(d_loop, d_loop)
+            assert np.abs(image - loop_map(u, rho, sigma)).max() < 1e-12
+
+
+def test_fixed_point_steps_without_loop_map(monkeypatch):
+    one_trip = deutsch.loop_map
+
+    def no_trip(*args, **kwargs):
+        raise AssertionError("fixed_point called loop_map")
+
+    monkeypatch.setattr(deutsch, "loop_map", no_trip)
+    u, rho, d = example("swap")
+    result = fixed_point(u, rho, d)
+    assert result.converged and trace_norm(result.sigma - rho) < 1e-10
+    u = permutation_unitary([2, 5, 0, 8, 11, 1, 3, 6, 9, 4, 7, 10])
+    result = fixed_point(u, np.diag([0.5, 0.5, 0, 0]).astype(complex), 3)
+    assert result.converged and result.from_average
+    assert np.diag(result.sigma) == pytest.approx([0.25, 0.25, 0.5])
+    rng = np.random.default_rng(9)
+    u, rho = random_unitary(rng, 8), random_density(rng, 2)
+    result = fixed_point(u, rho, 4)
+    assert result.converged
+    assert trace_norm(one_trip(u, rho, result.sigma) - result.sigma) < 1e-9
+
+
+def test_weak_swap_converges_on_the_raw_iterate_after_6811_steps():
+    # expm(-0.05i SWAP) with the CR qubit in |0>: a spectral gap of about
+    # 0.0025, so the count pins the iteration rule itself
+    swap, _, d = example("swap")
+    w, v = np.linalg.eigh(swap)
+    u = (v * np.exp(-0.05j * w)) @ v.conj().T
+    rho = np.diag([1, 0]).astype(complex)
+    result = fixed_point(u, rho, d)
+    assert result.converged and not result.from_average
+    assert result.iterations == 6811
+    assert result.residual <= 1e-10
+    assert trace_norm(result.sigma - rho) < 1e-7
