@@ -15,7 +15,9 @@ Only ``deutsch`` loads numpy, when it runs; the other subcommands never do.
 
 Exit codes: 0 on success, 1 when a requested check fails (signaling
 witness found, scenario mismatch, solver did not converge), 2 on usage
-or input errors.  All output is deterministic; the NONLOCAL_CTC_SEED
+or input errors, 141 (128 + SIGPIPE, as a shell reports a process the
+signal ended) when stdout is closed before the output is written, as by
+``| head``.  All output is deterministic; the NONLOCAL_CTC_SEED
 environment variable is accepted for interface compatibility but has
 no effect, since every computation here is exact or derived from fixed
 starting points.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from typing import Callable, Iterator
@@ -41,6 +44,7 @@ from .tables import (SCENARIO_KEYS, SCENARIOS, Scenario, scenario,
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 Render = Callable[[dict], Iterator[str]]
 
@@ -475,11 +479,18 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:  # every input or usage problem (exit code 2)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in render(payload):
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in render(payload):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; without this the interpreter's last flush
+        # of the stdout buffer would fail again on the way out
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return EXIT_OK if payload.get("ok", True) else EXIT_CHECK_FAILED
 
 

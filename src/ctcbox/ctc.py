@@ -144,9 +144,3 @@ def parse_pattern(n: int, spec: Iterable) -> tuple[int, ...]:
         raise ValueError(f"unknown party {item!r}; "
                          f"use an index or one of {', '.join(known)}")
     return normalize_pattern(n, map(index, spec))
-
-
-def uniform_row_counts(cbox: ConstrainedBox) -> dict[tuple[int, ...], int]:
-    """Outcome count per non-paradox row; handy for uniformity checks."""
-    return {inputs: len(cbox.rows[inputs].outcomes)
-            for inputs in sorted(cbox.rows) if not cbox.rows[inputs].paradox}

@@ -9,13 +9,23 @@ reproduce itself around the loop:
 `fixed_point` solves this by iterating the map from the maximally mixed
 state and tracking both the raw iterates and their running average; the
 first of the two whose residual (trace-norm distance moved by one more
-map application) drops below tolerance is returned.  The map is linear
-in sigma, so its d_loop^2 x d_loop^2 matrix is built once per solve and
-each step is a matrix-vector product.  The raw sequence
+map application) drops below tolerance is returned.  The raw sequence
 catches maps that settle in a step or two, the averaged one catches
 oscillating maps; a map can in principle defeat both within the
 iteration budget, in which case the result reports non-convergence
 rather than guessing.
+
+What a step costs: the map T is linear in sigma, so its
+d_loop^2 x d_loop^2 matrix is built once per solve, and a step is one
+matrix-vector product for the raw iterate alone.  T is also trace
+preserving, so the average A_m of sigma_0 .. sigma_m telescopes:
+T(A_m) - A_m = (sigma_(m+1) - sigma_0) / (m + 1).  Both residuals of a
+step are thus differences of raw iterates.  Steps are judged in blocks
+of 1, 2, 4, ... up to BLOCK_CAP, with one stacked eigvalsh call per
+block, in the same order and with the same outcome as one step at a
+time; a candidate state is built only when it is returned or becomes
+the best so far.  The 100,000 steps of the non-converging 4 x 3 problem
+take about 0.22 s on one core of a 2-vCPU VM.
 
 `classical_consistency_crosscheck` connects this solver back to the
 classical box analysis: when U permutes basis states and rho is
@@ -46,6 +56,8 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 UNITARY_TOL = 1e-10
 MATCH_TOL = 1e-9
+# fixed_point judges at most this many steps with one eigvalsh call
+BLOCK_CAP = 256
 
 
 def _hermitian_trace_norms(matrices: np.ndarray) -> np.ndarray:
@@ -166,25 +178,55 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
     if u.shape[0] > MAX_DIM:
         raise ValueError(f"combined dimension exceeds {MAX_DIM}")
 
-    # each step maps the raw iterate and the average together: row-major
-    # vec(sigma) times the transposed superoperator
+    # row-major vec(sigma) times the transposed superoperator is one step
     step = _loop_superoperator(u, rho_cr, d_loop).T
-    sigma = np.eye(d_loop, dtype=complex) / d_loop
-    average = sigma.copy()
-    best = FixedPointResult(sigma, 0, float("inf"), False, False)
-    for k in range(budget + 1):
-        states = np.stack((sigma, average))
-        images = (states.reshape(2, -1) @ step).reshape(states.shape)
-        residuals = _hermitian_trace_norms(images - states).tolist()
-        # at k = 0 the average is still the start, so only the raw iterate counts
-        for candidate, residual, from_average in zip((sigma, average)[:k + 1],
-                                                     residuals, (False, True)):
-            if residual <= tol:
-                return FixedPointResult(candidate, k, residual, True, from_average)
-            if residual < best.residual:
-                best = FixedPointResult(candidate, k, residual, False, from_average)
-        sigma = _hermitize(images[0])
-        average = _hermitize((average * (k + 1) + sigma) / (k + 2))
+    shape = (d_loop, d_loop)
+    start = (np.eye(d_loop, dtype=complex) / d_loop).reshape(-1)
+    total = np.zeros_like(start)  # sigma_0 + ... + sigma_(first - 1)
+    best = FixedPointResult(start.reshape(shape).copy(), 0, float("inf"), False, False)
+
+    def candidate(m: int, from_average: bool) -> np.ndarray:
+        if m == 0:
+            return start.reshape(shape).copy()
+        if from_average:
+            return _hermitize(((total + rows[:m - first + 1].sum(axis=0))
+                               / (m + 1)).reshape(shape))
+        return _hermitize(rows[m - first].reshape(shape))
+
+    first, n, last = 0, 1, start
+    while first <= budget:
+        n = min(n, budget + 1 - first)
+        # rows[i] is sigma_(first + i); the block judges steps first .. first + n - 1
+        rows = np.empty((n + 1, d_loop * d_loop), dtype=complex)
+        rows[0] = last
+        for i in range(n):
+            np.matmul(rows[i], step, out=rows[i + 1])
+        # T(A_m) - A_m = (sigma_(m+1) - sigma_0) / (m + 1) for the average
+        # A_m of sigma_0 .. sigma_m, since T is linear and sigma_(j+1) = T(sigma_j)
+        diffs = np.concatenate((rows[1:] - rows[:n], rows[1:] - start))
+        norms = _hermitian_trace_norms(diffs.reshape(2 * n, *shape))
+        # step m's raw candidate, then its average; at m = 0 the average is
+        # the start and its residual the raw one, so the raw candidate wins
+        residuals = np.empty(2 * n)
+        residuals[0::2] = norms[:n]
+        residuals[1::2] = norms[n:] / np.arange(first + 1, first + n + 1)
+        hits = np.flatnonzero(residuals <= tol)
+        if hits.size:
+            hit = int(hits[0])
+            m, from_average = first + hit // 2, bool(hit % 2)
+            return FixedPointResult(candidate(m, from_average), m,
+                                    float(residuals[hit]), True, from_average)
+        low = int(np.argmin(residuals))
+        if residuals[low] < best.residual:
+            m, from_average = first + low // 2, bool(low % 2)
+            best = FixedPointResult(candidate(m, from_average), m,
+                                    float(residuals[low]), False, from_average)
+        total += rows[:n].sum(axis=0)
+        # the last iterate starts the next block, re-hermitized so that
+        # rounding cannot drift across blocks
+        last = _hermitize(rows[n].reshape(shape)).reshape(-1)
+        first += n
+        n = min(2 * n, BLOCK_CAP)
     return best
 
 

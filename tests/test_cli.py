@@ -398,3 +398,18 @@ def test_seed_variable_is_inert():
     other_seed = subprocess.run(argv, capture_output=True, env=env)
     assert with_seed.returncode == other_seed.returncode == 0
     assert with_seed.stdout == other_seed.stdout
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # the 7-party table is about 200 KB, more than a pipe buffer holds
+    spec = tmp_path / "seven.json"
+    spec.write_text(json.dumps({"parties": 7, "constraint": [
+        [0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 0]]}))
+    with subprocess.Popen([sys.executable, "-m", "ctcbox.cli", "show", "--spec",
+                           str(spec), "--ctc", "0"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"box ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=30) == 141
+    assert b"Traceback" not in err

@@ -5,8 +5,8 @@ import pytest
 
 from ctcbox.boxes import (BoxName, NAMED_FORMS, NoSignalBox, all_bit_tuples,
                           named_box)
-from ctcbox.ctc import (constrain, constrained_to_json, induced_parity_form,
-                        normalize_pattern, parse_pattern, uniform_row_counts)
+from ctcbox.ctc import (ConstrainedBox, constrain, constrained_to_json,
+                        induced_parity_form, normalize_pattern, parse_pattern)
 from ctcbox.forms import BooleanForm, evaluate_form, party_names, xor_bits
 
 
@@ -118,6 +118,12 @@ def test_induced_relation_matches_enumeration_everywhere():
                     assert not row.paradox
                     for out in row.outcomes:
                         assert xor_bits(out[i] for i in free) == rhs
+
+
+def uniform_row_counts(cbox: ConstrainedBox) -> dict[tuple[int, ...], int]:
+    """Outcome count per non-paradox row."""
+    return {inputs: len(cbox.rows[inputs].outcomes)
+            for inputs in sorted(cbox.rows) if not cbox.rows[inputs].paradox}
 
 
 def test_constrained_row_counts():

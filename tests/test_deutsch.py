@@ -441,3 +441,103 @@ def test_weak_swap_converges_on_the_raw_iterate_after_6811_steps():
     assert result.iterations == 6811
     assert result.residual <= 1e-10
     assert trace_norm(result.sigma - rho) < 1e-7
+
+
+def per_step_fixed_point(u, rho, d_loop, tol=1e-10, max_iterations=100_000):
+    """The solver one step at a time: the reference for `fixed_point`.
+
+    Each step maps the raw iterate and the running average and judges
+    both residuals before it takes the next step.
+    """
+    step = deutsch._loop_superoperator(u, rho, d_loop).T
+    sigma = np.eye(d_loop, dtype=complex) / d_loop
+    average = sigma.copy()
+    best = deutsch.FixedPointResult(sigma, 0, float("inf"), False, False)
+    for k in range(max_iterations + 1):
+        states = np.stack((sigma, average))
+        images = (states.reshape(2, -1) @ step).reshape(states.shape)
+        residuals = deutsch._hermitian_trace_norms(images - states).tolist()
+        for candidate, residual, from_average in zip((sigma, average)[:k + 1],
+                                                     residuals, (False, True)):
+            if residual <= tol:
+                return deutsch.FixedPointResult(candidate, k, residual, True,
+                                                from_average)
+            if residual < best.residual:
+                best = deutsch.FixedPointResult(candidate, k, residual, False,
+                                                from_average)
+        sigma = deutsch._hermitize(images[0])
+        average = deutsch._hermitize((average * (k + 1) + sigma) / (k + 2))
+    return best
+
+
+def assert_same_solve(result, reference):
+    assert (result.iterations, result.converged, result.from_average) == (
+        reference.iterations, reference.converged, reference.from_average)
+    assert np.abs(result.sigma - reference.sigma).max() <= 1e-12
+    assert abs(result.residual - reference.residual) <= 1e-12
+
+
+OSCILLATING = [2, 5, 0, 8, 11, 1, 3, 6, 9, 4, 7, 10]
+
+
+def weak_rotation():
+    # expm(-0.02i SWAP) (I (x) expm(-0.7i X)) with the CR qubit in |0>
+    swap, _, d = example("swap")
+    w, v = np.linalg.eigh(swap)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    wx, vx = np.linalg.eigh(x)
+    rotation = (vx * np.exp(-0.7j * wx)) @ vx.conj().T
+    u = (v * np.exp(-0.02j * w)) @ v.conj().T @ np.kron(np.eye(2), rotation)
+    return u, np.diag([1, 0]).astype(complex), d
+
+
+def test_fixed_point_matches_the_per_step_reference_on_haar_cases():
+    rng = np.random.default_rng(11)
+    shapes = [(d_cr, d_loop) for d_cr in range(1, MAX_DIM + 1)
+              for d_loop in range(1, MAX_DIM // d_cr + 1)]
+    for d_cr, d_loop in shapes:
+        u = random_unitary(rng, d_cr * d_loop)
+        rho = random_density(rng, d_cr)
+        assert_same_solve(fixed_point(u, rho, d_loop),
+                          per_step_fixed_point(u, rho, d_loop))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 3, 6, 7, 8, 14, 15, 255, 256, 257,
+                                    510, 511, 766, 767])
+@pytest.mark.parametrize("case", ["oscillating", "nonconv", "weak_rot"])
+def test_fixed_point_matches_the_per_step_reference_at_block_edges(case, budget):
+    # blocks judge steps 0, 1-2, 3-6, ..., 127-254, then 256 at a time
+    if case == "weak_rot":
+        u, rho, d = weak_rotation()
+    else:
+        weights = [0.5, 0.5, 0, 0] if case == "oscillating" else [1, 0, 0, 0]
+        u, rho, d = permutation_unitary(OSCILLATING), np.diag(weights), 3
+    assert_same_solve(fixed_point(u, rho, d, max_iterations=budget),
+                      per_step_fixed_point(u, rho, d, max_iterations=budget))
+
+
+def test_weak_rotation_converges_on_the_raw_iterate_after_54159_steps():
+    result = fixed_point(*weak_rotation())
+    assert result.converged and not result.from_average
+    assert result.iterations == 54159
+    assert result.residual <= 1e-10
+
+
+def test_nonconv_reports_the_average_at_the_default_budget():
+    u = permutation_unitary(OSCILLATING)
+    result = fixed_point(u, np.diag([1, 0, 0, 0]).astype(complex), 3)
+    assert not result.converged and result.from_average
+    assert result.iterations == 100_000
+    assert result.residual == pytest.approx(6.6666e-06, rel=1e-6)
+
+
+@pytest.mark.parametrize("weights, budget", [([0.5, 0.5, 0, 0], 100_000),
+                                             ([1, 0, 0, 0], 300)])
+def test_telescoped_residual_is_the_averages_residual(weights, budget):
+    # the average's residual is read from sigma_(m+1) - sigma_0, never
+    # from a map of the average; it must be that map's residual all the same
+    u, rho = permutation_unitary(OSCILLATING), np.diag(weights).astype(complex)
+    result = fixed_point(u, rho, 3, max_iterations=budget)
+    assert result.from_average
+    direct = trace_norm(loop_map(u, rho, result.sigma) - result.sigma)
+    assert abs(result.residual - direct) <= 1e-12
