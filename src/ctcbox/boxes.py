@@ -14,10 +14,10 @@ from enum import Enum
 from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .forms import (BooleanForm, as_bit, evaluate_form, input_names, normalize_pattern,
-                    output_names, xor_bits)
+from .forms import (BooleanForm, as_bit, bit_string, evaluate_form, input_names,
+                    normalize_pattern, output_names, party_names, xor_bits)
 
 CHSH_CLASSICAL_BOUND = Fraction(2)
 CHSH_TSIRELSON_BOUND = 2 * math.sqrt(2)
@@ -165,6 +165,22 @@ def parity_equation(form: BooleanForm) -> str:
     return f"{lhs} = {form.render(input_names(form.n))}"
 
 
+def describe_box(box: NoSignalBox) -> str:
+    """The first line of each text view of a box."""
+    kind = "explicit table" if box.form is None else parity_equation(box.form)
+    return f"box {box.label} ({box.n} parties): {kind}"
+
+
+def render_table(box: NoSignalBox) -> Iterator[str]:
+    """The full table as text; the spec payload of a parity box lists no rows."""
+    yield describe_box(box)
+    yield f"{' '.join(input_names(box.n))} | {' '.join(output_names(box.n))} : p"
+    for inputs in sorted(box.rows):
+        for outputs in sorted(box.rows[inputs]):
+            yield (f"{bit_string(inputs, ' ')} | {bit_string(outputs, ' ')} : "
+                   f"{box.rows[inputs][outputs]}")
+
+
 @dataclass(frozen=True)
 class MarginalDistribution:
     """Output distribution of a coalition of parties at fixed full inputs."""
@@ -206,6 +222,15 @@ class SignalingWitness:
     inputs_b: tuple[int, ...]
     marginal_a: dict[tuple[int, ...], Fraction]
     marginal_b: dict[tuple[int, ...], Fraction]
+
+    def to_json(self) -> dict:
+        """Parties by name, inputs as bit lists, marginals as {"01": "num/den"}."""
+        names = party_names(len(self.inputs_a))
+        marginal_a, marginal_b = ({bit_string(k): str(v) for k, v in sorted(m.items())}
+                                  for m in (self.marginal_a, self.marginal_b))
+        return {"coalition": [names[i] for i in self.coalition],
+                "inputs_a": list(self.inputs_a), "inputs_b": list(self.inputs_b),
+                "marginal_a": marginal_a, "marginal_b": marginal_b}
 
 
 @dataclass(frozen=True)
@@ -278,6 +303,32 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
                     coalition, *(inputs[code] for code in move[0]),
                     *(decode_bucket(bucket, size) for bucket in move[1])))
     raise AssertionError("a signaling party leaves a witness")
+
+
+def verify_json(boxes: Iterable[NoSignalBox]) -> dict:
+    """The ``verify`` payload: verdicts, CHSH values at n = 2, and witnesses."""
+    results = []
+    for box in boxes:
+        verdict = is_no_signaling(box)
+        info = {"box": box.label, "no_signaling": verdict.ok}
+        if box.n == 2:
+            info["chsh"] = str(chsh_value(box))
+        if not verdict.ok:
+            info["witness"] = verdict.witness.to_json()
+        results.append(info)
+    return {"results": results, "ok": all(info["no_signaling"] for info in results)}
+
+
+def render_verify(payload: dict) -> Iterator[str]:
+    for info in payload["results"]:
+        if info["no_signaling"]:
+            extra = f" (CHSH value {info['chsh']})" if "chsh" in info else ""
+            yield f"{info['box']}: no-signaling OK{extra}"
+        else:
+            w = info["witness"]
+            yield (f"{info['box']}: SIGNALING for coalition "
+                   f"({', '.join(w['coalition'])}): inputs {w['inputs_a']} "
+                   f"vs {w['inputs_b']} give different marginals")
 
 
 def integer_row(n: int, row: Mapping) -> tuple[int, tuple]:

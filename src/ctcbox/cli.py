@@ -1,17 +1,19 @@
 """Command line front end.
 
-Subcommands:
+Subcommands, and the module that builds and renders each one's payload:
 
-    list        built-in boxes, reference scenarios, solver examples
-    show        print a box table, optionally under a constraint pattern
-    verify      complete no-signaling check of a box
-    analyze     signaling report for a sender/receiver split
-    deutsch     solve the loop fixed-point equation for a small system
-    reproduce   rebuild the reference scenario tables and compare
+    list        built-in boxes, reference scenarios, solver examples  (here)
+    show        print a box table                                     boxes
+                ... under a constraint pattern (--ctc)                ctc
+    verify      complete no-signaling check of a box                  boxes
+    analyze     signaling report for one split, or for every split    signaling
+    deutsch     solve the loop fixed-point equation                   deutsch
+    reproduce   rebuild the reference scenario tables and compare     tables
 
-Each subcommand builds one JSON payload and a text renderer for it;
-``main`` prints either the payload (``--json``) or the rendered lines.
-Only ``deutsch`` loads numpy, when it runs; the other subcommands never do.
+This module parses arguments, loads inputs, dispatches, and prints: the
+payload with ``--json``, else the lines its renderer yields.  Of a payload
+it reads only the top-level "ok", false for exit code 1.  Only ``deutsch``
+loads numpy, when it runs; the other subcommands never do.
 
 Exit codes: 0 on success, 1 when a requested check fails (signaling
 witness found, scenario mismatch, solver did not converge), 2 on usage
@@ -33,13 +35,13 @@ from functools import partial
 from typing import Callable, Iterator
 
 from .boxes import (NAMED_FORMS, BoxName, NoSignalBox, box_from_spec, box_to_spec,
-                    chsh_value, is_no_signaling, named_box, parity_equation)
-from .ctc import constrain, constrained_to_json, parse_pattern
+                    named_box, parity_equation, render_table, render_verify,
+                    verify_json)
+from .ctc import constrain, parse_pattern, render_constrained, show_json
 from .deutsch_defaults import EXAMPLE_NAMES, MAX_ITERATIONS, RESIDUAL_TOL
-from .forms import input_names, output_names, party_names
-from .signaling import report_json, scan_report_json
-from .tables import (SCENARIO_KEYS, SCENARIOS, Scenario, scenario,
-                     scenario_relation, verify_scenario)
+from .signaling import render_report, render_scan, report_json, scan_report_json
+from .tables import (SCENARIO_KEYS, SCENARIOS, render_reproduce, reproduce_json,
+                     scenario_head)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -63,15 +65,15 @@ def _read_json(path: str) -> tuple[object, str]:
 
 
 def _load_box(args) -> NoSignalBox:
-    if args.box and args.spec:
+    if args.box is not None and args.spec is not None:
         raise ValueError("give either --box or --spec, not both")
     path = args.spec
-    if args.box:
+    if args.box is not None:
         name = args.box.lower()
         if not name.startswith("spec:"):
             return named_box(name)
         path = args.box[len("spec:"):]
-    if not path:
+    if path is None:
         raise ValueError("give a box with --box NAME, --box spec:FILE "
                          "or --spec FILE")
     data, label = _read_json(path)
@@ -83,20 +85,6 @@ def _parties(text: str | None, n: int) -> tuple[int, ...]:
     return parse_pattern(n, (text or "").replace(",", " ").split())
 
 
-def _bits(bits) -> str:
-    return " ".join(map(str, bits))
-
-
-def _describe_box(box: NoSignalBox) -> str:
-    kind = "explicit table" if box.form is None else parity_equation(box.form)
-    return f"box {box.label} ({box.n} parties): {kind}"
-
-
-def _scenario_ctc(s: Scenario) -> list[str]:
-    names = party_names(NAMED_FORMS[s.box].n)
-    return [names[i] for i in s.pattern]
-
-
 def cmd_list(args) -> tuple[dict, Render]:
     payload = {
         "boxes": [{"name": name.value,
@@ -104,8 +92,7 @@ def cmd_list(args) -> tuple[dict, Render]:
                    "relation": parity_equation(form),
                    "constraint": [list(m) for m in form.sorted_monomials()]}
                   for name, form in NAMED_FORMS.items()],
-        "scenarios": [{"key": s.key, "box": s.box.value, "ctc": _scenario_ctc(s)}
-                      for s in SCENARIOS.values()],
+        "scenarios": [scenario_head(s) for s in SCENARIOS.values()],
         "deutsch_examples": list(EXAMPLE_NAMES),
     }
     return payload, _render_list
@@ -127,172 +114,47 @@ def cmd_show(args) -> tuple[dict, Render]:
     box = _load_box(args)
     pattern = _parties(args.ctc, box.n)
     if not pattern:
-        return box_to_spec(box), partial(_render_box, box)
-    names = party_names(box.n)
-    payload = {
-        "box": box.label,
-        "ctc": [names[i] for i in pattern],
-        "rows": constrained_to_json(constrain(box, pattern)),
-    }
-    return payload, partial(_render_constrained, box)
-
-
-def _render_box(box: NoSignalBox, payload: dict) -> Iterator[str]:
-    """The full table; the spec payload of a parity box lists no rows."""
-    yield _describe_box(box)
-    yield f"{' '.join(input_names(box.n))} | {' '.join(output_names(box.n))} : p"
-    for inputs in sorted(box.rows):
-        for outputs in sorted(box.rows[inputs]):
-            yield f"{_bits(inputs)} | {_bits(outputs)} : {box.rows[inputs][outputs]}"
-
-
-def _render_constrained(box: NoSignalBox, payload: dict) -> Iterator[str]:
-    yield _describe_box(box)
-    yield f"self-consistent parties: {', '.join(payload['ctc'])}"
-    in_syms = input_names(box.n)
-    outs = " ".join(output_names(box.n))
-    for row in payload["rows"]:
-        left = " ".join(f"{nm}={b}" for nm, b in zip(in_syms, row["inputs"]))
-        if row["paradox"]:
-            yield f"{left} : PARADOX (no self-consistent outcome)"
-            continue
-        parts = [f"({outs})=({_bits(o['out'])}) w.p. {o['p']}" for o in row["outcomes"]]
-        yield f"{left} : {'; '.join(parts)}"
+        return box_to_spec(box), lambda payload: render_table(box)
+    return show_json(constrain(box, pattern)), partial(render_constrained, box)
 
 
 def cmd_verify(args) -> tuple[dict, Render]:
-    targets = ([_load_box(args)] if args.box or args.spec
-               else [named_box(name) for name in BoxName])
-    results = []
-    for box in targets:
-        verdict = is_no_signaling(box)
-        info = {"box": box.label, "no_signaling": verdict.ok}
-        if box.n == 2:
-            info["chsh"] = str(chsh_value(box))
-        if not verdict.ok:
-            w = verdict.witness
-            names = party_names(box.n)
-            info["witness"] = {
-                "coalition": [names[i] for i in w.coalition],
-                "inputs_a": list(w.inputs_a),
-                "inputs_b": list(w.inputs_b),
-                "marginal_a": {"".join(map(str, k)): str(v)
-                               for k, v in sorted(w.marginal_a.items())},
-                "marginal_b": {"".join(map(str, k)): str(v)
-                               for k, v in sorted(w.marginal_b.items())},
-            }
-        results.append(info)
-    payload = {"results": results,
-               "ok": all(info["no_signaling"] for info in results)}
-    return payload, _render_verify
-
-
-def _render_verify(payload: dict) -> Iterator[str]:
-    for info in payload["results"]:
-        if info["no_signaling"]:
-            extra = f" (CHSH value {info['chsh']})" if "chsh" in info else ""
-            yield f"{info['box']}: no-signaling OK{extra}"
-        else:
-            w = info["witness"]
-            yield (f"{info['box']}: SIGNALING for coalition "
-                   f"({', '.join(w['coalition'])}): inputs {w['inputs_a']} "
-                   f"vs {w['inputs_b']} give different marginals")
+    given = args.box is not None or args.spec is not None
+    boxes = [_load_box(args)] if given else [named_box(name) for name in BoxName]
+    return verify_json(boxes), render_verify
 
 
 def cmd_analyze(args) -> tuple[dict, Render]:
-    box = _load_box(args)
-    pattern = _parties(args.ctc, box.n)
-    cbox = constrain(box, pattern)
-    if bool(args.sender) != bool(args.receivers):
+    # checked first: loading and constraining a large box takes seconds
+    if (args.sender is None) != (args.receivers is None):
         raise ValueError("--sender and --receivers go together; "
                          "give both or neither")
-    names = party_names(box.n)
-    header = [_describe_box(box), "self-consistent parties: "
-              + (", ".join(names[i] for i in pattern) or "none")]
-    if not args.sender:
-        return scan_report_json(box.label, cbox), partial(_render_scan, header)
+    box = _load_box(args)
+    cbox = constrain(box, _parties(args.ctc, box.n))
+    if args.sender is None:
+        return scan_report_json(box.label, cbox), partial(render_scan, box)
     sender_ids = _parties(args.sender, box.n)
     if len(sender_ids) != 1:
         raise ValueError("--sender takes exactly one party")
-    coalition = _parties(args.receivers, box.n)
-    payload = report_json(box.label, cbox, sender_ids[0], coalition)
-    setting_names = [input_names(box.n)[i] for i in coalition]
-    return payload, partial(_render_report, header, setting_names)
-
-
-def _counts(s: dict) -> str:
-    return (f"{s['dependent_settings']}/{s['settings']} settings dependent "
-            f"({s['dependent_cases']}/{s['cases']} cases)")
-
-
-def _render_report(header: list[str], setting_names: list[str],
-                   payload: dict) -> Iterator[str]:
-    yield from header
-    yield (f"sender: {payload['sender']}; receivers: "
-           f"{', '.join(payload['coalition'])}")
-    for entry in payload["entries"]:
-        setting = " ".join(f"{nm}={b}" for nm, b in
-                           zip(setting_names, entry["setting"]))
-        if entry["dependent"]:
-            rule = ", ".join(f"{obs}->{guess}"
-                             for obs, guess in entry["rule"].items())
-            line = (f"setting {setting}: dependent; guess {rule}; "
-                    f"success {entry['success']}; "
-                    f"information {entry['mi_bits']:.6f} bits")
-        else:
-            line = f"setting {setting}: independent"
-        if entry["impractical"]:
-            line += " [receiver inside the constrained loop]"
-        yield line
-        if entry["note"]:
-            yield f"  note: {entry['note']}"
-    s = payload["summary"]
-    yield (f"summary: {_counts(s)}; max success {s['max_success']}; "
-           f"mean information {s['mean_mi_bits']:.6f} bits")
-
-
-def _render_scan(header: list[str], payload: dict) -> Iterator[str]:
-    yield from header
-    for report in payload["reports"]:
-        s = report["summary"]
-        line = (f"direction {report['sender']} -> "
-                f"{','.join(report['coalition'])}: {_counts(s)}")
-        if s["impractical"]:
-            line += " [receiver inside the constrained loop]"
-        yield line
-    s = payload["summary"]
-    yield (f"overall: {s['dependent_directions']}/{s['directions']} directions "
-           f"signal; {_counts(s)}")
-
-
-def _load_problem(path: str):
-    from .deutsch import matrix_from_json
-
-    data, label = _read_json(path)
-    if not isinstance(data, dict):
-        raise ValueError("problem file must be a JSON object")
-    try:
-        u = matrix_from_json(data["unitary"], name="unitary")
-        rho = matrix_from_json(data["rho_cr"], name="rho_cr")
-        d_loop = data["d_loop"]
-    except KeyError as err:
-        raise ValueError(f"problem file is missing field {err}") from err
-    return u, rho, d_loop, label
+    payload = report_json(box.label, cbox, sender_ids[0],
+                          _parties(args.receivers, box.n))
+    return payload, partial(render_report, box)
 
 
 def cmd_deutsch(args) -> tuple[dict, Render]:
     # numpy is imported here, not at module level, so that the classical
     # subcommands start without it
-    from .deutsch import (classical_consistency_crosscheck, cr_output, example,
-                          fixed_point, matrix_to_json)
+    from .deutsch import (classical_consistency_crosscheck, example, fixed_point,
+                          problem_from_json, render_solve, solve_json)
 
-    if args.example and args.file:
+    if args.example is not None and args.file is not None:
         raise ValueError("give either --example or --file, not both")
-    if args.example:
+    if args.example is not None:
         u, rho, d_loop = example(args.example)
         label = args.example.lower()
-    elif args.file:
-        u, rho, d_loop, label = _load_problem(args.file)
+    elif args.file is not None:
+        data, label = _read_json(args.file)
+        u, rho, d_loop = problem_from_json(data)
     else:
         raise ValueError("give a problem with --example NAME or --file FILE")
 
@@ -300,107 +162,11 @@ def cmd_deutsch(args) -> tuple[dict, Render]:
     check = (classical_consistency_crosscheck(u, rho, d_loop, **budget)
              if args.crosscheck else None)
     result = check.solve if check else fixed_point(u, rho, d_loop, **budget)
-    payload = {
-        "problem": label,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "from_average": result.from_average,
-        "sigma": matrix_to_json(result.sigma),
-        "cr_output": matrix_to_json(cr_output(u, rho, result.sigma)),
-    }
-    if check:
-        payload["crosscheck"] = {
-            "permutation": check.permutation,
-            "diagonal": check.diagonal,
-            "invariance_residual": check.invariance_residual,
-            "consistent_sets": {str(k): list(v) for k, v in
-                                sorted(check.consistent_sets.items())},
-            "prediction": check.prediction,
-            "prediction_match": check.prediction_match,
-            "ok": check.ok,
-        }
-    payload["ok"] = check.ok if check else result.converged
-    return payload, _render_deutsch
-
-
-def _matrix_lines(matrix: list) -> Iterator[str]:
-    for row in matrix:
-        yield f"  [{', '.join(f'{re:+.6f}{im:+.6f}j' for re, im in row)}]"
-
-
-def _render_deutsch(payload: dict) -> Iterator[str]:
-    yield (f"problem {payload['problem']}: CR dim {len(payload['cr_output'])}, "
-           f"loop dim {len(payload['sigma'])}")
-    status = "converged" if payload["converged"] else "DID NOT CONVERGE"
-    source = "averaged iterates" if payload["from_average"] else "raw iterate"
-    yield (f"{status} after {payload['iterations']} iteration(s), "
-           f"residual {payload['residual']:.3e} ({source})")
-    yield "loop state sigma*:"
-    yield from _matrix_lines(payload["sigma"])
-    yield "CR output state:"
-    yield from _matrix_lines(payload["cr_output"])
-    check = payload.get("crosscheck")
-    if check is None:
-        return
-    yield (f"crosscheck: permutation {check['permutation']}; "
-           f"diagonal {'ok' if check['diagonal'] else 'FAILED'}; "
-           f"invariance residual {check['invariance_residual']:.3e}")
-    sets = "; ".join(f"{k}:{{{','.join(map(str, v))}}}"
-                     for k, v in check["consistent_sets"].items())
-    yield f"consistent loop values per CR value: {sets}"
-    if check["prediction"] is None:
-        yield ("conditioning prediction: none (some branch has no "
-               "self-consistent value)")
-    else:
-        pred = ", ".join(f"{x:.6f}" for x in check["prediction"])
-        verdict = "matches" if check["prediction_match"] else "DIFFERS"
-        yield f"conditioning prediction: [{pred}] {verdict}"
-    yield f"crosscheck {'OK' if check['ok'] else 'FAILED'}"
+    return solve_json(label, u, rho, result, check), render_solve
 
 
 def cmd_reproduce(args) -> tuple[dict, Render]:
-    choice = "all" if args.all else args.table
-    chosen = SCENARIOS.values() if choice == "all" else [scenario(choice)]
-    scenarios = []
-    for s in chosen:
-        check = verify_scenario(s)
-        scenarios.append({
-            "key": s.key,
-            "box": s.box.value,
-            "ctc": _scenario_ctc(s),
-            "relation": scenario_relation(s),
-            "rows": [{"in": list(i), "out": list(o)}
-                     for i, o in sorted((check.computed or {}).items())],
-            "ok": check.ok,
-        })
-    payload = {"scenarios": scenarios, "ok": all(s["ok"] for s in scenarios)}
-    return payload, _render_reproduce
-
-
-def _render_reproduce(payload: dict) -> Iterator[str]:
-    for s in payload["scenarios"]:
-        yield (f"scenario {s['key']}: box {s['box']}, "
-               f"self-consistent parties: {', '.join(s['ctc'])}")
-        yield f"induced relation: {s['relation']}"
-        # a deterministic map has a row for every input, so no rows means
-        # the constrained box was not deterministic
-        if not s["rows"]:
-            yield "check: FAIL (constrained box is not deterministic)"
-            yield ""
-            continue
-        n = len(s["rows"][0]["in"])
-        ins = " ".join(input_names(n))
-        outs = " ".join(output_names(n))
-        yield f"{ins} | {outs}"
-        yield "-" * (len(ins) + len(outs) + 3)
-        for row in s["rows"]:
-            yield f"{_bits(row['in'])} | {_bits(row['out'])}"
-        yield (f"check: {'OK' if s['ok'] else 'FAIL'} "
-               f"(computed table {'matches' if s['ok'] else 'differs from'} "
-               f"the frozen reference)")
-        yield ""
-    yield f"overall: {'OK' if payload['ok'] else 'FAIL'}"
+    return reproduce_json("all" if args.all else args.table), render_reproduce
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "self-consistency constraints",
         epilog="NONLOCAL_CTC_SEED is accepted in the environment for "
                "interface compatibility and ignored: all computations are "
-               "deterministic. Exit codes: 0 ok, 1 check failed, 2 bad input.")
+               "deterministic. Exit codes: "
+               f"{EXIT_OK} ok, {EXIT_CHECK_FAILED} check failed, {EXIT_USAGE} bad "
+               f"input, {EXIT_BROKEN_PIPE} stdout closed before the output was "
+               "written.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, *parents):

@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .boxes import NoSignalBox, integer_row
-from .forms import PARTY_NAMES, BooleanForm, normalize_pattern, party_names
+from .boxes import NoSignalBox, describe_box, integer_row
+from .forms import (PARTY_NAMES, BooleanForm, bit_string, input_names, normalize_pattern,
+                    output_names, party_names)
 
 
 @dataclass(frozen=True)
@@ -111,16 +112,43 @@ def induced_parity_form(form: BooleanForm, pattern: Iterable[int]) -> BooleanFor
 
 def constrained_to_json(cbox: ConstrainedBox) -> list[dict]:
     """Rows as JSON-ready dicts with exact "num/den" probability strings."""
-    out = []
-    for inputs in sorted(cbox.rows):
-        row = cbox.rows[inputs]
-        out.append({
-            "inputs": list(inputs),
-            "outcomes": [{"out": list(outcome), "p": str(p)}
-                         for outcome, p in sorted(row.outcomes.items())],
-            "paradox": row.paradox,
-        })
-    return out
+    return [{"inputs": list(inputs),
+             "outcomes": [{"out": list(outcome), "p": str(p)}
+                          for outcome, p in sorted(row.outcomes.items())],
+             "paradox": row.paradox}
+            for inputs, row in sorted(cbox.rows.items())]
+
+
+def head_json(label: str | None, n: int, pattern: Iterable[int]) -> dict:
+    """The {"box", "ctc"} head of each payload about a box under a pattern."""
+    names = party_names(n)
+    return {"box": label, "ctc": [names[i] for i in pattern]}
+
+
+def show_json(cbox: ConstrainedBox) -> dict:
+    """The ``show --ctc`` payload: the head, then ``constrained_to_json``."""
+    return {**head_json(cbox.box.label, cbox.n, cbox.pattern),
+            "rows": constrained_to_json(cbox)}
+
+
+def render_head(box: NoSignalBox, payload: dict) -> Iterator[str]:
+    """The box, then the looped parties of the payload's head ("none" if none)."""
+    yield describe_box(box)
+    yield f"self-consistent parties: {', '.join(payload['ctc']) or 'none'}"
+
+
+def render_constrained(box: NoSignalBox, payload: dict) -> Iterator[str]:
+    yield from render_head(box, payload)
+    in_syms = input_names(box.n)
+    outs = " ".join(output_names(box.n))
+    for row in payload["rows"]:
+        left = " ".join(f"{nm}={b}" for nm, b in zip(in_syms, row["inputs"]))
+        if row["paradox"]:
+            yield f"{left} : PARADOX (no self-consistent outcome)"
+            continue
+        parts = [f"({outs})=({bit_string(o['out'], ' ')}) w.p. {o['p']}"
+                 for o in row["outcomes"]]
+        yield f"{left} : {'; '.join(parts)}"
 
 
 def parse_pattern(n: int, spec: Iterable) -> tuple[int, ...]:

@@ -42,7 +42,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -375,6 +375,76 @@ def matrix_from_json(data, *, name: str = "matrix") -> np.ndarray:
             entries.append(complex(cell[0], cell[1]))
         rows.append(entries)
     return np.array(rows, dtype=complex)
+
+
+def problem_from_json(data) -> tuple[np.ndarray, np.ndarray, object]:
+    """(U, rho_cr, d_loop) from a problem object; ``fixed_point`` checks d_loop."""
+    if not isinstance(data, dict):
+        raise ValueError("problem file must be a JSON object")
+    try:
+        return (matrix_from_json(data["unitary"], name="unitary"),
+                matrix_from_json(data["rho_cr"], name="rho_cr"), data["d_loop"])
+    except KeyError as err:
+        raise ValueError(f"problem file is missing field {err}") from err
+
+
+def solve_json(problem: str, u: np.ndarray, rho_cr: np.ndarray,
+               result: FixedPointResult,
+               check: ClassicalCrosscheck | None = None) -> dict:
+    """The ``deutsch`` payload: the solve, then ``check`` when one was made."""
+    payload = {"problem": problem, "converged": result.converged,
+               "iterations": result.iterations, "residual": result.residual,
+               "from_average": result.from_average,
+               "sigma": matrix_to_json(result.sigma),
+               "cr_output": matrix_to_json(cr_output(u, rho_cr, result.sigma))}
+    if check:
+        payload["crosscheck"] = {
+            "permutation": check.permutation,
+            "diagonal": check.diagonal,
+            "invariance_residual": check.invariance_residual,
+            "consistent_sets": {str(k): list(v) for k, v in
+                                sorted(check.consistent_sets.items())},
+            "prediction": check.prediction,
+            "prediction_match": check.prediction_match,
+            "ok": check.ok,
+        }
+    payload["ok"] = check.ok if check else result.converged
+    return payload
+
+
+def _matrix_lines(matrix: list) -> Iterator[str]:
+    for row in matrix:
+        yield f"  [{', '.join(f'{re:+.6f}{im:+.6f}j' for re, im in row)}]"
+
+
+def render_solve(payload: dict) -> Iterator[str]:
+    yield (f"problem {payload['problem']}: CR dim {len(payload['cr_output'])}, "
+           f"loop dim {len(payload['sigma'])}")
+    status = "converged" if payload["converged"] else "DID NOT CONVERGE"
+    source = "averaged iterates" if payload["from_average"] else "raw iterate"
+    yield (f"{status} after {payload['iterations']} iteration(s), "
+           f"residual {payload['residual']:.3e} ({source})")
+    yield "loop state sigma*:"
+    yield from _matrix_lines(payload["sigma"])
+    yield "CR output state:"
+    yield from _matrix_lines(payload["cr_output"])
+    check = payload.get("crosscheck")
+    if check is None:
+        return
+    yield (f"crosscheck: permutation {check['permutation']}; "
+           f"diagonal {'ok' if check['diagonal'] else 'FAILED'}; "
+           f"invariance residual {check['invariance_residual']:.3e}")
+    sets = "; ".join(f"{k}:{{{','.join(map(str, v))}}}"
+                     for k, v in check["consistent_sets"].items())
+    yield f"consistent loop values per CR value: {sets}"
+    if check["prediction"] is None:
+        yield ("conditioning prediction: none (some branch has no "
+               "self-consistent value)")
+    else:
+        pred = ", ".join(f"{x:.6f}" for x in check["prediction"])
+        verdict = "matches" if check["prediction_match"] else "DIFFERS"
+        yield f"conditioning prediction: [{pred}] {verdict}"
+    yield f"crosscheck {'OK' if check['ok'] else 'FAILED'}"
 
 
 def _qubit_density(p0: Fraction | float) -> np.ndarray:

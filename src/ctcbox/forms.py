@@ -32,6 +32,11 @@ def xor_bits(bits: Iterable[int]) -> int:
     return out
 
 
+def bit_string(bits: Iterable[int], sep: str = "") -> str:
+    """Bits as text: "01" keys an outcome in a payload, "0 1" (sep=" ") prints."""
+    return sep.join(map(str, bits))
+
+
 def _labels(short: tuple[str, ...], prefix: str, n: int) -> tuple[str, ...]:
     if n <= len(short):
         return short[:n]

@@ -52,10 +52,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .boxes import (add_row, all_bit_tuples, bit_codes, common_scale, decode_bucket,
-                    projection, spread)
-from .ctc import ConstrainedBox
-from .forms import as_bit, normalize_pattern, party_names, xor_bits
+from .boxes import (NoSignalBox, add_row, all_bit_tuples, bit_codes, common_scale,
+                    decode_bucket, projection, spread)
+from .ctc import ConstrainedBox, head_json, parse_pattern, render_head
+from .forms import (as_bit, bit_string, input_names, normalize_pattern, party_names,
+                    xor_bits)
 
 
 def entropy_bits(dist: Mapping[tuple, Fraction]) -> float:
@@ -257,17 +258,6 @@ def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
                 yield sender, coalition, analyze(cbox, sender, coalition)
 
 
-def _count_summary(entries: list[SignalingEntry]) -> dict:
-    """Both counting conventions: settings, and (setting, sender bit) cases."""
-    dependent = sum(1 for e in entries if e.dependent)
-    return {
-        "settings": len(entries),
-        "dependent_settings": dependent,
-        "cases": 2 * len(entries),
-        "dependent_cases": 2 * dependent,
-    }
-
-
 def entry_to_json(entry: SignalingEntry, n: int) -> dict:
     names = party_names(n)
     return {
@@ -275,7 +265,7 @@ def entry_to_json(entry: SignalingEntry, n: int) -> dict:
         "coalition": [names[i] for i in entry.coalition],
         "setting": list(entry.setting),
         "dependent": entry.dependent,
-        "rule": {"".join(map(str, out)): guess
+        "rule": {bit_string(out): guess
                  for out, guess in sorted(entry.rule.items())},
         "success": str(entry.success),
         "mi_bits": entry.mi_bits,
@@ -293,22 +283,20 @@ def _direction_json(cbox: ConstrainedBox, sender: int, coalition: tuple[int, ...
     except ValueError as err:
         raise ValueError(f"direction {names[sender]} -> "
                          f"{','.join(coalition_names)}: {err}") from err
-    summary = _count_summary(entries)
-    summary["impractical"] = bool(set(coalition) & set(cbox.pattern))
-    return {
-        "sender": names[sender],
-        "coalition": coalition_names,
-        "entries": entries_json,
-        "summary": summary,
-    }
+    dependent = sum(1 for e in entries if e.dependent)
+    # both counting conventions: settings, and (setting, sender bit) cases
+    summary = {"settings": len(entries), "dependent_settings": dependent,
+               "cases": 2 * len(entries), "dependent_cases": 2 * dependent,
+               "impractical": bool(set(coalition) & set(cbox.pattern))}
+    return {"sender": names[sender], "coalition": coalition_names,
+            "entries": entries_json, "summary": summary}
 
 
 def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
                 coalition: Iterable[int]) -> dict:
     """Full signaling report for one sender/coalition pair as a JSON dict."""
     entries = analyze(cbox, sender, coalition)
-    names = party_names(cbox.n)
-    report = {"box": box_label, "ctc": [names[i] for i in cbox.pattern],
+    report = {**head_json(box_label, cbox.n, cbox.pattern),
               **_direction_json(cbox, sender, entries[0].coalition, entries)}
     report["summary"]["max_success"] = str(max(e.success for e in entries))
     report["summary"]["mean_mi_bits"] = mean_mi_bits(entries)
@@ -317,7 +305,6 @@ def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
 
 def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:
     """Each direction's report, built as it is scanned, and overall counts."""
-    names = party_names(cbox.n)
     reports = [_direction_json(cbox, sender, coalition, entries)
                for sender, coalition, entries in full_scan(cbox)]
     overall = {key: sum(r["summary"][key] for r in reports) for key in
@@ -325,9 +312,52 @@ def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:
     overall["directions"] = len(reports)
     overall["dependent_directions"] = sum(r["summary"]["dependent_settings"] > 0
                                           for r in reports)
-    return {
-        "box": box_label,
-        "ctc": [names[i] for i in cbox.pattern],
-        "reports": reports,
-        "summary": overall,
-    }
+    return {**head_json(box_label, cbox.n, cbox.pattern),
+            "reports": reports, "summary": overall}
+
+
+def _counts(s: dict) -> str:
+    return (f"{s['dependent_settings']}/{s['settings']} settings dependent "
+            f"({s['dependent_cases']}/{s['cases']} cases)")
+
+
+def render_report(box: NoSignalBox, payload: dict) -> Iterator[str]:
+    """The text of a ``report_json`` payload about ``box``."""
+    yield from render_head(box, payload)
+    yield (f"sender: {payload['sender']}; receivers: "
+           f"{', '.join(payload['coalition'])}")
+    setting_names = [input_names(box.n)[i]
+                     for i in parse_pattern(box.n, payload["coalition"])]
+    for entry in payload["entries"]:
+        setting = " ".join(f"{nm}={b}" for nm, b in
+                           zip(setting_names, entry["setting"]))
+        if entry["dependent"]:
+            rule = ", ".join(f"{obs}->{guess}" for obs, guess in entry["rule"].items())
+            line = (f"setting {setting}: dependent; guess {rule}; "
+                    f"success {entry['success']}; "
+                    f"information {entry['mi_bits']:.6f} bits")
+        else:
+            line = f"setting {setting}: independent"
+        if entry["impractical"]:
+            line += " [receiver inside the constrained loop]"
+        yield line
+        if entry["note"]:
+            yield f"  note: {entry['note']}"
+    s = payload["summary"]
+    yield (f"summary: {_counts(s)}; max success {s['max_success']}; "
+           f"mean information {s['mean_mi_bits']:.6f} bits")
+
+
+def render_scan(box: NoSignalBox, payload: dict) -> Iterator[str]:
+    """The text of a ``scan_report_json`` payload about ``box``."""
+    yield from render_head(box, payload)
+    for report in payload["reports"]:
+        s = report["summary"]
+        line = (f"direction {report['sender']} -> "
+                f"{','.join(report['coalition'])}: {_counts(s)}")
+        if s["impractical"]:
+            line += " [receiver inside the constrained loop]"
+        yield line
+    s = payload["summary"]
+    yield (f"overall: {s['dependent_directions']}/{s['directions']} directions "
+           f"signal; {_counts(s)}")

@@ -10,10 +10,11 @@ the engine instead of comparing it with itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .boxes import NAMED_FORMS, BoxName, named_box
-from .ctc import constrain, induced_parity_form
-from .forms import input_names, output_names
+from .ctc import constrain, head_json, induced_parity_form
+from .forms import bit_string, input_names, output_names
 
 Bits = tuple[int, ...]
 
@@ -97,3 +98,46 @@ def scenario_relation(s: Scenario) -> str:
     free = [i for i in range(form.n) if i not in s.pattern]
     lhs = " ^ ".join(output_names(form.n)[i] for i in free) or "0"
     return f"{lhs} = {g.render(input_names(form.n))}"
+
+
+def scenario_head(s: Scenario) -> dict:
+    """The scenario's key and ``ctc.head_json``, as the payloads list it."""
+    return {"key": s.key, **head_json(s.box.value, NAMED_FORMS[s.box].n, s.pattern)}
+
+
+def reproduce_json(key: str) -> dict:
+    """The ``reproduce`` payload: one scenario, or every one for "all" (any case)."""
+    chosen = SCENARIOS.values() if key.lower() == "all" else [scenario(key)]
+    scenarios = []
+    for check in map(verify_scenario, chosen):
+        rows = sorted((check.computed or {}).items())
+        scenarios.append({**scenario_head(check.scenario),
+                          "relation": scenario_relation(check.scenario),
+                          "rows": [{"in": list(i), "out": list(o)} for i, o in rows],
+                          "ok": check.ok})
+    return {"scenarios": scenarios, "ok": all(s["ok"] for s in scenarios)}
+
+
+def render_reproduce(payload: dict) -> Iterator[str]:
+    for s in payload["scenarios"]:
+        yield (f"scenario {s['key']}: box {s['box']}, "
+               f"self-consistent parties: {', '.join(s['ctc'])}")
+        yield f"induced relation: {s['relation']}"
+        # a deterministic map has a row for every input, so no rows means
+        # the constrained box was not deterministic
+        if not s["rows"]:
+            yield "check: FAIL (constrained box is not deterministic)"
+            yield ""
+            continue
+        n = len(s["rows"][0]["in"])
+        ins = " ".join(input_names(n))
+        outs = " ".join(output_names(n))
+        yield f"{ins} | {outs}"
+        yield "-" * (len(ins) + len(outs) + 3)
+        for row in s["rows"]:
+            yield f"{bit_string(row['in'], ' ')} | {bit_string(row['out'], ' ')}"
+        yield (f"check: {'OK' if s['ok'] else 'FAIL'} "
+               f"(computed table {'matches' if s['ok'] else 'differs from'} "
+               f"the frozen reference)")
+        yield ""
+    yield f"overall: {'OK' if payload['ok'] else 'FAIL'}"

@@ -1,13 +1,14 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ctcbox import deutsch
+from ctcbox import cli, deutsch
 from ctcbox.boxes import box_from_spec, named_box
 from ctcbox.cli import main
 from ctcbox.deutsch import example, matrix_to_json
@@ -413,3 +414,67 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
         err = proc.stderr.read()
         assert proc.wait(timeout=30) == 141
     assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--spec", ""], ["verify", "--box", ""], ["show", "--spec", ""],
+    ["analyze", "--box", "pr", "--sender", "", "--receivers", ""],
+    ["deutsch", "--example", ""], ["deutsch", "--file", ""]],
+    ids=lambda argv: " ".join(arg or "''" for arg in argv))
+def test_empty_option_value_is_a_usage_error(capsys, argv):
+    # an empty value is a value: verify must not fall back to the built-in
+    # boxes, nor analyze to the full scan
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("half", [["--sender", "alice"], ["--receivers", "bob"]])
+def test_half_given_direction_is_refused_before_the_box_loads(capsys, monkeypatch,
+                                                              half):
+    def load_box(args):
+        raise AssertionError("the box was loaded")
+
+    monkeypatch.setattr(cli, "_load_box", load_box)
+    code, out, err = run(capsys, "analyze", "--box", "pr", *half)
+    assert code == 2 and out == "" and "go together" in err
+
+
+def test_reproduce_table_all_ignores_case(capsys):
+    _, expected, _ = run(capsys, "reproduce", "--all")
+    for key in ("ALL", "All", "all"):
+        code, out, _ = run(capsys, "reproduce", "--table", key)
+        assert code == 0 and out == expected
+
+
+def test_help_epilog_names_every_exit_code(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    epilog = capsys.readouterr().out.split("Exit codes:")[1]
+    codes = [value for name, value in vars(cli).items() if name.startswith("EXIT_")]
+    assert sorted(codes) == [0, 1, 2, 141]
+    for code in codes:
+        assert re.search(rf"\b{code}\b", epilog), code
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"], ["verify"], ["verify", "--spec", "leaky.json"],
+    ["show", "--box", "pr", "--ctc", "bob"],
+    ["deutsch", "--example", "swap", "--crosscheck"],
+    ["deutsch", "--file", "oscillating.json"],
+    ["deutsch", "--file", "oscillating.json", "--crosscheck"],
+    ["reproduce", "--all"],
+    ["analyze", "--box", "svetlichny", "--ctc", "alice", "--sender", "alice",
+     "--receivers", "bob,charlie"],
+    ["analyze", "--box", "svetlichny", "--ctc", "bob,charlie"]], ids=" ".join)
+def test_renderers_read_only_the_json(tmp_path, monkeypatch, argv):
+    # the text must come from the payload as --json prints it, so that a
+    # payload read back from JSON renders to the same lines
+    leaky = {(0, 0): (0, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
+    (tmp_path / "leaky.json").write_text(json.dumps({"parties": 2, "table": [
+        {"in": list(i), "out": list(o), "p": "1"} for i, o in leaky.items()]}))
+    oscillating_problem(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    args = cli.build_parser().parse_args(argv)
+    payload, render = args.func(args)
+    lines = list(render(payload))
+    assert lines and list(render(json.loads(json.dumps(payload)))) == lines
