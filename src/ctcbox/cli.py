@@ -166,7 +166,9 @@ def cmd_deutsch(args) -> tuple[dict, Render]:
 
 
 def cmd_reproduce(args) -> tuple[dict, Render]:
-    return reproduce_json("all" if args.all else args.table), render_reproduce
+    if args.all and args.table is not None:
+        raise ValueError("give either --table or --all, not both")
+    return reproduce_json("all" if args.table is None else args.table), render_reproduce
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = command("reproduce", cmd_reproduce,
                     "rebuild the reference scenario tables")
-    p_rep.add_argument("--table", default="all", metavar="KEY",
-                       help=f"one of {', '.join(SCENARIO_KEYS)} or all")
+    p_rep.add_argument("--table", metavar="KEY",
+                       help=f"one of {', '.join(SCENARIO_KEYS)} or all (default: all)")
     p_rep.add_argument("--all", action="store_true",
                        help="rebuild every scenario (same as --table all)")
     return parser

@@ -22,10 +22,17 @@ preserving, so the average A_m of sigma_0 .. sigma_m telescopes:
 T(A_m) - A_m = (sigma_(m+1) - sigma_0) / (m + 1).  Both residuals of a
 step are thus differences of raw iterates.  Steps are judged in blocks
 of 1, 2, 4, ... up to BLOCK_CAP, with one stacked eigvalsh call per
-block, in the same order and with the same outcome as one step at a
-time; a candidate state is built only when it is returned or becomes
-the best so far.  The 100,000 steps of the non-converging 4 x 3 problem
-take about 0.22 s on one core of a 2-vCPU VM.
+block.  A full block of BLOCK_CAP = 256 steps is filled by doubling,
+rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., 256: nine products
+against powers of T that are squared once per solve.  Squaring costs
+about d_loop^6, so only loops up to POWER_MAX_LOOP = 8 take this path;
+larger loops, and every shorter block, keep one product per step.
+Iteration counts and choices are those of judging one step at a time,
+except at the rounding floor: once residuals are rounding noise (a tol
+far below 1e-15), the chosen step may differ, and the state only by
+rounding.  A candidate is hermitized only when it is returned.  The
+100,000 steps of the non-converging 4 x 3 problem take about 0.11 s
+on one core of a 2-vCPU VM.
 
 `classical_consistency_crosscheck` connects this solver back to the
 classical box analysis: when U permutes basis states and rho is
@@ -58,6 +65,10 @@ UNITARY_TOL = 1e-10
 MATCH_TOL = 1e-9
 # fixed_point judges at most this many steps with one eigvalsh call
 BLOCK_CAP = 256
+# up to this loop dimension a full block is filled from squared powers of
+# the map; squaring costs about d_loop^6, and at d_loop 16 it takes about
+# eight full blocks to repay
+POWER_MAX_LOOP = 8
 
 
 def _hermitian_trace_norms(matrices: np.ndarray) -> np.ndarray:
@@ -180,18 +191,23 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
 
     # row-major vec(sigma) times the transposed superoperator is one step
     step = _loop_superoperator(u, rho_cr, d_loop).T
+    powers: list[np.ndarray] = []  # step ** (2 ** j) for 2 ** j = 1 .. BLOCK_CAP
     shape = (d_loop, d_loop)
     start = (np.eye(d_loop, dtype=complex) / d_loop).reshape(-1)
     total = np.zeros_like(start)  # sigma_0 + ... + sigma_(first - 1)
-    best = FixedPointResult(start.reshape(shape).copy(), 0, float("inf"), False, False)
+    # residual, step, from_average and the candidate before _hermitize
+    best = (float("inf"), 0, False, start)
 
     def candidate(m: int, from_average: bool) -> np.ndarray:
-        if m == 0:
-            return start.reshape(shape).copy()
         if from_average:
-            return _hermitize(((total + rows[:m - first + 1].sum(axis=0))
-                               / (m + 1)).reshape(shape))
-        return _hermitize(rows[m - first].reshape(shape))
+            return (total + rows[:m - first + 1].sum(axis=0)) / (m + 1)
+        return rows[m - first].copy()
+
+    def result(residual: float, m: int, from_average: bool, vector: np.ndarray,
+               converged: bool) -> FixedPointResult:
+        # step 0's candidates are the start itself, which is not hermitized
+        sigma = _hermitize(vector.reshape(shape)) if m else start.reshape(shape).copy()
+        return FixedPointResult(sigma, m, residual, converged, from_average)
 
     first, n, last = 0, 1, start
     while first <= budget:
@@ -199,8 +215,19 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
         # rows[i] is sigma_(first + i); the block judges steps first .. first + n - 1
         rows = np.empty((n + 1, d_loop * d_loop), dtype=complex)
         rows[0] = last
-        for i in range(n):
-            np.matmul(rows[i], step, out=rows[i + 1])
+        if n == BLOCK_CAP and d_loop <= POWER_MAX_LOOP:
+            if not powers:  # squared once, at the first full block
+                powers = [step]
+                while len(powers) < BLOCK_CAP.bit_length():
+                    powers.append(powers[-1] @ powers[-1])
+            # rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., BLOCK_CAP: one
+            # product for each power of 2, the last one for rows[n] alone
+            for j, power in enumerate(powers):
+                out = rows[1 << j:2 << j]
+                np.matmul(rows[:len(out)], power, out=out)
+        else:
+            for i in range(n):
+                np.matmul(rows[i], step, out=rows[i + 1])
         # T(A_m) - A_m = (sigma_(m+1) - sigma_0) / (m + 1) for the average
         # A_m of sigma_0 .. sigma_m, since T is linear and sigma_(j+1) = T(sigma_j)
         diffs = np.concatenate((rows[1:] - rows[:n], rows[1:] - start))
@@ -214,20 +241,19 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
         if hits.size:
             hit = int(hits[0])
             m, from_average = first + hit // 2, bool(hit % 2)
-            return FixedPointResult(candidate(m, from_average), m,
-                                    float(residuals[hit]), True, from_average)
+            return result(float(residuals[hit]), m, from_average,
+                          candidate(m, from_average), True)
         low = int(np.argmin(residuals))
-        if residuals[low] < best.residual:
+        if residuals[low] < best[0]:
             m, from_average = first + low // 2, bool(low % 2)
-            best = FixedPointResult(candidate(m, from_average), m,
-                                    float(residuals[low]), False, from_average)
+            best = (float(residuals[low]), m, from_average, candidate(m, from_average))
         total += rows[:n].sum(axis=0)
         # the last iterate starts the next block, re-hermitized so that
         # rounding cannot drift across blocks
         last = _hermitize(rows[n].reshape(shape)).reshape(-1)
         first += n
         n = min(2 * n, BLOCK_CAP)
-    return best
+    return result(*best, False)
 
 
 def is_basis_permutation(u: np.ndarray) -> list[int] | None:

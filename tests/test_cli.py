@@ -446,6 +446,12 @@ def test_reproduce_table_all_ignores_case(capsys):
         assert code == 0 and out == expected
 
 
+@pytest.mark.parametrize("key", ["V", "I", "all"])
+def test_reproduce_refuses_a_table_beside_all(capsys, key):
+    code, out, err = run(capsys, "reproduce", "--table", key, "--all")
+    assert code == 2 and out == "" and "not both" in err
+
+
 def test_help_epilog_names_every_exit_code(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

@@ -516,6 +516,95 @@ def test_fixed_point_matches_the_per_step_reference_at_block_edges(case, budget)
                       per_step_fixed_point(u, rho, d, max_iterations=budget))
 
 
+def weak_coupling(d_loop, t):
+    # expm(-it H) for a fixed random Hermitian H on a CR qubit and the loop,
+    # with the CR qubit in |0>: a slow gap, and no permutation
+    rng = np.random.default_rng(7)
+    d = 2 * d_loop
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    w, v = np.linalg.eigh(g + g.conj().T)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T, np.diag([1, 0]).astype(complex)
+
+
+@pytest.mark.parametrize("budget", [1023, 1024, 1279, 2047])
+@pytest.mark.parametrize("d_loop, t", [(2, 0.05), (3, 0.03), (4, 0.03)])
+def test_power_filled_blocks_match_the_per_step_reference(d_loop, t, budget):
+    # these converge after 1,793, 1,802 and 1,954 steps, inside full blocks
+    # that are filled from powers of the map, so every budget but the last
+    # returns the best step so far
+    u, rho = weak_coupling(d_loop, t)
+    result = fixed_point(u, rho, d_loop, max_iterations=budget)
+    reference = per_step_fixed_point(u, rho, d_loop, max_iterations=budget)
+    assert result.converged == (budget == 2047)
+    assert_same_solve(result, reference)
+
+
+def test_a_full_block_takes_nine_products_up_to_the_loop_bound(monkeypatch):
+    # a block of BLOCK_CAP = 256 steps fills rows[k:2k] from rows[:k] T^k,
+    # k = 1, 2, 4, ..., 256; shorter blocks and larger loops step one by one
+    matmul = np.matmul
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+
+    def products(u, rho, d, budget, tol=1e-10):
+        calls.clear()
+        result = fixed_point(u, rho, d, tol=tol, max_iterations=budget)
+        assert not result.converged  # so every step up to the budget was taken
+        return len(calls)
+
+    assert deutsch.BLOCK_CAP == 256 and deutsch.POWER_MAX_LOOP == 8
+    u, rho = permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]).astype(complex)
+    assert [products(u, rho, 3, budget) for budget in (254, 510, 766)] == [
+        255, 255 + 9, 255 + 2 * 9]
+    assert products(*weak_coupling(8, 0.01), 8, 510) == 255 + 9
+    # with d_cr = 1 the start I/16 is fixed, so only a tolerance below
+    # rounding keeps the solve stepping
+    u = random_unitary(np.random.default_rng(12), 16)
+    assert products(u, np.eye(1, dtype=complex), 16, 510, tol=1e-300) == 255 + 256
+
+
+@pytest.mark.parametrize("d_cr, d_loop", [(4, 2), (2, 4), (4, 4), (2, 8)])
+def test_choices_below_the_rounding_floor_may_differ_from_the_per_step_loop(
+        d_cr, d_loop):
+    # at tol = 1e-300 every residual past the first few dozen steps is
+    # rounding noise, and blocks, power-filled ones most, round differently
+    # from one step at a time: the chosen step may differ, and so may whether
+    # some residual reaches 0, but not the state
+    rng = np.random.default_rng(d_cr * 16 + d_loop)
+    u, rho = random_unitary(rng, d_cr * d_loop), random_density(rng, d_cr)
+    result = fixed_point(u, rho, d_loop, tol=1e-300, max_iterations=1023)
+    reference = per_step_fixed_point(u, rho, d_loop, tol=1e-300, max_iterations=1023)
+    assert np.abs(result.sigma - reference.sigma).max() <= 1e-12
+    assert max(result.residual, reference.residual) <= 1e-12
+
+
+def test_only_the_returned_candidate_is_hermitized(monkeypatch):
+    # one _hermitize a block for the iterate that starts the next one, and
+    # one for the returned candidate: none for a best so far that is dropped
+    hermitize = deutsch._hermitize
+    calls = []
+
+    def counted(matrix):
+        calls.append(1)
+        return hermitize(matrix)
+
+    monkeypatch.setattr(deutsch, "_hermitize", counted)
+    rng = np.random.default_rng(4)
+    for d_cr, d_loop in ((2, 2), (2, 4), (4, 2), (4, 4), (2, 8), (8, 2)):
+        u, rho = random_unitary(rng, d_cr * d_loop), random_density(rng, d_cr)
+        calls.clear()
+        result = fixed_point(u, rho, d_loop)
+        m = result.iterations
+        assert result.converged and 3 <= m < 255
+        # blocks start at steps 0, 1, 3, 7, ..., 127, so m + 1 has one bit a block
+        assert len(calls) == (m + 1).bit_length()
+
+
 def test_weak_rotation_converges_on_the_raw_iterate_after_54159_steps():
     result = fixed_point(*weak_rotation())
     assert result.converged and not result.from_average
