@@ -27,12 +27,32 @@ rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., 256: nine products
 against powers of T that are squared once per solve.  Squaring costs
 about d_loop^6, so only loops up to POWER_MAX_LOOP = 8 take this path;
 larger loops, and every shorter block, keep one product per step.
+
+A full block is also screened before eigvalsh sees it.  From what
+eigvalsh reads of each residual matrix H (the lower triangle and the
+real diagonal) come the bounds
+
+    sqrt(2 ||H||_F^2 - tr^2)  <=  ||H||_1
+      <=  min(sum |h_ii| + 2 sum_(i>j) |h_ij|, sqrt(d) ||H||_F),
+
+divided by m + 1 for an average like the residual itself and widened by
+SCREEN_MARGIN and SCREEN_FLOOR against rounding and underflow.  Only the
+steps up to the first whose upper bound is <= tol, and among them only
+those whose lower bound is <= max(tol, min(best so far, smallest upper
+bound)), go to eigvalsh; no other can be the block's first hit or its
+new first-smallest best, so every choice and every returned value is
+that of judging all of them.  At d_loop 2, where the residuals are
+traceless, the two bounds coincide, and a full block of the slow-gap
+cases sends one matrix to eigvalsh instead of 512.  Shorter blocks are
+judged whole: over the few dozen steps of an easy solve, computing the
+bounds costs more than the eigvalsh work they would save.
+
 Iteration counts and choices are those of judging one step at a time,
 except at the rounding floor: once residuals are rounding noise (a tol
 far below 1e-15), the chosen step may differ, and the state only by
 rounding.  A candidate is hermitized only when it is returned.  The
-100,000 steps of the non-converging 4 x 3 problem take about 0.11 s
-on one core of a 2-vCPU VM.
+100,000 steps of the non-converging 4 x 3 problem take about 0.12 s
+on one core of a shared 2-vCPU VM, against 0.15 s without the screen.
 
 `classical_consistency_crosscheck` connects this solver back to the
 classical box analysis: when U permutes basis states and rho is
@@ -44,6 +64,7 @@ the conditioned uniform mixture over each branch's consistent set.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -69,12 +90,71 @@ BLOCK_CAP = 256
 # the map; squaring costs about d_loop^6, and at d_loop 16 it takes about
 # eight full blocks to repay
 POWER_MAX_LOOP = 8
+# relative widening of the trace-norm bounds that screen a full block:
+# eigvalsh's trace norm and the bounds each round by a few hundred ulps at
+# most at d <= 16 (d^2 eps is about 6e-14), so 1e-9 leaves a wide margin
+SCREEN_MARGIN = 1e-9
+# absolute widening of the same bounds: squares of entries below about
+# 1e-154 underflow, which moves the Frobenius-norm bounds by less than
+# 1e-151; no bound is trusted closer to 0 than this
+SCREEN_FLOOR = 1e-140
 
 
 def _hermitian_trace_norms(matrices: np.ndarray) -> np.ndarray:
     """Trace norms of a stack of Hermitian matrices, in one eigvalsh call."""
     # eigvalsh reads only the lower triangle, so the matrix must be Hermitian
     return np.abs(np.linalg.eigvalsh(matrices)).sum(axis=-1)
+
+
+@functools.cache
+def _strict_lower(d: int) -> np.ndarray:
+    """Row-major indices of the strict lower triangle of a d x d matrix."""
+    return np.flatnonzero(np.tri(d, k=-1))
+
+
+def _trace_norm_bounds(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the trace norms of row-major d x d matrices.
+
+    Each row of ``flat`` is read as eigvalsh reads its matrix H: the strict
+    lower triangle and the real part of the diagonal.  With P and N the
+    sums of the positive and the negative eigenvalues' moduli, P + N is
+    the trace norm and P - N the trace, and ||H||_F^2 <= P^2 + N^2, so
+    the trace norm is at least sqrt(2 ||H||_F^2 - tr^2).  Above, it is at
+    most sum |h_ii| plus twice the moduli of the lower triangle (a sum of
+    2 x 2 blocks), and at most sqrt(d) ||H||_F.  At d <= 2 the lower
+    bound is the trace norm of every matrix that is not definite, as the
+    solver's traceless residuals are not.
+    """
+    diag = flat[:, ::d + 1].real
+    below = np.abs(flat[:, _strict_lower(d)])
+    trace = diag.sum(axis=1)
+    frobenius2 = (diag * diag).sum(axis=1) + 2 * (below * below).sum(axis=1)
+    lower = np.sqrt(np.maximum(2 * frobenius2 - trace * trace, 0))
+    upper = np.minimum(np.abs(diag).sum(axis=1) + 2 * below.sum(axis=1),
+                       np.sqrt(d * frobenius2))
+    return lower, upper
+
+
+def _screened_residuals(diffs: np.ndarray, divisors: np.ndarray, d: int,
+                        tol: float, best: float) -> np.ndarray:
+    """Trace norms of ``diffs`` over ``divisors`` where they can decide a block.
+
+    The entries that cannot be the block's first residual <= ``tol``, nor
+    its first smallest one when that beats ``best``, read +inf; the others
+    are computed exactly as without the screen.
+    """
+    lower, upper = _trace_norm_bounds(diffs, d)
+    lower = lower / divisors * (1 - SCREEN_MARGIN) - SCREEN_FLOOR
+    upper = upper / divisors * (1 + SCREEN_MARGIN) + SCREEN_FLOOR
+    # no entry after a sure hit can be the first hit
+    sure = np.flatnonzero(upper <= tol)
+    end = int(sure[0]) + 1 if sure.size else len(diffs)
+    # a hit has lower <= tol; a new best is below both best and every upper
+    open_ = np.flatnonzero(lower[:end] <= max(tol, min(best, float(upper.min()))))
+    residuals = np.full(len(diffs), np.inf)
+    residuals[open_] = (_hermitian_trace_norms(diffs[open_].reshape(-1, d, d))
+                        / divisors[open_])
+    return residuals
 
 
 def trace_norm(matrix: np.ndarray) -> float:
@@ -90,10 +170,15 @@ def trace_norm(matrix: np.ndarray) -> float:
     return float(_hermitian_trace_norms(matrix))
 
 
-def _square(matrix: np.ndarray, name: str) -> np.ndarray:
+def _as_square(matrix: np.ndarray, name: str) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    return matrix
+
+
+def _square(matrix: np.ndarray, name: str) -> np.ndarray:
+    matrix = _as_square(matrix, name)
     # a NaN would pass every comparison below, since each one is False
     if not np.isfinite(matrix).all():
         raise ValueError(f"{name} has a non-finite entry")
@@ -137,12 +222,15 @@ def loop_map(u: np.ndarray, rho_cr: np.ndarray, sigma: np.ndarray) -> np.ndarray
 def _loop_superoperator(u: np.ndarray, rho_cr: np.ndarray, d_loop: int) -> np.ndarray:
     """The matrix of `loop_map` on row-major vec(sigma), d_loop^2 x d_loop^2."""
     d_cr = rho_cr.shape[0]
+    n, s = d_loop * d_loop, d_cr * d_cr
     t = u.reshape(d_cr, d_loop, d_cr, d_loop)
-    # out[a, b] = sum U[c a, i k] rho[i, j] sigma[k, l] conj(U[c b, j l]);
-    # the path contracts rho first, then conj(U), and is not searched per call
-    m = np.einsum("caik,ij,cbjl->abkl", t, rho_cr, t.conj(),
-                  optimize=["einsum_path", (0, 1), (0, 1)])
-    return m.reshape(d_loop * d_loop, d_loop * d_loop)
+    # out[a, b] = sum U[c a, i k] rho[i, j] sigma[k, l] conj(U[c b, j l]):
+    # x[j, c, a, k] sums over i, then one product sums over (c, j)
+    x = rho_cr.T @ t.transpose(2, 0, 1, 3).reshape(d_cr, -1)
+    left = x.reshape(d_cr, d_cr, d_loop, d_loop).transpose(2, 3, 1, 0).reshape(n, s)
+    right = t.conj().transpose(0, 2, 1, 3).reshape(s, n)
+    m = (left @ right).reshape(d_loop, d_loop, d_loop, d_loop)
+    return m.transpose(0, 2, 1, 3).reshape(n, n)
 
 
 def cr_output(u: np.ndarray, rho_cr: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -177,8 +265,9 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
     budget = as_index(max_iterations, "iteration budget")
     if budget < 0:
         raise ValueError(f"iteration budget must be nonnegative, got {budget}")
-    u = check_unitary(u)
-    rho_cr = check_density_matrix(rho_cr, name="rho_cr")
+    # the shapes alone; finiteness is checked once, with the O(d^3) checks
+    u = _as_square(u, "unitary")
+    rho_cr = _as_square(rho_cr, "rho_cr")
     d_cr = rho_cr.shape[0]
     if not isinstance(d_loop, int) or isinstance(d_loop, bool) or d_loop < 1:
         raise ValueError(f"loop dimension must be a positive integer, got {d_loop!r}")
@@ -188,6 +277,9 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
             f"times loop dim {d_loop}")
     if u.shape[0] > MAX_DIM:
         raise ValueError(f"combined dimension exceeds {MAX_DIM}")
+    # the O(d^3) checks run only once the size is accepted
+    check_unitary(u)
+    check_density_matrix(rho_cr, name="rho_cr")
 
     # row-major vec(sigma) times the transposed superoperator is one step
     step = _loop_superoperator(u, rho_cr, d_loop).T
@@ -229,14 +321,21 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
             for i in range(n):
                 np.matmul(rows[i], step, out=rows[i + 1])
         # T(A_m) - A_m = (sigma_(m+1) - sigma_0) / (m + 1) for the average
-        # A_m of sigma_0 .. sigma_m, since T is linear and sigma_(j+1) = T(sigma_j)
-        diffs = np.concatenate((rows[1:] - rows[:n], rows[1:] - start))
-        norms = _hermitian_trace_norms(diffs.reshape(2 * n, *shape))
-        # step m's raw candidate, then its average; at m = 0 the average is
-        # the start and its residual the raw one, so the raw candidate wins
-        residuals = np.empty(2 * n)
-        residuals[0::2] = norms[:n]
-        residuals[1::2] = norms[n:] / np.arange(first + 1, first + n + 1)
+        # A_m of sigma_0 .. sigma_m, since T is linear and sigma_(j+1) = T(sigma_j).
+        # Entries 2i and 2i + 1 are step first + i's raw candidate and its
+        # average; at m = 0 the average is the start and its residual the
+        # raw one, so the raw candidate wins
+        diffs = np.empty((n, 2, d_loop * d_loop), dtype=complex)
+        np.subtract(rows[1:], rows[:n], out=diffs[:, 0])
+        np.subtract(rows[1:], start, out=diffs[:, 1])
+        diffs = diffs.reshape(2 * n, -1)
+        divisors = np.ones((n, 2))
+        divisors[:, 1] = np.arange(first + 1, first + n + 1)
+        divisors = divisors.reshape(2 * n)
+        if n == BLOCK_CAP:
+            residuals = _screened_residuals(diffs, divisors, d_loop, tol, best[0])
+        else:
+            residuals = _hermitian_trace_norms(diffs.reshape(2 * n, *shape)) / divisors
         hits = np.flatnonzero(residuals <= tol)
         if hits.size:
             hit = int(hits[0])

@@ -630,3 +630,104 @@ def test_telescoped_residual_is_the_averages_residual(weights, budget):
     assert result.from_average
     direct = trace_norm(loop_map(u, rho, result.sigma) - result.sigma)
     assert abs(result.residual - direct) <= 1e-12
+
+
+def bound_cases(rng, d):
+    """Hermitian d x d matrices of the kinds the screen must bracket."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = g + g.conj().T
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    cases = [h, h - np.trace(h) / d * np.eye(d), np.diag(rng.normal(size=d)),
+             np.outer(v, v.conj()), -np.outer(v, v.conj()), np.zeros((d, d))]
+    return cases + [1e-160 * c for c in cases]
+
+
+@pytest.mark.parametrize("d", range(1, MAX_DIM + 1))
+def test_trace_norm_bounds_bracket_the_trace_norm(d):
+    rng = np.random.default_rng(100 + d)
+    matrices = np.array(bound_cases(rng, d), dtype=complex)
+    # eigvalsh reads the lower triangle and the real diagonal; junk elsewhere
+    # must not reach the bounds either
+    junk = rng.normal(size=matrices.shape) + 1j * rng.normal(size=matrices.shape)
+    upper_part = np.triu(np.ones((d, d)), k=1).astype(bool)
+    matrices[:, upper_part] += junk[:, upper_part]
+    matrices[:, np.arange(d), np.arange(d)] += 1j * junk[:, 0, :].real
+    norms = deutsch._hermitian_trace_norms(matrices)
+    lower, upper = deutsch._trace_norm_bounds(matrices.reshape(len(matrices), -1), d)
+    margin, floor = deutsch.SCREEN_MARGIN, deutsch.SCREEN_FLOOR
+    assert (lower * (1 - margin) - floor <= norms).all()
+    assert (norms <= upper * (1 + margin) + floor).all()
+    if d <= 2:
+        # the lower bound is the trace norm itself unless H is definite,
+        # and the solver's residuals are traceless
+        w = np.linalg.eigvalsh(matrices)
+        exact = (norms > 1e-100) & ((d == 1) | (w[:, 0] * w[:, -1] <= 0))
+        assert exact.any()
+        assert lower[exact] == pytest.approx(norms[exact], rel=1e-12)
+
+
+@pytest.mark.parametrize("case, budget", [
+    ("nonconv", 255), ("nonconv", 256), ("nonconv", 511), ("nonconv", 767),
+    ("nonconv", 1023), ("weak_rot", 100_000), ("weak3", 1023), ("weak4", 1023),
+    ("weak8", 1023), ("unitary16", 1023)])
+def test_the_screen_leaves_every_solve_bit_identical(monkeypatch, case, budget):
+    # with the trivial bounds (0, inf) every entry of a full block is judged
+    tol = 1e-10
+    if case == "nonconv":
+        u, rho, d = permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]), 3
+    elif case == "weak_rot":
+        u, rho, d = weak_rotation()
+    elif case == "unitary16":
+        # no CR system, so below rounding the solve keeps stepping at d_loop 16
+        u, rho, d, tol = random_unitary(np.random.default_rng(12), 16), np.eye(1), 16, 1e-300
+    else:
+        d, tol = int(case[4:]), 1e-300
+        u, rho = weak_coupling(d, 0.01)
+    screened = fixed_point(u, rho, d, tol=tol, max_iterations=budget)
+    monkeypatch.setattr(deutsch, "_trace_norm_bounds",
+                        lambda flat, d: (np.zeros(len(flat)), np.full(len(flat), np.inf)))
+    judged = fixed_point(u, rho, d, tol=tol, max_iterations=budget)
+    assert (screened.iterations, screened.converged, screened.from_average,
+            screened.residual) == (judged.iterations, judged.converged,
+                                   judged.from_average, judged.residual)
+    assert np.array_equal(screened.sigma, judged.sigma)
+
+
+@pytest.mark.parametrize("case", ["nonconv", "weak_rot"])
+def test_a_full_block_sends_at_most_four_matrices_to_eigvalsh(monkeypatch, case):
+    trace_norms = deutsch._hermitian_trace_norms
+    sizes = []
+
+    def counted(matrices):
+        sizes.append(len(matrices))
+        return trace_norms(matrices)
+
+    monkeypatch.setattr(deutsch, "_hermitian_trace_norms", counted)
+    if case == "nonconv":
+        # 100,001 steps: blocks of 1, 2, ..., 128, then 389 full ones and 162
+        fixed_point(permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]), 3)
+        full = sizes[8:-1]
+        assert len(full) == 389 and sizes[-1] == 2 * 162
+    else:
+        fixed_point(*weak_rotation())  # step 54,159 lies in the 211th full block
+        full = sizes[8:]
+        assert len(full) == 211
+    # the short blocks judge every step, raw and averaged
+    assert sizes[:8] == [2 << k for k in range(8)]
+    assert max(full) <= 4
+
+
+def test_oversized_problems_fail_before_the_cubic_checks(monkeypatch):
+    def cubic(*args, **kwargs):
+        raise AssertionError("an O(d^3) check ran")
+
+    monkeypatch.setattr(deutsch, "check_unitary", cubic)
+    monkeypatch.setattr(deutsch, "check_density_matrix", cubic)
+    with pytest.raises(ValueError, match="exceeds 16"):
+        fixed_point(np.eye(1024), np.eye(512) / 512, 2)
+    with pytest.raises(ValueError, match="does not match"):
+        fixed_point(np.eye(1024), np.eye(2) / 2, 2)
+    with pytest.raises(ValueError, match="rho_cr must be a square matrix"):
+        fixed_point(np.eye(4), np.ones((2, 3)), 2)
+    with pytest.raises(ValueError, match="positive integer"):
+        fixed_point(np.eye(4), np.eye(2) / 2, 0)
