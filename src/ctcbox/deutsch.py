@@ -28,13 +28,15 @@ against powers of T that are squared once per solve.  Squaring costs
 about d_loop^6, so only loops up to POWER_MAX_LOOP = 8 take this path;
 larger loops, and every shorter block, keep one product per step.
 
-A full block is also screened before eigvalsh sees it.  From what
-eigvalsh reads of each residual matrix H (the lower triangle and the
-real diagonal) come the bounds
+A block of n steps is also screened before eigvalsh sees it, once
+n d_loop^2 >= SCREEN_MIN_SIZE = 128: from 32 steps at d_loop 2, 15 at
+d_loop 3 and 2 at d_loop 8.  From what eigvalsh reads of each residual
+matrix H (the lower triangle and the real diagonal) come the bounds
 
-    sqrt(2 ||H||_F^2 - tr^2)  <=  ||H||_1
-      <=  min(sum |h_ii| + 2 sum_(i>j) |h_ij|, sqrt(d) ||H||_F),
+    sqrt(2 ||H||_F^2 - tr^2)  <=  ||H||_1  <=  min(sum |h_ii|
+      + 2 sum_(i>j) (|Re h_ij| + |Im h_ij|), sqrt(d) ||H||_F),
 
+three products of the residuals' float view with fixed weight vectors,
 divided by m + 1 for an average like the residual itself and widened by
 SCREEN_MARGIN and SCREEN_FLOOR against rounding and underflow.  Only the
 steps up to the first whose upper bound is <= tol, and among them only
@@ -42,17 +44,18 @@ those whose lower bound is <= max(tol, min(best so far, smallest upper
 bound)), go to eigvalsh; no other can be the block's first hit or its
 new first-smallest best, so every choice and every returned value is
 that of judging all of them.  At d_loop 2, where the residuals are
-traceless, the two bounds coincide, and a full block of the slow-gap
-cases sends one matrix to eigvalsh instead of 512.  Shorter blocks are
-judged whole: over the few dozen steps of an easy solve, computing the
-bounds costs more than the eigvalsh work they would save.
+traceless, the lower bound is the trace norm itself, and a full block of
+the slow-gap cases sends one matrix to eigvalsh instead of 512.  Smaller
+blocks are judged whole: there the bounds cost more than the eigvalsh
+work they would save.
 
 Iteration counts and choices are those of judging one step at a time,
 except at the rounding floor: once residuals are rounding noise (a tol
 far below 1e-15), the chosen step may differ, and the state only by
 rounding.  A candidate is hermitized only when it is returned.  The
-100,000 steps of the non-converging 4 x 3 problem take about 0.12 s
-on one core of a shared 2-vCPU VM, against 0.15 s without the screen.
+100,000 steps of the non-converging 4 x 3 problem take about 0.08 s
+on one core of a shared 2-vCPU VM, against 0.11 s when only full
+blocks were screened (BENCH_15.json).
 
 `classical_consistency_crosscheck` connects this solver back to the
 classical box analysis: when U permutes basis states and rho is
@@ -90,7 +93,10 @@ BLOCK_CAP = 256
 # the map; squaring costs about d_loop^6, and at d_loop 16 it takes about
 # eight full blocks to repay
 POWER_MAX_LOOP = 8
-# relative widening of the trace-norm bounds that screen a full block:
+# a block of n steps is screened when n d_loop^2 reaches this; below it,
+# computing the bounds costs more than the eigvalsh work they save
+SCREEN_MIN_SIZE = 128
+# relative widening of the trace-norm bounds that screen a block:
 # eigvalsh's trace norm and the bounds each round by a few hundred ulps at
 # most at d <= 16 (d^2 eps is about 6e-14), so 1e-9 leaves a wide margin
 SCREEN_MARGIN = 1e-9
@@ -107,9 +113,21 @@ def _hermitian_trace_norms(matrices: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _strict_lower(d: int) -> np.ndarray:
-    """Row-major indices of the strict lower triangle of a d x d matrix."""
-    return np.flatnonzero(np.tri(d, k=-1))
+def _bound_weights(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights on the float view of a row-major d x d complex matrix.
+
+    The first is 1 on the real part of the diagonal, 2 on both parts of
+    the strict lower triangle and 0 elsewhere; the second is 1 on the
+    real part of the diagonal alone.  Neither reads what eigvalsh ignores.
+    """
+    weights = np.zeros((d, d, 2))
+    weights[np.tril_indices(d, -1)] = 2
+    trace = np.zeros((d, d, 2))
+    trace[np.arange(d), np.arange(d), 0] = 1
+    weights += trace
+    weights, trace = weights.reshape(-1), trace.reshape(-1)
+    weights.flags.writeable = trace.flags.writeable = False
+    return weights, trace
 
 
 def _trace_norm_bounds(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,40 +139,47 @@ def _trace_norm_bounds(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray
     the trace norm and P - N the trace, and ||H||_F^2 <= P^2 + N^2, so
     the trace norm is at least sqrt(2 ||H||_F^2 - tr^2).  Above, it is at
     most sum |h_ii| plus twice the moduli of the lower triangle (a sum of
-    2 x 2 blocks), and at most sqrt(d) ||H||_F.  At d <= 2 the lower
-    bound is the trace norm of every matrix that is not definite, as the
-    solver's traceless residuals are not.
+    2 x 2 blocks), each at most |Re h_ij| + |Im h_ij|, and at most
+    sqrt(d) ||H||_F.  At d <= 2 the lower bound is the trace norm of
+    every matrix that is not definite, as the solver's traceless
+    residuals are not.
     """
-    diag = flat[:, ::d + 1].real
-    below = np.abs(flat[:, _strict_lower(d)])
-    trace = diag.sum(axis=1)
-    frobenius2 = (diag * diag).sum(axis=1) + 2 * (below * below).sum(axis=1)
+    x = flat.view(np.float64)
+    weights, trace_weights = _bound_weights(d)
+    a = np.abs(x)
+    entrywise = a @ weights
+    frobenius2 = np.square(a, out=a) @ weights
+    trace = x @ trace_weights
     lower = np.sqrt(np.maximum(2 * frobenius2 - trace * trace, 0))
-    upper = np.minimum(np.abs(diag).sum(axis=1) + 2 * below.sum(axis=1),
-                       np.sqrt(d * frobenius2))
+    upper = np.minimum(entrywise, np.sqrt(d * frobenius2))
     return lower, upper
 
 
-def _screened_residuals(diffs: np.ndarray, divisors: np.ndarray, d: int,
-                        tol: float, best: float) -> np.ndarray:
-    """Trace norms of ``diffs`` over ``divisors`` where they can decide a block.
+def _screened_trace_norms(diffs: np.ndarray, counts: np.ndarray, d: int,
+                          tol: float, best: float) -> np.ndarray:
+    """Trace norms of ``diffs`` where they can decide a block.
 
-    The entries that cannot be the block's first residual <= ``tol``, nor
-    its first smallest one when that beats ``best``, read +inf; the others
-    are computed exactly as without the screen.
+    Entries 2i and 2i + 1 are a raw residual and an average's, the latter
+    to be divided by ``counts[i]``.  The entries whose residual cannot be
+    the block's first one <= ``tol``, nor its first smallest one when that
+    beats ``best``, read +inf; the others are computed exactly as without
+    the screen.
     """
     lower, upper = _trace_norm_bounds(diffs, d)
-    lower = lower / divisors * (1 - SCREEN_MARGIN) - SCREEN_FLOOR
-    upper = upper / divisors * (1 + SCREEN_MARGIN) + SCREEN_FLOOR
+    lower[1::2] /= counts
+    upper[1::2] /= counts
+    # the widened bounds lower (1 - M) - F <= residual <= upper (1 + M) + F,
+    # compared through scalar thresholds
+    widen = 1 + SCREEN_MARGIN
     # no entry after a sure hit can be the first hit
-    sure = np.flatnonzero(upper <= tol)
+    sure = (upper <= (tol - SCREEN_FLOOR) / widen).nonzero()[0]
     end = int(sure[0]) + 1 if sure.size else len(diffs)
-    # a hit has lower <= tol; a new best is below both best and every upper
-    open_ = np.flatnonzero(lower[:end] <= max(tol, min(best, float(upper.min()))))
-    residuals = np.full(len(diffs), np.inf)
-    residuals[open_] = (_hermitian_trace_norms(diffs[open_].reshape(-1, d, d))
-                        / divisors[open_])
-    return residuals
+    # a hit is at most tol; a new best is below both best and every upper bound
+    cut = max(tol, min(best, float(upper.min()) * widen + SCREEN_FLOOR))
+    open_ = (lower[:end] <= (cut + SCREEN_FLOOR) / (1 - SCREEN_MARGIN)).nonzero()[0]
+    norms = np.full(len(diffs), np.inf)
+    norms[open_] = _hermitian_trace_norms(diffs[open_].reshape(-1, d, d))
+    return norms
 
 
 def trace_norm(matrix: np.ndarray) -> float:
@@ -164,6 +189,8 @@ def trace_norm(matrix: np.ndarray) -> float:
     A matrix that is not Hermitian within HERMITIAN_TOL is rejected.
     """
     matrix = np.asarray(matrix, dtype=complex)
+    if not matrix.size:
+        raise ValueError("trace_norm got an empty matrix")
     if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]
             or not np.abs(matrix - matrix.conj().T).max() <= HERMITIAN_TOL):
         raise ValueError(f"trace_norm needs a Hermitian matrix within {HERMITIAN_TOL}")
@@ -174,6 +201,8 @@ def _as_square(matrix: np.ndarray, name: str) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if not matrix.size:
+        raise ValueError(f"{name} is an empty matrix")
     return matrix
 
 
@@ -226,10 +255,11 @@ def _loop_superoperator(u: np.ndarray, rho_cr: np.ndarray, d_loop: int) -> np.nd
     t = u.reshape(d_cr, d_loop, d_cr, d_loop)
     # out[a, b] = sum U[c a, i k] rho[i, j] sigma[k, l] conj(U[c b, j l]):
     # x[j, c, a, k] sums over i, then one product sums over (c, j)
-    x = rho_cr.T @ t.transpose(2, 0, 1, 3).reshape(d_cr, -1)
+    # np.dot hands a product over one index (d_cr = 1) to BLAS, where @ does not
+    x = np.dot(rho_cr.T, t.transpose(2, 0, 1, 3).reshape(d_cr, -1))
     left = x.reshape(d_cr, d_cr, d_loop, d_loop).transpose(2, 3, 1, 0).reshape(n, s)
     right = t.conj().transpose(0, 2, 1, 3).reshape(s, n)
-    m = (left @ right).reshape(d_loop, d_loop, d_loop, d_loop)
+    m = np.dot(left, right).reshape(d_loop, d_loop, d_loop, d_loop)
     return m.transpose(0, 2, 1, 3).reshape(n, n)
 
 
@@ -329,20 +359,20 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
         np.subtract(rows[1:], rows[:n], out=diffs[:, 0])
         np.subtract(rows[1:], start, out=diffs[:, 1])
         diffs = diffs.reshape(2 * n, -1)
-        divisors = np.ones((n, 2))
-        divisors[:, 1] = np.arange(first + 1, first + n + 1)
-        divisors = divisors.reshape(2 * n)
-        if n == BLOCK_CAP:
-            residuals = _screened_residuals(diffs, divisors, d_loop, tol, best[0])
+        # the averages' divisors m + 1; dividing the raw ones by 1 is exact
+        counts = np.arange(first + 1, first + n + 1)
+        if n * d_loop * d_loop >= SCREEN_MIN_SIZE:
+            residuals = _screened_trace_norms(diffs, counts, d_loop, tol, best[0])
         else:
-            residuals = _hermitian_trace_norms(diffs.reshape(2 * n, *shape)) / divisors
-        hits = np.flatnonzero(residuals <= tol)
+            residuals = _hermitian_trace_norms(diffs.reshape(2 * n, *shape))
+        residuals[1::2] /= counts
+        hits = (residuals <= tol).nonzero()[0]
         if hits.size:
             hit = int(hits[0])
             m, from_average = first + hit // 2, bool(hit % 2)
             return result(float(residuals[hit]), m, from_average,
                           candidate(m, from_average), True)
-        low = int(np.argmin(residuals))
+        low = int(residuals.argmin())
         if residuals[low] < best[0]:
             m, from_average = first + low // 2, bool(low % 2)
             best = (float(residuals[low]), m, from_average, candidate(m, from_average))
@@ -421,9 +451,9 @@ def classical_consistency_crosscheck(
     if perm is None:
         raise ValueError("crosscheck needs a basis-permutation unitary")
     rho_cr = np.asarray(rho_cr, dtype=complex)
-    # a matrix that is not square fails fixed_point's shape check instead
-    square = rho_cr.ndim == 2 and rho_cr.shape[0] == rho_cr.shape[1]
-    if square and np.abs(rho_cr - np.diag(np.diag(rho_cr))).max() > HERMITIAN_TOL:
+    # a matrix that is not square, or empty, fails fixed_point's checks instead
+    checked = rho_cr.ndim == 2 and rho_cr.shape[0] == rho_cr.shape[1] and rho_cr.size
+    if checked and np.abs(rho_cr - np.diag(np.diag(rho_cr))).max() > HERMITIAN_TOL:
         raise ValueError("crosscheck needs a diagonal rho_cr")
 
     result = fixed_point(u, rho_cr, d_loop, tol=tol, max_iterations=max_iterations)

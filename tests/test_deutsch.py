@@ -54,6 +54,19 @@ def test_density_matrix_validation():
         check_density_matrix(np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("check, name", [
+    (lambda m: fixed_point(m, m, 1), "unitary"),
+    (lambda m: fixed_point(np.eye(2), m, 2), "rho_cr"),
+    (lambda m: classical_consistency_crosscheck(m, m, 1), "unitary"),
+    (trace_norm, "trace_norm"),
+    (check_unitary, "unitary"),
+    (lambda m: check_density_matrix(m, name="sigma"), "sigma")])
+def test_empty_matrices_are_refused_by_name(check, name):
+    # a reduction over no entries would raise numpy's own error instead
+    with pytest.raises(ValueError, match=f"^{name} .*empty matrix"):
+        check(np.zeros((0, 0)))
+
+
 def test_unitary_validation():
     check_unitary(np.eye(3))
     with pytest.raises(ValueError, match="unitary"):
@@ -666,12 +679,24 @@ def test_trace_norm_bounds_bracket_the_trace_norm(d):
         assert lower[exact] == pytest.approx(norms[exact], rel=1e-12)
 
 
+def assert_the_screen_is_invisible(monkeypatch, u, rho, d, tol, budget):
+    # with the trivial bounds (0, inf) every entry of a screened block is judged
+    screened = fixed_point(u, rho, d, tol=tol, max_iterations=budget)
+    with monkeypatch.context() as m:
+        m.setattr(deutsch, "_trace_norm_bounds",
+                  lambda flat, d: (np.zeros(len(flat)), np.full(len(flat), np.inf)))
+        judged = fixed_point(u, rho, d, tol=tol, max_iterations=budget)
+    assert (screened.iterations, screened.converged, screened.from_average,
+            screened.residual) == (judged.iterations, judged.converged,
+                                   judged.from_average, judged.residual)
+    assert np.array_equal(screened.sigma, judged.sigma)
+
+
 @pytest.mark.parametrize("case, budget", [
     ("nonconv", 255), ("nonconv", 256), ("nonconv", 511), ("nonconv", 767),
     ("nonconv", 1023), ("weak_rot", 100_000), ("weak3", 1023), ("weak4", 1023),
     ("weak8", 1023), ("unitary16", 1023)])
 def test_the_screen_leaves_every_solve_bit_identical(monkeypatch, case, budget):
-    # with the trivial bounds (0, inf) every entry of a full block is judged
     tol = 1e-10
     if case == "nonconv":
         u, rho, d = permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]), 3
@@ -683,14 +708,19 @@ def test_the_screen_leaves_every_solve_bit_identical(monkeypatch, case, budget):
     else:
         d, tol = int(case[4:]), 1e-300
         u, rho = weak_coupling(d, 0.01)
-    screened = fixed_point(u, rho, d, tol=tol, max_iterations=budget)
-    monkeypatch.setattr(deutsch, "_trace_norm_bounds",
-                        lambda flat, d: (np.zeros(len(flat)), np.full(len(flat), np.inf)))
-    judged = fixed_point(u, rho, d, tol=tol, max_iterations=budget)
-    assert (screened.iterations, screened.converged, screened.from_average,
-            screened.residual) == (judged.iterations, judged.converged,
-                                   judged.from_average, judged.residual)
-    assert np.array_equal(screened.sigma, judged.sigma)
+    assert_the_screen_is_invisible(monkeypatch, u, rho, d, tol, budget)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-14, 1e-300])
+def test_the_screen_leaves_short_blocks_bit_identical_on_haar_cases(monkeypatch, tol):
+    # a block of n steps is screened once n d_loop^2 >= SCREEN_MIN_SIZE; a
+    # budget of 254 spans the short blocks 1, 2, ..., 128 and no full one
+    rng = np.random.default_rng(13)
+    for d_cr in range(1, MAX_DIM + 1):
+        for d_loop in range(1, MAX_DIM // d_cr + 1):
+            u = random_unitary(rng, d_cr * d_loop)
+            rho = random_density(rng, d_cr)
+            assert_the_screen_is_invisible(monkeypatch, u, rho, d_loop, tol, 254)
 
 
 @pytest.mark.parametrize("case", ["nonconv", "weak_rot"])
@@ -705,16 +735,20 @@ def test_a_full_block_sends_at_most_four_matrices_to_eigvalsh(monkeypatch, case)
     monkeypatch.setattr(deutsch, "_hermitian_trace_norms", counted)
     if case == "nonconv":
         # 100,001 steps: blocks of 1, 2, ..., 128, then 389 full ones and 162
-        fixed_point(permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]), 3)
-        full = sizes[8:-1]
-        assert len(full) == 389 and sizes[-1] == 2 * 162
+        d = 3
+        fixed_point(permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]), d)
+        blocks = [1 << k for k in range(8)] + [256] * 389 + [162]
     else:
+        d = 2
         fixed_point(*weak_rotation())  # step 54,159 lies in the 211th full block
-        full = sizes[8:]
-        assert len(full) == 211
-    # the short blocks judge every step, raw and averaged
-    assert sizes[:8] == [2 << k for k in range(8)]
-    assert max(full) <= 4
+        blocks = [1 << k for k in range(8)] + [256] * 211
+    # one eigvalsh call a block: blocks below the size rule judge every
+    # step, raw and averaged, and the others send at most four matrices
+    assert deutsch.SCREEN_MIN_SIZE == 128 and len(sizes) == len(blocks)
+    judged = [n for n in blocks if n * d * d < deutsch.SCREEN_MIN_SIZE]
+    assert judged == ([1, 2, 4, 8] if case == "nonconv" else [1, 2, 4, 8, 16])
+    assert sizes[:len(judged)] == [2 * n for n in judged]
+    assert max(sizes[len(judged):]) <= 4
 
 
 def test_oversized_problems_fail_before_the_cubic_checks(monkeypatch):
