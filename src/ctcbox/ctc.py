@@ -2,11 +2,12 @@
 
 A constrained party's output is fed back as its own input, so only the
 outcomes with ``output[i] == input[i]`` for every constrained party i
-survive.  Each input row is conditioned on that event and renormalized.
-A row whose surviving mass is zero is a paradox row: the box admits no
-self-consistent outcome there.  Paradox rows are kept as explicit data
-rather than raised as errors, since which rows they are is exactly what
-the analysis downstream needs.
+survive.  Each input row is conditioned on that event and renormalized
+in integers: p_i = n_i / L over the lcm L of the kept denominators
+becomes Fraction(n_i, sum of the kept n_j).  A row that keeps nothing is
+a paradox row: the box admits no self-consistent outcome there.  Paradox
+rows are kept as explicit data rather than raised as errors, since which
+rows they are is exactly what the analysis downstream needs.
 
 For a parity box with constraint XOR(outputs) = f(inputs), substituting
 the forced bits turns each surviving row into the induced relation
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .boxes import NoSignalBox, describe_box, integer_row
+from .boxes import NoSignalBox, bit_codes, describe_box, integer_row, spread
 from .forms import (PARTY_NAMES, BooleanForm, bit_string, input_names, normalize_pattern,
                     output_names, party_names)
 
@@ -50,14 +51,17 @@ class ConstrainedBox:
         self.box = box
         self.n = box.n
         self.pattern = normalize_pattern(box.n, pattern)
+        codes = bit_codes(self.n)
+        looped = spread(self.n, self.pattern)[-1]  # the code of the looped bits
         rows: dict[tuple[int, ...], ConstrainedRow] = {}
         for inputs, row in box.rows.items():
-            kept = {out: p for out, p in row.items()
-                    if all(out[i] == inputs[i] for i in self.pattern)}
-            mass = sum(kept.values(), Fraction(0))
-            # rows are sparse, so a paradox row keeps nothing to divide
+            want = codes[inputs] & looped
+            kept = {out: p for out, p in row.items() if codes[out] & looped == want}
+            nums = [num for _, num in integer_row(self.n, kept)[1]]  # in kept's order
+            mass = sum(nums)  # zero iff nothing is kept, since rows are sparse
+            share = {num: Fraction(num, mass) for num in set(nums)}  # once each
             rows[inputs] = ConstrainedRow(
-                inputs, {out: p / mass for out, p in kept.items()}, mass == 0)
+                inputs, {out: share[num] for out, num in zip(kept, nums)}, not kept)
         self.rows = rows
 
     @cached_property

@@ -39,15 +39,17 @@ which they first appear, the order in which entropies sum their floats.
 Rule, success and information come from the two buckets of a setting
 scaled to one denominator d; Fractions are built only when p0, p1 or a
 success probability is returned, and v / d is the same correctly rounded
-float as the Fraction it stands for.  Reading a bucket raises at its
-first paradox row, so a setting whose rows are all consistent is
-observed even when another setting is not.
+float as the Fraction it stands for.  A direction computes them, and
+renders each rule and success, once per distinct pair of d and both
+buckets' (code, numerator) items in order; each entry owns its rule.
+Reading a bucket raises at its first paradox row, so a setting whose
+rows are all consistent is observed even when another setting is not.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
@@ -198,12 +200,15 @@ class SignalingEntry:
 
 
 def _entry(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
-           setting: tuple[int, ...], read, keys: list) -> SignalingEntry:
+           setting: tuple[int, ...], read, keys: list, memo: dict) -> SignalingEntry:
     den, p0, p1 = common_scale(read(setting, 0), read(setting, 1))
+    pair = (den, tuple(p0.items()), tuple(p1.items()))
+    if pair in memo:  # an earlier setting's analysis, with a rule of its own
+        return replace(memo[pair], setting=setting, rule=dict(memo[pair].rule))
     p0, p1 = ({keys[k]: v for k, v in p.items()} for p in (p0, p1))
     dependent = p0 != p1
     rule = map_rule(p0, p1)
-    return SignalingEntry(
+    memo[pair] = SignalingEntry(
         sender=sender,
         coalition=coal,
         setting=setting,
@@ -214,6 +219,7 @@ def _entry(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
         impractical=bool(set(coal) & set(cbox.pattern)),
         note=None if dependent else _parity_note(p0, p1),
     )
+    return memo[pair]
 
 
 def analyze_setting(cbox: ConstrainedBox, sender: int,
@@ -221,7 +227,7 @@ def analyze_setting(cbox: ConstrainedBox, sender: int,
                     setting: Iterable[int]) -> SignalingEntry:
     sender, coal, setting = _one_setting(cbox, sender, coalition, setting)
     return _entry(cbox, sender, coal, setting, _observations(cbox, sender, coal),
-                  all_bit_tuples(len(coal)))
+                  all_bit_tuples(len(coal)), {})
 
 
 def analyze(cbox: ConstrainedBox, sender: int,
@@ -230,7 +236,8 @@ def analyze(cbox: ConstrainedBox, sender: int,
     sender, coal = _check_scenario(cbox, sender, coalition)
     read = _observations(cbox, sender, coal)
     bit_tuples = all_bit_tuples(len(coal))  # the settings, and the output keys
-    return [_entry(cbox, sender, coal, setting, read, bit_tuples)
+    memo: dict = {}  # for this direction only
+    return [_entry(cbox, sender, coal, setting, read, bit_tuples, memo)
             for setting in bit_tuples]
 
 
@@ -259,15 +266,22 @@ def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
 
 
 def entry_to_json(entry: SignalingEntry, n: int) -> dict:
-    names = party_names(n)
+    return _entry_json(entry, party_names(n), {})
+
+
+def _entry_json(entry: SignalingEntry, names: tuple[str, ...], memo: dict) -> dict:
+    key = (tuple(entry.rule.items()), entry.success)
+    if key not in memo:
+        memo[key] = ({bit_string(out): guess for out, guess in sorted(entry.rule.items())},
+                     str(entry.success))
+    rule, success = memo[key]
     return {
         "sender": names[entry.sender],
         "coalition": [names[i] for i in entry.coalition],
         "setting": list(entry.setting),
         "dependent": entry.dependent,
-        "rule": {bit_string(out): guess
-                 for out, guess in sorted(entry.rule.items())},
-        "success": str(entry.success),
+        "rule": dict(rule),
+        "success": success,
         "mi_bits": entry.mi_bits,
         "impractical": entry.impractical,
         "note": entry.note,
@@ -278,8 +292,9 @@ def _direction_json(cbox: ConstrainedBox, sender: int, coalition: tuple[int, ...
                     entries: list[SignalingEntry]) -> dict:
     names = party_names(cbox.n)
     coalition_names = [names[i] for i in coalition]
+    memo: dict = {}  # for this direction's entries only
     try:  # str() refuses an integer longer than sys.get_int_max_str_digits()
-        entries_json = [entry_to_json(e, cbox.n) for e in entries]
+        entries_json = [_entry_json(e, names, memo) for e in entries]
     except ValueError as err:
         raise ValueError(f"direction {names[sender]} -> "
                          f"{','.join(coalition_names)}: {err}") from err

@@ -108,6 +108,69 @@ def test_box_validation_wrong_output_arity():
         NoSignalBox(2, rows)
 
 
+def _rows_with(n, inputs, row):
+    """Uniform rows except the one at ``inputs``."""
+    rows = {x: {x: 1} for x in all_bit_tuples(n)}
+    rows[inputs] = row
+    return rows
+
+
+@pytest.mark.parametrize("n, rows, message", [
+    (2, {x: {(0, 0, 0): 1} for x in all_bit_tuples(2)},
+     "outputs (0, 0, 0) for inputs (0, 0) have wrong arity"),
+    # range(2) iterates as the bits (0, 1): a second key for the same outcome
+    (2, _rows_with(2, (1, 0), {(0, 1): Fraction(1, 2), range(2): Fraction(1, 2)}),
+     "duplicate outcome (0, 1) for inputs (1, 0)"),
+    (2, _rows_with(2, (0, 1), {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 4)}),
+     "probabilities for inputs (0, 1) sum to 3/4, expected 1"),
+    (2, _rows_with(2, (0, 1), {}), "probabilities for inputs (0, 1) sum to 0, expected 1"),
+    (2, _rows_with(2, (1, 1), {(0, 0): Fraction(3, 2), (1, 1): Fraction(-1, 2)}),
+     "negative probability -1/2 at inputs (1, 1), outputs (1, 1)"),
+    (2, {x: {x: 1} for x in all_bit_tuples(2)[:3]}, "missing row for inputs (1, 1)"),
+    (2, {**{x: {x: 1} for x in all_bit_tuples(2)}, (0, 0, 1): {(0, 0): 1}},
+     "unexpected input tuples: [(0, 0, 1)]"),
+    (2, _rows_with(2, (0, 0), {(1.0, 0): 1}), "expected a bit (0 or 1), got 1.0"),
+], ids=["arity", "duplicate", "sum", "empty-row", "negative", "missing-row",
+        "unexpected-inputs", "float-bit"])
+def test_box_validation_messages(n, rows, message):
+    with pytest.raises(ValueError) as err:
+        NoSignalBox(n, rows)
+    assert str(err.value) == message
+
+
+def test_duplicate_zero_probability_outcomes_are_allowed():
+    # range(2) is a second key for the outcome (0, 1); a zero entry is dropped
+    for row, kept in [({(0, 1): 1, range(2): 0}, (0, 1)),
+                      ({(0, 1): 0, range(2): 1}, (0, 1)),
+                      ({(0, 1): 0, range(2): Fraction(0), (1, 1): 1}, (1, 1))]:
+        box = NoSignalBox(2, _rows_with(2, (1, 0), row))
+        assert box.rows[(1, 0)] == {kept: 1}
+
+
+def test_true_bits_are_canonicalised_to_one():
+    box = NoSignalBox(2, _rows_with(2, (0, 1), {(True, False): 1}))
+    ((out, p),) = box.rows[(0, 1)].items()
+    assert out == (1, 0) and [type(b) for b in out] == [int, int]
+    assert p == 1 and type(p) is Fraction
+
+
+def test_row_sums_are_exact_over_unrelated_denominators():
+    # 1/d over eight large unrelated denominators, and the rest: the sum is 1
+    dens = [2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1,
+              10 ** 18 + 3, 10 ** 18 + 9, 10 ** 30 + 57, 10 ** 40 + 121]
+    outcomes = all_bit_tuples(4)
+    row = {outcomes[k]: Fraction(1, d) for k, d in enumerate(dens)}
+    row[outcomes[15]] = 1 - sum(row.values())
+    box = NoSignalBox(4, _rows_with(4, (0, 1, 1, 0), row))
+    assert box.rows[(0, 1, 1, 0)] == row
+    over = dict(row)
+    over[outcomes[15]] += Fraction(1, 10 ** 40)
+    with pytest.raises(ValueError) as err:
+        NoSignalBox(4, _rows_with(4, (0, 1, 1, 0), over))
+    total = 1 + Fraction(1, 10 ** 40)
+    assert str(err.value) == f"probabilities for inputs (0, 1, 1, 0) sum to {total}, expected 1"
+
+
 def test_box_equality_ignores_construction_route():
     pr = named_box("pr")
     rebuilt = NoSignalBox(2, {inputs: dict(row) for inputs, row in pr.rows.items()})

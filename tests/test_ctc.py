@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctcbox.boxes import (BoxName, NAMED_FORMS, NoSignalBox, all_bit_tuples,
                           named_box)
@@ -182,3 +183,53 @@ def test_constrain_commutes_with_party_relabeling():
                     assert twin.outcomes == {
                         tuple(out[p] for p in perm): pr
                         for out, pr in row.outcomes.items()}
+
+
+def _conditioned_by_fractions(box, pattern):
+    """(outcomes, paradox) per row: p / sum(kept) in Fractions, in row order."""
+    rows = {}
+    for inputs, row in box.rows.items():
+        kept = {out: p for out, p in row.items()
+                if all(out[i] == inputs[i] for i in pattern)}
+        mass = sum(kept.values(), Fraction(0))
+        rows[inputs] = ({out: p / mass for out, p in kept.items()}, not kept)
+    return rows
+
+
+def _assert_conditioning_matches_fractions(box, pattern):
+    cbox = constrain(box, pattern)
+    for inputs, (outcomes, paradox) in _conditioned_by_fractions(box, pattern).items():
+        row = cbox.rows[inputs]
+        assert row.paradox == paradox
+        # the order of a row's outcomes is the order the scan sums floats in
+        assert list(row.outcomes.items()) == list(outcomes.items())
+        assert all(type(p) is Fraction for p in row.outcomes.values())
+
+
+@st.composite
+def tables_with_unrelated_denominators(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    outcomes = all_bit_tuples(n)
+    rows = {}
+    for inputs in outcomes:
+        support = draw(st.lists(st.sampled_from(outcomes), min_size=1, unique=True))
+        weights = [Fraction(draw(st.integers(1, 10 ** 20)), draw(st.integers(1, 10 ** 20)))
+                   for _ in support]
+        total = sum(weights)
+        rows[inputs] = {out: w / total for out, w in zip(support, weights)}
+    pattern = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    return NoSignalBox(n, rows), pattern
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_with_unrelated_denominators())
+def test_conditioning_matches_fractions_on_random_tables(case):
+    _assert_conditioning_matches_fractions(*case)
+
+
+@pytest.mark.parametrize("name", list(BoxName))
+def test_conditioning_matches_fractions_on_every_pattern_of_the_named_boxes(name):
+    box = named_box(name)
+    for size in range(box.n + 1):
+        for pattern in combinations(range(box.n), size):
+            _assert_conditioning_matches_fractions(box, pattern)

@@ -1,13 +1,16 @@
+import copy
 import json
 import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctcbox import boxes, signaling
-from ctcbox.boxes import NoSignalBox, all_bit_tuples, named_box, parity_box
+from ctcbox.boxes import BoxName, NoSignalBox, all_bit_tuples, named_box, parity_box
 from ctcbox.ctc import constrain
 from ctcbox.forms import BooleanForm
 from ctcbox.signaling import (analyze, analyze_setting, entropy_bits,
@@ -409,3 +412,79 @@ def test_reports_ignore_bystander_output_relabeling():
     original = analyze(constrain(box, [1]), 0, [2])
     relabeled = analyze(constrain(flipped, [1]), 0, [2])
     assert original == relabeled
+
+
+def _assert_the_memo_is_invisible(cbox):
+    """Every entry of every direction is the entry its setting gets alone,
+    and no rule dict is shared by two entries or two payload entries."""
+    for sender, coalition, entries in full_scan(cbox):
+        for entry in entries:
+            alone = analyze_setting(cbox, sender, coalition, entry.setting)
+            assert entry == alone and entry.mi_bits == alone.mi_bits
+        payload = report_json("memo", cbox, sender, coalition)["entries"]
+        rules = [e.rule for e in entries] + [p["rule"] for p in payload]
+        before = copy.deepcopy(rules)
+        for rule in rules:
+            rule["mutated"] = 1
+            assert [r != b for r, b in zip(rules, before)].count(True) == 1
+            del rule["mutated"]
+
+
+def test_a_pair_in_another_key_order_is_analysed_again():
+    # settings y.z = 00 and 01 observe the same distributions, with the
+    # outcomes of x = 0 listed in two orders; entropies sum their floats
+    # in that order, so the two entries differ in the last bits of mi_bits
+    t = Fraction(1, 13)
+    p0 = [((0, 0, 0), 10 * t), ((0, 0, 1), t), ((0, 1, 0), 2 * t)]
+    p1 = {(0, 0, 0): 5 * t, (0, 1, 1): t, (0, 0, 1): 7 * t}
+    rows = {x: p1 for x in all_bit_tuples(3)}
+    rows[(0, 0, 0)] = dict(p0)
+    rows[(0, 0, 1)] = dict([p0[2], p0[0], p0[1]])
+    cbox = constrain(NoSignalBox(3, rows), [])
+    first, second = analyze(cbox, 0, [1, 2])[:2]
+    assert first.rule == second.rule and first.success == second.success
+    assert first.mi_bits != second.mi_bits
+    for entry in (first, second):
+        assert entry.mi_bits == analyze_setting(cbox, 0, [1, 2], entry.setting).mi_bits
+
+
+@pytest.mark.parametrize("name", list(BoxName))
+def test_scan_entries_equal_their_settings_alone_on_named_boxes(name):
+    box = named_box(name)
+    for size in range(box.n):
+        for pattern in combinations(range(box.n), size):
+            _assert_the_memo_is_invisible(constrain(box, pattern))
+
+
+@st.composite
+def looped_parity_forms(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    monomials = draw(st.lists(
+        st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=6))
+    looped = draw(st.sets(st.integers(min_value=0, max_value=n - 1),
+                          min_size=1, max_size=min(2, n - 1)))
+    return BooleanForm.from_monomials(n, monomials), looped
+
+
+@settings(max_examples=25, deadline=None)
+@given(looped_parity_forms())
+def test_scan_entries_equal_their_settings_alone_on_parity_forms(case):
+    form, looped = case
+    _assert_the_memo_is_invisible(constrain(parity_box(form), looped))
+
+
+def test_scan_entries_equal_their_settings_alone_on_a_big_weight_mixture():
+    # three parity boxes over a ~1e18 denominator; the second form is the
+    # first plus 1, so every row has all 16 outcomes
+    n, den = 4, 10 ** 18 + 9
+    weights = [Fraction(387_420_489, den), Fraction(10 ** 17 + 3, den)]
+    weights.append(1 - sum(weights))
+    forms = [[(0, 1), (2,)], [(), (0, 1), (2,)], [(0, 2), (1, 2, 3), (3,)]]
+    rows = {x: {} for x in all_bit_tuples(n)}
+    for w, monomials in zip(weights, forms):
+        for x, row in parity_box(BooleanForm.from_monomials(n, monomials)).rows.items():
+            for out, p in row.items():
+                rows[x][out] = rows[x].get(out, 0) + w * p
+    mixture = NoSignalBox(n, rows)
+    assert all(len(row) == 2 ** n for row in mixture.rows.values())
+    _assert_the_memo_is_invisible(constrain(mixture, [0]))
