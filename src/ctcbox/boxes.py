@@ -21,8 +21,9 @@ from .forms import (BooleanForm, as_bit, bit_string, evaluate_form, input_names,
 
 CHSH_CLASSICAL_BOUND = Fraction(2)
 CHSH_TSIRELSON_BOUND = 2 * math.sqrt(2)
-# the most parties a spec file may ask for: a box has 2**n rows of up to
-# 2**n outcomes, and parity_box takes about 0.5 s at n = 9 and 2 s at n = 10
+# the most parties a spec file may ask for: a table spec lists up to 4**n
+# entries and a full scan analyses n * (2**(n-1) - 1) directions; parity_box
+# shares its two rows and takes about 5 ms at n = 9 and 10 ms at n = 10
 MAX_PARTIES = 10
 # an optional sign, then an integer or integer/integer; Fraction itself also
 # takes decimals and exponents, and for "1e99999999" it builds 10**99999999
@@ -51,6 +52,46 @@ def exact_fraction(value) -> Fraction:
         f"got {type(value).__name__}")
 
 
+def _bit_tuple(raw, codes: Mapping) -> tuple[tuple[int, ...], int | None]:
+    """``tuple(map(as_bit, raw))``, and its code in ``codes`` (``bit_codes(n)``)
+    or None when it has another length; plain ints are checked by the lookup."""
+    bits = tuple(raw)
+    code = codes.get(bits) if {*map(type, bits)} == {int} else None
+    if code is None:
+        bits = tuple(map(as_bit, bits))
+        code = codes.get(bits)
+    return bits, code
+
+
+def _checked_row(n: int, given: Mapping, inputs: tuple[int, ...], codes: Mapping,
+                 bits: list, known: dict) -> tuple[dict, tuple[int, tuple]]:
+    """A given row of a box, checked: (the row keyed by the shared bit tuples,
+    its integer form).  ``known`` maps the id of each shared tuple to its code."""
+    row: dict[tuple[int, ...], Fraction] = {}
+    kept = []  # the codes of the row's outcomes, in order
+    for outputs, value in given.items():
+        code = known.get(id(outputs))
+        if code is None:
+            out, code = _bit_tuple(outputs, codes)
+            if len(out) != n:
+                raise ValueError(f"outputs {out} for inputs {inputs} have wrong arity")
+        out = bits[code]
+        p = exact_fraction(value)
+        if p.numerator < 0:
+            raise ValueError(f"negative probability {p} at inputs {inputs}, outputs {out}")
+        if p.numerator:
+            if out in row:
+                raise ValueError(f"duplicate outcome {out} for inputs {inputs}")
+            row[out] = p
+            kept.append(code)
+    den = math.lcm(*(p.denominator for p in row.values()))
+    nums = [p.numerator * (den // p.denominator) for p in row.values()]
+    if sum(nums) != den:
+        raise ValueError(f"probabilities for inputs {inputs} sum to "
+                         f"{sum(row.values(), Fraction(0))}, expected 1")
+    return row, (den, tuple(zip(kept, nums)))
+
+
 class NoSignalBox:
     """Conditional distribution p(outputs | inputs) for n binary parties.
 
@@ -58,6 +99,15 @@ class NoSignalBox:
     appear.  Probabilities are exact Fractions and every row must sum to
     exactly 1.  Instances are treated as immutable once built; two boxes
     compare equal iff their tables agree entry for entry.
+
+    The box holds one row object per distinct row: a row object given for
+    several inputs is checked once, and checked rows with the same items in
+    the same order become one shared dict, so ``rows`` may map many inputs
+    to one object.  Rows, shared or not, are never modified.  ``row_ids``
+    gives each input code (its bits read as a binary number) the index of
+    its row in ``integer_rows``, the distinct rows in order of first
+    occurrence, each in the exact integer format (denominator, ((outcome
+    code, numerator), ...)) over the row's own least common denominator.
 
     ``form`` records the parity constraint the box was built from, when
     there is one; boxes loaded from explicit tables carry ``form=None``.
@@ -67,35 +117,33 @@ class NoSignalBox:
                  label: str | None = None):
         if n < 1:
             raise ValueError("a box needs at least one party")
+        codes = bit_codes(n)
+        bits = list(codes)  # the shared bit tuples, by code
+        known = {id(out): code for code, out in enumerate(bits)}
+        checked: dict[int, tuple] = {}  # id(given row) -> (given row, row id)
+        interned: dict[tuple, int] = {}  # integer form -> row id
+        distinct: list[dict] = []
         table: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        for inputs in all_bit_tuples(n):
+        row_ids: list[int] = []
+        for inputs in bits:
             if inputs not in rows:
                 raise ValueError(f"missing row for inputs {inputs}")
-            row: dict[tuple[int, ...], Fraction] = {}
-            for outputs, value in rows[inputs].items():
-                out = tuple(map(as_bit, outputs))
-                if len(out) != n:
-                    raise ValueError(
-                        f"outputs {out} for inputs {inputs} have wrong arity")
-                p = exact_fraction(value)
-                if p.numerator < 0:
-                    raise ValueError(
-                        f"negative probability {p} at inputs {inputs}, outputs {out}")
-                if p.numerator:
-                    if out in row:
-                        raise ValueError(
-                            f"duplicate outcome {out} for inputs {inputs}")
-                    row[out] = p
-            den = math.lcm(*(p.denominator for p in row.values()))
-            if sum(p.numerator * (den // p.denominator) for p in row.values()) != den:
-                raise ValueError(f"probabilities for inputs {inputs} sum to "
-                                 f"{sum(row.values(), Fraction(0))}, expected 1")
-            table[inputs] = row
+            given = rows[inputs]
+            seen = checked.get(id(given))
+            if seen is None:  # the given row stays referenced: its id is not reused
+                row, integer = _checked_row(n, given, inputs, codes, bits, known)
+                seen = checked[id(given)] = given, interned.setdefault(integer, len(distinct))
+                if seen[1] == len(distinct):
+                    distinct.append(row)
+            table[inputs] = distinct[seen[1]]
+            row_ids.append(seen[1])
         extra = [key for key in rows if key not in table]
         if extra:
             raise ValueError(f"unexpected input tuples: {extra[:3]}")
         self.n = n
         self.rows = table
+        self.row_ids = row_ids
+        self.integer_rows: list[tuple[int, tuple]] = list(interned)
         self.form = form
         self.label = label
 
@@ -119,16 +167,17 @@ def parity_box(form: BooleanForm, *, label: str | None = None) -> NoSignalBox:
     """Box whose outputs are uniform over {XOR(outputs) == form(inputs)}.
 
     Every input row has 2**(n-1) equiprobable outcomes of weight
-    1/2**(n-1); the construction is a pure function of the form.
+    1/2**(n-1), and the rows are the two shared ones of the even- and
+    odd-parity outcomes; the construction is a pure function of the form.
     """
     n = form.n
     if n < 2:
         raise ValueError("parity boxes need at least 2 parties")
     weight = Fraction(1, 2 ** (n - 1))
-    bit_tuples = all_bit_tuples(n)  # the inputs, and the outcomes
-    by_parity = [[out for out in bit_tuples if xor_bits(out) == rhs] for rhs in (0, 1)]
-    rows = {inputs: dict.fromkeys(by_parity[evaluate_form(form, inputs)], weight)
-            for inputs in bit_tuples}
+    bit_tuples = list(bit_codes(n))  # the inputs, and the outcomes
+    by_parity = [dict.fromkeys([out for out in bit_tuples if xor_bits(out) == rhs], weight)
+                 for rhs in (0, 1)]
+    rows = {inputs: by_parity[evaluate_form(form, inputs)] for inputs in bit_tuples}
     return NoSignalBox(n, rows, form=form, label=label)
 
 
@@ -264,29 +313,29 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     a scan over every completion finds.
 
     Both stages compare marginals in the integer format of
-    ``integer_row``: each row over its own denominator and two marginals
+    ``integer_rows``: each row over its own denominator and two marginals
     over the lcm of their two only, so a table whose rows have unrelated
-    denominators never builds a number with all of their primes.  The
+    denominators never builds a number with all of their primes.  A stage
+    projects each distinct row once per coalition and compares each pair of
+    distinct rows once; two inputs with one row never move a marginal.  The
     witness marginals are decoded from the two buckets found unequal.
     """
     n = box.n
-    table = list(box.rows.values())
-    row = cache(lambda code: integer_row(n, table[code]))  # coded when first compared
+    ids, rows = box.row_ids, box.integer_rows
 
     def first_move(coalition, senders):
         # the first (base, trial) input codes, coalition inputs then sender
         # patterns lexicographic, between which the coalition's marginal
         # moves, and the two marginals compared
         project = projection(n, coalition)
+        marginal = cache(lambda row_id: add_row((1, {}), rows[row_id], project))
+        moved = cache(lambda a, b: _differ(marginal(a), marginal(b)))  # a < b
         patterns = spread(n, senders)[1:]
         for base in spread(n, coalition):
             for pattern in patterns:
-                a, b = (add_row((1, {}), row(code), project)
-                        for code in (base, base | pattern))
-                # entries are positive: different supports differ unscaled
-                _, x, y = common_scale(a, b) if a[1].keys() == b[1].keys() else (0, a, b)
-                if x != y:
-                    return (base, base | pattern), (a, b)
+                a, b = ids[base], ids[base | pattern]
+                if a != b and moved(min(a, b), max(a, b)):
+                    return (base, base | pattern), (marginal(a), marginal(b))
 
     signaling = [j for j in range(n)
                  if first_move([i for i in range(n) if i != j], [j])]
@@ -302,6 +351,13 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
                     coalition, *(inputs[code] for code in move[0]),
                     *(decode_bucket(bucket, size) for bucket in move[1])))
     raise AssertionError("a signaling party leaves a witness")
+
+
+def _differ(a: tuple[int, dict], b: tuple[int, dict]) -> bool:
+    """Whether two buckets stand for different distributions."""
+    # entries are positive: different supports differ unscaled
+    _, x, y = common_scale(a, b) if a[1].keys() == b[1].keys() else (0, a, b)
+    return x != y
 
 
 def verify_json(boxes: Iterable[NoSignalBox]) -> dict:
@@ -328,16 +384,6 @@ def render_verify(payload: dict) -> Iterator[str]:
             yield (f"{info['box']}: SIGNALING for coalition "
                    f"({', '.join(w['coalition'])}): inputs {w['inputs_a']} "
                    f"vs {w['inputs_b']} give different marginals")
-
-
-def integer_row(n: int, row: Mapping) -> tuple[int, tuple]:
-    """The exact integer format of an outcome row (outputs -> Fraction):
-    (denominator, ((outcome code, numerator), ...)) over the row's own
-    least common denominator; an empty row is (1, ())."""
-    codes = bit_codes(n)
-    den = math.lcm(*(p.denominator for p in row.values()))
-    return den, tuple((codes[out], p.numerator * (den // p.denominator))
-                      for out, p in row.items())
 
 
 # {bits: code} for the n-bit tuples, the code being the bits read as a binary
@@ -424,11 +470,13 @@ def box_to_spec(box: NoSignalBox) -> dict:
     if box.form is not None:
         return {"parties": box.n,
                 "constraint": [list(m) for m in box.form.sorted_monomials()]}
+    rendered: dict[int, list] = {}  # row id -> its sorted outcomes, p as "num/den"
     entries = []
-    for inputs in sorted(box.rows):
-        for outputs in sorted(box.rows[inputs]):
-            entries.append({"in": list(inputs), "out": list(outputs),
-                            "p": str(box.rows[inputs][outputs])})
+    for (inputs, row), row_id in zip(box.rows.items(), box.row_ids):  # sorted inputs
+        if row_id not in rendered:
+            rendered[row_id] = [(outputs, str(row[outputs])) for outputs in sorted(row)]
+        entries += [{"in": list(inputs), "out": list(outputs), "p": p}
+                    for outputs, p in rendered[row_id]]
     return {"parties": box.n, "table": entries}
 
 
@@ -461,16 +509,27 @@ def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
     entries = data["table"]
     if not isinstance(entries, list):
         raise BoxSpecError("field 'table' must be a list of entries")
+    codes = bit_codes(parties)
+    bits = list(codes)
     rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {
-        inputs: {} for inputs in all_bit_tuples(parties)}
+        inputs: {} for inputs in bits}
+    parsed: dict[str, Fraction] = {}  # each distinct 'num/den' string, parsed once
+
+    def probability(value) -> Fraction:
+        if type(value) is not str:
+            return exact_fraction(value)
+        if value not in parsed:
+            parsed[value] = exact_fraction(value)
+        return parsed[value]
+
     for k, entry in enumerate(entries):
         where = f"table[{k}]"
         if not isinstance(entry, dict):
             raise BoxSpecError(f"{where}: entry must be an object")
         try:
-            inputs = tuple(map(as_bit, entry["in"]))
-            outputs = tuple(map(as_bit, entry["out"]))
-            p = exact_fraction(entry["p"])
+            inputs, _ = _bit_tuple(entry["in"], codes)
+            outputs, code = _bit_tuple(entry["out"], codes)
+            p = probability(entry["p"])
         except KeyError as err:
             raise BoxSpecError(f"{where}: missing field {err}") from err
         except (ValueError, TypeError, ZeroDivisionError) as err:
@@ -479,7 +538,7 @@ def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
             raise BoxSpecError(f"{where}: 'in' and 'out' must have {parties} bits")
         if outputs in rows[inputs]:
             raise BoxSpecError(f"{where}: duplicate entry for {inputs} -> {outputs}")
-        rows[inputs][outputs] = p
+        rows[inputs][bits[code]] = p  # the shared tuple: NoSignalBox checks its bits by id
     try:
         return NoSignalBox(parties, rows, label=label)
     except ValueError as err:

@@ -3,7 +3,7 @@
 A constrained party's output is fed back as its own input, so only the
 outcomes with ``output[i] == input[i]`` for every constrained party i
 survive.  Each input row is conditioned on that event and renormalized
-in integers: p_i = n_i / L over the lcm L of the kept denominators
+in integers: p_i = n_i / L over the lcm L of the row's denominators
 becomes Fraction(n_i, sum of the kept n_j).  A row that keeps nothing is
 a paradox row: the box admits no self-consistent outcome there.  Paradox
 rows are kept as explicit data rather than raised as errors, since which
@@ -17,20 +17,25 @@ the forced bits turns each surviving row into the induced relation
 which `induced_parity_form` computes symbolically; the table built by
 `constrain` realizes the same relation outcome by outcome.
 
-``ConstrainedBox.integer_rows`` gives the rows in the exact integer format
-of ``boxes`` for the signaling scan, each over its own denominator: every
-row is divided by its own surviving mass, and a denominator shared by the
-table would carry the primes of every row's mass in every numerator.
+A conditioned row depends only on the box's row and the looped input
+bits, so each distinct (row, looped bits) pair is conditioned once, from
+the box's integer row, and conditioned rows with the same items in the
+same order are one shared object.  Like a box, a ``ConstrainedBox`` gives
+each input code a ``row_ids`` entry into ``integer_rows``, its distinct
+rows in the exact integer format of ``boxes`` for the signaling scan,
+each over its own denominator: every row is divided by its own surviving
+mass, and a denominator shared by the table would carry the primes of
+every row's mass in every numerator.  A paradox row is (1, ()).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator
 
-from .boxes import NoSignalBox, bit_codes, describe_box, integer_row, spread
+from .boxes import NoSignalBox, bit_codes, describe_box, spread
 from .forms import (PARTY_NAMES, BooleanForm, bit_string, input_names, normalize_pattern,
                     output_names, party_names)
 
@@ -51,23 +56,34 @@ class ConstrainedBox:
         self.box = box
         self.n = box.n
         self.pattern = normalize_pattern(box.n, pattern)
-        codes = bit_codes(self.n)
+        bits = list(bit_codes(self.n))  # the outcome tuples, by code
         looped = spread(self.n, self.pattern)[-1]  # the code of the looped bits
+        conditioned: dict[tuple[int, int], int] = {}  # (box row id, looped bits) -> row id
+        interned: dict[tuple, int] = {}  # integer form -> row id
+        outcomes: list[dict] = []
         rows: dict[tuple[int, ...], ConstrainedRow] = {}
-        for inputs, row in box.rows.items():
-            want = codes[inputs] & looped
-            kept = {out: p for out, p in row.items() if codes[out] & looped == want}
-            nums = [num for _, num in integer_row(self.n, kept)[1]]  # in kept's order
-            mass = sum(nums)  # zero iff nothing is kept, since rows are sparse
-            share = {num: Fraction(num, mass) for num in set(nums)}  # once each
-            rows[inputs] = ConstrainedRow(
-                inputs, {out: share[num] for out, num in zip(kept, nums)}, not kept)
+        self.row_ids: list[int] = []
+        for code, (inputs, box_row) in enumerate(zip(box.rows, box.row_ids)):
+            key = box_row, code & looped
+            if key not in conditioned:
+                # the kept numerators, over the box row's denominator
+                kept = [(out, num) for out, num in box.integer_rows[box_row][1]
+                        if out & looped == key[1]]
+                mass = sum(num for _, num in kept)  # zero iff nothing is kept
+                # over the lcm of the conditioned Fractions' denominators
+                common = math.gcd(*(num for _, num in kept)) or 1
+                integer = (mass // common or 1,
+                           tuple((out, num // common) for out, num in kept))
+                conditioned[key] = interned.setdefault(integer, len(outcomes))
+                if conditioned[key] == len(outcomes):
+                    den, items = integer
+                    share = {num: Fraction(num, den) for num in {num for _, num in items}}
+                    outcomes.append({bits[out]: share[num] for out, num in items})
+            row_id = conditioned[key]
+            self.row_ids.append(row_id)
+            rows[inputs] = ConstrainedRow(inputs, outcomes[row_id], not outcomes[row_id])
         self.rows = rows
-
-    @cached_property
-    def integer_rows(self) -> list[tuple[int, tuple]]:
-        """``boxes.integer_row`` of each row (paradox rows empty), built once."""
-        return [integer_row(self.n, row.outcomes) for row in self.rows.values()]
+        self.integer_rows: list[tuple[int, tuple]] = list(interned)
 
     @property
     def paradox_inputs(self) -> list[tuple[int, ...]]:

@@ -29,13 +29,20 @@ receiver setting, and per (setting, sender bit) case, which doubles the
 totals for a binary sender.
 
 Every observation is the bucket of one (setting, sender bit), summed
-from its own 2^b rows of ``ConstrainedBox.integer_rows`` for b
-bystanders, each row over its own denominator (``boxes.integer_row``):
-the setting's and the sender's bits with every bystander pattern, added
-in lexicographic input order and keyed by the coalition's outputs, over
-the lcm of their denominators times 2^b.  A direction reads each row
-once; a single setting reads only its own rows.  Keys keep the order in
-which they first appear, the order in which entropies sum their floats.
+from its own 2^b rows for b bystanders: the setting's and the sender's
+bits with every bystander pattern, keyed by the coalition's outputs,
+over the lcm of their denominators times 2^b.  A bucket is read as the
+multiplicities of its distinct rows (``ConstrainedBox.row_ids``), in
+order of first occurrence in lexicographic input order; each distinct
+row (``ConstrainedBox.integer_rows``, over its own denominator) is
+projected onto the coalition once per direction and added with its
+multiplicity.  A repeated row adds no new key, so keys keep the order in
+which they first appear row by row, the order in which entropies sum
+their floats, and every numerator is the sum it is row by row.  Buckets
+of the same row ids in the same order are summed once per direction;
+since each input is in one bucket, what a direction keeps is at most its
+table's size.  A direction reads each input's row id once; a single
+setting reads only its own.
 Rule, success and information come from the two buckets of a setting
 scaled to one denominator d; Fractions are built only when p0, p1 or a
 success probability is returned, and v / d is the same correctly rounded
@@ -93,18 +100,36 @@ def _observations(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...]):
     settings, bits = spread(cbox.n, coal), spread(cbox.n, (sender,))
     bystanders = spread(cbox.n, [i for i in range(cbox.n)
                                  if i != sender and i not in coal])
-    codes, rows = bit_codes(len(coal)), cbox.integer_rows
+    codes, ids, rows = bit_codes(len(coal)), cbox.row_ids, cbox.integer_rows
+    projected: dict[int, tuple[int, dict]] = {}  # row id -> its marginal
+    buckets: dict[tuple, tuple[int, dict]] = {}  # row ids, in order -> bucket
 
     def read(setting: tuple[int, ...], bit: int) -> tuple[int, dict]:
         base = settings[codes[setting]] | bits[bit]
-        bucket = (1, {})
-        for code in (base | pattern for pattern in bystanders):
-            row = rows[code]
-            if not row[1]:
+        row_ids = tuple([ids[base | pattern] for pattern in bystanders])
+        if row_ids in buckets:
+            return buckets[row_ids]
+        # each distinct row's multiplicity, in order of first occurrence
+        counts = {row_id: row_ids.count(row_id) for row_id in dict.fromkeys(row_ids)}
+        for row_id in counts:
+            if not rows[row_id][1]:
+                code = base | bystanders[row_ids.index(row_id)]
                 raise ValueError("observation undefined: paradox row at inputs "
                                  f"{list(cbox.rows)[code]}")
-            bucket = add_row(bucket, row, project)
-        return bucket[0] * len(bystanders), bucket[1]
+        common = math.lcm(*(rows[row_id][0] for row_id in counts))
+        bucket: dict[int, int] = {}
+        for row_id, times in counts.items():
+            if row_id not in projected:
+                projected[row_id] = add_row((1, {}), rows[row_id], project)
+            den, marginal = projected[row_id]
+            scale = times * (common // den)
+            if not bucket:  # the first row: every key is new
+                bucket = {key: num * scale for key, num in marginal.items()}
+                continue
+            for key, num in marginal.items():
+                bucket[key] = bucket.get(key, 0) + num * scale
+        buckets[row_ids] = common * len(bystanders), bucket
+        return buckets[row_ids]
     return read
 
 
@@ -270,11 +295,14 @@ def entry_to_json(entry: SignalingEntry, n: int) -> dict:
 
 
 def _entry_json(entry: SignalingEntry, names: tuple[str, ...], memo: dict) -> dict:
-    key = (tuple(entry.rule.items()), entry.success)
-    if key not in memo:
-        memo[key] = ({bit_string(out): guess for out, guess in sorted(entry.rule.items())},
-                     str(entry.success))
-    rule, success = memo[key]
+    # keyed on integers: a Fraction's hash costs a modular inverse
+    key = (tuple(entry.rule.items()), entry.success.numerator, entry.success.denominator)
+    rendered = memo.get(key)
+    if rendered is None:
+        rendered = memo[key] = (
+            {bit_string(out): guess for out, guess in sorted(entry.rule.items())},
+            str(entry.success))
+    rule, success = rendered
     return {
         "sender": names[entry.sender],
         "coalition": [names[i] for i in entry.coalition],

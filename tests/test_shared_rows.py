@@ -1,0 +1,283 @@
+"""Shared rows against the per-row engine they replace.
+
+A box holds one object per distinct row, and the verdict, the
+conditioning and the scan each do their per-row work once per distinct
+row.  The references below do that work row by row, as the engine did
+before rows were shared: the bucket reader adds every row on its own, and
+the verdict compares every pair of rows afresh.  Both must give the same
+payloads, verdicts, witnesses, conditioned rows and error messages, every
+float included.
+"""
+
+import json
+import math
+from collections.abc import Mapping
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ctcbox import boxes, signaling
+from ctcbox.boxes import (NoSignalBox, NoSignalingVerdict, SignalingWitness, add_row,
+                          all_bit_tuples, bit_codes, box_from_spec, common_scale,
+                          decode_bucket, is_no_signaling, parity_box, projection, spread)
+from ctcbox.ctc import constrain
+from ctcbox.forms import BooleanForm, evaluate_form
+from ctcbox.signaling import report_json, scan_report_json
+
+# primes with nothing in common, so rows over them have unrelated denominators
+PRIMES = [1_000_003, 998_244_353, 2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3, 10 ** 18 + 9]
+
+
+def integer_row(n, row):
+    """A row (outputs -> Fraction) as (lcm of its denominators, ((code, numerator), ...))."""
+    codes = bit_codes(n)
+    den = math.lcm(*(p.denominator for p in row.values()))
+    return den, tuple((codes[out], p.numerator * (den // p.denominator))
+                      for out, p in row.items())
+
+
+def per_row_observations(cbox, sender, coal):
+    """The bucket reader that adds every row on its own, in lexicographic
+    input order: the reference for ``signaling._observations``."""
+    n = cbox.n
+    project = projection(n, coal)
+    settings_, bits = spread(n, coal), spread(n, (sender,))
+    bystanders = spread(n, [i for i in range(n) if i != sender and i not in coal])
+    codes = bit_codes(len(coal))
+    rows = [integer_row(n, row.outcomes) for row in cbox.rows.values()]
+
+    def read(setting, bit):
+        base = settings_[codes[setting]] | bits[bit]
+        bucket = (1, {})
+        for code in (base | pattern for pattern in bystanders):
+            row = rows[code]
+            if not row[1]:
+                raise ValueError("observation undefined: paradox row at inputs "
+                                 f"{list(cbox.rows)[code]}")
+            bucket = add_row(bucket, row, project)
+        return bucket[0] * len(bystanders), bucket[1]
+    return read
+
+
+def per_pair_is_no_signaling(box):
+    """The verdict that projects and compares both rows of every pair:
+    the reference for ``boxes.is_no_signaling``."""
+    n = box.n
+    table = list(box.rows.values())
+
+    def first_move(coalition, senders):
+        project = projection(n, coalition)
+        patterns = spread(n, senders)[1:]
+        for base in spread(n, coalition):
+            for pattern in patterns:
+                a, b = (add_row((1, {}), integer_row(n, table[code]), project)
+                        for code in (base, base | pattern))
+                _, x, y = common_scale(a, b) if a[1].keys() == b[1].keys() else (0, a, b)
+                if x != y:
+                    return (base, base | pattern), (a, b)
+
+    signaling_ = [j for j in range(n)
+                  if first_move([i for i in range(n) if i != j], [j])]
+    if not signaling_:
+        return NoSignalingVerdict(True)
+    for size in range(1, n):
+        for coalition in combinations(range(n), size):
+            senders = [i for i in signaling_ if i not in coalition]
+            move = senders and first_move(coalition, senders)
+            if move:
+                inputs = list(box.rows)
+                return NoSignalingVerdict(False, SignalingWitness(
+                    coalition, *(inputs[code] for code in move[0]),
+                    *(decode_bucket(bucket, size) for bucket in move[1])))
+    raise AssertionError("a signaling party leaves a witness")
+
+
+def conditioned_by_fractions(box, pattern):
+    """Each row conditioned on its own, in Fractions: {inputs: (outcomes, paradox)}."""
+    rows = {}
+    for inputs, row in box.rows.items():
+        kept = {out: p for out, p in row.items()
+                if all(out[i] == inputs[i] for i in pattern)}
+        mass = sum(kept.values())
+        rows[inputs] = ({out: p / mass for out, p in kept.items()}, not kept)
+    return rows
+
+
+def _verdict_record(verdict):
+    w = verdict.witness
+    if w is None:
+        return verdict.ok, None
+    # the marginals' item order too, and the payload as printed
+    return (verdict.ok, w.coalition, w.inputs_a, w.inputs_b, list(w.marginal_a.items()),
+            list(w.marginal_b.items()), json.dumps(w.to_json()))
+
+
+def _payload_or_error(build):
+    try:
+        return build()
+    except ValueError as err:
+        return str(err)
+
+
+def assert_same_as_per_row(box, pattern):
+    assert _verdict_record(is_no_signaling(box)) == _verdict_record(per_pair_is_no_signaling(box))
+    cbox = constrain(box, pattern)
+    for inputs, (outcomes, paradox) in conditioned_by_fractions(box, pattern).items():
+        row = cbox.rows[inputs]
+        assert row.paradox == paradox
+        assert list(row.outcomes.items()) == list(outcomes.items())
+    if not cbox.paradox_inputs:
+        table = NoSignalBox(box.n, {x: r.outcomes for x, r in cbox.rows.items()})
+        assert (_verdict_record(is_no_signaling(table))
+                == _verdict_record(per_pair_is_no_signaling(table)))
+    n = box.n
+    builds = [lambda: scan_report_json("t", cbox)]
+    for sender in range(n):
+        others = [i for i in range(n) if i != sender]
+        for size in range(1, n):
+            builds += [lambda s=sender, c=coalition: report_json("t", cbox, s, c)
+                       for coalition in combinations(others, size)]
+    shared = [_payload_or_error(build) for build in builds]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signaling, "_observations", per_row_observations)
+        per_row = [_payload_or_error(build) for build in builds]
+    # == compares every mi_bits float by value, json.dumps also every key order
+    assert shared == per_row
+    assert [json.dumps(got) for got in shared] == [json.dumps(want) for want in per_row]
+
+
+@st.composite
+def shared_row_tables(draw):
+    """Tables whose rows are drawn from a small pool and given as the pool's
+    object, as an equal copy, or with the same items in reverse key order;
+    some rows are over unrelated prime denominators, and rows with a small
+    support leave paradox rows once parties are looped."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    outcomes = all_bit_tuples(n)
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        support = draw(st.lists(st.sampled_from(outcomes), min_size=1, max_size=5,
+                                unique=True))
+        if draw(st.booleans()):
+            weights = [draw(st.integers(min_value=1, max_value=9)) for _ in support]
+            probs = [Fraction(w, sum(weights)) for w in weights]
+        else:
+            probs = [Fraction(1, draw(st.sampled_from(PRIMES))) for _ in support[1:]]
+            probs.insert(0, 1 - sum(probs))
+        pool.append(dict(zip(support, probs)))
+    rows = {}
+    for inputs in outcomes:
+        row = pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))]
+        how = draw(st.sampled_from(["shared", "copy", "reversed"]))
+        rows[inputs] = {"shared": row, "copy": dict(row),
+                        "reversed": dict(reversed(row.items()))}[how]
+    pattern = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    return rows, pattern
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_row_tables())
+def test_shared_rows_give_what_the_per_row_engine_gives(case):
+    rows, pattern = case
+    n = len(next(iter(rows)))
+    box = NoSignalBox(n, rows)
+    inputs = all_bit_tuples(n)
+    for x in inputs:
+        for y in inputs:
+            # one row object iff the same items in the same order
+            same = list(rows[x].items()) == list(rows[y].items())
+            assert (box.row_ids[bit_codes(n)[x]] == box.row_ids[bit_codes(n)[y]]) == same
+            assert (box.rows[x] is box.rows[y]) == same
+    assert_same_as_per_row(box, pattern)
+
+
+@pytest.mark.parametrize("n, monomials, pattern", [
+    (3, [(0, 1), (1, 2), (0, 2)], [0]),
+    (4, [(0, 1), (2, 3), (1,)], [0, 2]),
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], [0]),
+    (2, [(0, 1)], [0, 1]),
+])
+def test_parity_boxes_give_what_the_per_row_engine_gives(n, monomials, pattern):
+    assert_same_as_per_row(parity_box(BooleanForm.from_monomials(n, monomials)), pattern)
+
+
+def test_a_parity_box_and_its_loop_table_share_their_rows():
+    n = 5
+    form = BooleanForm.from_monomials(n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    box = parity_box(form)
+    assert len(box.integer_rows) == 2
+    for x in all_bit_tuples(n):
+        assert box.rows[x] is box.rows[(0,) * n if evaluate_form(form, x) == 0 else (1, 1, 0, 0, 0)]
+    looped = [0, 2]
+    cbox = constrain(box, looped)
+    assert len(cbox.integer_rows) <= 2 ** (len(looped) + 1)
+    assert len({id(row.outcomes) for row in cbox.rows.values()}) == len(cbox.integer_rows)
+
+
+class BigRow(dict):
+    """A dict too big for Python's small-object allocator: the system
+    allocator gives a freed one's memory, and so its id, to the next."""
+
+    __slots__ = tuple(f"pad{k}" for k in range(64))
+
+
+class FreshRows(Mapping):
+    """Rows handed out as a new dict on every lookup, so the id of a row
+    that is dropped can be given to the next one."""
+
+    def __init__(self, rows):
+        self._rows = rows
+        self.ids = []
+
+    def __getitem__(self, inputs):
+        row = BigRow(self._rows[inputs])
+        self.ids.append(id(row))
+        return row
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+
+def test_rows_handed_out_afresh_build_the_box_a_plain_dict_builds():
+    n = 4
+    half = Fraction(1, 2)
+    # every row different: its inputs and their complement, in that order
+    rows = {x: {x: half, tuple(1 - b for b in x): half} for x in all_bit_tuples(n)}
+    fresh_rows = FreshRows(rows)
+    fresh, plain = NoSignalBox(n, fresh_rows), NoSignalBox(n, rows)
+    # ids were recycled: the row looked up for ``in`` and dropped gave its id
+    # to the next row handed out
+    assert len(set(fresh_rows.ids)) < len(fresh_rows.ids)
+    assert fresh == plain
+    assert fresh.row_ids == plain.row_ids == list(range(2 ** n))
+    assert fresh.integer_rows == plain.integer_rows
+    assert ([list(row.items()) for row in fresh.rows.values()]
+            == [list(row.items()) for row in plain.rows.values()])
+
+
+def _spec_entries(n, bit):
+    """A uniform table spec with every bit written by ``bit``."""
+    return {"parties": n, "table": [
+        {"in": [bit(b) for b in x], "out": [bit(b) for b in out], "p": f"1/{2 ** n}"}
+        for x in all_bit_tuples(n) for out in all_bit_tuples(n)]}
+
+
+def test_a_table_spec_checks_each_bit_once_and_parses_each_string_once(monkeypatch):
+    calls = {"as_bit": 0, "exact_fraction": 0}  # exact_fraction: of strings
+    for name in calls:
+        def counting(value, _name=name, _original=getattr(boxes, name)):
+            calls[_name] += _name == "as_bit" or isinstance(value, str)
+            return _original(value)
+
+        monkeypatch.setattr(boxes, name, counting)
+    n = 3
+    plain = box_from_spec(_spec_entries(n, int))
+    # plain int bits are checked by their lookup, each p string parsed once
+    assert calls == {"as_bit": 0, "exact_fraction": 1}
+    assert box_from_spec(_spec_entries(n, bool)) == plain
+    assert calls == {"as_bit": 2 * n * 4 ** n, "exact_fraction": 2}

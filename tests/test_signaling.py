@@ -67,7 +67,7 @@ def test_paradox_rows_are_raised_per_bucket():
 
 
 class RecordingRows(list):
-    """A row list that records the code of every row read."""
+    """A row-id list that records the input code of every row id read."""
 
     def __init__(self, rows):
         super().__init__(rows)
@@ -91,7 +91,8 @@ def _looped_cycle(n: int):
 def test_a_setting_reads_only_its_own_rows():
     n = 6
     cbox = _looped_cycle(n)
-    rows = cbox.__dict__["integer_rows"] = RecordingRows(cbox.integer_rows)
+    # rows are shared, so a row is read through the row id of each input code
+    rows = cbox.row_ids = RecordingRows(cbox.row_ids)
     # sender x0 = 1, setting (x1..x4) = (1, 0, 1, 1), either value of x5
     receiver_observation(cbox, 0, range(1, 5), (1, 0, 1, 1), 1)
     assert sorted(rows.touched) == [0b110110, 0b110111]
@@ -99,7 +100,7 @@ def test_a_setting_reads_only_its_own_rows():
     analyze_setting(cbox, 0, range(1, 5), (1, 0, 1, 1))
     assert sorted(rows.touched) == [0b010110, 0b010111, 0b110110, 0b110111]
     rows.touched.clear()
-    analyze(cbox, 0, range(1, 5))
+    analyze(cbox, 0, range(1, 5))  # every code exactly once
     assert sorted(rows.touched) == list(range(2 ** n))
 
 
