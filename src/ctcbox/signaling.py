@@ -31,24 +31,26 @@ totals for a binary sender.
 Every observation is the bucket of one (setting, sender bit), summed
 from its own 2^b rows for b bystanders: the setting's and the sender's
 bits with every bystander pattern, keyed by the coalition's outputs,
-over the lcm of their denominators times 2^b.  A bucket is read as the
-multiplicities of its distinct rows (``ConstrainedBox.row_ids``), in
-order of first occurrence in lexicographic input order; each distinct
-row (``ConstrainedBox.integer_rows``, over its own denominator) is
-projected onto the coalition once per direction and added with its
-multiplicity.  A repeated row adds no new key, so keys keep the order in
-which they first appear row by row, the order in which entropies sum
-their floats, and every numerator is the sum it is row by row.  Buckets
-of the same row ids in the same order are summed once per direction;
-since each input is in one bucket, what a direction keeps is at most its
-table's size.  A direction reads each input's row id once; a single
-setting reads only its own.
+over the lcm of their denominators times 2^b.  A direction reads each
+input's row id (``ConstrainedBox.row_ids``) once; a single setting reads
+only its own.  A bucket is then read as the multiplicities of its
+distinct marginals, in order of first occurrence in lexicographic input
+order: each distinct row (``ConstrainedBox.integer_rows``, over its own
+denominator) is projected onto the coalition, rows with equal marginals
+share one, and each marginal is added with its multiplicity.  A
+repeated marginal adds no new key, so keys keep the order in which they
+first appear row by row, the order in which entropies sum their floats,
+and every numerator is the sum it is row by row.
 Rule, success and information come from the two buckets of a setting
 scaled to one denominator d; Fractions are built only when p0, p1 or a
 success probability is returned, and v / d is the same correctly rounded
-float as the Fraction it stands for.  A direction computes them, and
-renders each rule and success, once per distinct pair of d and both
-buckets' (code, numerator) items in order; each entry owns its rule.
+float as the Fraction it stands for.  They are computed, and the rule
+and success rendered, once per distinct pair of d and both buckets'
+numerators in key order; each entry owns its rule.
+A full scan shares this work among the senders of each coalition: the
+marginals, the buckets and the analyses of their pairs are made at the
+coalition's first direction and dropped after its last, while each
+direction becomes its report before the next is read.
 Reading a bucket raises at its first paradox row, so a setting whose
 rows are all consistent is observed even when another setting is not.
 """
@@ -56,7 +58,7 @@ rows are all consistent is observed even when another setting is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
@@ -93,43 +95,95 @@ def _check_scenario(cbox: ConstrainedBox, sender: int,
     return sender, coal
 
 
-def _observations(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...]):
+class _Coalition:
+    """What the directions toward one receiver coalition share, whichever
+    party sends: the projection, the marginals, the buckets and the
+    analyses of their pairs.
+
+    Rows whose marginals are equal, in denominator and in every numerator
+    in the same key order, share one marginal (den, outputs, numerators).
+    Every sender's bucket holds 2^b rows for the same b, so a bucket is
+    keyed by its distinct marginals' multiplicities in order of first
+    occurrence, which fix its denominator, numerators and key order.  A
+    pair is looked up by its buckets' identity first, the memo keeping
+    both buckets so that no other can take their ids, then by content."""
+
+    def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...]):
+        self.cbox, self.coal = cbox, coal
+        self.project = projection(cbox.n, coal)  # outcome code -> coalition's code
+        self.keys = all_bit_tuples(len(coal))  # the settings, and the output keys
+        self.labels = {out: bit_string(out) for out in self.keys}
+        self.impractical = bool(set(coal) & set(cbox.pattern))
+        self.marginal_of: dict[int, int] = {}  # row id -> its marginal's index
+        self.marginals: list[tuple] = []  # the distinct marginals, by index
+        self.indices: dict[tuple, int] = {}  # marginal -> its index
+        self.buckets: dict[tuple, tuple[int, dict]] = {}  # multiplicities -> bucket
+        self.by_buckets: dict[tuple, tuple] = {}  # bucket ids -> (a, b, analysis)
+        self.by_content: dict[tuple, _Analysis] = {}  # scaled pair -> analysis
+
+    def marginal(self, row_id: int) -> int:
+        """The index of the row's marginal."""
+        den, counts = add_row((1, {}), self.cbox.integer_rows[row_id], self.project)
+        marginal = den, tuple(counts), tuple(counts.values())
+        index = self.marginal_of[row_id] = self.indices.setdefault(
+            marginal, len(self.marginals))
+        if index == len(self.marginals):
+            self.marginals.append(marginal)
+        return index
+
+    def analysis(self, a: tuple[int, dict], b: tuple[int, dict]) -> _Analysis:
+        """The analysis of a setting whose sender bits observe ``a`` and ``b``."""
+        hit = self.by_buckets.get((id(a), id(b)))
+        if hit is not None:
+            return hit[2]
+        den, p0, p1 = common_scale(a, b)
+        # the key order too: the entropies sum their floats in it
+        content = den, tuple(p0), tuple(p0.values()), tuple(p1), tuple(p1.values())
+        found = self.by_content.get(content)
+        if found is None:
+            found = self.by_content[content] = _Analysis(den, p0, p1, self)
+        self.by_buckets[id(a), id(b)] = a, b, found
+        return found
+
+
+def _observations(shared: _Coalition, sender: int):
     """``read(setting, bit)``: that bucket as (denominator, numerators by
     the code of the coalition's outputs), summed from its own rows."""
-    project = projection(cbox.n, coal)  # outcome code -> coalition's code
+    cbox, coal = shared.cbox, shared.coal
     settings, bits = spread(cbox.n, coal), spread(cbox.n, (sender,))
     bystanders = spread(cbox.n, [i for i in range(cbox.n)
                                  if i != sender and i not in coal])
     codes, ids, rows = bit_codes(len(coal)), cbox.row_ids, cbox.integer_rows
-    projected: dict[int, tuple[int, dict]] = {}  # row id -> its marginal
-    buckets: dict[tuple, tuple[int, dict]] = {}  # row ids, in order -> bucket
+    marginal_of, marginals, buckets = shared.marginal_of, shared.marginals, shared.buckets
 
     def read(setting: tuple[int, ...], bit: int) -> tuple[int, dict]:
         base = settings[codes[setting]] | bits[bit]
         row_ids = tuple([ids[base | pattern] for pattern in bystanders])
-        if row_ids in buckets:
-            return buckets[row_ids]
-        # each distinct row's multiplicity, in order of first occurrence
-        counts = {row_id: row_ids.count(row_id) for row_id in dict.fromkeys(row_ids)}
-        for row_id in counts:
+        distinct = dict.fromkeys(row_ids)  # in order of first occurrence
+        counts: dict[int, int] = {}  # marginal index -> multiplicity
+        for row_id in distinct:
+            m = marginal_of[row_id] if row_id in marginal_of else shared.marginal(row_id)
+            counts[m] = counts.get(m, 0) + row_ids.count(row_id)
+        key = (*counts, *counts.values())
+        if key in buckets:
+            return buckets[key]
+        for row_id in distinct:
             if not rows[row_id][1]:
                 code = base | bystanders[row_ids.index(row_id)]
                 raise ValueError("observation undefined: paradox row at inputs "
                                  f"{list(cbox.rows)[code]}")
-        common = math.lcm(*(rows[row_id][0] for row_id in counts))
+        common = math.lcm(*(marginals[m][0] for m in counts))
         bucket: dict[int, int] = {}
-        for row_id, times in counts.items():
-            if row_id not in projected:
-                projected[row_id] = add_row((1, {}), rows[row_id], project)
-            den, marginal = projected[row_id]
+        for m, times in counts.items():
+            den, outs, nums = marginals[m]
             scale = times * (common // den)
-            if not bucket:  # the first row: every key is new
-                bucket = {key: num * scale for key, num in marginal.items()}
+            if not bucket:  # the first marginal: every key is new
+                bucket = {out: num * scale for out, num in zip(outs, nums)}
                 continue
-            for key, num in marginal.items():
-                bucket[key] = bucket.get(key, 0) + num * scale
-        buckets[row_ids] = common * len(bystanders), bucket
-        return buckets[row_ids]
+            for out, num in zip(outs, nums):
+                bucket[out] = bucket.get(out, 0) + num * scale
+        buckets[key] = common * len(bystanders), bucket
+        return buckets[key]
     return read
 
 
@@ -154,7 +208,7 @@ def receiver_observation(cbox: ConstrainedBox, sender: int,
     are undefined; paradox rows elsewhere in the table do not matter.
     """
     sender, coal, setting = _one_setting(cbox, sender, coalition, setting)
-    read = _observations(cbox, sender, coal)
+    read = _observations(_Coalition(cbox, coal), sender)
     return decode_bucket(read(setting, as_bit(sender_value)), len(coal))
 
 
@@ -224,46 +278,57 @@ class SignalingEntry:
     note: str | None
 
 
-def _entry(cbox: ConstrainedBox, sender: int, coal: tuple[int, ...],
-           setting: tuple[int, ...], read, keys: list, memo: dict) -> SignalingEntry:
-    den, p0, p1 = common_scale(read(setting, 0), read(setting, 1))
-    pair = (den, tuple(p0.items()), tuple(p1.items()))
-    if pair in memo:  # an earlier setting's analysis, with a rule of its own
-        return replace(memo[pair], setting=setting, rule=dict(memo[pair].rule))
-    p0, p1 = ({keys[k]: v for k, v in p.items()} for p in (p0, p1))
-    dependent = p0 != p1
-    rule = map_rule(p0, p1)
-    memo[pair] = SignalingEntry(
-        sender=sender,
-        coalition=coal,
-        setting=setting,
-        dependent=dependent,
-        rule=rule,
-        success=Fraction(_guessed_mass(rule, p0, p1), 2 * den),
-        mi_bits=_mutual_information(p0, p1, den),
-        impractical=bool(set(coal) & set(cbox.pattern)),
-        note=None if dependent else _parity_note(p0, p1),
-    )
-    return memo[pair]
+class _Analysis:
+    """Rule, success, information and note of one distinct bucket pair, the
+    rule also by bit strings; ``success_json`` is str(success) once a
+    payload has needed it."""
+
+    __slots__ = ("dependent", "rule", "success", "mi_bits", "impractical", "note",
+                 "rule_json", "success_json")
+
+    def __init__(self, den: int, p0: dict, p1: dict, shared: _Coalition):
+        keys = shared.keys
+        p0, p1 = ({keys[k]: v for k, v in p.items()} for p in (p0, p1))
+        self.dependent = p0 != p1
+        self.rule = map_rule(p0, p1)
+        self.success = Fraction(_guessed_mass(self.rule, p0, p1), 2 * den)
+        self.mi_bits = _mutual_information(p0, p1, den)
+        self.impractical = shared.impractical
+        self.note = None if self.dependent else _parity_note(p0, p1)
+        self.rule_json = {shared.labels[out]: guess for out, guess in self.rule.items()}
+        self.success_json: str | None = None
+
+
+def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
+    """One analysis per receiver setting, settings in lexicographic order."""
+    read = _observations(shared, sender)
+    return [shared.analysis(read(setting, 0), read(setting, 1))
+            for setting in shared.keys]
+
+
+def _entry(sender: int, coal: tuple[int, ...], setting: tuple[int, ...],
+           a: _Analysis) -> SignalingEntry:
+    return SignalingEntry(sender, coal, setting, a.dependent, dict(a.rule), a.success,
+                          a.mi_bits, a.impractical, a.note)
 
 
 def analyze_setting(cbox: ConstrainedBox, sender: int,
                     coalition: Iterable[int],
                     setting: Iterable[int]) -> SignalingEntry:
     sender, coal, setting = _one_setting(cbox, sender, coalition, setting)
-    return _entry(cbox, sender, coal, setting, _observations(cbox, sender, coal),
-                  all_bit_tuples(len(coal)), {})
+    shared = _Coalition(cbox, coal)
+    read = _observations(shared, sender)
+    return _entry(sender, coal, setting,
+                  shared.analysis(read(setting, 0), read(setting, 1)))
 
 
 def analyze(cbox: ConstrainedBox, sender: int,
             coalition: Iterable[int]) -> list[SignalingEntry]:
     """One entry per receiver setting, settings in lexicographic order."""
     sender, coal = _check_scenario(cbox, sender, coalition)
-    read = _observations(cbox, sender, coal)
-    bit_tuples = all_bit_tuples(len(coal))  # the settings, and the output keys
-    memo: dict = {}  # for this direction only
-    return [_entry(cbox, sender, coal, setting, read, bit_tuples, memo)
-            for setting in bit_tuples]
+    shared = _Coalition(cbox, coal)
+    return [_entry(sender, coal, setting, a) for setting, a
+            in zip(shared.keys, _analyse_direction(shared, sender))]
 
 
 def mean_mi_bits(entries: Iterable[SignalingEntry]) -> float:
@@ -274,6 +339,25 @@ def mean_mi_bits(entries: Iterable[SignalingEntry]) -> float:
     return sum(e.mi_bits for e in entries) / len(entries)
 
 
+def _scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
+                                                  list[_Analysis]]]:
+    """Each direction's analyses, in ``full_scan``'s order.  A coalition's
+    shared work is made at its first direction and dropped after its last
+    sender, the highest party outside it."""
+    n = cbox.n
+    shared: dict[tuple[int, ...], _Coalition] = {}  # coalitions begun, not done
+    for sender in range(n):
+        others = [i for i in range(n) if i != sender]
+        for size in range(1, n):
+            for coalition in combinations(others, size):
+                if coalition not in shared:
+                    shared[coalition] = _Coalition(cbox, coalition)
+                analyses = _analyse_direction(shared[coalition], sender)
+                if sender == max(set(range(n)).difference(coalition)):
+                    del shared[coalition]
+                yield sender, coalition, analyses
+
+
 def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
                                                       list[SignalingEntry]]]:
     """Entries for every sender and every coalition of the remaining parties.
@@ -282,54 +366,52 @@ def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
     coalition indices; an unconstrained no-signaling box yields no
     dependent entry anywhere.
     """
-    n = cbox.n
-    for sender in range(n):
-        others = [i for i in range(n) if i != sender]
-        for size in range(1, n):
-            for coalition in combinations(others, size):
-                yield sender, coalition, analyze(cbox, sender, coalition)
+    for sender, coalition, analyses in _scan(cbox):
+        yield sender, coalition, [_entry(sender, coalition, setting, a) for setting, a
+                                  in zip(all_bit_tuples(len(coalition)), analyses)]
 
 
-def entry_to_json(entry: SignalingEntry, n: int) -> dict:
-    return _entry_json(entry, party_names(n), {})
-
-
-def _entry_json(entry: SignalingEntry, names: tuple[str, ...], memo: dict) -> dict:
-    # keyed on integers: a Fraction's hash costs a modular inverse
-    key = (tuple(entry.rule.items()), entry.success.numerator, entry.success.denominator)
-    rendered = memo.get(key)
-    if rendered is None:
-        rendered = memo[key] = (
-            {bit_string(out): guess for out, guess in sorted(entry.rule.items())},
-            str(entry.success))
-    rule, success = rendered
+def _entry_json(sender: str, coalition: list[str], setting: tuple[int, ...],
+                a: _Analysis | SignalingEntry, rule: dict, success: str) -> dict:
     return {
-        "sender": names[entry.sender],
-        "coalition": [names[i] for i in entry.coalition],
-        "setting": list(entry.setting),
-        "dependent": entry.dependent,
-        "rule": dict(rule),
+        "sender": sender,
+        "coalition": coalition,
+        "setting": list(setting),
+        "dependent": a.dependent,
+        "rule": rule,
         "success": success,
-        "mi_bits": entry.mi_bits,
-        "impractical": entry.impractical,
-        "note": entry.note,
+        "mi_bits": a.mi_bits,
+        "impractical": a.impractical,
+        "note": a.note,
     }
 
 
+def entry_to_json(entry: SignalingEntry, n: int) -> dict:
+    names = party_names(n)
+    return _entry_json(names[entry.sender], [names[i] for i in entry.coalition],
+                       entry.setting, entry,
+                       {bit_string(out): guess for out, guess in sorted(entry.rule.items())},
+                       str(entry.success))
+
+
 def _direction_json(cbox: ConstrainedBox, sender: int, coalition: tuple[int, ...],
-                    entries: list[SignalingEntry]) -> dict:
+                    analyses: list[_Analysis]) -> dict:
     names = party_names(cbox.n)
     coalition_names = [names[i] for i in coalition]
-    memo: dict = {}  # for this direction's entries only
+    entries_json = []
     try:  # str() refuses an integer longer than sys.get_int_max_str_digits()
-        entries_json = [_entry_json(e, names, memo) for e in entries]
+        for setting, a in zip(all_bit_tuples(len(coalition)), analyses):
+            if a.success_json is None:
+                a.success_json = str(a.success)
+            entries_json.append(_entry_json(names[sender], coalition_names.copy(), setting,
+                                            a, dict(a.rule_json), a.success_json))
     except ValueError as err:
         raise ValueError(f"direction {names[sender]} -> "
                          f"{','.join(coalition_names)}: {err}") from err
-    dependent = sum(1 for e in entries if e.dependent)
+    dependent = sum(1 for a in analyses if a.dependent)
     # both counting conventions: settings, and (setting, sender bit) cases
-    summary = {"settings": len(entries), "dependent_settings": dependent,
-               "cases": 2 * len(entries), "dependent_cases": 2 * dependent,
+    summary = {"settings": len(analyses), "dependent_settings": dependent,
+               "cases": 2 * len(analyses), "dependent_cases": 2 * dependent,
                "impractical": bool(set(coalition) & set(cbox.pattern))}
     return {"sender": names[sender], "coalition": coalition_names,
             "entries": entries_json, "summary": summary}
@@ -338,18 +420,19 @@ def _direction_json(cbox: ConstrainedBox, sender: int, coalition: tuple[int, ...
 def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
                 coalition: Iterable[int]) -> dict:
     """Full signaling report for one sender/coalition pair as a JSON dict."""
-    entries = analyze(cbox, sender, coalition)
+    sender, coal = _check_scenario(cbox, sender, coalition)
+    analyses = _analyse_direction(_Coalition(cbox, coal), sender)
     report = {**head_json(box_label, cbox.n, cbox.pattern),
-              **_direction_json(cbox, sender, entries[0].coalition, entries)}
-    report["summary"]["max_success"] = str(max(e.success for e in entries))
-    report["summary"]["mean_mi_bits"] = mean_mi_bits(entries)
+              **_direction_json(cbox, sender, coal, analyses)}
+    report["summary"]["max_success"] = str(max(a.success for a in analyses))
+    report["summary"]["mean_mi_bits"] = mean_mi_bits(analyses)
     return report
 
 
 def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:
     """Each direction's report, built as it is scanned, and overall counts."""
-    reports = [_direction_json(cbox, sender, coalition, entries)
-               for sender, coalition, entries in full_scan(cbox)]
+    reports = [_direction_json(cbox, sender, coalition, analyses)
+               for sender, coalition, analyses in _scan(cbox)]
     overall = {key: sum(r["summary"][key] for r in reports) for key in
                ("settings", "dependent_settings", "cases", "dependent_cases")}
     overall["directions"] = len(reports)

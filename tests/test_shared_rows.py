@@ -2,11 +2,13 @@
 
 A box holds one object per distinct row, and the verdict, the
 conditioning and the scan each do their per-row work once per distinct
-row.  The references below do that work row by row, as the engine did
-before rows were shared: the bucket reader adds every row on its own, and
-the verdict compares every pair of rows afresh.  Both must give the same
-payloads, verdicts, witnesses, conditioned rows and error messages, every
-float included.
+row; the scan also shares each coalition's work among its senders.  The
+references below do that work row by row, as the engine did before rows
+were shared: the bucket reader adds every row on its own, and the verdict
+compares every pair of rows afresh.  Both must give the same payloads,
+verdicts, witnesses, conditioned rows and error messages, every float
+included, and each report of a scan must be the one its direction gets
+alone.
 """
 
 import json
@@ -38,9 +40,11 @@ def integer_row(n, row):
                       for out, p in row.items())
 
 
-def per_row_observations(cbox, sender, coal):
+def per_row_observations(shared, sender):
     """The bucket reader that adds every row on its own, in lexicographic
-    input order: the reference for ``signaling._observations``."""
+    input order, into a new bucket on every read: the reference for
+    ``signaling._observations``, which reads for the coalition ``shared``."""
+    cbox, coal = shared.cbox, shared.coal
     n = cbox.n
     project = projection(n, coal)
     settings_, bits = spread(n, coal), spread(n, (sender,))
@@ -59,6 +63,19 @@ def per_row_observations(cbox, sender, coal):
             bucket = add_row(bucket, row, project)
         return bucket[0] * len(bystanders), bucket[1]
     return read
+
+
+ENGINE_OBSERVATIONS = signaling._observations
+
+
+def fresh_bucket_observations(shared, sender):
+    """The engine's bucket reader, handing out every bucket as a new object."""
+    read = ENGINE_OBSERVATIONS(shared, sender)
+
+    def fresh(setting, bit):
+        den, counts = read(setting, bit)
+        return den, dict(counts)
+    return fresh
 
 
 def per_pair_is_no_signaling(box):
@@ -105,6 +122,34 @@ def conditioned_by_fractions(box, pattern):
     return rows
 
 
+def _directions(n):
+    return [(sender, coalition) for sender in range(n)
+            for size in range(1, n)
+            for coalition in combinations([i for i in range(n) if i != sender], size)]
+
+
+def assert_scan_reports_are_their_directions(cbox):
+    """Each report of the scan is its direction's own ``report_json`` without
+    the head and the two summary values a lone direction adds, and a scan
+    that fails raises the error of the first direction that does."""
+    own = [_payload_or_error(lambda s=sender, c=coalition: report_json("t", cbox, s, c))
+           for sender, coalition in _directions(cbox.n)]
+    scan = _payload_or_error(lambda: scan_report_json("t", cbox))
+    first_error = next((report for report in own if isinstance(report, str)), None)
+    if first_error is not None:
+        assert scan == first_error
+        return
+    assert len(scan["reports"]) == len(own)
+    for got, want in zip(scan["reports"], own):
+        assert set(want) - set(got) == {"box", "ctc"}
+        assert set(want["summary"]) - set(got["summary"]) == {"max_success", "mean_mi_bits"}
+        want = {key: value for key, value in want.items() if key in got}
+        want["summary"] = {key: value for key, value in want["summary"].items()
+                           if key in got["summary"]}
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)
+
+
 def _verdict_record(verdict):
     w = verdict.witness
     if w is None:
@@ -132,13 +177,9 @@ def assert_same_as_per_row(box, pattern):
         table = NoSignalBox(box.n, {x: r.outcomes for x, r in cbox.rows.items()})
         assert (_verdict_record(is_no_signaling(table))
                 == _verdict_record(per_pair_is_no_signaling(table)))
-    n = box.n
     builds = [lambda: scan_report_json("t", cbox)]
-    for sender in range(n):
-        others = [i for i in range(n) if i != sender]
-        for size in range(1, n):
-            builds += [lambda s=sender, c=coalition: report_json("t", cbox, s, c)
-                       for coalition in combinations(others, size)]
+    builds += [lambda s=sender, c=coalition: report_json("t", cbox, s, c)
+               for sender, coalition in _directions(box.n)]
     shared = [_payload_or_error(build) for build in builds]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(signaling, "_observations", per_row_observations)
@@ -191,6 +232,34 @@ def test_shared_rows_give_what_the_per_row_engine_gives(case):
             assert (box.row_ids[bit_codes(n)[x]] == box.row_ids[bit_codes(n)[y]]) == same
             assert (box.rows[x] is box.rows[y]) == same
     assert_same_as_per_row(box, pattern)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_row_tables())
+def test_each_scan_report_is_its_direction_alone(case):
+    rows, pattern = case
+    assert_scan_reports_are_their_directions(
+        constrain(NoSignalBox(len(next(iter(rows))), rows), pattern))
+
+
+def test_buckets_handed_out_afresh_give_the_same_scan():
+    n = 4
+    outcomes = all_bit_tuples(n)
+    # every row different and over its own denominator, so is every pair
+    rows = {x: {outcomes[k]: Fraction(1, k + 2),
+                outcomes[(k + 9) % 2 ** n]: Fraction(k + 1, k + 2)}
+            for k, x in enumerate(outcomes)}
+    cbox = constrain(NoSignalBox(n, rows), [])
+    read = fresh_bucket_observations(signaling._Coalition(cbox, (1,)), 0)
+    # a bucket that is dropped gives its id to the next one
+    ids = [id(read((0,), 0)) for _ in range(8)]
+    assert len(set(ids)) < len(ids)
+    want = scan_report_json("t", cbox)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signaling, "_observations", fresh_bucket_observations)
+        got = scan_report_json("t", cbox)
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
 
 
 @pytest.mark.parametrize("n, monomials, pattern", [

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -162,17 +163,18 @@ def test_unprintable_direction_stops_the_scan_and_is_named(monkeypatch):
     named = r"^direction party0 -> party1: .*digits"
     with pytest.raises(ValueError, match=named):
         report_json("hostile", cbox, 0, [1])
-    calls = []
-    analyze_direction = signaling.analyze
+    analysed = []  # the directions the scan analysed
+    analyse_direction = signaling._analyse_direction
 
-    def analyze_once(*args):
-        calls.append(args)
-        assert len(calls) == 1, "the scan went on past an unprintable direction"
-        return analyze_direction(*args)
+    def analyse_once(shared, sender):
+        analysed.append((sender, shared.coal))
+        assert len(analysed) == 1, "the scan went on past an unprintable direction"
+        return analyse_direction(shared, sender)
 
-    monkeypatch.setattr(signaling, "analyze", analyze_once)
+    monkeypatch.setattr(signaling, "_analyse_direction", analyse_once)
     with pytest.raises(ValueError, match=named):
         scan_report_json("hostile", cbox)
+    assert analysed == [(0, (1,))]
 
 
 @pytest.mark.parametrize("call", [
@@ -345,6 +347,40 @@ def test_scan_keeps_nothing_it_has_reported():
         tracemalloc.stop()
     assert payload["summary"]["directions"] == 6 * (2 ** 5 - 1)
     assert peak - final < 0.25 * 2 ** 20
+
+
+def test_each_coalition_shares_one_state_from_its_first_direction_to_its_last(
+        monkeypatch):
+    n = 4
+    cbox = _looped_cycle(n)
+    made = []  # (coalition, weak reference to its state), in order of creation
+    coalition_state = signaling._Coalition
+
+    def recorded(cbox, coalition):
+        state = coalition_state(cbox, coalition)
+        made.append((coalition, weakref.ref(state)))
+        return state
+
+    alive = []  # (the direction's coalition, the coalitions whose state is referenced)
+    analyse_direction = signaling._analyse_direction
+
+    def recording(shared, sender):
+        alive.append((shared.coal, {coal for coal, state in made if state() is not None}))
+        return analyse_direction(shared, sender)
+
+    monkeypatch.setattr(signaling, "_Coalition", recorded)
+    monkeypatch.setattr(signaling, "_analyse_direction", recording)
+    payload = scan_report_json("cycle", cbox)
+    coalitions = [coal for coal, _ in made]
+    assert len(coalitions) == len(set(coalitions)) == 2 ** n - 2
+    assert all(state() is None for _, state in made)
+    # made at a coalition's first direction, dropped after its last sender's
+    assert len(alive) == payload["summary"]["directions"] == n * (2 ** (n - 1) - 1)
+    span = {}  # coalition -> (its first direction, its last)
+    for k, (coal, _) in enumerate(alive):
+        span[coal] = span.get(coal, (k, k))[0], k
+    for k, (_, coals) in enumerate(alive):
+        assert coals == {coal for coal, (first, last) in span.items() if first <= k <= last}
 
 
 def test_scan_report_counts_both_conventions():
