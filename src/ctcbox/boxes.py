@@ -481,7 +481,15 @@ def box_to_spec(box: NoSignalBox) -> dict:
 
 
 def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
-    """Build a validated box from a spec dict (see ``box_to_spec``)."""
+    """Build a validated box from a spec dict (see ``box_to_spec``).
+
+    Each bit is checked and each distinct 'num/den' string or integer
+    parsed once.  Rows given with the same entry sequence, the same
+    outputs with the same p in the same order, become one row object, so
+    ``NoSignalBox`` checks each of them once; a row given in another entry
+    order stays a row of its own.  An error names the first failing entry,
+    or the first input whose row fails, as if every row were checked.
+    """
     if not isinstance(data, dict):
         raise BoxSpecError("box spec must be a JSON object")
     parties = data.get("parties")
@@ -513,32 +521,36 @@ def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
     bits = list(codes)
     rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {
         inputs: {} for inputs in bits}
-    parsed: dict[str, Fraction] = {}  # each distinct 'num/den' string, parsed once
+    parsed: dict = {}  # each distinct 'num/den' string or int, parsed once
 
     def probability(value) -> Fraction:
-        if type(value) is not str:
+        if type(value) is not str and type(value) is not int:
             return exact_fraction(value)
         if value not in parsed:
             parsed[value] = exact_fraction(value)
         return parsed[value]
 
     for k, entry in enumerate(entries):
-        where = f"table[{k}]"
         if not isinstance(entry, dict):
-            raise BoxSpecError(f"{where}: entry must be an object")
+            raise BoxSpecError(f"table[{k}]: entry must be an object")
         try:
             inputs, _ = _bit_tuple(entry["in"], codes)
             outputs, code = _bit_tuple(entry["out"], codes)
             p = probability(entry["p"])
         except KeyError as err:
-            raise BoxSpecError(f"{where}: missing field {err}") from err
+            raise BoxSpecError(f"table[{k}]: missing field {err}") from err
         except (ValueError, TypeError, ZeroDivisionError) as err:
-            raise BoxSpecError(f"{where}: {err}") from err
+            raise BoxSpecError(f"table[{k}]: {err}") from err
         if len(inputs) != parties or len(outputs) != parties:
-            raise BoxSpecError(f"{where}: 'in' and 'out' must have {parties} bits")
+            raise BoxSpecError(f"table[{k}]: 'in' and 'out' must have {parties} bits")
         if outputs in rows[inputs]:
-            raise BoxSpecError(f"{where}: duplicate entry for {inputs} -> {outputs}")
+            raise BoxSpecError(f"table[{k}]: duplicate entry for {inputs} -> {outputs}")
         rows[inputs][bits[code]] = p  # the shared tuple: NoSignalBox checks its bits by id
+    # rows with the same outputs and p objects in the same order become one
+    # object, which NoSignalBox checks once; the ids are of live objects
+    first: dict[tuple, dict] = {}
+    rows = {inputs: first.setdefault((*map(id, row), *map(id, row.values())), row)
+            for inputs, row in rows.items()}
     try:
         return NoSignalBox(parties, rows, label=label)
     except ValueError as err:

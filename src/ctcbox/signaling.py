@@ -31,28 +31,37 @@ totals for a binary sender.
 Every observation is the bucket of one (setting, sender bit), summed
 from its own 2^b rows for b bystanders: the setting's and the sender's
 bits with every bystander pattern, keyed by the coalition's outputs,
-over the lcm of their denominators times 2^b.  A direction reads each
-input's row id (``ConstrainedBox.row_ids``) once; a single setting reads
-only its own.  A bucket is then read as the multiplicities of its
-distinct marginals, in order of first occurrence in lexicographic input
-order: each distinct row (``ConstrainedBox.integer_rows``, over its own
-denominator) is projected onto the coalition, rows with equal marginals
-share one, and each marginal is added with its multiplicity.  A
-repeated marginal adds no new key, so keys keep the order in which they
-first appear row by row, the order in which entropies sum their floats,
-and every numerator is the sum it is row by row.
+over the lcm of their denominators times 2^b.  Each distinct row
+(``ConstrainedBox.integer_rows``, over its own denominator) is projected
+onto the coalition once, rows with equal marginals share one, and an
+input is read as the index of its row's marginal
+(``ConstrainedBox.row_ids``): once per coalition in a full scan or a
+direction, and only its own inputs for a single setting.  With the
+inputs ordered by coalition bits, sender bit, then bystander bits, a
+setting is a contiguous slice of 2^(b+1) indices, bit 0's then bit 1's,
+and that slice keys its analysis within the coalition: a repeated slice
+is one dict lookup, and a setting whose inputs all share one index is
+keyed by that index for every sender.  Only a new slice reads its two
+buckets: a bucket is the multiplicities of its distinct marginals in
+order of first occurrence, each marginal added with its multiplicity,
+and then kept in lowest terms.  A repeated marginal adds no new key, so
+keys keep the order in which they first appear row by row, the order in
+which entropies sum their floats, and every numerator stands for the
+probability the row-by-row sum gives.
 Rule, success and information come from the two buckets of a setting
-scaled to one denominator d; Fractions are built only when p0, p1 or a
+scaled to one denominator d, in one pass over the output codes and a
+parity table per coalition; Fractions are built only when p0, p1 or a
 success probability is returned, and v / d is the same correctly rounded
 float as the Fraction it stands for.  They are computed, and the rule
-and success rendered, once per distinct pair of d and both buckets'
-numerators in key order; each entry owns its rule.
+and success rendered, once per distinct pair of buckets; each entry
+owns its rule.
 A full scan shares this work among the senders of each coalition: the
-marginals, the buckets and the analyses of their pairs are made at the
-coalition's first direction and dropped after its last, while each
-direction becomes its report before the next is read.
+marginals, the buckets and the analyses are made at the coalition's
+first direction and dropped after its last, while each direction becomes
+its report before the next is read.
 Reading a bucket raises at its first paradox row, so a setting whose
-rows are all consistent is observed even when another setting is not.
+rows are all consistent is observed even when another setting is not;
+a report names the direction such a row stops.
 """
 
 from __future__ import annotations
@@ -97,94 +106,156 @@ def _check_scenario(cbox: ConstrainedBox, sender: int,
 
 class _Coalition:
     """What the directions toward one receiver coalition share, whichever
-    party sends: the projection, the marginals, the buckets and the
-    analyses of their pairs.
+    party sends.
 
-    Rows whose marginals are equal, in denominator and in every numerator
-    in the same key order, share one marginal (den, outputs, numerators).
-    Every sender's bucket holds 2^b rows for the same b, so a bucket is
-    keyed by its distinct marginals' multiplicities in order of first
-    occurrence, which fix its denominator, numerators and key order.  A
-    pair is looked up by its buckets' identity first, the memo keeping
-    both buckets so that no other can take their ids, then by content."""
+    Each distinct row is projected onto the coalition once; rows whose
+    marginals are equal, in denominator and in every numerator in the same
+    key order, share one marginal (den, outputs, numerators), and an input
+    is read as the index of its row's marginal: every input once per
+    coalition for a direction, only its own for a lone setting.  For a
+    sender, the inputs of a setting, sender bit 0's bystander patterns then
+    bit 1's, have a sequence of indices that fixes both buckets and keys
+    the setting's analysis (``slices``); a setting whose inputs all share
+    one index is keyed by it for every sender.  Only a new key reads its
+    two buckets: a bucket is known by its distinct marginals'
+    multiplicities in order of first occurrence, which fix its numerators
+    and key order, is summed when that is new, and is kept in lowest
+    terms, so that equal buckets share an id and each pair of ids is
+    analysed once."""
 
     def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...]):
         self.cbox, self.coal = cbox, coal
+        self.others = [i for i in range(cbox.n) if i not in coal]  # sender and bystanders
         self.project = projection(cbox.n, coal)  # outcome code -> coalition's code
         self.keys = all_bit_tuples(len(coal))  # the settings, and the output keys
-        self.labels = {out: bit_string(out) for out in self.keys}
+        self.codes = bit_codes(len(coal))
+        self.labels, self.parity = [""], [0]  # by output code: bit string, parity
+        for _ in coal:
+            self.labels = [label + bit for label in self.labels for bit in "01"]
+            self.parity = [parity ^ bit for parity in self.parity for bit in (0, 1)]
         self.impractical = bool(set(coal) & set(cbox.pattern))
         self.marginal_of: dict[int, int] = {}  # row id -> its marginal's index
         self.marginals: list[tuple] = []  # the distinct marginals, by index
         self.indices: dict[tuple, int] = {}  # marginal -> its index
-        self.buckets: dict[tuple, tuple[int, dict]] = {}  # multiplicities -> bucket
-        self.by_buckets: dict[tuple, tuple] = {}  # bucket ids -> (a, b, analysis)
-        self.by_content: dict[tuple, _Analysis] = {}  # scaled pair -> analysis
+        self.paradox: int | None = None  # the index of the paradox rows' empty marginal
+        self.at: list[int] | None = None  # input code -> index, once a direction read all
+        # per setting: its inputs' indices in the other parties' lexicographic
+        # order, or their one index if they share it
+        self.cube: list = []
+        self.by_slice: dict = {}  # a setting's key (see slices) -> analysis
+        self.by_counts: dict[tuple, int] = {}  # multiplicities -> bucket id
+        self.ids: dict[tuple, int] = {}  # a bucket in lowest terms -> its id
+        self.buckets: list[tuple[int, dict]] = []  # the distinct buckets, by id
+        self.by_pair: dict[tuple[int, int], _Analysis] = {}  # bucket ids -> analysis
 
     def marginal(self, row_id: int) -> int:
         """The index of the row's marginal."""
+        if row_id in self.marginal_of:
+            return self.marginal_of[row_id]
         den, counts = add_row((1, {}), self.cbox.integer_rows[row_id], self.project)
         marginal = den, tuple(counts), tuple(counts.values())
         index = self.marginal_of[row_id] = self.indices.setdefault(
             marginal, len(self.marginals))
         if index == len(self.marginals):
             self.marginals.append(marginal)
+            if not counts:
+                self.paradox = index
         return index
 
-    def analysis(self, a: tuple[int, dict], b: tuple[int, dict]) -> _Analysis:
-        """The analysis of a setting whose sender bits observe ``a`` and ``b``."""
-        hit = self.by_buckets.get((id(a), id(b)))
-        if hit is not None:
-            return hit[2]
-        den, p0, p1 = common_scale(a, b)
-        # the key order too: the entropies sum their floats in it
-        content = den, tuple(p0), tuple(p0.values()), tuple(p1), tuple(p1.values())
-        found = self.by_content.get(content)
+    def slices(self, sender: int) -> list:
+        """The key of each setting's analysis when ``sender`` sends: the
+        indices of its inputs, sender bit 0's then bit 1's, or their one
+        index if they share it."""
+        n, coal, others = self.cbox.n, self.coal, self.others
+        if self.at is None:  # the coalition's first direction: read every input once
+            of_row = [self.marginal(row_id) for row_id in range(len(self.cbox.integer_rows))]
+            self.at = at = [of_row[row_id] for row_id in self.cbox.row_ids]
+            inner = spread(n, others)
+            for base in spread(n, coal):
+                sub = tuple([at[base | code] for code in inner])
+                self.cube.append(sub[0] if sub.count(sub[0]) == len(sub) else sub)
+        r = others.index(sender)
+        if not r:  # the sender's bit leads already
+            return self.cube
+        # positions in a setting's inputs, sender bit first, then bystanders
+        order = spread(len(others), (r, *(i for i in range(len(others)) if i != r)))
+        return [sub if isinstance(sub, int) else tuple([sub[i] for i in order])
+                for sub in self.cube]
+
+    def inputs(self, sender: int, setting: int) -> list[int]:
+        """The input codes of the setting with code ``setting``: sender bit
+        0's bystander patterns, then bit 1's, each in lexicographic order."""
+        n = self.cbox.n
+        base = spread(n, self.coal)[setting]
+        return [base | code for code in spread(n, (sender, *(i for i in self.others
+                                                              if i != sender)))]
+
+    def line(self, inputs: list[int]) -> tuple:
+        """The marginal indices of these input codes, read from their rows
+        only; raises at the first paradox row."""
+        if self.at is not None:
+            line = tuple([self.at[code] for code in inputs])
+        else:
+            ids = self.cbox.row_ids
+            line = tuple([self.marginal(ids[code]) for code in inputs])
+        if self.paradox in line:
+            raise ValueError("observation undefined: paradox row at inputs "
+                             f"{list(self.cbox.rows)[inputs[line.index(self.paradox)]]}")
+        return line
+
+    def setting(self, sender: int, setting: int, key=None) -> _Analysis:
+        """The analysis of the setting with code ``setting``, read from its
+        inputs or given by its key (see ``slices``)."""
+        if key is None:
+            line = self.line(self.inputs(sender, setting))
+        else:
+            line = key if isinstance(key, tuple) else (key,) * (1 << len(self.others))
+            if self.paradox in line:  # read it input by input, to name the row
+                self.line(self.inputs(sender, setting))
+        half = len(line) // 2
+        return self.analysis(self.bucket(line[:half]), self.bucket(line[half:]))
+
+    def bucket(self, line: tuple) -> int:
+        """The id of the bucket of inputs whose marginal indices are ``line``,
+        summed in this order; none of them is a paradox row."""
+        counts = {m: line.count(m) for m in dict.fromkeys(line)}  # in order of first occurrence
+        key = (*counts, *counts.values())
+        found = self.by_counts.get(key)
         if found is None:
-            found = self.by_content[content] = _Analysis(den, p0, p1, self)
-        self.by_buckets[id(a), id(b)] = a, b, found
+            marginals = self.marginals
+            common = math.lcm(*(marginals[m][0] for m in counts))
+            bucket: dict[int, int] = {}
+            for m, times in counts.items():
+                den, outs, nums = marginals[m]
+                scale = times * (common // den)
+                if not bucket:  # the first marginal: every key is new
+                    bucket = {out: num * scale for out, num in zip(outs, nums)}
+                    continue
+                for out, num in zip(outs, nums):
+                    bucket[out] = bucket.get(out, 0) + num * scale
+            # in lowest terms: a distribution is one bucket, whatever its rows
+            den = common * len(line)
+            g = math.gcd(den, *bucket.values())
+            if g > 1:
+                den //= g
+                bucket = {out: num // g for out, num in bucket.items()}
+            found = self.by_counts[key] = self.ids.setdefault(
+                (den, tuple(bucket), tuple(bucket.values())), len(self.buckets))
+            if found == len(self.buckets):
+                self.buckets.append((den, bucket))
         return found
 
+    def analysis(self, a: int, b: int) -> _Analysis:
+        """The analysis of a setting whose sender bits observe buckets ``a``
+        and ``b``."""
+        found = self.by_pair.get((a, b))
+        if found is None:
+            found = self.by_pair[a, b] = self.analyse(self.buckets[a], self.buckets[b])
+        return found
 
-def _observations(shared: _Coalition, sender: int):
-    """``read(setting, bit)``: that bucket as (denominator, numerators by
-    the code of the coalition's outputs), summed from its own rows."""
-    cbox, coal = shared.cbox, shared.coal
-    settings, bits = spread(cbox.n, coal), spread(cbox.n, (sender,))
-    bystanders = spread(cbox.n, [i for i in range(cbox.n)
-                                 if i != sender and i not in coal])
-    codes, ids, rows = bit_codes(len(coal)), cbox.row_ids, cbox.integer_rows
-    marginal_of, marginals, buckets = shared.marginal_of, shared.marginals, shared.buckets
-
-    def read(setting: tuple[int, ...], bit: int) -> tuple[int, dict]:
-        base = settings[codes[setting]] | bits[bit]
-        row_ids = tuple([ids[base | pattern] for pattern in bystanders])
-        distinct = dict.fromkeys(row_ids)  # in order of first occurrence
-        counts: dict[int, int] = {}  # marginal index -> multiplicity
-        for row_id in distinct:
-            m = marginal_of[row_id] if row_id in marginal_of else shared.marginal(row_id)
-            counts[m] = counts.get(m, 0) + row_ids.count(row_id)
-        key = (*counts, *counts.values())
-        if key in buckets:
-            return buckets[key]
-        for row_id in distinct:
-            if not rows[row_id][1]:
-                code = base | bystanders[row_ids.index(row_id)]
-                raise ValueError("observation undefined: paradox row at inputs "
-                                 f"{list(cbox.rows)[code]}")
-        common = math.lcm(*(marginals[m][0] for m in counts))
-        bucket: dict[int, int] = {}
-        for m, times in counts.items():
-            den, outs, nums = marginals[m]
-            scale = times * (common // den)
-            if not bucket:  # the first marginal: every key is new
-                bucket = {out: num * scale for out, num in zip(outs, nums)}
-                continue
-            for out, num in zip(outs, nums):
-                bucket[out] = bucket.get(out, 0) + num * scale
-        buckets[key] = common * len(bystanders), bucket
-        return buckets[key]
-    return read
+    def analyse(self, a: tuple[int, dict], b: tuple[int, dict]) -> _Analysis:
+        """The analysis of two buckets (denominator, numerators by output code)."""
+        return _Analysis(*common_scale(a, b), self)
 
 
 def _one_setting(cbox: ConstrainedBox, sender: int, coalition: Iterable[int],
@@ -208,8 +279,11 @@ def receiver_observation(cbox: ConstrainedBox, sender: int,
     are undefined; paradox rows elsewhere in the table do not matter.
     """
     sender, coal, setting = _one_setting(cbox, sender, coalition, setting)
-    read = _observations(_Coalition(cbox, coal), sender)
-    return decode_bucket(read(setting, as_bit(sender_value)), len(coal))
+    shared = _Coalition(cbox, coal)
+    inputs = shared.inputs(sender, shared.codes[setting])
+    half = len(inputs) // 2
+    line = shared.line(inputs[half:] if as_bit(sender_value) else inputs[:half])
+    return decode_bucket(shared.buckets[shared.bucket(line)], len(coal))
 
 
 def map_rule(p0: Mapping[tuple, Fraction],
@@ -228,36 +302,35 @@ def success_probability(p0: Mapping[tuple, Fraction],
 def rule_success(rule: Mapping[tuple, int], p0: Mapping[tuple, Fraction],
                  p1: Mapping[tuple, Fraction]) -> Fraction:
     """Exact success of an arbitrary guessing rule; unmapped outcomes guess 0."""
-    return Fraction(_guessed_mass(rule, p0, p1)) / 2
-
-
-def _guessed_mass(rule: Mapping[tuple, int], p0: Mapping, p1: Mapping):
-    """Mass the rule guesses right, summed over both sender bits."""
-    return (sum(p for out, p in p0.items() if rule.get(out, 0) == 0)
-            + sum(p for out, p in p1.items() if rule.get(out, 0) == 1))
+    return Fraction(sum(p for out, p in p0.items() if rule.get(out, 0) == 0)
+                    + sum(p for out, p in p1.items() if rule.get(out, 0) == 1)) / 2
 
 
 def mutual_information_bits(p0: Mapping[tuple, Fraction],
                             p1: Mapping[tuple, Fraction]) -> float:
     """I(sender bit; observation) with a uniform sender bit, in bits."""
-    return _mutual_information(p0, p1, 1)
+    return _mutual_information(p0, p1, set(p0) | set(p1), 1)
 
 
-def _mutual_information(p0: Mapping, p1: Mapping, denominator: int) -> float:
-    # the mixture is summed in the iteration order of this set union
-    mix = [p0.get(out, 0) + p1.get(out, 0) for out in set(p0) | set(p1)]
-    return (_entropy(mix, 2 * denominator)
-            - (_entropy(p0.values(), denominator)
-               + _entropy(p1.values(), denominator)) / 2)
+def _mutual_information(p0: Mapping, p1: Mapping, support: Iterable,
+                        denominator: int) -> float:
+    # the mixture is summed in the order of ``support``
+    mix = [p0.get(out, 0) + p1.get(out, 0) for out in support]
+    h0 = _entropy(p0.values(), denominator)
+    h1 = h0 if p1 is p0 else _entropy(p1.values(), denominator)
+    return _entropy(mix, 2 * denominator) - (h0 + h1) / 2
 
 
 def _parity_note(p0: Mapping[tuple, Fraction],
                  p1: Mapping[tuple, Fraction]) -> str | None:
-    support = set(p0) | set(p1)
-    parities = {xor_bits(out) for out in support}
+    return _note({xor_bits(out) for out in set(p0) | set(p1)})
+
+
+def _note(parities: set[int]) -> str | None:
+    """The note of an independent setting whose support has these parities."""
     if len(parities) != 1:
         return None
-    parity = parities.pop()
+    (parity,) = parities
     return (f"receiver outputs always satisfy XOR = {parity} here for either "
             f"sender input, so the correlation is fixed by the setting and "
             f"carries no information")
@@ -287,23 +360,39 @@ class _Analysis:
                  "rule_json", "success_json")
 
     def __init__(self, den: int, p0: dict, p1: dict, shared: _Coalition):
-        keys = shared.keys
-        p0, p1 = ({keys[k]: v for k, v in p.items()} for p in (p0, p1))
+        keys, labels = shared.keys, shared.labels
+        outs = sorted(p0.keys() | p1.keys())
+        if p0 is p1:  # one bucket for both sender bits: every guess ties
+            self.rule = dict.fromkeys(map(keys.__getitem__, outs), 0)
+            self.rule_json = dict.fromkeys(map(labels.__getitem__, outs), 0)
+            mass = den
+        else:
+            self.rule, self.rule_json = rule, rule_json = {}, {}
+            mass = 0
+            for out in outs:  # the map rule, ties guessing 0
+                n0, n1 = p0.get(out, 0), p1.get(out, 0)
+                guess = rule[keys[out]] = rule_json[labels[out]] = int(n1 > n0)
+                mass += n1 if guess else n0
         self.dependent = p0 != p1
-        self.rule = map_rule(p0, p1)
-        self.success = Fraction(_guessed_mass(self.rule, p0, p1), 2 * den)
-        self.mi_bits = _mutual_information(p0, p1, den)
+        self.success = Fraction(mass, 2 * den)
+        # the mixture is summed in the order of the set union of the bit tuples
+        union = (set(dict.fromkeys(map(keys.__getitem__, p0)))
+                 | set(dict.fromkeys(map(keys.__getitem__, p1))))
+        self.mi_bits = _mutual_information(p0, p1, map(shared.codes.__getitem__, union), den)
         self.impractical = shared.impractical
-        self.note = None if self.dependent else _parity_note(p0, p1)
-        self.rule_json = {shared.labels[out]: guess for out, guess in self.rule.items()}
+        self.note = None if self.dependent else _note({shared.parity[out] for out in outs})
         self.success_json: str | None = None
 
 
 def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
     """One analysis per receiver setting, settings in lexicographic order."""
-    read = _observations(shared, sender)
-    return [shared.analysis(read(setting, 0), read(setting, 1))
-            for setting in shared.keys]
+    by_slice, analyses = shared.by_slice, []
+    for setting, key in enumerate(shared.slices(sender)):
+        found = by_slice.get(key)
+        if found is None:
+            found = by_slice[key] = shared.setting(sender, setting, key)
+        analyses.append(found)
+    return analyses
 
 
 def _entry(sender: int, coal: tuple[int, ...], setting: tuple[int, ...],
@@ -317,9 +406,7 @@ def analyze_setting(cbox: ConstrainedBox, sender: int,
                     setting: Iterable[int]) -> SignalingEntry:
     sender, coal, setting = _one_setting(cbox, sender, coalition, setting)
     shared = _Coalition(cbox, coal)
-    read = _observations(shared, sender)
-    return _entry(sender, coal, setting,
-                  shared.analysis(read(setting, 0), read(setting, 1)))
+    return _entry(sender, coal, setting, shared.setting(sender, shared.codes[setting]))
 
 
 def analyze(cbox: ConstrainedBox, sender: int,
@@ -339,23 +426,22 @@ def mean_mi_bits(entries: Iterable[SignalingEntry]) -> float:
     return sum(e.mi_bits for e in entries) / len(entries)
 
 
-def _scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
-                                                  list[_Analysis]]]:
-    """Each direction's analyses, in ``full_scan``'s order.  A coalition's
-    shared work is made at its first direction and dropped after its last
-    sender, the highest party outside it."""
+def _scan(cbox: ConstrainedBox) -> Iterator[tuple[int, _Coalition]]:
+    """Each direction's sender and coalition state, in ``full_scan``'s
+    order.  A coalition's state is made at its first direction and dropped
+    after its last sender, the highest party outside it."""
     n = cbox.n
-    shared: dict[tuple[int, ...], _Coalition] = {}  # coalitions begun, not done
+    begun: dict[tuple[int, ...], _Coalition] = {}  # coalitions begun, not done
     for sender in range(n):
         others = [i for i in range(n) if i != sender]
         for size in range(1, n):
             for coalition in combinations(others, size):
-                if coalition not in shared:
-                    shared[coalition] = _Coalition(cbox, coalition)
-                analyses = _analyse_direction(shared[coalition], sender)
-                if sender == max(set(range(n)).difference(coalition)):
-                    del shared[coalition]
-                yield sender, coalition, analyses
+                shared = begun.get(coalition) or _Coalition(cbox, coalition)
+                if sender == shared.others[-1]:
+                    begun.pop(coalition, None)
+                else:
+                    begun[coalition] = shared
+                yield sender, shared
 
 
 def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
@@ -366,9 +452,9 @@ def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
     coalition indices; an unconstrained no-signaling box yields no
     dependent entry anywhere.
     """
-    for sender, coalition, analyses in _scan(cbox):
-        yield sender, coalition, [_entry(sender, coalition, setting, a) for setting, a
-                                  in zip(all_bit_tuples(len(coalition)), analyses)]
+    for sender, shared in _scan(cbox):
+        yield sender, shared.coal, [_entry(sender, shared.coal, setting, a) for setting, a
+                                    in zip(shared.keys, _analyse_direction(shared, sender))]
 
 
 def _entry_json(sender: str, coalition: list[str], setting: tuple[int, ...],
@@ -394,13 +480,16 @@ def entry_to_json(entry: SignalingEntry, n: int) -> dict:
                        str(entry.success))
 
 
-def _direction_json(cbox: ConstrainedBox, sender: int, coalition: tuple[int, ...],
-                    analyses: list[_Analysis]) -> dict:
-    names = party_names(cbox.n)
-    coalition_names = [names[i] for i in coalition]
+def _direction_json(shared: _Coalition, sender: int,
+                    names: tuple[str, ...]) -> tuple[dict, list[_Analysis]]:
+    """The direction's report, and its analyses; an error names the direction."""
+    coalition_names = [names[i] for i in shared.coal]
     entries_json = []
-    try:  # str() refuses an integer longer than sys.get_int_max_str_digits()
-        for setting, a in zip(all_bit_tuples(len(coalition)), analyses):
+    # a paradox row, or str() refusing an integer longer than
+    # sys.get_int_max_str_digits()
+    try:
+        analyses = _analyse_direction(shared, sender)
+        for setting, a in zip(shared.keys, analyses):
             if a.success_json is None:
                 a.success_json = str(a.success)
             entries_json.append(_entry_json(names[sender], coalition_names.copy(), setting,
@@ -412,18 +501,18 @@ def _direction_json(cbox: ConstrainedBox, sender: int, coalition: tuple[int, ...
     # both counting conventions: settings, and (setting, sender bit) cases
     summary = {"settings": len(analyses), "dependent_settings": dependent,
                "cases": 2 * len(analyses), "dependent_cases": 2 * dependent,
-               "impractical": bool(set(coalition) & set(cbox.pattern))}
+               "impractical": shared.impractical}
     return {"sender": names[sender], "coalition": coalition_names,
-            "entries": entries_json, "summary": summary}
+            "entries": entries_json, "summary": summary}, analyses
 
 
 def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
                 coalition: Iterable[int]) -> dict:
     """Full signaling report for one sender/coalition pair as a JSON dict."""
     sender, coal = _check_scenario(cbox, sender, coalition)
-    analyses = _analyse_direction(_Coalition(cbox, coal), sender)
-    report = {**head_json(box_label, cbox.n, cbox.pattern),
-              **_direction_json(cbox, sender, coal, analyses)}
+    direction, analyses = _direction_json(_Coalition(cbox, coal), sender,
+                                          party_names(cbox.n))
+    report = {**head_json(box_label, cbox.n, cbox.pattern), **direction}
     report["summary"]["max_success"] = str(max(a.success for a in analyses))
     report["summary"]["mean_mi_bits"] = mean_mi_bits(analyses)
     return report
@@ -431,8 +520,8 @@ def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
 
 def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:
     """Each direction's report, built as it is scanned, and overall counts."""
-    reports = [_direction_json(cbox, sender, coalition, analyses)
-               for sender, coalition, analyses in _scan(cbox)]
+    names = party_names(cbox.n)
+    reports = [_direction_json(shared, sender, names)[0] for sender, shared in _scan(cbox)]
     overall = {key: sum(r["summary"][key] for r in reports) for key in
                ("settings", "dependent_settings", "cases", "dependent_cases")}
     overall["directions"] = len(reports)

@@ -143,6 +143,17 @@ def test_analyze_scan_json(capsys):
     assert directions[("bob", ("alice",))]["impractical"] is False
 
 
+@pytest.mark.parametrize("direction", [[], ["--sender", "alice", "--receivers", "bob"]],
+                         ids=["scan", "one-direction"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_analyze_names_the_direction_a_paradox_row_stops(capsys, direction, fmt):
+    code, out, err = run(capsys, "analyze", "--box", "svetlichny", "--ctc", "0,1,2",
+                         *direction, *fmt)
+    assert (code, out) == (2, "")
+    assert err == ("error: direction alice -> bob: observation undefined: "
+                   "paradox row at inputs (0, 0, 1)\n")
+
+
 def test_analyze_rejects_overlapping_roles(capsys):
     code, _, err = run(capsys, "analyze", "--box", "pr", "--ctc", "bob",
                        "--sender", "alice", "--receivers", "alice")

@@ -4,11 +4,11 @@ A box holds one object per distinct row, and the verdict, the
 conditioning and the scan each do their per-row work once per distinct
 row; the scan also shares each coalition's work among its senders.  The
 references below do that work row by row, as the engine did before rows
-were shared: the bucket reader adds every row on its own, and the verdict
-compares every pair of rows afresh.  Both must give the same payloads,
-verdicts, witnesses, conditioned rows and error messages, every float
-included, and each report of a scan must be the one its direction gets
-alone.
+were shared: every setting of a direction reads its two buckets adding
+every row on its own, and the verdict compares every pair of rows afresh.
+Both must give the same payloads, verdicts, witnesses, conditioned rows
+and error messages, every float included, and each report of a scan must
+be the one its direction gets alone.
 """
 
 import json
@@ -42,8 +42,8 @@ def integer_row(n, row):
 
 def per_row_observations(shared, sender):
     """The bucket reader that adds every row on its own, in lexicographic
-    input order, into a new bucket on every read: the reference for
-    ``signaling._observations``, which reads for the coalition ``shared``."""
+    input order, into a new bucket on every read, for the coalition
+    ``shared``."""
     cbox, coal = shared.cbox, shared.coal
     n = cbox.n
     project = projection(n, coal)
@@ -65,17 +65,26 @@ def per_row_observations(shared, sender):
     return read
 
 
-ENGINE_OBSERVATIONS = signaling._observations
+def per_row_analyses(shared, sender):
+    """Each setting analysed from its two buckets read row by row, with no
+    key shared between settings: the reference for
+    ``signaling._analyse_direction``."""
+    read = per_row_observations(shared, sender)
+    return [shared.analyse(read(setting, 0), read(setting, 1)) for setting in shared.keys]
 
 
-def fresh_bucket_observations(shared, sender):
-    """The engine's bucket reader, handing out every bucket as a new object."""
-    read = ENGINE_OBSERVATIONS(shared, sender)
+ENGINE_BUCKET = signaling._Coalition.bucket
 
-    def fresh(setting, bit):
-        den, counts = read(setting, bit)
-        return den, dict(counts)
-    return fresh
+
+def fresh_bucket(shared, line):
+    """The engine's bucket, summed afresh under a new id: no memo of
+    multiplicities or contents hands out a bucket summed before."""
+    memos = shared.by_counts, shared.ids
+    shared.by_counts, shared.ids = {}, {}
+    try:
+        return ENGINE_BUCKET(shared, line)
+    finally:
+        shared.by_counts, shared.ids = memos
 
 
 def per_pair_is_no_signaling(box):
@@ -182,7 +191,7 @@ def assert_same_as_per_row(box, pattern):
                for sender, coalition in _directions(box.n)]
     shared = [_payload_or_error(build) for build in builds]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(signaling, "_observations", per_row_observations)
+        patch.setattr(signaling, "_analyse_direction", per_row_analyses)
         per_row = [_payload_or_error(build) for build in builds]
     # == compares every mi_bits float by value, json.dumps also every key order
     assert shared == per_row
@@ -246,20 +255,37 @@ def test_buckets_handed_out_afresh_give_the_same_scan():
     n = 4
     outcomes = all_bit_tuples(n)
     # every row different and over its own denominator, so is every pair
-    rows = {x: {outcomes[k]: Fraction(1, k + 2),
-                outcomes[(k + 9) % 2 ** n]: Fraction(k + 1, k + 2)}
-            for k, x in enumerate(outcomes)}
-    cbox = constrain(NoSignalBox(n, rows), [])
-    read = fresh_bucket_observations(signaling._Coalition(cbox, (1,)), 0)
-    # a bucket that is dropped gives its id to the next one
-    ids = [id(read((0,), 0)) for _ in range(8)]
-    assert len(set(ids)) < len(ids)
-    want = scan_report_json("t", cbox)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(signaling, "_observations", fresh_bucket_observations)
-        got = scan_report_json("t", cbox)
-    assert got == want
-    assert json.dumps(got) == json.dumps(want)
+    distinct = {x: {outcomes[k]: Fraction(1, k + 2),
+                    outcomes[(k + 9) % 2 ** n]: Fraction(k + 1, k + 2)}
+                for k, x in enumerate(outcomes)}
+    # two parity boxes of complementary parity mixed: rows repeat, and
+    # buckets of different rows are equal
+    even, odd = (parity_box(BooleanForm.from_monomials(n, monomials))
+                 for monomials in ([(0, 1)], [(0, 1), ()]))
+    third = Fraction(1, 3)
+    mixture = {x: {**{out: third * p for out, p in even.rows[x].items()},
+                   **{out: (1 - third) * p for out, p in odd.rows[x].items()}}
+               for x in outcomes}
+    for rows in (distinct, mixture):
+        cbox = constrain(NoSignalBox(n, rows), [0])
+        handed, summed = [0], [0]  # buckets handed out, and new ones among them
+        with pytest.MonkeyPatch.context() as patch:
+            def recording(shared, line):
+                known = len(shared.buckets)
+                handed[0] += 1
+                found = ENGINE_BUCKET(shared, line)
+                summed[0] += len(shared.buckets) > known
+                return found
+
+            patch.setattr(signaling._Coalition, "bucket", recording)
+            want = scan_report_json("t", cbox)
+        # the engine hands out buckets it summed before
+        assert summed[0] < handed[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(signaling._Coalition, "bucket", fresh_bucket)
+            got = scan_report_json("t", cbox)
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)
 
 
 @pytest.mark.parametrize("n, monomials, pattern", [
@@ -350,3 +376,85 @@ def test_a_table_spec_checks_each_bit_once_and_parses_each_string_once(monkeypat
     assert calls == {"as_bit": 0, "exact_fraction": 1}
     assert box_from_spec(_spec_entries(n, bool)) == plain
     assert calls == {"as_bit": 2 * n * 4 ** n, "exact_fraction": 2}
+
+
+def _mixture_spec(n):
+    """Three parity boxes over a ~1e18 denominator as a table spec; the
+    second form is the first plus 1, so a row depends on two forms only."""
+    den = 10 ** 18 + 9
+    weights = [Fraction(387_420_489, den), Fraction(10 ** 17 + 3, den)]
+    weights.append(1 - sum(weights))
+    forms = [[(0, 1), (2, 3)], [(), (0, 1), (2, 3)], [(0, n - 1), (1, 2, 3)]]
+    rows = {x: {} for x in all_bit_tuples(n)}
+    for w, monomials in zip(weights, forms):
+        for x, row in parity_box(BooleanForm.from_monomials(n, monomials)).rows.items():
+            for out, p in row.items():
+                rows[x][out] = rows[x].get(out, 0) + w * p
+    return boxes.box_to_spec(NoSignalBox(n, rows))
+
+
+def _counting_checks(monkeypatch):
+    calls = []
+    checked_row = boxes._checked_row
+
+    def counting(n, given, inputs, *rest):
+        calls.append(inputs)
+        return checked_row(n, given, inputs, *rest)
+
+    monkeypatch.setattr(boxes, "_checked_row", counting)
+    return calls
+
+
+def test_a_table_spec_checks_each_distinct_row_once(monkeypatch):
+    n = 5
+    spec = json.loads(json.dumps(_mixture_spec(n)))
+    sequences = {}  # inputs -> the entry sequence given for them
+    for entry in spec["table"]:
+        sequences.setdefault(tuple(entry["in"]), []).append((entry["out"], entry["p"]))
+    distinct = {json.dumps(sequence) for sequence in sequences.values()}
+    calls = _counting_checks(monkeypatch)
+    box = box_from_spec(spec)
+    assert len(calls) == len(distinct) == len(box.integer_rows) == 4
+    assert box == NoSignalBox(n, {x: {tuple(out): Fraction(p) for out, p in sequence}
+                                  for x, sequence in sequences.items()})
+
+
+def test_a_repeated_failing_row_names_its_first_input(monkeypatch):
+    n = 5
+    inputs = all_bit_tuples(n)
+    bad = [(inputs[0], "1/2"), (inputs[1], "1/4")]  # sums to 3/4
+    bad_at = [3, 9, 17]
+    table = []
+    for k, x in enumerate(inputs):
+        row = bad if k in bad_at else [(out, f"1/{2 ** n}") for out in inputs]
+        table += [{"in": list(x), "out": list(out), "p": p} for out, p in row]
+    calls = _counting_checks(monkeypatch)
+    with pytest.raises(boxes.BoxSpecError) as err:
+        box_from_spec({"parties": n, "table": table})
+    assert str(err.value) == (f"table: probabilities for inputs {inputs[bad_at[0]]} "
+                              f"sum to 3/4, expected 1")
+    # the uniform row at inputs 0, then the failing one at its first input
+    assert calls == [inputs[0], inputs[bad_at[0]]]
+
+
+def test_a_row_in_reverse_entry_order_stays_its_own_row():
+    n = 4
+    inputs = all_bit_tuples(n)
+    row = [(inputs[k], p) for k, p in [(1, "1/2"), (6, "1/3"), (11, "1/6")]]
+    reversed_at = 5
+    table = []
+    for k, x in enumerate(inputs):
+        given = row[::-1] if k == reversed_at else row
+        table += [{"in": list(x), "out": list(out), "p": p} for out, p in given]
+    box = box_from_spec({"parties": n, "table": table})
+    plain = NoSignalBox(n, {x: {out: Fraction(p) for out, p in
+                                (row[::-1] if k == reversed_at else row)}
+                            for k, x in enumerate(inputs)})
+    assert box == plain
+    assert box.row_ids == plain.row_ids == [int(k == reversed_at) for k in range(2 ** n)]
+    assert box.integer_rows == plain.integer_rows
+    assert ([list(r.items()) for r in box.rows.values()]
+            == [list(r.items()) for r in plain.rows.values()])
+    assert box.rows[inputs[reversed_at]] is not box.rows[inputs[0]]
+    assert all(box.rows[x] is box.rows[inputs[0]] for k, x in enumerate(inputs)
+               if k != reversed_at)

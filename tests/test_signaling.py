@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -56,6 +57,20 @@ def test_observation_rejects_paradox_rows():
         receiver_observation(cbox, 0, [1], (1,), 0)
 
 
+def test_a_report_names_the_direction_a_paradox_row_stops():
+    # x ^ y = x.y holds only at (0, 0): bob's setting y = 0 is undefined
+    # once alice sends 1
+    cbox = constrain(named_box("pr"), [0, 1])
+    named = r"^direction alice -> bob: observation undefined: paradox row at inputs \(1, 0\)$"
+    with pytest.raises(ValueError, match=named):
+        report_json("pr", cbox, 0, [1])
+    with pytest.raises(ValueError, match=named):
+        scan_report_json("pr", cbox)
+    # one direction's own analysis keeps the plain message
+    with pytest.raises(ValueError, match=r"^observation undefined: paradox row"):
+        analyze(cbox, 0, [1])
+
+
 def test_paradox_rows_are_raised_per_bucket():
     # x ^ y = x.y holds only at (0, 0): setting y = 0 with x = 0 is
     # observable, x = 1 is not
@@ -103,6 +118,17 @@ def test_a_setting_reads_only_its_own_rows():
     rows.touched.clear()
     analyze(cbox, 0, range(1, 5))  # every code exactly once
     assert sorted(rows.touched) == list(range(2 ** n))
+
+
+def test_a_scan_reads_each_input_once_per_coalition():
+    n = 5
+    cbox = _looped_cycle(n)
+    rows = cbox.row_ids = RecordingRows(cbox.row_ids)
+    payload = scan_report_json("cycle", cbox)
+    coalitions = 2 ** n - 2
+    assert payload["summary"]["directions"] == n * (2 ** (n - 1) - 1) > coalitions
+    # whichever of its senders sends, a coalition reads every input once
+    assert Counter(rows.touched) == {code: coalitions for code in range(2 ** n)}
 
 
 def test_scan_does_not_project_setting_by_setting(monkeypatch):
