@@ -17,13 +17,9 @@ from .boxes import (BoxName, BoxSpecError, CHSH_CLASSICAL_BOUND,
                     parity_equation)
 from .ctc import (ConstrainedBox, ConstrainedRow, constrain, constrained_to_json,
                   induced_parity_form, normalize_pattern, parse_pattern)
-from .forms import (BooleanForm, as_bit, evaluate_form, input_names,
-                    output_names, party_names, xor_bits)
-from .signaling import (SignalingEntry, analyze, analyze_setting, entropy_bits,
-                        full_scan, map_rule, mean_mi_bits,
-                        mutual_information_bits, receiver_observation,
-                        report_json, rule_success, scan_report_json,
-                        success_probability)
+from .forms import BooleanForm, as_bit, input_names, output_names, party_names, xor_bits
+from .signaling import (SignalingEntry, analyze, analyze_setting, full_scan, mean_mi_bits,
+                        receiver_observation, report_json, scan_report_json)
 from .tables import SCENARIOS, Scenario, scenario, scenario_relation, verify_scenario
 
 __version__ = "0.1.0"
@@ -36,15 +32,14 @@ __all__ = [
     "Scenario", "SignalingEntry", "SignalingWitness", "all_bit_tuples",
     "analyze", "analyze_setting", "as_bit", "box_from_spec", "box_to_spec",
     "chsh_value", "classical_consistency_crosscheck", "constrain",
-    "constrained_to_json", "cr_output", "entropy_bits", "evaluate_form",
-    "example", "fixed_point", "full_scan", "induced_parity_form",
-    "input_names", "is_basis_permutation", "is_no_signaling", "loop_map",
-    "map_rule", "marginal", "matrix_from_json", "matrix_to_json",
-    "mean_mi_bits", "mutual_information_bits", "named_box",
-    "normalize_pattern", "output_names", "parity_box", "parity_equation",
-    "parse_pattern", "party_names", "receiver_observation", "report_json",
-    "rule_success", "scan_report_json", "scenario", "scenario_relation",
-    "success_probability", "trace_norm", "verify_scenario", "xor_bits",
+    "constrained_to_json", "cr_output", "example", "fixed_point", "full_scan",
+    "induced_parity_form", "input_names", "is_basis_permutation",
+    "is_no_signaling", "loop_map", "marginal", "matrix_from_json",
+    "matrix_to_json", "mean_mi_bits", "named_box", "normalize_pattern",
+    "output_names", "parity_box", "parity_equation", "parse_pattern",
+    "party_names", "receiver_observation", "report_json", "scan_report_json",
+    "scenario", "scenario_relation", "trace_norm", "verify_scenario",
+    "xor_bits",
 ]
 
 _DEUTSCH_NAMES = ("ClassicalCrosscheck", "FixedPointResult",

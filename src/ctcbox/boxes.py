@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .forms import (BooleanForm, as_bit, bit_string, evaluate_form, input_names,
-                    normalize_pattern, output_names, party_names, xor_bits)
+from .forms import (BooleanForm, as_bit, bit_string, input_names, normalize_pattern,
+                    output_names, party_names, xor_bits)
 
 CHSH_CLASSICAL_BOUND = Fraction(2)
 CHSH_TSIRELSON_BOUND = 2 * math.sqrt(2)
@@ -177,7 +177,7 @@ def parity_box(form: BooleanForm, *, label: str | None = None) -> NoSignalBox:
     bit_tuples = list(bit_codes(n))  # the inputs, and the outcomes
     by_parity = [dict.fromkeys([out for out in bit_tuples if xor_bits(out) == rhs], weight)
                  for rhs in (0, 1)]
-    rows = {inputs: by_parity[evaluate_form(form, inputs)] for inputs in bit_tuples}
+    rows = {inputs: by_parity[form.evaluate(inputs)] for inputs in bit_tuples}
     return NoSignalBox(n, rows, form=form, label=label)
 
 
@@ -312,52 +312,32 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     pattern of those bits has all other bits 0, so the witness is the one
     a scan over every completion finds.
 
-    Both stages compare marginals in the integer format of
-    ``integer_rows``: each row over its own denominator and two marginals
-    over the lcm of their two only, so a table whose rows have unrelated
-    denominators never builds a number with all of their primes.  A stage
-    projects each distinct row once per coalition and compares each pair of
-    distinct rows once; two inputs with one row never move a marginal.  The
-    witness marginals are decoded from the two buckets found unequal.
+    Both stages compare marginals on the scan's engine, a
+    ``CoalitionMarginals`` per coalition: only the inputs compared are
+    read, each distinct row is projected at most once per coalition over
+    its own denominator, and two inputs differ when their marginals'
+    distribution ids do, so no number carries the primes of two rows.  The
+    witness marginals are decoded from the two marginals compared.
     """
     n = box.n
-    ids, rows = box.row_ids, box.integer_rows
-
-    def first_move(coalition, senders):
-        # the first (base, trial) input codes, coalition inputs then sender
-        # patterns lexicographic, between which the coalition's marginal
-        # moves, and the two marginals compared
-        project = projection(n, coalition)
-        marginal = cache(lambda row_id: add_row((1, {}), rows[row_id], project))
-        moved = cache(lambda a, b: _differ(marginal(a), marginal(b)))  # a < b
-        patterns = spread(n, senders)[1:]
-        for base in spread(n, coalition):
-            for pattern in patterns:
-                a, b = ids[base], ids[base | pattern]
-                if a != b and moved(min(a, b), max(a, b)):
-                    return (base, base | pattern), (marginal(a), marginal(b))
-
-    signaling = [j for j in range(n)
-                 if first_move([i for i in range(n) if i != j], [j])]
+    signaling = [j for j in range(n) if CoalitionMarginals(
+        box, [i for i in range(n) if i != j]).first_change([j])]
     if not signaling:
         return NoSignalingVerdict(True)
     for size in range(1, n):
         for coalition in combinations(range(n), size):
             senders = [i for i in signaling if i not in coalition]
-            move = senders and first_move(coalition, senders)
+            if not senders:
+                continue
+            state = CoalitionMarginals(box, coalition)
+            move = state.first_change(senders)
             if move:
                 inputs = list(box.rows)
                 return NoSignalingVerdict(False, SignalingWitness(
-                    coalition, *(inputs[code] for code in move[0]),
-                    *(decode_bucket(bucket, size) for bucket in move[1])))
+                    coalition, *(inputs[code] for code in move),
+                    *(decode_bucket(state.marginals[state.marginal(box.row_ids[code])], size)
+                      for code in move)))
     raise AssertionError("a signaling party leaves a witness")
-
-
-def _differ(a: tuple[int, dict], b: tuple[int, dict]) -> bool:
-    """Whether two buckets stand for different distributions."""
-    # entries are positive: different supports differ unscaled
-    _, x, y = common_scale(a, b) if a[1].keys() == b[1].keys() else (0, a, b)
-    return x != y
 
 
 def verify_json(boxes: Iterable[NoSignalBox]) -> dict:
@@ -391,37 +371,71 @@ def render_verify(payload: dict) -> Iterator[str]:
 bit_codes = cache(lambda n: {bits: k for k, bits in enumerate(all_bit_tuples(n))})
 
 
-def projection(n: int, parties: Sequence[int]) -> list[int]:
-    """For each n-bit code, the code of the bits of ``parties``, in that order."""
-    weight = {i: 1 << k for k, i in enumerate(reversed(parties))}
-    table = [0]
-    for w in [weight.get(i, 0) for i in reversed(range(n))]:
-        table += [v + w for v in table]
-    return table
+class CoalitionMarginals:
+    """The marginals of the distinct rows of a ``NoSignalBox`` or a
+    ``ConstrainedBox`` on one coalition: the engine of both the verdict and
+    the signaling scan.  A row (by its id in ``row_ids``) is projected when
+    its marginal is first asked for.  Rows whose marginals have the same
+    denominator, keys and numerators in order share one (den, {output code:
+    numerator}), over the row's own denominator and keyed in order of first
+    occurrence, the order the scan sums floats in.  Marginals equal in
+    lowest terms, in any key order, share a distribution id, found only for
+    the rows compared."""
 
+    def __init__(self, box, coal: Sequence[int]):
+        self.box, self.coal = box, coal
+        # outcome code -> the code of the coalition's bits, in the coalition's order
+        weight = {i: 1 << k for k, i in enumerate(reversed(coal))}
+        self.project = [0]
+        for w in [weight.get(i, 0) for i in reversed(range(box.n))]:
+            self.project += [v + w for v in self.project]
+        self.index_of: list[int | None] = [None] * len(box.integer_rows)  # by row id
+        self.dist_of: list[int | None] = [None] * len(box.integer_rows)  # by row id
+        self.marginals: list[tuple[int, dict]] = []  # the distinct marginals, by index
+        self.indices: dict[tuple, int] = {}  # (den, keys, numerators) -> index
+        self.dist_ids: dict[tuple, int] = {}  # (den, keys, numerators), lowest terms -> id
 
-def add_row(bucket: tuple[int, dict], row: tuple[int, tuple],
-            project: list[int]) -> tuple[int, dict]:
-    """The bucket plus the row keyed by ``project``, over the lcm of their
-    denominators; the bucket's dict may be updated in place."""
-    den, counts = bucket
-    common = math.lcm(den, row[0])
-    counts = _scaled(counts, common // den)
-    scale = common // row[0]
-    for out, num in row[1]:
-        key = project[out]
-        counts[key] = counts.get(key, 0) + num * scale
-    return common, counts
+    def marginal(self, row_id: int) -> int:
+        """The index of the row's marginal."""
+        index = self.index_of[row_id]
+        if index is None:
+            den, row = self.box.integer_rows[row_id]
+            project, counts = self.project, {}
+            for out, num in row:
+                key = project[out]
+                counts[key] = counts.get(key, 0) + num
+            index = self.index_of[row_id] = self.indices.setdefault(
+                (den, tuple(counts), tuple(counts.values())), len(self.marginals))
+            if index == len(self.marginals):
+                self.marginals.append((den, counts))
+        return index
 
+    def distribution(self, row_id: int) -> int:
+        """The distribution id of the row's marginal."""
+        found = self.dist_of[row_id]
+        if found is None:
+            den, counts = self.marginals[self.marginal(row_id)]
+            keys = sorted(counts)
+            nums = tuple(map(counts.__getitem__, keys))
+            g = math.gcd(den, *nums)
+            if g > 1:
+                den, nums = den // g, tuple([num // g for num in nums])
+            found = self.dist_of[row_id] = self.dist_ids.setdefault(
+                (den, tuple(keys), nums), len(self.dist_ids))
+        return found
 
-def common_scale(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict, dict]:
-    """Two buckets over the lcm of their denominators: (lcm, a's, b's)."""
-    common = math.lcm(a[0], b[0])
-    return (common,) + tuple(_scaled(counts, common // den) for den, counts in (a, b))
-
-
-def _scaled(counts: dict, factor: int) -> dict:
-    return counts if factor == 1 else {key: v * factor for key, v in counts.items()}
+    def first_change(self, senders: Sequence[int]) -> tuple[int, int] | None:
+        """The first pair of input codes, the coalition's inputs then the
+        senders' patterns lexicographic, whose marginals are different
+        distributions; only the inputs compared are read."""
+        ids, distribution = self.box.row_ids, self.distribution
+        patterns = spread(self.box.n, senders)[1:]
+        for base in spread(self.box.n, self.coal):
+            a = ids[base]
+            for pattern in patterns:
+                b = ids[base | pattern]
+                if a != b and distribution(a) != distribution(b):
+                    return base, base | pattern
 
 
 def decode_bucket(bucket: tuple[int, dict], width: int) -> dict[tuple, Fraction]:
@@ -430,11 +444,12 @@ def decode_bucket(bucket: tuple[int, dict], width: int) -> dict[tuple, Fraction]
     return {keys[k]: Fraction(v, bucket[0]) for k, v in bucket[1].items()}
 
 
-def spread(n: int, parties: Iterable[int]) -> list[int]:
+def spread(n: int, parties: Sequence[int]) -> list[int]:
     """Input codes with bits only at ``parties``, lexicographic in those bits."""
     codes = [0]
-    for i in parties:
-        codes = [c | b for c in codes for b in (0, 1 << (n - 1 - i))]
+    for i in reversed(parties):  # the first party's bit ends up the most significant
+        bit = 1 << (n - 1 - i)
+        codes += [c | bit for c in codes]
     return codes
 
 

@@ -129,7 +129,17 @@ class BooleanForm:
         return BooleanForm(self.n, self.monomials ^ other.monomials)
 
     def evaluate(self, inputs: Sequence[int]) -> int:
-        return evaluate_form(self, inputs)
+        """The form's value on a full tuple of input bits."""
+        if len(inputs) != self.n:
+            raise ValueError(f"form expects {self.n} inputs, got {len(inputs)}")
+        bits = tuple(as_bit(b) for b in inputs)
+        value = 0
+        for mono in self.monomials:
+            term = 1
+            for index in mono:
+                term &= bits[index]
+            value ^= term
+        return value
 
     def sorted_monomials(self) -> list[tuple[int, ...]]:
         """Monomials in canonical order: by degree, then by indices."""
@@ -148,16 +158,3 @@ class BooleanForm:
     def __str__(self) -> str:
         return self.render()
 
-
-def evaluate_form(form: BooleanForm, inputs: Sequence[int]) -> int:
-    """Evaluate a GF(2) form on a full tuple of input bits."""
-    if len(inputs) != form.n:
-        raise ValueError(f"form expects {form.n} inputs, got {len(inputs)}")
-    bits = tuple(as_bit(b) for b in inputs)
-    value = 0
-    for mono in form.monomials:
-        term = 1
-        for index in mono:
-            term &= bits[index]
-        value ^= term
-    return value

@@ -31,12 +31,14 @@ totals for a binary sender.
 Every observation is the bucket of one (setting, sender bit), summed
 from its own 2^b rows for b bystanders: the setting's and the sender's
 bits with every bystander pattern, keyed by the coalition's outputs,
-over the lcm of their denominators times 2^b.  Each distinct row
-(``ConstrainedBox.integer_rows``, over its own denominator) is projected
-onto the coalition once, rows with equal marginals share one, and an
-input is read as the index of its row's marginal
-(``ConstrainedBox.row_ids``): once per coalition in a full scan or a
-direction, and only its own inputs for a single setting.  With the
+over the lcm of their denominators times 2^b.  The marginals come from
+``boxes.CoalitionMarginals``, the engine the no-signaling verdict runs
+on too: each distinct row (``ConstrainedBox.integer_rows``, over its own
+denominator) is projected onto the coalition once, rows with equal
+marginals in the same key order share one, and an input is read as the
+index of its row's marginal (``ConstrainedBox.row_ids``): once per
+coalition in a full scan or a direction, and only its own inputs for a
+single setting.  With the
 inputs ordered by coalition bits, sender bit, then bystander bits, a
 setting is a contiguous slice of 2^(b+1) indices, bit 0's then bit 1's,
 and that slice keys its analysis within the coalition: a repeated slice
@@ -72,16 +74,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .boxes import (NoSignalBox, add_row, all_bit_tuples, bit_codes, common_scale,
-                    decode_bucket, projection, spread)
+from .boxes import (CoalitionMarginals, NoSignalBox, all_bit_tuples, bit_codes,
+                    decode_bucket, spread)
 from .ctc import ConstrainedBox, head_json, parse_pattern, render_head
-from .forms import (as_bit, bit_string, input_names, normalize_pattern, party_names,
-                    xor_bits)
-
-
-def entropy_bits(dist: Mapping[tuple, Fraction]) -> float:
-    """Shannon entropy of a distribution in bits; zero entries are ignored."""
-    return _entropy(dist.values(), 1)
+from .forms import as_bit, input_names, normalize_pattern, party_names
 
 
 def _entropy(masses: Iterable, denominator: int) -> float:
@@ -104,29 +100,15 @@ def _check_scenario(cbox: ConstrainedBox, sender: int,
     return sender, coal
 
 
-class _Coalition:
+class _Coalition(CoalitionMarginals):
     """What the directions toward one receiver coalition share, whichever
-    party sends.
-
-    Each distinct row is projected onto the coalition once; rows whose
-    marginals are equal, in denominator and in every numerator in the same
-    key order, share one marginal (den, outputs, numerators), and an input
-    is read as the index of its row's marginal: every input once per
-    coalition for a direction, only its own for a lone setting.  For a
-    sender, the inputs of a setting, sender bit 0's bystander patterns then
-    bit 1's, have a sequence of indices that fixes both buckets and keys
-    the setting's analysis (``slices``); a setting whose inputs all share
-    one index is keyed by it for every sender.  Only a new key reads its
-    two buckets: a bucket is known by its distinct marginals'
-    multiplicities in order of first occurrence, which fix its numerators
-    and key order, is summed when that is new, and is kept in lowest
-    terms, so that equal buckets share an id and each pair of ids is
-    analysed once."""
+    party sends, on top of the coalition's marginals: each input's marginal
+    index, the settings' keys (``slices``), the buckets in lowest terms by
+    id and the analyses of their pairs (see the module docstring)."""
 
     def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...]):
-        self.cbox, self.coal = cbox, coal
+        super().__init__(cbox, coal)
         self.others = [i for i in range(cbox.n) if i not in coal]  # sender and bystanders
-        self.project = projection(cbox.n, coal)  # outcome code -> coalition's code
         self.keys = all_bit_tuples(len(coal))  # the settings, and the output keys
         self.codes = bit_codes(len(coal))
         self.labels, self.parity = [""], [0]  # by output code: bit string, parity
@@ -134,10 +116,6 @@ class _Coalition:
             self.labels = [label + bit for label in self.labels for bit in "01"]
             self.parity = [parity ^ bit for parity in self.parity for bit in (0, 1)]
         self.impractical = bool(set(coal) & set(cbox.pattern))
-        self.marginal_of: dict[int, int] = {}  # row id -> its marginal's index
-        self.marginals: list[tuple] = []  # the distinct marginals, by index
-        self.indices: dict[tuple, int] = {}  # marginal -> its index
-        self.paradox: int | None = None  # the index of the paradox rows' empty marginal
         self.at: list[int] | None = None  # input code -> index, once a direction read all
         # per setting: its inputs' indices in the other parties' lexicographic
         # order, or their one index if they share it
@@ -148,28 +126,19 @@ class _Coalition:
         self.buckets: list[tuple[int, dict]] = []  # the distinct buckets, by id
         self.by_pair: dict[tuple[int, int], _Analysis] = {}  # bucket ids -> analysis
 
-    def marginal(self, row_id: int) -> int:
-        """The index of the row's marginal."""
-        if row_id in self.marginal_of:
-            return self.marginal_of[row_id]
-        den, counts = add_row((1, {}), self.cbox.integer_rows[row_id], self.project)
-        marginal = den, tuple(counts), tuple(counts.values())
-        index = self.marginal_of[row_id] = self.indices.setdefault(
-            marginal, len(self.marginals))
-        if index == len(self.marginals):
-            self.marginals.append(marginal)
-            if not counts:
-                self.paradox = index
-        return index
+    @property
+    def paradox(self) -> int | None:
+        """The index of the paradox rows' empty marginal, once one is read."""
+        return self.indices.get((1, (), ()))
 
     def slices(self, sender: int) -> list:
         """The key of each setting's analysis when ``sender`` sends: the
         indices of its inputs, sender bit 0's then bit 1's, or their one
         index if they share it."""
-        n, coal, others = self.cbox.n, self.coal, self.others
+        n, coal, others = self.box.n, self.coal, self.others
         if self.at is None:  # the coalition's first direction: read every input once
-            of_row = [self.marginal(row_id) for row_id in range(len(self.cbox.integer_rows))]
-            self.at = at = [of_row[row_id] for row_id in self.cbox.row_ids]
+            of_row = [self.marginal(row_id) for row_id in range(len(self.box.integer_rows))]
+            self.at = at = [of_row[row_id] for row_id in self.box.row_ids]
             inner = spread(n, others)
             for base in spread(n, coal):
                 sub = tuple([at[base | code] for code in inner])
@@ -185,7 +154,7 @@ class _Coalition:
     def inputs(self, sender: int, setting: int) -> list[int]:
         """The input codes of the setting with code ``setting``: sender bit
         0's bystander patterns, then bit 1's, each in lexicographic order."""
-        n = self.cbox.n
+        n = self.box.n
         base = spread(n, self.coal)[setting]
         return [base | code for code in spread(n, (sender, *(i for i in self.others
                                                               if i != sender)))]
@@ -196,11 +165,11 @@ class _Coalition:
         if self.at is not None:
             line = tuple([self.at[code] for code in inputs])
         else:
-            ids = self.cbox.row_ids
+            ids = self.box.row_ids
             line = tuple([self.marginal(ids[code]) for code in inputs])
         if self.paradox in line:
             raise ValueError("observation undefined: paradox row at inputs "
-                             f"{list(self.cbox.rows)[inputs[line.index(self.paradox)]]}")
+                             f"{list(self.box.rows)[inputs[line.index(self.paradox)]]}")
         return line
 
     def setting(self, sender: int, setting: int, key=None) -> _Analysis:
@@ -226,12 +195,12 @@ class _Coalition:
             common = math.lcm(*(marginals[m][0] for m in counts))
             bucket: dict[int, int] = {}
             for m, times in counts.items():
-                den, outs, nums = marginals[m]
+                den, nums = marginals[m]
                 scale = times * (common // den)
                 if not bucket:  # the first marginal: every key is new
-                    bucket = {out: num * scale for out, num in zip(outs, nums)}
+                    bucket = {out: num * scale for out, num in nums.items()}
                     continue
-                for out, num in zip(outs, nums):
+                for out, num in nums.items():
                     bucket[out] = bucket.get(out, 0) + num * scale
             # in lowest terms: a distribution is one bucket, whatever its rows
             den = common * len(line)
@@ -250,12 +219,8 @@ class _Coalition:
         and ``b``."""
         found = self.by_pair.get((a, b))
         if found is None:
-            found = self.by_pair[a, b] = self.analyse(self.buckets[a], self.buckets[b])
+            found = self.by_pair[a, b] = _Analysis(self.buckets[a], self.buckets[b], self)
         return found
-
-    def analyse(self, a: tuple[int, dict], b: tuple[int, dict]) -> _Analysis:
-        """The analysis of two buckets (denominator, numerators by output code)."""
-        return _Analysis(*common_scale(a, b), self)
 
 
 def _one_setting(cbox: ConstrainedBox, sender: int, coalition: Iterable[int],
@@ -286,32 +251,6 @@ def receiver_observation(cbox: ConstrainedBox, sender: int,
     return decode_bucket(shared.buckets[shared.bucket(line)], len(coal))
 
 
-def map_rule(p0: Mapping[tuple, Fraction],
-             p1: Mapping[tuple, Fraction]) -> dict[tuple[int, ...], int]:
-    """Most-likely sender bit for each observable outcome, ties going to 0."""
-    return {out: int(p1.get(out, 0) > p0.get(out, 0))
-            for out in sorted(set(p0) | set(p1))}
-
-
-def success_probability(p0: Mapping[tuple, Fraction],
-                        p1: Mapping[tuple, Fraction]) -> Fraction:
-    """Exact success of the best rule for a uniformly random sender bit."""
-    return rule_success(map_rule(p0, p1), p0, p1)
-
-
-def rule_success(rule: Mapping[tuple, int], p0: Mapping[tuple, Fraction],
-                 p1: Mapping[tuple, Fraction]) -> Fraction:
-    """Exact success of an arbitrary guessing rule; unmapped outcomes guess 0."""
-    return Fraction(sum(p for out, p in p0.items() if rule.get(out, 0) == 0)
-                    + sum(p for out, p in p1.items() if rule.get(out, 0) == 1)) / 2
-
-
-def mutual_information_bits(p0: Mapping[tuple, Fraction],
-                            p1: Mapping[tuple, Fraction]) -> float:
-    """I(sender bit; observation) with a uniform sender bit, in bits."""
-    return _mutual_information(p0, p1, set(p0) | set(p1), 1)
-
-
 def _mutual_information(p0: Mapping, p1: Mapping, support: Iterable,
                         denominator: int) -> float:
     # the mixture is summed in the order of ``support``
@@ -319,11 +258,6 @@ def _mutual_information(p0: Mapping, p1: Mapping, support: Iterable,
     h0 = _entropy(p0.values(), denominator)
     h1 = h0 if p1 is p0 else _entropy(p1.values(), denominator)
     return _entropy(mix, 2 * denominator) - (h0 + h1) / 2
-
-
-def _parity_note(p0: Mapping[tuple, Fraction],
-                 p1: Mapping[tuple, Fraction]) -> str | None:
-    return _note({xor_bits(out) for out in set(p0) | set(p1)})
 
 
 def _note(parities: set[int]) -> str | None:
@@ -359,7 +293,11 @@ class _Analysis:
     __slots__ = ("dependent", "rule", "success", "mi_bits", "impractical", "note",
                  "rule_json", "success_json")
 
-    def __init__(self, den: int, p0: dict, p1: dict, shared: _Coalition):
+    def __init__(self, a: tuple[int, dict], b: tuple[int, dict], shared: _Coalition):
+        # the buckets (denominator, numerators by output code) over one denominator
+        den = math.lcm(a[0], b[0])
+        p0, p1 = (counts if d == den else {out: num * (den // d) for out, num in counts.items()}
+                  for d, counts in (a, b))
         keys, labels = shared.keys, shared.labels
         outs = sorted(p0.keys() | p1.keys())
         if p0 is p1:  # one bucket for both sender bits: every guess ties
@@ -457,29 +395,6 @@ def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
                                     in zip(shared.keys, _analyse_direction(shared, sender))]
 
 
-def _entry_json(sender: str, coalition: list[str], setting: tuple[int, ...],
-                a: _Analysis | SignalingEntry, rule: dict, success: str) -> dict:
-    return {
-        "sender": sender,
-        "coalition": coalition,
-        "setting": list(setting),
-        "dependent": a.dependent,
-        "rule": rule,
-        "success": success,
-        "mi_bits": a.mi_bits,
-        "impractical": a.impractical,
-        "note": a.note,
-    }
-
-
-def entry_to_json(entry: SignalingEntry, n: int) -> dict:
-    names = party_names(n)
-    return _entry_json(names[entry.sender], [names[i] for i in entry.coalition],
-                       entry.setting, entry,
-                       {bit_string(out): guess for out, guess in sorted(entry.rule.items())},
-                       str(entry.success))
-
-
 def _direction_json(shared: _Coalition, sender: int,
                     names: tuple[str, ...]) -> tuple[dict, list[_Analysis]]:
     """The direction's report, and its analyses; an error names the direction."""
@@ -492,8 +407,11 @@ def _direction_json(shared: _Coalition, sender: int,
         for setting, a in zip(shared.keys, analyses):
             if a.success_json is None:
                 a.success_json = str(a.success)
-            entries_json.append(_entry_json(names[sender], coalition_names.copy(), setting,
-                                            a, dict(a.rule_json), a.success_json))
+            entries_json.append({
+                "sender": names[sender], "coalition": coalition_names.copy(),
+                "setting": list(setting), "dependent": a.dependent,
+                "rule": dict(a.rule_json), "success": a.success_json,
+                "mi_bits": a.mi_bits, "impractical": a.impractical, "note": a.note})
     except ValueError as err:
         raise ValueError(f"direction {names[sender]} -> "
                          f"{','.join(coalition_names)}: {err}") from err

@@ -245,20 +245,34 @@ def test_witness_is_decoded_from_the_compared_marginals(monkeypatch):
                                               *w.marginal_b.values()])
 
 
-def test_passing_verdict_checks_n_conditions(monkeypatch):
-    # n conditions of 2**(n-1) row pairs each, every row added into its
-    # marginal once per pair; Fraction marginals are built for a witness only
-    calls = {"add_row": 0, "project_outcomes": 0}
-    for name in calls:
-        def counting(*args, _name=name, _original=getattr(boxes, name)):
-            calls[_name] += 1
-            return _original(*args)
+class CountingRows(list):
+    """Integer rows that count their reads: the engine reads a row to
+    project it."""
 
-        monkeypatch.setattr(boxes, name, counting)
+    reads = 0
+
+    def __getitem__(self, row_id):
+        self.reads += 1
+        return super().__getitem__(row_id)
+
+
+def test_passing_verdict_checks_n_conditions(monkeypatch):
+    # n conditions, each projecting every distinct row at most once onto
+    # its coalition; Fraction marginals are built for a witness only
+    calls = {"project_outcomes": 0}
+    project_outcomes = boxes.project_outcomes
+
+    def counting(*args):
+        calls["project_outcomes"] += 1
+        return project_outcomes(*args)
+
+    monkeypatch.setattr(boxes, "project_outcomes", counting)
     n = 6
     cycle = BooleanForm.from_monomials(n, [[i, (i + 1) % n] for i in range(n)])
-    assert is_no_signaling(parity_box(cycle)).ok
-    assert 0 < calls["add_row"] <= n * 2 ** n
+    box = parity_box(cycle)
+    rows = box.integer_rows = CountingRows(box.integer_rows)
+    assert is_no_signaling(box).ok
+    assert 0 < rows.reads <= n * len(rows)
     assert calls["project_outcomes"] == 0
     mapping = {(0, 0): (0, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
     assert not is_no_signaling(deterministic_box(2, mapping)).ok

@@ -8,7 +8,7 @@ from ctcbox.boxes import (BoxName, NAMED_FORMS, NoSignalBox, all_bit_tuples,
                           named_box)
 from ctcbox.ctc import (ConstrainedBox, constrain, constrained_to_json,
                         induced_parity_form, normalize_pattern, parse_pattern)
-from ctcbox.forms import BooleanForm, evaluate_form, party_names, xor_bits
+from ctcbox.forms import BooleanForm, party_names, xor_bits
 
 
 def test_normalize_pattern():
@@ -112,7 +112,7 @@ def test_induced_relation_matches_enumeration_everywhere():
                 free = [i for i in range(n) if i not in pattern]
                 for inputs in all_bit_tuples(n):
                     row = cbox.rows[inputs]
-                    rhs = evaluate_form(g, inputs)
+                    rhs = g.evaluate(inputs)
                     if size == n:
                         assert row.paradox == (rhs == 1)
                         continue

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 
 import ctcbox.forms
-from ctcbox.forms import (BooleanForm, as_bit, evaluate_form, input_names,
-                          output_names, party_names, xor_bits)
+from ctcbox.forms import (BooleanForm, as_bit, input_names, output_names, party_names,
+                          xor_bits)
 
 
 def test_docstring_examples():
@@ -87,9 +87,9 @@ def test_render_includes_constant_term():
 
 def test_evaluate_form_checks_arity():
     form = BooleanForm.from_monomials(2, [[0, 1]])
-    assert evaluate_form(form, (1, 1)) == 1
-    with pytest.raises(ValueError):
-        evaluate_form(form, (1, 1, 0))
+    assert form.evaluate((1, 1)) == 1
+    with pytest.raises(ValueError, match="form expects 2 inputs, got 3"):
+        form.evaluate((1, 1, 0))
 
 
 def test_sorted_monomials_are_deterministic():

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from ctcbox.boxes import (NoSignalBox, all_bit_tuples, is_no_signaling, marginal,
                           parity_box)
 from ctcbox.ctc import constrain, induced_parity_form
-from ctcbox.forms import BooleanForm, evaluate_form, xor_bits
-from ctcbox.signaling import (SignalingEntry, _parity_note, analyze, analyze_setting,
-                              receiver_observation)
+from ctcbox.forms import BooleanForm, xor_bits
+from ctcbox.signaling import SignalingEntry, analyze, analyze_setting, receiver_observation
+from signaling_oracle import parity_note
 
 MI_TOL = 1e-12
 
@@ -96,8 +96,30 @@ def first_witness_by_marginals(box):
     return None
 
 
+def bob_decides(row_y0, row_y1):
+    """A 2-party table whose row depends on bob's input y only."""
+    return NoSignalBox(2, {x: row_y1 if x[1] else row_y0 for x in all_bit_tuples(2)})
+
+
+QUARTER, HALF, BIG = Fraction(1, 4), Fraction(1, 2), 10 ** 18 + 9
+
+
+def correlated(k):
+    """a = b, with a = 0 at probability k / BIG."""
+    return {(0, 0): Fraction(k, BIG), (1, 1): Fraction(BIG - k, BIG)}
+
+
 @settings(max_examples=80, deadline=None)
 @given(parity_deterministic_mixtures())
+# alice's marginals at y = 0 and y = 1 are one distribution: {0: 2/2} and
+# {0: 1/1}, equal only in lowest terms, and {0: 2/4, 1: 2/4} and {1: 1/2,
+# 0: 1/2}, equal only in lowest terms and in another key order
+@example(bob_decides({(0, 0): HALF, (0, 1): HALF}, {(0, 0): Fraction(1)}))
+@example(bob_decides({(0, 0): QUARTER, (1, 0): QUARTER, (0, 1): QUARTER, (1, 1): QUARTER},
+                     {(1, 0): HALF, (0, 1): HALF}))
+# alice's marginals at y = 0 and y = 1 have one denominator and one key
+# order, and their numerators are one unit apart
+@example(bob_decides(correlated(387_420_489), correlated(387_420_490)))
 def test_no_signaling_scan_matches_marginal_scan(box):
     verdict = is_no_signaling(box)
     expected = first_witness_by_marginals(box)
@@ -166,7 +188,7 @@ def test_constrained_row_structure(case):
     free = [i for i in range(n) if i not in pattern]
     for inputs in all_bit_tuples(n):
         row = cbox.rows[inputs]
-        rhs = evaluate_form(g, inputs)
+        rhs = g.evaluate(inputs)
         if len(pattern) == n:
             assert row.paradox == (rhs == 1)
             continue
@@ -259,7 +281,7 @@ def entry_by_rows(cbox, sender, coalition, setting):
     dependent = p0 != p1
     return SignalingEntry(sender, coalition, setting, dependent, rule, success, mi,
                           bool(set(coalition) & set(cbox.pattern)),
-                          None if dependent else _parity_note(p0, p1))
+                          None if dependent else parity_note(p0, p1))
 
 
 def outcome(call):

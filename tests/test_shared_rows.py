@@ -21,47 +21,55 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctcbox import boxes, signaling
-from ctcbox.boxes import (NoSignalBox, NoSignalingVerdict, SignalingWitness, add_row,
-                          all_bit_tuples, bit_codes, box_from_spec, common_scale,
-                          decode_bucket, is_no_signaling, parity_box, projection, spread)
+from ctcbox.boxes import (NoSignalBox, NoSignalingVerdict, SignalingWitness,
+                          all_bit_tuples, bit_codes, box_from_spec, is_no_signaling,
+                          parity_box, spread)
 from ctcbox.ctc import constrain
-from ctcbox.forms import BooleanForm, evaluate_form
+from ctcbox.forms import BooleanForm
 from ctcbox.signaling import report_json, scan_report_json
 
 # primes with nothing in common, so rows over them have unrelated denominators
 PRIMES = [1_000_003, 998_244_353, 2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3, 10 ** 18 + 9]
 
 
-def integer_row(n, row):
-    """A row (outputs -> Fraction) as (lcm of its denominators, ((code, numerator), ...))."""
-    codes = bit_codes(n)
-    den = math.lcm(*(p.denominator for p in row.values()))
-    return den, tuple((codes[out], p.numerator * (den // p.denominator))
-                      for out, p in row.items())
+def over_lcm(probs):
+    """{key: Fraction} as (lcm of the denominators, {key: numerator})."""
+    den = math.lcm(*(p.denominator for p in probs.values()))
+    return den, {key: p.numerator * (den // p.denominator) for key, p in probs.items()}
+
+
+def project(row, coalition):
+    """A row's marginal on the coalition, {coalition's outputs: Fraction},
+    keys in order of first occurrence."""
+    probs = {}
+    for out, p in row.items():
+        key = tuple(out[i] for i in coalition)
+        probs[key] = probs.get(key, Fraction(0)) + p
+    return probs
 
 
 def per_row_observations(shared, sender):
-    """The bucket reader that adds every row on its own, in lexicographic
-    input order, into a new bucket on every read, for the coalition
-    ``shared``."""
-    cbox, coal = shared.cbox, shared.coal
+    """The bucket reader that adds every row on its own, in Fractions and in
+    lexicographic input order, into a new bucket on every read, for the
+    coalition ``shared``; a bucket is (its denominator, {output code:
+    numerator})."""
+    cbox, coal = shared.box, shared.coal
     n = cbox.n
-    project = projection(n, coal)
     settings_, bits = spread(n, coal), spread(n, (sender,))
     bystanders = spread(n, [i for i in range(n) if i != sender and i not in coal])
     codes = bit_codes(len(coal))
-    rows = [integer_row(n, row.outcomes) for row in cbox.rows.values()]
+    rows = list(cbox.rows.values())
 
     def read(setting, bit):
         base = settings_[codes[setting]] | bits[bit]
-        bucket = (1, {})
+        probs = {}
         for code in (base | pattern for pattern in bystanders):
             row = rows[code]
-            if not row[1]:
-                raise ValueError("observation undefined: paradox row at inputs "
-                                 f"{list(cbox.rows)[code]}")
-            bucket = add_row(bucket, row, project)
-        return bucket[0] * len(bystanders), bucket[1]
+            if row.paradox:
+                raise ValueError(f"observation undefined: paradox row at inputs {row.inputs}")
+            for key, p in project(row.outcomes, coal).items():
+                probs[codes[key]] = probs.get(codes[key], Fraction(0)) + p / len(bystanders)
+        return over_lcm(probs)
     return read
 
 
@@ -70,7 +78,8 @@ def per_row_analyses(shared, sender):
     key shared between settings: the reference for
     ``signaling._analyse_direction``."""
     read = per_row_observations(shared, sender)
-    return [shared.analyse(read(setting, 0), read(setting, 1)) for setting in shared.keys]
+    return [signaling._Analysis(read(setting, 0), read(setting, 1), shared)
+            for setting in shared.keys]
 
 
 ENGINE_BUCKET = signaling._Coalition.bucket
@@ -88,20 +97,18 @@ def fresh_bucket(shared, line):
 
 
 def per_pair_is_no_signaling(box):
-    """The verdict that projects and compares both rows of every pair:
-    the reference for ``boxes.is_no_signaling``."""
+    """The verdict that projects both rows of every pair afresh, in
+    Fractions, and compares them: the reference for
+    ``boxes.is_no_signaling``."""
     n = box.n
     table = list(box.rows.values())
 
     def first_move(coalition, senders):
-        project = projection(n, coalition)
         patterns = spread(n, senders)[1:]
         for base in spread(n, coalition):
             for pattern in patterns:
-                a, b = (add_row((1, {}), integer_row(n, table[code]), project)
-                        for code in (base, base | pattern))
-                _, x, y = common_scale(a, b) if a[1].keys() == b[1].keys() else (0, a, b)
-                if x != y:
+                a, b = (project(table[code], coalition) for code in (base, base | pattern))
+                if a != b:
                     return (base, base | pattern), (a, b)
 
     signaling_ = [j for j in range(n)
@@ -115,8 +122,7 @@ def per_pair_is_no_signaling(box):
             if move:
                 inputs = list(box.rows)
                 return NoSignalingVerdict(False, SignalingWitness(
-                    coalition, *(inputs[code] for code in move[0]),
-                    *(decode_bucket(bucket, size) for bucket in move[1])))
+                    coalition, *(inputs[code] for code in move[0]), *move[1]))
     raise AssertionError("a signaling party leaves a witness")
 
 
@@ -304,7 +310,7 @@ def test_a_parity_box_and_its_loop_table_share_their_rows():
     box = parity_box(form)
     assert len(box.integer_rows) == 2
     for x in all_bit_tuples(n):
-        assert box.rows[x] is box.rows[(0,) * n if evaluate_form(form, x) == 0 else (1, 1, 0, 0, 0)]
+        assert box.rows[x] is box.rows[(0,) * n if form.evaluate(x) == 0 else (1, 1, 0, 0, 0)]
     looped = [0, 2]
     cbox = constrain(box, looped)
     assert len(cbox.integer_rows) <= 2 ** (len(looped) + 1)

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctcbox import boxes, signaling
-from ctcbox.boxes import BoxName, NoSignalBox, all_bit_tuples, named_box, parity_box
+from ctcbox.boxes import (BoxName, NoSignalBox, all_bit_tuples, bit_codes, is_no_signaling,
+                          marginal, named_box, parity_box)
 from ctcbox.ctc import constrain
 from ctcbox.forms import BooleanForm
-from ctcbox.signaling import (analyze, analyze_setting, entropy_bits,
-                              entry_to_json, full_scan, map_rule, mean_mi_bits,
-                              mutual_information_bits, receiver_observation,
-                              report_json, rule_success, scan_report_json,
-                              success_probability)
+from ctcbox.signaling import (analyze, analyze_setting, full_scan, mean_mi_bits,
+                              receiver_observation, report_json, scan_report_json)
+from signaling_oracle import (entropy_bits, entry_to_json, map_rule,
+                              mutual_information_bits, rule_success, success_probability)
 
 MI_TOL = 1e-12
 PARITY_RULE = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
@@ -131,6 +131,47 @@ def test_a_scan_reads_each_input_once_per_coalition():
     assert Counter(rows.touched) == {code: coalitions for code in range(2 ** n)}
 
 
+def test_a_verdict_reads_only_the_inputs_it_compares():
+    n = 6
+    cbox = _looped_cycle(n)
+    table = NoSignalBox(n, {x: row.outcomes for x, row in cbox.rows.items()})
+    codes = bit_codes(n)
+    expected = []  # the input codes the documented search compares, in order
+
+    def moves(coalition, senders):
+        # coalition inputs, then sender patterns, lexicographic; every other
+        # bit 0; stop at the first pair whose marginals differ
+        for fixed in all_bit_tuples(len(coalition)):
+            base = [0] * n
+            for i, bit in zip(coalition, fixed):
+                base[i] = bit
+            expected.append(codes[tuple(base)])
+            for pattern in all_bit_tuples(len(senders))[1:]:
+                trial = list(base)
+                for i, bit in zip(senders, pattern):
+                    trial[i] = bit
+                expected.append(codes[tuple(trial)])
+                if marginal(table, coalition, base).probs != marginal(table, coalition,
+                                                                        trial).probs:
+                    return expected[-2:]
+        return None
+
+    def first_witness(signaling_):
+        for size in range(1, n):
+            for coalition in combinations(range(n), size):
+                senders = [i for i in signaling_ if i not in coalition]
+                move = senders and moves(coalition, senders)
+                if move:
+                    return move
+
+    witness = first_witness([j for j in range(n) if moves([i for i in range(n) if i != j], [j])])
+    rows = table.row_ids = RecordingRows(table.row_ids)
+    verdict = is_no_signaling(table)
+    assert [codes[verdict.witness.inputs_a], codes[verdict.witness.inputs_b]] == witness
+    # the witness's two rows are read once more, to decode their marginals
+    assert rows.touched == expected + witness
+
+
 def test_scan_does_not_project_setting_by_setting(monkeypatch):
     def boom(*args):
         raise AssertionError("per-setting projection called")
@@ -171,13 +212,20 @@ def test_row_denominators_stay_local():
     # every row over its own 15 primes above 1000: one denominator for the
     # whole table would be a product of 3,840 primes, ~5 kB per numerator
     box = _row_local_box(_primes(1000, 40000))
-    tracemalloc.start()
-    try:
-        analyze(constrain(box, [0]), 0, range(1, 7))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    cbox = constrain(box, [0])
+    # the loop table: each row conditioned on party 0's output, none a paradox
+    loop_table = NoSignalBox(box.n, {x: row.outcomes for x, row in cbox.rows.items()})
+    results = []
+    for run in (lambda: analyze(cbox, 0, range(1, 7)),
+                lambda: is_no_signaling(box), lambda: is_no_signaling(loop_table)):
+        tracemalloc.start()
+        try:
+            results.append(run())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+    assert not results[1].ok and not results[2].ok
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -309,6 +357,8 @@ def test_entry_to_json_uses_bitstring_rule_keys():
     assert data["rule"] == {"00": 0, "01": 1, "10": 1, "11": 0}
     assert data["success"] == "1"
     assert data["impractical"] is False
+    # the oracle renders the entry as the report payload does
+    assert data == report_json("svetlichny", cbox, 0, [1, 2])["entries"][0]
 
 
 def test_report_json_summary():
