@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .forms import (BooleanForm, as_bit, bit_string, input_names, normalize_pattern,
                     output_names, party_names, xor_bits)
@@ -229,8 +228,7 @@ def render_table(box: NoSignalBox) -> Iterator[str]:
                    f"{box.rows[inputs][outputs]}")
 
 
-@dataclass(frozen=True)
-class MarginalDistribution:
+class MarginalDistribution(NamedTuple):
     """Output distribution of a coalition of parties at fixed full inputs."""
 
     coalition: tuple[int, ...]
@@ -261,8 +259,7 @@ def project_outcomes(outcomes: Iterable[tuple[tuple[int, ...], Fraction]],
     return probs
 
 
-@dataclass(frozen=True)
-class SignalingWitness:
+class SignalingWitness(NamedTuple):
     """Two input tuples agreeing on the coalition but with different marginals."""
 
     coalition: tuple[int, ...]
@@ -281,8 +278,7 @@ class SignalingWitness:
                 "marginal_a": marginal_a, "marginal_b": marginal_b}
 
 
-@dataclass(frozen=True)
-class NoSignalingVerdict:
+class NoSignalingVerdict(NamedTuple):
     ok: bool
     witness: SignalingWitness | None = None
 

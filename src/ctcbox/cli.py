@@ -12,8 +12,10 @@ Subcommands, and the module that builds and renders each one's payload:
 
 This module parses arguments, loads inputs, dispatches, and prints: the
 payload with ``--json``, else the lines its renderer yields.  Of a payload
-it reads only the top-level "ok", false for exit code 1.  Only ``deutsch``
-loads numpy, when it runs; the other subcommands never do.
+it reads only the top-level "ok", false for exit code 1.  Every subcommand
+loads forms, boxes, ctc and tables, which the parser's help text needs;
+``analyze`` alone loads signaling, and ``deutsch`` alone loads deutsch and
+numpy, each when it runs.
 
 Exit codes: 0 on success, 1 when a requested check fails (signaling
 witness found, scenario mismatch, solver did not converge), 2 on usage
@@ -39,7 +41,6 @@ from .boxes import (NAMED_FORMS, BoxName, NoSignalBox, box_from_spec, box_to_spe
                     verify_json)
 from .ctc import constrain, parse_pattern, render_constrained, show_json
 from .deutsch_defaults import EXAMPLE_NAMES, MAX_ITERATIONS, RESIDUAL_TOL
-from .signaling import render_report, render_scan, report_json, scan_report_json
 from .tables import (SCENARIO_KEYS, SCENARIOS, render_reproduce, reproduce_json,
                      scenario_head)
 
@@ -125,6 +126,9 @@ def cmd_verify(args) -> tuple[dict, Render]:
 
 
 def cmd_analyze(args) -> tuple[dict, Render]:
+    # imported here, so that the other subcommands do not compile it
+    from .signaling import render_report, render_scan, report_json, scan_report_json
+
     # checked first: loading and constraining a large box takes seconds
     if (args.sender is None) != (args.receivers is None):
         raise ValueError("--sender and --receivers go together; "

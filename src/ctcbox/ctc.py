@@ -31,17 +31,15 @@ every row's mass in every numerator.  A paradox row is (1, ()).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .boxes import NoSignalBox, bit_codes, describe_box, spread
 from .forms import (PARTY_NAMES, BooleanForm, bit_string, input_names, normalize_pattern,
                     output_names, party_names)
 
 
-@dataclass(frozen=True)
-class ConstrainedRow:
+class ConstrainedRow(NamedTuple):
     """Renormalized outcomes for one input tuple; empty iff paradox."""
 
     inputs: tuple[int, ...]

@@ -71,9 +71,8 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -268,8 +267,7 @@ def cr_output(u: np.ndarray, rho_cr: np.ndarray, sigma: np.ndarray) -> np.ndarra
     return _reduced_output(u, rho_cr, sigma, 1)
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     sigma: np.ndarray
     iterations: int
     residual: float
@@ -407,8 +405,7 @@ def is_basis_permutation(u: np.ndarray) -> list[int] | None:
     return perm
 
 
-@dataclass(frozen=True)
-class ClassicalCrosscheck:
+class ClassicalCrosscheck(NamedTuple):
     """The loop solve ``solve`` checked against classical conditioning."""
 
     solve: FixedPointResult

@@ -8,8 +8,7 @@ the correlation boxes in this package: XOR of all outputs == form(inputs).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 INPUT_NAMES = ("x", "y", "z")
 OUTPUT_NAMES = ("a", "b", "c")
@@ -81,27 +80,32 @@ def party_names(n: int) -> tuple[str, ...]:
     return _labels(PARTY_NAMES, "party", n)
 
 
-@dataclass(frozen=True)
-class BooleanForm:
+class _Form(NamedTuple):
+    n: int
+    monomials: frozenset[frozenset[int]]
+
+
+class BooleanForm(_Form):
     """Multilinear polynomial over GF(2) in ``n`` input bits.
 
     ``monomials`` holds frozensets of party indices; each one is an AND
     monomial and the polynomial is their XOR.  The empty monomial is the
-    constant 1, and an empty monomial set is the constant 0.
+    constant 1, and an empty monomial set is the constant 0.  A form is
+    the tuple (n, monomials): immutable, and equal and hashed as that tuple.
 
     >>> f = BooleanForm.from_monomials(2, [[0, 1]])   # x.y
     >>> [f.evaluate(bits) for bits in ((0, 0), (0, 1), (1, 0), (1, 1))]
     [0, 0, 0, 1]
     """
 
-    n: int
-    monomials: frozenset[frozenset[int]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, monomials: frozenset[frozenset[int]]) -> "BooleanForm":
+        if n < 1:
             raise ValueError("a form needs at least one party")
-        for mono in self.monomials:
-            normalize_pattern(self.n, mono)
+        for mono in monomials:
+            normalize_pattern(n, mono)
+        return super().__new__(cls, n, monomials)
 
     @classmethod
     def from_monomials(cls, n: int, monomials: Iterable[Iterable[int]]) -> "BooleanForm":

@@ -52,8 +52,8 @@ which entropies sum their floats, and every numerator stands for the
 probability the row-by-row sum gives.
 Rule, success and information come from the two buckets of a setting
 scaled to one denominator d, in one pass over the output codes and a
-parity table per coalition; Fractions are built only when p0, p1 or a
-success probability is returned, and v / d is the same correctly rounded
+parity table per coalition; Fractions are built only when a success
+probability is returned, and v / d is the same correctly rounded
 float as the Fraction it stands for.  They are computed, and the rule
 and success rendered, once per distinct pair of buckets; each entry
 owns its rule.
@@ -69,13 +69,11 @@ a report names the direction such a row stops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .boxes import (CoalitionMarginals, NoSignalBox, all_bit_tuples, bit_codes,
-                    decode_bucket, spread)
+from .boxes import CoalitionMarginals, NoSignalBox, all_bit_tuples, bit_codes, spread
 from .ctc import ConstrainedBox, head_json, parse_pattern, render_head
 from .forms import as_bit, input_names, normalize_pattern, party_names
 
@@ -223,34 +221,6 @@ class _Coalition(CoalitionMarginals):
         return found
 
 
-def _one_setting(cbox: ConstrainedBox, sender: int, coalition: Iterable[int],
-                 setting: Iterable[int]) -> tuple:
-    """The checked sender, coalition and setting."""
-    sender, coal = _check_scenario(cbox, sender, coalition)
-    setting = tuple(as_bit(b) for b in setting)
-    if len(setting) != len(coal):
-        raise ValueError("setting must give one bit per coalition party")
-    return sender, coal, setting
-
-
-def receiver_observation(cbox: ConstrainedBox, sender: int,
-                         coalition: Iterable[int], setting: Iterable[int],
-                         sender_value: int) -> dict[tuple[int, ...], Fraction]:
-    """Distribution of the coalition's outputs for one sender input value.
-
-    The coalition's inputs are pinned to ``setting``; inputs of parties
-    outside coalition and sender are averaged uniformly.  Raises when one
-    of the rows averaged is a paradox row, where observation statistics
-    are undefined; paradox rows elsewhere in the table do not matter.
-    """
-    sender, coal, setting = _one_setting(cbox, sender, coalition, setting)
-    shared = _Coalition(cbox, coal)
-    inputs = shared.inputs(sender, shared.codes[setting])
-    half = len(inputs) // 2
-    line = shared.line(inputs[half:] if as_bit(sender_value) else inputs[:half])
-    return decode_bucket(shared.buckets[shared.bucket(line)], len(coal))
-
-
 def _mutual_information(p0: Mapping, p1: Mapping, support: Iterable,
                         denominator: int) -> float:
     # the mixture is summed in the order of ``support``
@@ -270,8 +240,7 @@ def _note(parities: set[int]) -> str | None:
             f"carries no information")
 
 
-@dataclass(frozen=True)
-class SignalingEntry:
+class SignalingEntry(NamedTuple):
     """Analysis of one receiver setting for a fixed sender and coalition."""
 
     sender: int
@@ -342,7 +311,12 @@ def _entry(sender: int, coal: tuple[int, ...], setting: tuple[int, ...],
 def analyze_setting(cbox: ConstrainedBox, sender: int,
                     coalition: Iterable[int],
                     setting: Iterable[int]) -> SignalingEntry:
-    sender, coal, setting = _one_setting(cbox, sender, coalition, setting)
+    """The entry of one receiver setting.  Raises when one of the rows it
+    averages is a paradox row; paradox rows elsewhere do not matter."""
+    sender, coal = _check_scenario(cbox, sender, coalition)
+    setting = tuple(as_bit(b) for b in setting)
+    if len(setting) != len(coal):
+        raise ValueError("setting must give one bit per coalition party")
     shared = _Coalition(cbox, coal)
     return _entry(sender, coal, setting, shared.setting(sender, shared.codes[setting]))
 

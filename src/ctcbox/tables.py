@@ -9,8 +9,7 @@ the engine instead of comparing it with itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .boxes import NAMED_FORMS, BoxName, named_box
 from .ctc import constrain, head_json, induced_parity_form
@@ -19,8 +18,7 @@ from .forms import bit_string, input_names, output_names
 Bits = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     key: str
     box: BoxName
     pattern: tuple[int, ...]
@@ -77,8 +75,7 @@ def scenario(key: str) -> Scenario:
                          f"known: {', '.join(SCENARIO_KEYS)}") from None
 
 
-@dataclass(frozen=True)
-class ScenarioCheck:
+class ScenarioCheck(NamedTuple):
     scenario: Scenario
     computed: dict[Bits, Bits] | None
     ok: bool

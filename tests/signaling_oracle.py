@@ -2,15 +2,53 @@
 
 The scan computes each entry's rule, success, information and note from
 integer buckets (``signaling._Analysis``).  The functions here compute
-the same measures from the two observation distributions of a setting,
-{outputs: Fraction} for sender bit 0 and for sender bit 1, and render an
-entry as a report payload does; nothing in ``ctcbox`` calls them.
+the two observation distributions of a setting, {outputs: Fraction} for
+sender bit 0 and for sender bit 1, by summing rows (``receiver_observation``),
+the same measures from those two distributions, and an entry as a report
+payload renders it; nothing in ``ctcbox`` calls them.  ``engine_observation``
+reads one of the two buckets the engine itself sums, to compare with
+``receiver_observation``.
 """
 
 import math
 from fractions import Fraction
 
+from ctcbox.boxes import all_bit_tuples, decode_bucket
 from ctcbox.forms import bit_string, party_names, xor_bits
+from ctcbox.signaling import _Coalition
+
+
+def receiver_observation(cbox, sender, coalition, setting, sender_value):
+    """The coalition's outputs for one sender input value, summed outcome by
+    outcome in Fractions: the coalition's inputs pinned to ``setting``, the
+    bystanders' in lexicographic order, each row weighted 1/2^bystanders.
+    Raises at the first paradox row averaged, where observation is undefined."""
+    n = cbox.n
+    bystanders = [i for i in range(n) if i != sender and i not in coalition]
+    weight = Fraction(1, 2 ** len(bystanders))
+    probs = {}
+    for extra in all_bit_tuples(len(bystanders)):
+        full = [0] * n
+        for i, bit in zip((sender, *coalition, *bystanders),
+                          (sender_value, *setting, *extra)):
+            full[i] = bit
+        row = cbox.rows[tuple(full)]
+        if row.paradox:
+            raise ValueError(f"observation undefined: paradox row at inputs {tuple(full)}")
+        for out, p in row.outcomes.items():
+            key = tuple(out[i] for i in coalition)
+            probs[key] = probs.get(key, Fraction(0)) + weight * p
+    return probs
+
+
+def engine_observation(cbox, sender, coalition, setting, sender_value):
+    """The engine's bucket of one sender input value as {outputs: Fraction},
+    read from that value's rows alone; raises at the first paradox row."""
+    shared = _Coalition(cbox, tuple(coalition))
+    inputs = shared.inputs(sender, shared.codes[tuple(setting)])
+    half = len(inputs) // 2
+    line = shared.line(inputs[half:] if sender_value else inputs[:half])
+    return decode_bucket(shared.buckets[shared.bucket(line)], len(shared.coal))
 
 
 def entropy_bits(dist):

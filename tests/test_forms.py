@@ -95,3 +95,19 @@ def test_evaluate_form_checks_arity():
 def test_sorted_monomials_are_deterministic():
     form = BooleanForm.from_monomials(3, [[2], [0, 1], [1]])
     assert form.sorted_monomials() == [(1,), (2,), (0, 1)]
+
+
+def test_form_checks_its_parties_and_monomials():
+    with pytest.raises(ValueError, match="^a form needs at least one party$"):
+        BooleanForm(0, frozenset())
+    with pytest.raises(ValueError, match="^party index 2 out of range for 2 parties$"):
+        BooleanForm(2, frozenset({frozenset({0, 2})}))
+
+
+def test_equal_forms_hash_equal_and_print_their_fields():
+    f = BooleanForm.from_monomials(3, [[0, 1], [1, 2]])
+    g = BooleanForm.from_monomials(3, [[2, 1], [1, 0], [0, 2], [2, 0]])
+    assert f == g and hash(f) == hash(g) == hash((3, f.monomials))
+    assert len({f, g}) == 1
+    assert (repr(BooleanForm.from_monomials(2, [[0, 1]]))
+            == "BooleanForm(n=2, monomials=frozenset({frozenset({0, 1})}))")

@@ -1,8 +1,10 @@
-"""numpy is loaded only for the quantum loop.
+"""What each entry point loads, and the records it builds without dataclasses.
 
-The classical subcommands and a plain ``import ctcbox`` must work on a
-Python without numpy; each check runs in a fresh interpreter, because
-this test process has numpy loaded already.
+numpy is loaded only for the quantum loop, and ``signaling`` only for
+``analyze``: the classical subcommands and a plain ``import ctcbox`` must
+work on a Python without numpy, and every subcommand without dataclasses.
+Each check runs in a fresh interpreter, because this test process has
+loaded all of these already.
 """
 
 import os
@@ -14,14 +16,21 @@ import pytest
 
 import ctcbox
 from ctcbox import deutsch
+from ctcbox.boxes import SignalingWitness, is_no_signaling, marginal, named_box
 from ctcbox.cli import main
+from ctcbox.ctc import constrain
 from ctcbox.deutsch_defaults import EXAMPLE_NAMES
+from ctcbox.forms import BooleanForm
+from ctcbox.signaling import analyze_setting
+from ctcbox.tables import SCENARIOS, verify_scenario
 
 SRC = str(Path(ctcbox.__file__).resolve().parents[1])
 ENV = {**os.environ,
        "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-# a None entry in sys.modules makes every import of numpy raise ImportError
-BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+# a None entry in sys.modules makes every import of that module raise ImportError
+BLOCK_DATACLASSES = "import sys\nsys.modules['dataclasses'] = None\n"
+BLOCK_NUMPY = BLOCK_DATACLASSES + "sys.modules['numpy'] = None\n"
+RUN_MAIN = "from ctcbox.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 CLASSICAL_COMMANDS = [["list"], ["show", "--box", "pr", "--ctc", "bob"], ["verify"],
                       ["reproduce", "--all"],
                       ["analyze", "--box", "svetlichny", "--ctc", "alice"]]
@@ -36,11 +45,39 @@ def python(code: str, *argv: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("argv", CLASSICAL_COMMANDS, ids=" ".join)
 def test_classical_commands_run_without_numpy(capsys, argv, json_flag):
     argv = argv + json_flag
-    proc = python(BLOCK_NUMPY + "from ctcbox.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n", *argv)
+    proc = python(BLOCK_NUMPY + RUN_MAIN, *argv)
     assert proc.returncode == 0, proc.stderr.decode()
     assert main(argv) == 0
     assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_deutsch_runs_without_dataclasses(capsys):
+    argv = ["deutsch", "--example", "swap", "--crosscheck"]
+    proc = python(BLOCK_DATACLASSES + RUN_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("argv", CLASSICAL_COMMANDS + [["deutsch", "--example", "swap"]],
+                         ids=" ".join)
+def test_only_analyze_loads_signaling(argv):
+    proc = python("import contextlib, io, sys\nfrom ctcbox.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    main(sys.argv[1:])\n"
+                  "print('ctcbox.signaling' in sys.modules)\n", *argv)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.split() == [str(argv[0] == "analyze").encode()]
+
+
+def test_import_loads_no_submodule():
+    # a submodule, like a name, resolves as an attribute on first access
+    proc = python("import sys, ctcbox\n"
+                  "print(*[name for name in sys.modules if name.startswith('ctcbox.')])\n"
+                  "print(ctcbox.tables.__name__,\n"
+                  "      *sorted(ctcbox.__dict__.keys() & {'tables', 'signaling'}))\n")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.splitlines() == [b"", b"ctcbox.tables tables"]
 
 
 @pytest.mark.parametrize("module", ["ctcbox", "ctcbox.cli"])
@@ -69,3 +106,36 @@ def test_lazy_names_are_listed_and_resolve():
 def test_example_names_match_the_builders():
     assert tuple(deutsch.EXAMPLES) == EXAMPLE_NAMES
     assert deutsch.EXAMPLE_NAMES is EXAMPLE_NAMES
+
+
+def _crosscheck():
+    return deutsch.classical_consistency_crosscheck(*deutsch.example("swap"))
+
+
+RECORDS = {
+    "BooleanForm": lambda: BooleanForm.from_monomials(2, [[0, 1]]),
+    "MarginalDistribution": lambda: marginal(named_box("pr"), [0], (0, 1)),
+    "SignalingWitness": lambda: SignalingWitness((0,), (0, 0), (0, 1), {}, {}),
+    "NoSignalingVerdict": lambda: is_no_signaling(named_box("pr")),
+    "ConstrainedRow": lambda: constrain(named_box("pr"), [1]).rows[0, 0],
+    "SignalingEntry": lambda: analyze_setting(constrain(named_box("pr"), [1]), 1, [0], (0,)),
+    "Scenario": lambda: SCENARIOS["I"],
+    "ScenarioCheck": lambda: verify_scenario(SCENARIOS["I"]),
+    "FixedPointResult": lambda: _crosscheck().solve,
+    "ClassicalCrosscheck": _crosscheck,
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_assignment(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.no_such_field = None
+
+
+def test_a_record_holding_a_dict_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(RECORDS["ConstrainedRow"]())

@@ -8,8 +8,8 @@ from ctcbox.boxes import (NoSignalBox, all_bit_tuples, is_no_signaling, marginal
                           parity_box)
 from ctcbox.ctc import constrain, induced_parity_form
 from ctcbox.forms import BooleanForm, xor_bits
-from ctcbox.signaling import SignalingEntry, analyze, analyze_setting, receiver_observation
-from signaling_oracle import parity_note
+from ctcbox.signaling import SignalingEntry, analyze, analyze_setting
+from signaling_oracle import engine_observation, parity_note, receiver_observation
 
 MI_TOL = 1e-12
 
@@ -240,27 +240,6 @@ def observed_boxes(draw):
     return constrain(box, pattern)
 
 
-def observation_by_rows(cbox, sender, coalition, setting, value):
-    """The observation summed outcome by outcome in Fractions, bystanders
-    in lexicographic order, each row weighted 1/2^bystanders."""
-    n = cbox.n
-    bystanders = [i for i in range(n) if i != sender and i not in coalition]
-    weight = Fraction(1, 2 ** len(bystanders))
-    probs = {}
-    for extra in all_bit_tuples(len(bystanders)):
-        full = [0] * n
-        for i, bit in zip((sender, *coalition, *bystanders),
-                          (value, *setting, *extra)):
-            full[i] = bit
-        row = cbox.rows[tuple(full)]
-        if row.paradox:
-            raise ValueError(f"observation undefined: paradox row at inputs {tuple(full)}")
-        for out, p in row.outcomes.items():
-            key = tuple(out[i] for i in coalition)
-            probs[key] = probs.get(key, Fraction(0)) + weight * p
-    return probs
-
-
 def float_entropy(probs):
     total = 0.0
     for p in probs:
@@ -270,8 +249,8 @@ def float_entropy(probs):
 
 
 def entry_by_rows(cbox, sender, coalition, setting):
-    p0 = observation_by_rows(cbox, sender, coalition, setting, 0)
-    p1 = observation_by_rows(cbox, sender, coalition, setting, 1)
+    p0 = receiver_observation(cbox, sender, coalition, setting, 0)
+    p1 = receiver_observation(cbox, sender, coalition, setting, 1)
     support = set(p0) | set(p1)
     rule = {out: int(p1.get(out, 0) > p0.get(out, 0)) for out in sorted(support)}
     success = (sum((p for out, p in p0.items() if rule[out] == 0), Fraction(0))
@@ -305,9 +284,9 @@ def test_signaling_engine_matches_row_sums(cbox):
                 expected = []
                 for setting in all_bit_tuples(size):
                     for value in (0, 1):
-                        assert outcome(lambda: receiver_observation(
+                        assert outcome(lambda: engine_observation(
                             cbox, sender, coalition, setting, value)) == outcome(
-                            lambda: observation_by_rows(
+                            lambda: receiver_observation(
                                 cbox, sender, coalition, setting, value))
                     entry = outcome(lambda: entry_by_rows(cbox, sender, coalition, setting))
                     assert outcome(lambda: analyze_setting(

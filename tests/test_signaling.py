@@ -16,10 +16,11 @@ from ctcbox.boxes import (BoxName, NoSignalBox, all_bit_tuples, bit_codes, is_no
                           marginal, named_box, parity_box)
 from ctcbox.ctc import constrain
 from ctcbox.forms import BooleanForm
-from ctcbox.signaling import (analyze, analyze_setting, full_scan, mean_mi_bits,
-                              receiver_observation, report_json, scan_report_json)
-from signaling_oracle import (entropy_bits, entry_to_json, map_rule,
-                              mutual_information_bits, rule_success, success_probability)
+from ctcbox.signaling import (analyze, analyze_setting, full_scan, mean_mi_bits, report_json,
+                              scan_report_json)
+from signaling_oracle import (engine_observation, entropy_bits, entry_to_json, map_rule,
+                              mutual_information_bits, receiver_observation, rule_success,
+                              success_probability)
 
 MI_TOL = 1e-12
 PARITY_RULE = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
@@ -34,10 +35,9 @@ def test_entropy_bits():
 
 def test_receiver_observation_pr():
     cbox = constrain(named_box("pr"), [1])
-    p0 = receiver_observation(cbox, 1, [0], (0,), 0)
-    p1 = receiver_observation(cbox, 1, [0], (0,), 1)
-    assert p0 == {(0,): Fraction(1)}
-    assert p1 == {(1,): Fraction(1)}
+    for observation in (engine_observation, receiver_observation):
+        assert observation(cbox, 1, [0], (0,), 0) == {(0,): Fraction(1)}
+        assert observation(cbox, 1, [0], (0,), 1) == {(1,): Fraction(1)}
 
 
 def test_receiver_observation_averages_bystanders():
@@ -45,16 +45,23 @@ def test_receiver_observation_averages_bystanders():
     cbox = constrain(named_box("mermin1"), [1])
     for x in (0, 1):
         for y in (0, 1):
-            obs = receiver_observation(cbox, 1, [0], (x,), y)
-            assert sum(obs.values()) == 1
-            # a = x.y ^ x.z ^ y ^ c; averaging over z and c leaves a uniform
-            assert obs == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+            for observation in (engine_observation, receiver_observation):
+                obs = observation(cbox, 1, [0], (x,), y)
+                assert sum(obs.values()) == 1
+                # a = x.y ^ x.z ^ y ^ c; averaging over z and c leaves a uniform
+                assert obs == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
 
 
 def test_observation_rejects_paradox_rows():
     cbox = constrain(named_box("pr"), [0, 1])
     with pytest.raises(ValueError, match="paradox"):
-        receiver_observation(cbox, 0, [1], (1,), 0)
+        analyze_setting(cbox, 0, [1], (1,))
+    # x ^ y ^ z = x.y.z fails at the inputs of weight 1: a setting raises
+    # only when one of its own rows is one of them
+    cbox = constrain(named_box("mermin2"), [0, 1, 2])
+    assert analyze_setting(cbox, 0, [1, 2], (1, 1)).rule == {(1, 1): 0}
+    with pytest.raises(ValueError, match=r"paradox row at inputs \(1, 0, 0\)$"):
+        analyze_setting(cbox, 0, [1, 2], (0, 0))
 
 
 def test_a_report_names_the_direction_a_paradox_row_stops():
@@ -75,9 +82,9 @@ def test_paradox_rows_are_raised_per_bucket():
     # x ^ y = x.y holds only at (0, 0): setting y = 0 with x = 0 is
     # observable, x = 1 is not
     cbox = constrain(named_box("pr"), [0, 1])
-    assert receiver_observation(cbox, 0, [1], (0,), 0) == {(0,): 1}
+    assert engine_observation(cbox, 0, [1], (0,), 0) == {(0,): 1}
     with pytest.raises(ValueError, match=r"paradox row at inputs \(1, 0\)"):
-        receiver_observation(cbox, 0, [1], (0,), 1)
+        analyze_setting(cbox, 0, [1], (0,))
     with pytest.raises(ValueError, match=r"paradox row at inputs \(1, 0\)"):
         analyze(cbox, 0, [1])
 
@@ -110,7 +117,7 @@ def test_a_setting_reads_only_its_own_rows():
     # rows are shared, so a row is read through the row id of each input code
     rows = cbox.row_ids = RecordingRows(cbox.row_ids)
     # sender x0 = 1, setting (x1..x4) = (1, 0, 1, 1), either value of x5
-    receiver_observation(cbox, 0, range(1, 5), (1, 0, 1, 1), 1)
+    engine_observation(cbox, 0, range(1, 5), (1, 0, 1, 1), 1)
     assert sorted(rows.touched) == [0b110110, 0b110111]
     rows.touched.clear()
     analyze_setting(cbox, 0, range(1, 5), (1, 0, 1, 1))
@@ -252,12 +259,12 @@ def test_unprintable_direction_stops_the_scan_and_is_named(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda cbox: receiver_observation(cbox, 1, [0], (2,), 0),
-    lambda cbox: receiver_observation(cbox, 1, [0], (0,), 2),
+    lambda cbox: analyze_setting(cbox, 1, [0], (2,)),
+    lambda cbox: analyze_setting(cbox, 1, [0, 2], (0, 2)),
     lambda cbox: analyze_setting(cbox, 1, [0], (5,)),
     lambda cbox: analyze(cbox, 2.5, [1.2]),
     lambda cbox: analyze(cbox, 1, [0.5]),
-], ids=["setting-2", "sender-value-2", "setting-5", "float-parties",
+], ids=["setting-2", "second-setting-bit-2", "setting-5", "float-parties",
         "float-coalition"])
 def test_non_bit_and_non_integer_arguments_raise_value_error(call):
     with pytest.raises(ValueError):
