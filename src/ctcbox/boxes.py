@@ -45,7 +45,10 @@ def exact_fraction(value) -> Fraction:
             raise ValueError(f"probability {value!r} is not an integer "
                              f"or 'num/den' string")
         num, _, den = value.partition("/")
-        return Fraction(int(num), int(den or 1))
+        den = int(den or 1)
+        if not den:
+            raise ValueError(f"probability {value!r} has a zero denominator")
+        return Fraction(int(num), den)
     raise TypeError(
         f"probabilities must be exact (Fraction, int or 'num/den' string), "
         f"got {type(value).__name__}")
@@ -550,7 +553,7 @@ def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
             p = probability(entry["p"])
         except KeyError as err:
             raise BoxSpecError(f"table[{k}]: missing field {err}") from err
-        except (ValueError, TypeError, ZeroDivisionError) as err:
+        except (ValueError, TypeError) as err:
             raise BoxSpecError(f"table[{k}]: {err}") from err
         if len(inputs) != parties or len(outputs) != parties:
             raise BoxSpecError(f"table[{k}]: 'in' and 'out' must have {parties} bits")

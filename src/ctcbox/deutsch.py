@@ -20,18 +20,25 @@ d_loop^2 x d_loop^2 matrix is built once per solve, and a step is one
 matrix-vector product for the raw iterate alone.  T is also trace
 preserving, so the average A_m of sigma_0 .. sigma_m telescopes:
 T(A_m) - A_m = (sigma_(m+1) - sigma_0) / (m + 1).  Both residuals of a
-step are thus differences of raw iterates.  Steps are judged in blocks
-of 1, 2, 4, ... up to BLOCK_CAP, with one stacked eigvalsh call per
-block.  A full block of BLOCK_CAP = 256 steps is filled by doubling,
-rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., 256: nine products
-against powers of T that are squared once per solve.  Squaring costs
-about d_loop^6, so only loops up to POWER_MAX_LOOP = 8 take this path;
-larger loops, and every shorter block, keep one product per step.
+step are thus differences of raw iterates.  Steps are built in blocks of
+1, 2, 4, ... up to BLOCK_CAP, each starting from the last iterate of the
+block before it, re-hermitized.  They are judged in windows, with one
+stacked eigvalsh call per window for both residuals of every step in it:
+the first window is the first WINDOW = 31 steps, the blocks of 1, 2, 4, 8
+and 16, and after it each block is a window of its own.  Most solves end
+within those 31 steps, where one call per block cost more in fixed numpy
+overhead than in arithmetic.  A full block of BLOCK_CAP = 256 steps is
+filled by doubling, rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., 256:
+nine products against powers of T that are squared once per solve.
+Squaring costs about d_loop^6, so only loops up to POWER_MAX_LOOP = 8 take
+this path; larger loops, and every shorter block, keep one product per
+step.
 
-A block of n steps is also screened before eigvalsh sees it, once
-n d_loop^2 >= SCREEN_MIN_SIZE = 128: from 32 steps at d_loop 2, 15 at
-d_loop 3 and 2 at d_loop 8.  From what eigvalsh reads of each residual
-matrix H (the lower triangle and the real diagonal) come the bounds
+A window of n steps is also screened before eigvalsh sees it, once
+n d_loop^2 >= SCREEN_MIN_SIZE = 128: the first window from d_loop 3, and
+every later block (32 steps or more) at every d_loop from 2.  From what
+eigvalsh reads of each residual matrix H (the lower triangle and the real
+diagonal) come the bounds
 
     sqrt(2 ||H||_F^2 - tr^2)  <=  ||H||_1  <=  min(sum |h_ii|
       + 2 sum_(i>j) (|Re h_ij| + |Im h_ij|), sqrt(d) ||H||_F),
@@ -41,13 +48,18 @@ divided by m + 1 for an average like the residual itself and widened by
 SCREEN_MARGIN and SCREEN_FLOOR against rounding and underflow.  Only the
 steps up to the first whose upper bound is <= tol, and among them only
 those whose lower bound is <= max(tol, min(best so far, smallest upper
-bound)), go to eigvalsh; no other can be the block's first hit or its
+bound)), go to eigvalsh; no other can be the window's first hit or its
 new first-smallest best, so every choice and every returned value is
 that of judging all of them.  At d_loop 2, where the residuals are
 traceless, the lower bound is the trace norm itself, and a full block of
 the slow-gap cases sends one matrix to eigvalsh instead of 512.  Smaller
-blocks are judged whole: there the bounds cost more than the eigvalsh
+windows are judged whole: there the bounds cost more than the eigvalsh
 work they would save.
+
+A window of several blocks returns what judging them one by one would,
+bit for bit: its first hit and its first smallest residual are those
+that block after block would find, and an averaged candidate adds the
+blocks' sums to the running total one block at a time, in order.
 
 Iteration counts and choices are those of judging one step at a time,
 except at the rounding floor: once residuals are rounding noise (a tol
@@ -86,13 +98,17 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 UNITARY_TOL = 1e-10
 MATCH_TOL = 1e-9
-# fixed_point judges at most this many steps with one eigvalsh call
+# the longest block fixed_point builds; past the first window, each block is
+# judged with one eigvalsh call
 BLOCK_CAP = 256
 # up to this loop dimension a full block is filled from squared powers of
 # the map; squaring costs about d_loop^6, and at d_loop 16 it takes about
 # eight full blocks to repay
 POWER_MAX_LOOP = 8
-# a block of n steps is screened when n d_loop^2 reaches this; below it,
+# fixed_point judges its first WINDOW steps, the blocks of 1, 2, 4, 8 and
+# 16 steps, with one eigvalsh call; 2^k - 1, so that it ends on a block edge
+WINDOW = 31
+# a window of n steps is screened when n d_loop^2 reaches this; below it,
 # computing the bounds costs more than the eigvalsh work they save
 SCREEN_MIN_SIZE = 128
 # relative widening of the trace-norm bounds that screen a block:
@@ -156,11 +172,11 @@ def _trace_norm_bounds(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray
 
 def _screened_trace_norms(diffs: np.ndarray, counts: np.ndarray, d: int,
                           tol: float, best: float) -> np.ndarray:
-    """Trace norms of ``diffs`` where they can decide a block.
+    """Trace norms of ``diffs`` where they can decide a window.
 
     Entries 2i and 2i + 1 are a raw residual and an average's, the latter
     to be divided by ``counts[i]``.  The entries whose residual cannot be
-    the block's first one <= ``tol``, nor its first smallest one when that
+    the window's first one <= ``tol``, nor its first smallest one when that
     beats ``best``, read +inf; the others are computed exactly as without
     the screen.
     """
@@ -319,9 +335,18 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
     best = (float("inf"), 0, False, start)
 
     def candidate(m: int, from_average: bool) -> np.ndarray:
-        if from_average:
-            return (total + rows[:m - first + 1].sum(axis=0)) / (m + 1)
-        return rows[m - first].copy()
+        k = 0
+        while m >= blocks[k][0] + len(blocks[k][1]) - 1:
+            k += 1
+        b, rows = blocks[k]
+        if not from_average:
+            return rows[m - b].copy()
+        # the window's earlier blocks are added to total one at a time, as
+        # total itself takes them, so the sum has the same bits either way
+        summed = total
+        for _, earlier in blocks[:k]:
+            summed = summed + earlier[:-1].sum(axis=0)
+        return (summed + rows[:m - b + 1].sum(axis=0)) / (m + 1)
 
     def result(residual: float, m: int, from_average: bool, vector: np.ndarray,
                converged: bool) -> FixedPointResult:
@@ -331,38 +356,52 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
 
     first, n, last = 0, 1, start
     while first <= budget:
-        n = min(n, budget + 1 - first)
-        # rows[i] is sigma_(first + i); the block judges steps first .. first + n - 1
-        rows = np.empty((n + 1, d_loop * d_loop), dtype=complex)
-        rows[0] = last
-        if n == BLOCK_CAP and d_loop <= POWER_MAX_LOOP:
-            if not powers:  # squared once, at the first full block
-                powers = [step]
-                while len(powers) < BLOCK_CAP.bit_length():
-                    powers.append(powers[-1] @ powers[-1])
-            # rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., BLOCK_CAP: one
-            # product for each power of 2, the last one for rows[n] alone
-            for j, power in enumerate(powers):
-                out = rows[1 << j:2 << j]
-                np.matmul(rows[:len(out)], power, out=out)
-        else:
-            for i in range(n):
-                np.matmul(rows[i], step, out=rows[i + 1])
-        # T(A_m) - A_m = (sigma_(m+1) - sigma_0) / (m + 1) for the average
-        # A_m of sigma_0 .. sigma_m, since T is linear and sigma_(j+1) = T(sigma_j).
-        # Entries 2i and 2i + 1 are step first + i's raw candidate and its
-        # average; at m = 0 the average is the start and its residual the
-        # raw one, so the raw candidate wins
-        diffs = np.empty((n, 2, d_loop * d_loop), dtype=complex)
-        np.subtract(rows[1:], rows[:n], out=diffs[:, 0])
-        np.subtract(rows[1:], start, out=diffs[:, 1])
-        diffs = diffs.reshape(2 * n, -1)
+        # the window judges steps first .. end - 1: the blocks of the first
+        # WINDOW steps together, then each block on its own
+        end = min(max(first + n, WINDOW), budget + 1)
+        # (b, rows) for each block, rows[i] being sigma_(b + i); the block
+        # holds steps b .. b + len(rows) - 2
+        blocks: list[tuple[int, np.ndarray]] = []
+        diffs = np.empty((end - first, 2, d_loop * d_loop), dtype=complex)
+        b = first
+        while b < end:
+            n = min(n, end - b)
+            rows = np.empty((n + 1, d_loop * d_loop), dtype=complex)
+            # each block starts from the last iterate before it, re-hermitized
+            # so that rounding cannot drift across blocks
+            rows[0] = _hermitize(last.reshape(shape)).reshape(-1) if b else start
+            if n == BLOCK_CAP and d_loop <= POWER_MAX_LOOP:
+                if not powers:  # squared once, at the first full block
+                    powers = [step]
+                    while len(powers) < BLOCK_CAP.bit_length():
+                        powers.append(powers[-1] @ powers[-1])
+                # rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., BLOCK_CAP: one
+                # product for each power of 2, the last one for rows[n] alone
+                for j, power in enumerate(powers):
+                    out = rows[1 << j:2 << j]
+                    np.matmul(rows[:len(out)], power, out=out)
+            else:
+                for i in range(n):
+                    np.matmul(rows[i], step, out=rows[i + 1])
+            # T(A_m) - A_m = (sigma_(m+1) - sigma_0) / (m + 1) for the average
+            # A_m of sigma_0 .. sigma_m, since T is linear and
+            # sigma_(j+1) = T(sigma_j).  Entries 2i and 2i + 1 are step
+            # first + i's raw candidate and its average; at m = 0 the average
+            # is the start and its residual the raw one, so the raw one wins
+            out = diffs[b - first:b - first + n]
+            np.subtract(rows[1:], rows[:n], out=out[:, 0])
+            np.subtract(rows[1:], start, out=out[:, 1])
+            blocks.append((b, rows))
+            last = rows[n]
+            b += n
+            n = min(2 * n, BLOCK_CAP)
+        diffs = diffs.reshape(2 * (end - first), -1)
         # the averages' divisors m + 1; dividing the raw ones by 1 is exact
-        counts = np.arange(first + 1, first + n + 1)
-        if n * d_loop * d_loop >= SCREEN_MIN_SIZE:
+        counts = np.arange(first + 1, end + 1)
+        if (end - first) * d_loop * d_loop >= SCREEN_MIN_SIZE:
             residuals = _screened_trace_norms(diffs, counts, d_loop, tol, best[0])
         else:
-            residuals = _hermitian_trace_norms(diffs.reshape(2 * n, *shape))
+            residuals = _hermitian_trace_norms(diffs.reshape(-1, *shape))
         residuals[1::2] /= counts
         hits = (residuals <= tol).nonzero()[0]
         if hits.size:
@@ -374,12 +413,9 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
         if residuals[low] < best[0]:
             m, from_average = first + low // 2, bool(low % 2)
             best = (float(residuals[low]), m, from_average, candidate(m, from_average))
-        total += rows[:n].sum(axis=0)
-        # the last iterate starts the next block, re-hermitized so that
-        # rounding cannot drift across blocks
-        last = _hermitize(rows[n].reshape(shape)).reshape(-1)
-        first += n
-        n = min(2 * n, BLOCK_CAP)
+        for _, rows in blocks:
+            total += rows[:-1].sum(axis=0)
+        first = end
     return result(*best, False)
 
 

@@ -134,11 +134,12 @@ class BooleanForm(_Form):
 
     def evaluate(self, inputs: Sequence[int]) -> int:
         """The form's value on a full tuple of input bits."""
-        if len(inputs) != self.n:
-            raise ValueError(f"form expects {self.n} inputs, got {len(inputs)}")
+        n, monomials = self
+        if len(inputs) != n:
+            raise ValueError(f"form expects {n} inputs, got {len(inputs)}")
         bits = tuple(as_bit(b) for b in inputs)
         value = 0
-        for mono in self.monomials:
+        for mono in monomials:
             term = 1
             for index in mono:
                 term &= bits[index]

@@ -130,8 +130,10 @@ def _rows_with(n, inputs, row):
     (2, {**{x: {x: 1} for x in all_bit_tuples(2)}, (0, 0, 1): {(0, 0): 1}},
      "unexpected input tuples: [(0, 0, 1)]"),
     (2, _rows_with(2, (0, 0), {(1.0, 0): 1}), "expected a bit (0 or 1), got 1.0"),
+    (2, _rows_with(2, (1, 0), {(0, 0): "1/0"}),
+     "probability '1/0' has a zero denominator"),
 ], ids=["arity", "duplicate", "sum", "empty-row", "negative", "missing-row",
-        "unexpected-inputs", "float-bit"])
+        "unexpected-inputs", "float-bit", "zero-denominator"])
 def test_box_validation_messages(n, rows, message):
     with pytest.raises(ValueError) as err:
         NoSignalBox(n, rows)

@@ -381,6 +381,16 @@ def test_exponent_probability_fails_fast(tmp_path):
     assert proc.returncode == 2 and "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("p", ["1/0", "3/00"])
+def test_zero_denominator_is_named_in_the_error(capsys, tmp_path, p):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"parties": 1, "table": [
+        {"in": [0], "out": [0], "p": "1"}, {"in": [1], "out": [0], "p": p}]}))
+    code, out, err = run(capsys, "show", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: table[1]: probability '{p}' has a zero denominator\n"
+
+
 @pytest.mark.parametrize("option", ["--max-iter=-1", "--tol=nan", "--tol=inf",
                                     "--tol=0", "--tol=-1e-9"])
 def test_deutsch_rejects_meaningless_budgets(capsys, option):

@@ -442,13 +442,16 @@ def test_fixed_point_steps_without_loop_map(monkeypatch):
     assert trace_norm(one_trip(u, rho, result.sigma) - result.sigma) < 1e-9
 
 
-def test_weak_swap_converges_on_the_raw_iterate_after_6811_steps():
-    # expm(-0.05i SWAP) with the CR qubit in |0>: a spectral gap of about
-    # 0.0025, so the count pins the iteration rule itself
+def weak_swap():
+    # expm(-0.05i SWAP) with the CR qubit in |0>: a spectral gap of about 0.0025
     swap, _, d = example("swap")
     w, v = np.linalg.eigh(swap)
-    u = (v * np.exp(-0.05j * w)) @ v.conj().T
-    rho = np.diag([1, 0]).astype(complex)
+    return (v * np.exp(-0.05j * w)) @ v.conj().T, np.diag([1, 0]).astype(complex), d
+
+
+def test_weak_swap_converges_on_the_raw_iterate_after_6811_steps():
+    # the gap is slow enough that the count pins the iteration rule itself
+    u, rho, d = weak_swap()
     result = fixed_point(u, rho, d)
     assert result.converged and not result.from_average
     assert result.iterations == 6811
@@ -493,6 +496,100 @@ def assert_same_solve(result, reference):
 OSCILLATING = [2, 5, 0, 8, 11, 1, 3, 6, 9, 4, 7, 10]
 
 
+def per_block_fixed_point(u, rho, d_loop, tol=1e-10, max_iterations=100_000):
+    """The solver judging each block on its own: the oracle for `fixed_point`.
+
+    This is `fixed_point` before its first blocks were judged in one
+    window: each block of 1, 2, 4, ..., BLOCK_CAP steps is filled, screened
+    and judged by itself, with one eigvalsh call, and the running sum of
+    the iterates takes each block as it is passed.
+    """
+    step = deutsch._loop_superoperator(u, rho, d_loop).T
+    powers = []
+    shape = (d_loop, d_loop)
+    start = (np.eye(d_loop, dtype=complex) / d_loop).reshape(-1)
+    total = np.zeros_like(start)
+    best = (float("inf"), 0, False, start)
+
+    def solve(residual, m, from_average, vector, converged):
+        sigma = deutsch._hermitize(vector.reshape(shape)) if m else start.reshape(shape).copy()
+        return deutsch.FixedPointResult(sigma, m, residual, converged, from_average)
+
+    def entry(residuals, k):
+        m, from_average = first + k // 2, bool(k % 2)
+        vector = ((total + rows[:m - first + 1].sum(axis=0)) / (m + 1) if from_average
+                  else rows[m - first].copy())
+        return float(residuals[k]), m, from_average, vector
+
+    first, n, last = 0, 1, start
+    while first <= max_iterations:
+        n = min(n, max_iterations + 1 - first)
+        rows = np.empty((n + 1, d_loop * d_loop), dtype=complex)
+        rows[0] = last
+        if n == deutsch.BLOCK_CAP and d_loop <= deutsch.POWER_MAX_LOOP:
+            if not powers:
+                powers = [step]
+                while len(powers) < deutsch.BLOCK_CAP.bit_length():
+                    powers.append(powers[-1] @ powers[-1])
+            for j, power in enumerate(powers):
+                out = rows[1 << j:2 << j]
+                np.matmul(rows[:len(out)], power, out=out)
+        else:
+            for i in range(n):
+                np.matmul(rows[i], step, out=rows[i + 1])
+        diffs = np.empty((n, 2, d_loop * d_loop), dtype=complex)
+        np.subtract(rows[1:], rows[:n], out=diffs[:, 0])
+        np.subtract(rows[1:], start, out=diffs[:, 1])
+        diffs = diffs.reshape(2 * n, -1)
+        counts = np.arange(first + 1, first + n + 1)
+        if n * d_loop * d_loop >= deutsch.SCREEN_MIN_SIZE:
+            residuals = deutsch._screened_trace_norms(diffs, counts, d_loop, tol, best[0])
+        else:
+            residuals = deutsch._hermitian_trace_norms(diffs.reshape(2 * n, *shape))
+        residuals[1::2] /= counts
+        hits = (residuals <= tol).nonzero()[0]
+        if hits.size:
+            return solve(*entry(residuals, int(hits[0])), True)
+        low = int(residuals.argmin())
+        if residuals[low] < best[0]:
+            best = entry(residuals, low)
+        total += rows[:n].sum(axis=0)
+        last = deutsch._hermitize(rows[n].reshape(shape)).reshape(-1)
+        first += n
+        n = min(2 * n, deutsch.BLOCK_CAP)
+    return solve(*best, False)
+
+
+def assert_identical_solve(result, oracle):
+    assert (result.iterations, result.converged, result.from_average, result.residual) == (
+        oracle.iterations, oracle.converged, oracle.from_average, oracle.residual)
+    assert np.array_equal(result.sigma, oracle.sigma)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-14, 1e-300])
+def test_the_window_solves_haar_cases_as_the_per_block_oracle(tol):
+    # budgets inside, at and past the window's blocks, and within a full block
+    rng = np.random.default_rng(23)
+    for d_cr in range(1, MAX_DIM + 1):
+        for d_loop in range(1, MAX_DIM // d_cr + 1):
+            u = random_unitary(rng, d_cr * d_loop)
+            rho = random_density(rng, d_cr)
+            for budget in (0, 1, 2, 14, 15, 30, 31, 254, 255, 600):
+                assert_identical_solve(
+                    fixed_point(u, rho, d_loop, tol=tol, max_iterations=budget),
+                    per_block_fixed_point(u, rho, d_loop, tol, budget))
+
+
+@pytest.mark.parametrize("case", ["nonconv", "weak_swap", "oscillating", *EXAMPLE_NAMES])
+def test_the_window_solves_named_cases_as_the_per_block_oracle(case):
+    if case in ("nonconv", "oscillating"):
+        weights = [1, 0, 0, 0] if case == "nonconv" else [0.5, 0.5, 0, 0]
+        u, rho, d = permutation_unitary(OSCILLATING), np.diag(weights).astype(complex), 3
+    else:
+        u, rho, d = weak_swap() if case == "weak_swap" else example(case)
+    assert_identical_solve(fixed_point(u, rho, d), per_block_fixed_point(u, rho, d))
+
+
 def weak_rotation():
     # expm(-0.02i SWAP) (I (x) expm(-0.7i X)) with the CR qubit in |0>
     swap, _, d = example("swap")
@@ -519,7 +616,8 @@ def test_fixed_point_matches_the_per_step_reference_on_haar_cases():
                                     510, 511, 766, 767])
 @pytest.mark.parametrize("case", ["oscillating", "nonconv", "weak_rot"])
 def test_fixed_point_matches_the_per_step_reference_at_block_edges(case, budget):
-    # blocks judge steps 0, 1-2, 3-6, ..., 127-254, then 256 at a time
+    # the first window judges steps 0-30 (blocks 0, 1-2, 3-6, ..., 15-30),
+    # then blocks judge 31-62, 63-126, 127-254, then 256 at a time
     if case == "weak_rot":
         u, rho, d = weak_rotation()
     else:
@@ -597,8 +695,9 @@ def test_choices_below_the_rounding_floor_may_differ_from_the_per_step_loop(
 
 
 def test_only_the_returned_candidate_is_hermitized(monkeypatch):
-    # one _hermitize a block for the iterate that starts the next one, and
-    # one for the returned candidate: none for a best so far that is dropped
+    # one _hermitize for each block built after the first, for the iterate
+    # that starts it, and one for the returned candidate: none for a best so
+    # far that is dropped
     hermitize = deutsch._hermitize
     calls = []
 
@@ -608,14 +707,19 @@ def test_only_the_returned_candidate_is_hermitized(monkeypatch):
 
     monkeypatch.setattr(deutsch, "_hermitize", counted)
     rng = np.random.default_rng(4)
+    counts = []
     for d_cr, d_loop in ((2, 2), (2, 4), (4, 2), (4, 4), (2, 8), (8, 2)):
         u, rho = random_unitary(rng, d_cr * d_loop), random_density(rng, d_cr)
         calls.clear()
         result = fixed_point(u, rho, d_loop)
         m = result.iterations
         assert result.converged and 3 <= m < 255
-        # blocks start at steps 0, 1, 3, 7, ..., 127, so m + 1 has one bit a block
-        assert len(calls) == (m + 1).bit_length()
+        # blocks start at steps 0, 1, 3, 7, ..., 127, so m + 1 has one bit a
+        # block, and the first window builds all of its blocks
+        assert len(calls) == max(m + 1, deutsch.WINDOW).bit_length()
+        counts.append(m)
+    # solves that end inside the window and after it
+    assert min(counts) < deutsch.WINDOW <= max(counts)
 
 
 def test_weak_rotation_converges_on_the_raw_iterate_after_54159_steps():
@@ -734,21 +838,27 @@ def test_a_full_block_sends_at_most_four_matrices_to_eigvalsh(monkeypatch, case)
 
     monkeypatch.setattr(deutsch, "_hermitian_trace_norms", counted)
     if case == "nonconv":
-        # 100,001 steps: blocks of 1, 2, ..., 128, then 389 full ones and 162
+        # 100,001 steps: the window of 31, blocks of 32, 64 and 128, then 389
+        # full ones and 162
         d = 3
         fixed_point(permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]), d)
-        blocks = [1 << k for k in range(8)] + [256] * 389 + [162]
+        blocks = [32, 64, 128] + [256] * 389 + [162]
     else:
         d = 2
         fixed_point(*weak_rotation())  # step 54,159 lies in the 211th full block
-        blocks = [1 << k for k in range(8)] + [256] * 211
-    # one eigvalsh call a block: blocks below the size rule judge every
-    # step, raw and averaged, and the others send at most four matrices
-    assert deutsch.SCREEN_MIN_SIZE == 128 and len(sizes) == len(blocks)
-    judged = [n for n in blocks if n * d * d < deutsch.SCREEN_MIN_SIZE]
-    assert judged == ([1, 2, 4, 8] if case == "nonconv" else [1, 2, 4, 8, 16])
-    assert sizes[:len(judged)] == [2 * n for n in judged]
-    assert max(sizes[len(judged):]) <= 4
+        blocks = [32, 64, 128] + [256] * 211
+    # one eigvalsh call for the first window, then one a block; the window
+    # is judged whole below the size rule (all 62 residuals at d_loop 2) and
+    # screened above it, and every block after it is screened and sends at
+    # most four matrices
+    assert deutsch.WINDOW == 31 and deutsch.SCREEN_MIN_SIZE == 128
+    assert len(sizes) == 1 + len(blocks)
+    assert all(n * d * d >= deutsch.SCREEN_MIN_SIZE for n in blocks)
+    if case == "nonconv":
+        assert 31 * d * d >= deutsch.SCREEN_MIN_SIZE and sizes[0] <= 4
+    else:
+        assert 31 * d * d < deutsch.SCREEN_MIN_SIZE and sizes[0] == 62
+    assert max(sizes[1:]) <= 4
 
 
 def test_oversized_problems_fail_before_the_cubic_checks(monkeypatch):
