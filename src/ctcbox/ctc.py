@@ -129,12 +129,21 @@ def induced_parity_form(form: BooleanForm, pattern: Iterable[int]) -> BooleanFor
 
 
 def constrained_to_json(cbox: ConstrainedBox) -> list[dict]:
-    """Rows as JSON-ready dicts with exact "num/den" probability strings."""
-    return [{"inputs": list(inputs),
-             "outcomes": [{"out": list(outcome), "p": str(p)}
-                          for outcome, p in sorted(row.outcomes.items())],
-             "paradox": row.paradox}
-            for inputs, row in sorted(cbox.rows.items())]
+    """Rows as JSON-ready dicts with exact "num/den" probability strings.
+
+    str() refuses an integer longer than sys.get_int_max_str_digits(); the
+    error then names the row's inputs.
+    """
+    rows = []
+    for inputs, row in sorted(cbox.rows.items()):
+        try:
+            outcomes = [{"out": list(outcome), "p": str(p)}
+                        for outcome, p in sorted(row.outcomes.items())]
+        except ValueError as err:
+            raise ValueError(f"inputs {inputs}: {err}") from err
+        rows.append({"inputs": list(inputs), "outcomes": outcomes,
+                     "paradox": row.paradox})
+    return rows
 
 
 def head_json(label: str | None, n: int, pattern: Iterable[int]) -> dict:

@@ -25,18 +25,22 @@ step are thus differences of raw iterates.  Steps are built in blocks of
 block before it, re-hermitized.  They are judged in windows, with one
 stacked eigvalsh call per window for both residuals of every step in it:
 the first window is the first WINDOW = 31 steps, the blocks of 1, 2, 4, 8
-and 16, and after it each block is a window of its own.  Most solves end
-within those 31 steps, where one call per block cost more in fixed numpy
+and 16; the blocks of 32, 64 and 128 are a window each; and full blocks
+are judged LONG_WINDOW = 1,024 steps, four blocks, at a time.  Most solves
+end within those 31 steps, and the slow-gap ones run for thousands of
+steps in full blocks: in both, one call per block cost more in fixed numpy
 overhead than in arithmetic.  A full block of BLOCK_CAP = 256 steps is
 filled by doubling, rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., 256:
 nine products against powers of T that are squared once per solve.
 Squaring costs about d_loop^6, so only loops up to POWER_MAX_LOOP = 8 take
 this path; larger loops, and every shorter block, keep one product per
-step.
+step.  Only the power-filled blocks take long windows: a larger loop pays
+for its steps far more than for judging them, and a long window would
+only build more steps past a hit.
 
 A window of n steps is also screened before eigvalsh sees it, once
 n d_loop^2 >= SCREEN_MIN_SIZE = 128: the first window from d_loop 3, and
-every later block (32 steps or more) at every d_loop from 2.  From what
+every later window (32 steps or more) at every d_loop from 2.  From what
 eigvalsh reads of each residual matrix H (the lower triangle and the real
 diagonal) come the bounds
 
@@ -51,10 +55,10 @@ those whose lower bound is <= max(tol, min(best so far, smallest upper
 bound)), go to eigvalsh; no other can be the window's first hit or its
 new first-smallest best, so every choice and every returned value is
 that of judging all of them.  At d_loop 2, where the residuals are
-traceless, the lower bound is the trace norm itself, and a full block of
-the slow-gap cases sends one matrix to eigvalsh instead of 512.  Smaller
-windows are judged whole: there the bounds cost more than the eigvalsh
-work they would save.
+traceless, the lower bound is the trace norm itself, and a long window
+of the slow-gap cases sends one matrix to eigvalsh instead of 2,048.
+Smaller windows are judged whole: there the bounds cost more than the
+eigvalsh work they would save.
 
 A window of several blocks returns what judging them one by one would,
 bit for bit: its first hit and its first smallest residual are those
@@ -65,9 +69,11 @@ Iteration counts and choices are those of judging one step at a time,
 except at the rounding floor: once residuals are rounding noise (a tol
 far below 1e-15), the chosen step may differ, and the state only by
 rounding.  A candidate is hermitized only when it is returned.  The
-100,000 steps of the non-converging 4 x 3 problem take about 0.08 s
-on one core of a shared 2-vCPU VM, against 0.11 s when only full
-blocks were screened (BENCH_15.json).
+100,000 steps of the non-converging 4 x 3 problem take about 0.07 s on
+one core of a shared 2-vCPU VM, against 0.09 s when each full block was
+a window of its own: the median over 7 alternating rounds, each the
+median of 21 solves in a fresh process pinned to one CPU (rounds read
+0.05-0.08 s and 0.07-0.11 s).
 
 `classical_consistency_crosscheck` connects this solver back to the
 classical box analysis: when U permutes basis states and rho is
@@ -98,8 +104,7 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 UNITARY_TOL = 1e-10
 MATCH_TOL = 1e-9
-# the longest block fixed_point builds; past the first window, each block is
-# judged with one eigvalsh call
+# the longest block fixed_point builds
 BLOCK_CAP = 256
 # up to this loop dimension a full block is filled from squared powers of
 # the map; squaring costs about d_loop^6, and at d_loop 16 it takes about
@@ -108,6 +113,10 @@ POWER_MAX_LOOP = 8
 # fixed_point judges its first WINDOW steps, the blocks of 1, 2, 4, 8 and
 # 16 steps, with one eigvalsh call; 2^k - 1, so that it ends on a block edge
 WINDOW = 31
+# full blocks filled from powers of the map are judged LONG_WINDOW steps,
+# four blocks, at a time; windows of eight blocks ran no faster end to end
+# and held about 1 MB more
+LONG_WINDOW = 4 * BLOCK_CAP
 # a window of n steps is screened when n d_loop^2 reaches this; below it,
 # computing the bounds costs more than the eigvalsh work they save
 SCREEN_MIN_SIZE = 128
@@ -357,8 +366,10 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
     first, n, last = 0, 1, start
     while first <= budget:
         # the window judges steps first .. end - 1: the blocks of the first
-        # WINDOW steps together, then each block on its own
-        end = min(max(first + n, WINDOW), budget + 1)
+        # WINDOW steps together, then each block on its own, except that full
+        # blocks filled from powers go LONG_WINDOW steps at a time
+        span = LONG_WINDOW if n == BLOCK_CAP and d_loop <= POWER_MAX_LOOP else n
+        end = min(max(first + span, WINDOW), budget + 1)
         # (b, rows) for each block, rows[i] being sigma_(b + i); the block
         # holds steps b .. b + len(rows) - 2
         blocks: list[tuple[int, np.ndarray]] = []

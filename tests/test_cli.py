@@ -391,6 +391,29 @@ def test_zero_denominator_is_named_in_the_error(capsys, tmp_path, p):
     assert err == f"error: table[1]: probability '{p}' has a zero denominator\n"
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="no limit on integer string conversion")
+def test_unprintable_conditioned_row_is_named_in_the_error(capsys, tmp_path):
+    # every entry's denominator has about 2,200 digits, but conditioning on
+    # out0 == in0 keeps 1/D1, 1/D2 and 1/D3 and divides by their sum, which
+    # gives terms of about 4,400 digits, more than str() will write
+    dens = [10 ** 2200 + k for k in (1, 3, 7)]
+    table = []
+    for code in range(8):
+        ins = [code >> 2, (code >> 1) & 1, code & 1]
+        for den, rest in zip(dens, ([0, 0], [0, 1], [1, 0])):
+            table.append({"in": ins, "out": [ins[0], *rest], "p": f"1/{den}"})
+            table.append({"in": ins, "out": [1 - ins[0], *rest],
+                          "p": f"{den - 3}/{3 * den}"})
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"parties": 3, "table": table}))
+    with pytest.raises(ValueError) as limit:
+        str(10 ** sys.get_int_max_str_digits())
+    code, out, err = run(capsys, "show", "--spec", str(path), "--ctc", "0")
+    assert code == 2 and out == ""
+    assert err == f"error: inputs (0, 0, 0): {limit.value}\n"
+
+
 @pytest.mark.parametrize("option", ["--max-iter=-1", "--tol=nan", "--tol=inf",
                                     "--tol=0", "--tol=-1e-9"])
 def test_deutsch_rejects_meaningless_budgets(capsys, option):

@@ -499,10 +499,11 @@ OSCILLATING = [2, 5, 0, 8, 11, 1, 3, 6, 9, 4, 7, 10]
 def per_block_fixed_point(u, rho, d_loop, tol=1e-10, max_iterations=100_000):
     """The solver judging each block on its own: the oracle for `fixed_point`.
 
-    This is `fixed_point` before its first blocks were judged in one
-    window: each block of 1, 2, 4, ..., BLOCK_CAP steps is filled, screened
-    and judged by itself, with one eigvalsh call, and the running sum of
-    the iterates takes each block as it is passed.
+    This is `fixed_point` before its first blocks, and later its full
+    blocks, were judged several at a time: each block of 1, 2, 4, ...,
+    BLOCK_CAP steps is filled, screened and judged by itself, with one
+    eigvalsh call, and the running sum of the iterates takes each block as
+    it is passed.
     """
     step = deutsch._loop_superoperator(u, rho, d_loop).T
     powers = []
@@ -588,6 +589,46 @@ def test_the_window_solves_named_cases_as_the_per_block_oracle(case):
     else:
         u, rho, d = weak_swap() if case == "weak_swap" else example(case)
     assert_identical_solve(fixed_point(u, rho, d), per_block_fixed_point(u, rho, d))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-14, 1e-300])
+@pytest.mark.parametrize("case", ["nonconv", "weak_swap", "weak_rot"])
+def test_long_windows_solve_gap_cases_as_the_per_block_oracle(case, tol):
+    # full blocks are judged four at a time, steps 255-1278, 1279-2302, ...;
+    # budgets end before, at and inside the first two long windows, past
+    # them, and at the default
+    if case == "nonconv":
+        u, rho, d = permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]), 3
+    else:
+        u, rho, d = weak_swap() if case == "weak_swap" else weak_rotation()
+    assert deutsch.LONG_WINDOW == 1024
+    for budget in (254, 255, 256, 1278, 1279, 1280, 1500, 2303, 7000):
+        assert_identical_solve(fixed_point(u, rho, d, tol=tol, max_iterations=budget),
+                               per_block_fixed_point(u, rho, d, tol, budget))
+    assert_identical_solve(fixed_point(u, rho, d, tol=tol),
+                           per_block_fixed_point(u, rho, d, tol, deutsch.MAX_ITERATIONS))
+
+
+def test_loops_past_the_power_bound_judge_each_full_block_alone(monkeypatch):
+    # at d_loop 9 a step is one product, so a long window would only build
+    # steps past a hit; with d_cr = 1 the start I/9 is fixed, and only a
+    # tolerance below rounding keeps the solve stepping
+    u, rho, d = random_unitary(np.random.default_rng(9), 9), np.eye(1, dtype=complex), 9
+    assert d > deutsch.POWER_MAX_LOOP
+    oracle = per_block_fixed_point(u, rho, d, 1e-300, 1500)
+    trace_norms = deutsch._hermitian_trace_norms
+    calls = []
+
+    def counted(matrices):
+        calls.append(len(matrices))
+        return trace_norms(matrices)
+
+    monkeypatch.setattr(deutsch, "_hermitian_trace_norms", counted)
+    result = fixed_point(u, rho, d, tol=1e-300, max_iterations=1500)
+    assert not result.converged
+    assert_identical_solve(result, oracle)
+    # the window of 31, blocks of 32, 64 and 128, four full blocks and 222 steps
+    assert len(calls) == 1 + 3 + 4 + 1
 
 
 def weak_rotation():
@@ -838,22 +879,23 @@ def test_a_full_block_sends_at_most_four_matrices_to_eigvalsh(monkeypatch, case)
 
     monkeypatch.setattr(deutsch, "_hermitian_trace_norms", counted)
     if case == "nonconv":
-        # 100,001 steps: the window of 31, blocks of 32, 64 and 128, then 389
-        # full ones and 162
+        # 100,001 steps: the window of 31, blocks of 32, 64 and 128, then 97
+        # long windows of four full blocks and one of 418 steps (256 and 162)
         d = 3
         fixed_point(permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]), d)
-        blocks = [32, 64, 128] + [256] * 389 + [162]
+        windows = [32, 64, 128] + [deutsch.LONG_WINDOW] * 97 + [418]
     else:
         d = 2
-        fixed_point(*weak_rotation())  # step 54,159 lies in the 211th full block
-        blocks = [32, 64, 128] + [256] * 211
-    # one eigvalsh call for the first window, then one a block; the window
+        fixed_point(*weak_rotation())  # step 54,159 lies in the 53rd long window
+        windows = [32, 64, 128] + [deutsch.LONG_WINDOW] * 53
+    # one eigvalsh call for the first window, then one a window; the first
     # is judged whole below the size rule (all 62 residuals at d_loop 2) and
-    # screened above it, and every block after it is screened and sends at
+    # screened above it, and every window after it is screened and sends at
     # most four matrices
     assert deutsch.WINDOW == 31 and deutsch.SCREEN_MIN_SIZE == 128
-    assert len(sizes) == 1 + len(blocks)
-    assert all(n * d * d >= deutsch.SCREEN_MIN_SIZE for n in blocks)
+    assert deutsch.LONG_WINDOW == 4 * deutsch.BLOCK_CAP
+    assert len(sizes) == 1 + len(windows) == (102 if case == "nonconv" else 57)
+    assert all(n * d * d >= deutsch.SCREEN_MIN_SIZE for n in windows)
     if case == "nonconv":
         assert 31 * d * d >= deutsch.SCREEN_MIN_SIZE and sizes[0] <= 4
     else:
