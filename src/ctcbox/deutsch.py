@@ -34,9 +34,7 @@ filled by doubling, rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., 256:
 nine products against powers of T that are squared once per solve.
 Squaring costs about d_loop^6, so only loops up to POWER_MAX_LOOP = 8 take
 this path; larger loops, and every shorter block, keep one product per
-step.  Only the power-filled blocks take long windows: a larger loop pays
-for its steps far more than for judging them, and a long window would
-only build more steps past a hit.
+step.
 
 A window of n steps is also screened before eigvalsh sees it, once
 n d_loop^2 >= SCREEN_MIN_SIZE = 128: the first window from d_loop 3, and
@@ -113,9 +111,8 @@ POWER_MAX_LOOP = 8
 # fixed_point judges its first WINDOW steps, the blocks of 1, 2, 4, 8 and
 # 16 steps, with one eigvalsh call; 2^k - 1, so that it ends on a block edge
 WINDOW = 31
-# full blocks filled from powers of the map are judged LONG_WINDOW steps,
-# four blocks, at a time; windows of eight blocks ran no faster end to end
-# and held about 1 MB more
+# full blocks are judged LONG_WINDOW steps, four blocks, at a time; windows
+# of eight blocks ran no faster end to end and held about 1 MB more
 LONG_WINDOW = 4 * BLOCK_CAP
 # a window of n steps is screened when n d_loop^2 reaches this; below it,
 # computing the bounds costs more than the eigvalsh work they save
@@ -367,8 +364,8 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
     while first <= budget:
         # the window judges steps first .. end - 1: the blocks of the first
         # WINDOW steps together, then each block on its own, except that full
-        # blocks filled from powers go LONG_WINDOW steps at a time
-        span = LONG_WINDOW if n == BLOCK_CAP and d_loop <= POWER_MAX_LOOP else n
+        # blocks go LONG_WINDOW steps at a time
+        span = LONG_WINDOW if n == BLOCK_CAP else n
         end = min(max(first + span, WINDOW), budget + 1)
         # (b, rows) for each block, rows[i] being sigma_(b + i); the block
         # holds steps b .. b + len(rows) - 2

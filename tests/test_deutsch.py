@@ -609,26 +609,16 @@ def test_long_windows_solve_gap_cases_as_the_per_block_oracle(case, tol):
                            per_block_fixed_point(u, rho, d, tol, deutsch.MAX_ITERATIONS))
 
 
-def test_loops_past_the_power_bound_judge_each_full_block_alone(monkeypatch):
-    # at d_loop 9 a step is one product, so a long window would only build
-    # steps past a hit; with d_cr = 1 the start I/9 is fixed, and only a
-    # tolerance below rounding keeps the solve stepping
+def test_loops_past_the_power_bound_solve_as_the_per_block_oracle():
+    # at d_loop 9 full blocks are built one product a step and judged in long
+    # windows too; with d_cr = 1 the start I/9 is fixed, and only a tolerance
+    # below rounding keeps the solve stepping into them
     u, rho, d = random_unitary(np.random.default_rng(9), 9), np.eye(1, dtype=complex), 9
     assert d > deutsch.POWER_MAX_LOOP
-    oracle = per_block_fixed_point(u, rho, d, 1e-300, 1500)
-    trace_norms = deutsch._hermitian_trace_norms
-    calls = []
-
-    def counted(matrices):
-        calls.append(len(matrices))
-        return trace_norms(matrices)
-
-    monkeypatch.setattr(deutsch, "_hermitian_trace_norms", counted)
-    result = fixed_point(u, rho, d, tol=1e-300, max_iterations=1500)
-    assert not result.converged
-    assert_identical_solve(result, oracle)
-    # the window of 31, blocks of 32, 64 and 128, four full blocks and 222 steps
-    assert len(calls) == 1 + 3 + 4 + 1
+    for budget in (1278, 1500):
+        result = fixed_point(u, rho, d, tol=1e-300, max_iterations=budget)
+        assert not result.converged
+        assert_identical_solve(result, per_block_fixed_point(u, rho, d, 1e-300, budget))
 
 
 def weak_rotation():
@@ -870,6 +860,8 @@ def test_the_screen_leaves_short_blocks_bit_identical_on_haar_cases(monkeypatch,
 
 @pytest.mark.parametrize("case", ["nonconv", "weak_rot"])
 def test_a_full_block_sends_at_most_four_matrices_to_eigvalsh(monkeypatch, case):
+    # a full block is judged within a long window of four, so the bound of four
+    # matrices now holds for each window, which sends them all in one call
     trace_norms = deutsch._hermitian_trace_norms
     sizes = []
 
