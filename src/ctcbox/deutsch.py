@@ -34,12 +34,14 @@ filled by doubling, rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., 256:
 nine products against powers of T that are squared once per solve.
 Squaring costs about d_loop^6, so only loops up to POWER_MAX_LOOP = 8 take
 this path; larger loops, and every shorter block, keep one product per
-step.
+step.  At d_cr = 1, d_loop = 16 and tol 1e-300, a budget of 520 steps
+took 31-45 ms one product a step and 52-79 ms filled from powers; at
+3,000 steps the two were level (153-158 and 155-185 ms).  Each side is
+five fresh processes, each the median of 9 solves, on one pinned CPU of
+a shared 2-vCPU VM.  No benchmark workload has a loop above 8.
 
-A window of n steps is also screened before eigvalsh sees it, once
-n d_loop^2 >= SCREEN_MIN_SIZE = 128: the first window from d_loop 3, and
-every later window (32 steps or more) at every d_loop from 2.  From what
-eigvalsh reads of each residual matrix H (the lower triangle and the real
+Every window is screened before eigvalsh sees it.  From what eigvalsh
+reads of each residual matrix H (the lower triangle and the real
 diagonal) come the bounds
 
     sqrt(2 ||H||_F^2 - tr^2)  <=  ||H||_1  <=  min(sum |h_ii|
@@ -49,14 +51,12 @@ three products of the residuals' float view with fixed weight vectors,
 divided by m + 1 for an average like the residual itself and widened by
 SCREEN_MARGIN and SCREEN_FLOOR against rounding and underflow.  Only the
 steps up to the first whose upper bound is <= tol, and among them only
-those whose lower bound is <= max(tol, min(best so far, smallest upper
-bound)), go to eigvalsh; no other can be the window's first hit or its
-new first-smallest best, so every choice and every returned value is
-that of judging all of them.  At d_loop 2, where the residuals are
-traceless, the lower bound is the trace norm itself, and a long window
-of the slow-gap cases sends one matrix to eigvalsh instead of 2,048.
-Smaller windows are judged whole: there the bounds cost more than the
-eigvalsh work they would save.
+those whose lower bound is <= max(tol, smallest upper bound), go to
+eigvalsh; no other can be the window's first hit or its first smallest
+residual, so every choice and every returned value is that of judging
+all of them.  At d_loop 2, where the residuals are traceless, the lower
+bound is the trace norm itself, and a long window of the slow-gap cases
+sends one matrix to eigvalsh instead of 2,048.
 
 A window of several blocks returns what judging them one by one would,
 bit for bit: its first hit and its first smallest residual are those
@@ -106,7 +106,7 @@ MATCH_TOL = 1e-9
 BLOCK_CAP = 256
 # up to this loop dimension a full block is filled from squared powers of
 # the map; squaring costs about d_loop^6, and at d_loop 16 it takes about
-# eight full blocks to repay
+# eight full blocks to repay (see the module docstring)
 POWER_MAX_LOOP = 8
 # fixed_point judges its first WINDOW steps, the blocks of 1, 2, 4, 8 and
 # 16 steps, with one eigvalsh call; 2^k - 1, so that it ends on a block edge
@@ -114,9 +114,6 @@ WINDOW = 31
 # full blocks are judged LONG_WINDOW steps, four blocks, at a time; windows
 # of eight blocks ran no faster end to end and held about 1 MB more
 LONG_WINDOW = 4 * BLOCK_CAP
-# a window of n steps is screened when n d_loop^2 reaches this; below it,
-# computing the bounds costs more than the eigvalsh work they save
-SCREEN_MIN_SIZE = 128
 # relative widening of the trace-norm bounds that screen a block:
 # eigvalsh's trace norm and the bounds each round by a few hundred ulps at
 # most at d <= 16 (d^2 eps is about 6e-14), so 1e-9 leaves a wide margin
@@ -177,14 +174,13 @@ def _trace_norm_bounds(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _screened_trace_norms(diffs: np.ndarray, counts: np.ndarray, d: int,
-                          tol: float, best: float) -> np.ndarray:
+                          tol: float) -> np.ndarray:
     """Trace norms of ``diffs`` where they can decide a window.
 
     Entries 2i and 2i + 1 are a raw residual and an average's, the latter
     to be divided by ``counts[i]``.  The entries whose residual cannot be
-    the window's first one <= ``tol``, nor its first smallest one when that
-    beats ``best``, read +inf; the others are computed exactly as without
-    the screen.
+    the window's first one <= ``tol``, nor its first smallest one, read
+    +inf; the others are computed exactly as without the screen.
     """
     lower, upper = _trace_norm_bounds(diffs, d)
     lower[1::2] /= counts
@@ -195,8 +191,8 @@ def _screened_trace_norms(diffs: np.ndarray, counts: np.ndarray, d: int,
     # no entry after a sure hit can be the first hit
     sure = (upper <= (tol - SCREEN_FLOOR) / widen).nonzero()[0]
     end = int(sure[0]) + 1 if sure.size else len(diffs)
-    # a hit is at most tol; a new best is below both best and every upper bound
-    cut = max(tol, min(best, float(upper.min()) * widen + SCREEN_FLOOR))
+    # a hit is at most tol; the smallest residual is at most every upper bound
+    cut = max(tol, float(upper.min()) * widen + SCREEN_FLOOR)
     open_ = (lower[:end] <= (cut + SCREEN_FLOOR) / (1 - SCREEN_MARGIN)).nonzero()[0]
     norms = np.full(len(diffs), np.inf)
     norms[open_] = _hermitian_trace_norms(diffs[open_].reshape(-1, d, d))
@@ -406,10 +402,7 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
         diffs = diffs.reshape(2 * (end - first), -1)
         # the averages' divisors m + 1; dividing the raw ones by 1 is exact
         counts = np.arange(first + 1, end + 1)
-        if (end - first) * d_loop * d_loop >= SCREEN_MIN_SIZE:
-            residuals = _screened_trace_norms(diffs, counts, d_loop, tol, best[0])
-        else:
-            residuals = _hermitian_trace_norms(diffs.reshape(-1, *shape))
+        residuals = _screened_trace_norms(diffs, counts, d_loop, tol)
         residuals[1::2] /= counts
         hits = (residuals <= tol).nonzero()[0]
         if hits.size:

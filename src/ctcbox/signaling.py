@@ -81,8 +81,8 @@ from .forms import as_bit, input_names, normalize_pattern, party_names
 def _entropy(masses: Iterable, denominator: int) -> float:
     total = 0.0
     for m in masses:
-        if m > 0:
-            x = float(m / denominator)
+        x = float(m / denominator)
+        if x > 0:  # x log2 x -> 0, also for a mass too small for a float
             total -= x * math.log2(x)
     return total
 
@@ -160,11 +160,8 @@ class _Coalition(CoalitionMarginals):
     def line(self, inputs: list[int]) -> tuple:
         """The marginal indices of these input codes, read from their rows
         only; raises at the first paradox row."""
-        if self.at is not None:
-            line = tuple([self.at[code] for code in inputs])
-        else:
-            ids = self.box.row_ids
-            line = tuple([self.marginal(ids[code]) for code in inputs])
+        ids = self.box.row_ids
+        line = tuple([self.marginal(ids[code]) for code in inputs])
         if self.paradox in line:
             raise ValueError("observation undefined: paradox row at inputs "
                              f"{list(self.box.rows)[inputs[line.index(self.paradox)]]}")

@@ -420,6 +420,38 @@ def test_unprintable_conditioned_row_is_named_in_the_error(capsys, tmp_path):
     assert err == f"error: inputs (0, 0, 0): {limit.value}\n"
 
 
+def test_masses_too_small_for_a_float_carry_no_information(capsys, tmp_path):
+    # 1/10^400 is 0.0 as a float, and its entropy term x log2 x tends to 0
+    den = 10 ** 400
+    table = []
+    for ins in ([0, 0], [0, 1], [1, 0], [1, 1]):
+        table += [{"in": ins, "out": [0, 0], "p": f"1/{den}"},
+                  {"in": ins, "out": [1, 1], "p": f"{den - 1}/{den}"}]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"parties": 2, "table": table}))
+    code, out, err = run(capsys, "analyze", "--spec", str(path))
+    assert (code, err) == (0, "")
+    assert out == (f"box {path} (2 parties): explicit table\n"
+                   "self-consistent parties: none\n"
+                   "direction alice -> bob: 0/2 settings dependent (0/4 cases)\n"
+                   "direction bob -> alice: 0/2 settings dependent (0/4 cases)\n"
+                   "overall: 0/2 directions signal; 0/4 settings dependent (0/8 cases)\n")
+    code, out, err = run(capsys, "analyze", "--spec", str(path), "--sender", "0",
+                         "--receivers", "1")
+    assert (code, err) == (0, "")
+    assert out == (f"box {path} (2 parties): explicit table\n"
+                   "self-consistent parties: none\n"
+                   "sender: alice; receivers: bob\n"
+                   "setting y=0: independent\n"
+                   "setting y=1: independent\n"
+                   "summary: 0/2 settings dependent (0/4 cases); max success 1/2; "
+                   "mean information 0.000000 bits\n")
+    code, out, _ = run(capsys, "analyze", "--spec", str(path), "--sender", "0",
+                       "--receivers", "1", "--json")
+    assert code == 0
+    assert [entry["mi_bits"] for entry in json.loads(out)["entries"]] == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("option", ["--max-iter=-1", "--tol=nan", "--tol=inf",
                                     "--tol=0", "--tol=-1e-9"])
 def test_deutsch_rejects_meaningless_budgets(capsys, option):

@@ -500,10 +500,10 @@ def per_block_fixed_point(u, rho, d_loop, tol=1e-10, max_iterations=100_000):
     """The solver judging each block on its own: the oracle for `fixed_point`.
 
     This is `fixed_point` before its first blocks, and later its full
-    blocks, were judged several at a time: each block of 1, 2, 4, ...,
-    BLOCK_CAP steps is filled, screened and judged by itself, with one
-    eigvalsh call, and the running sum of the iterates takes each block as
-    it is passed.
+    blocks, were judged several at a time and screened: each block of 1, 2,
+    4, ..., BLOCK_CAP steps is filled and judged whole by itself, with one
+    eigvalsh call for every residual in it, and the running sum of the
+    iterates takes each block as it is passed.
     """
     step = deutsch._loop_superoperator(u, rho, d_loop).T
     powers = []
@@ -541,12 +541,8 @@ def per_block_fixed_point(u, rho, d_loop, tol=1e-10, max_iterations=100_000):
         diffs = np.empty((n, 2, d_loop * d_loop), dtype=complex)
         np.subtract(rows[1:], rows[:n], out=diffs[:, 0])
         np.subtract(rows[1:], start, out=diffs[:, 1])
-        diffs = diffs.reshape(2 * n, -1)
         counts = np.arange(first + 1, first + n + 1)
-        if n * d_loop * d_loop >= deutsch.SCREEN_MIN_SIZE:
-            residuals = deutsch._screened_trace_norms(diffs, counts, d_loop, tol, best[0])
-        else:
-            residuals = deutsch._hermitian_trace_norms(diffs.reshape(2 * n, *shape))
+        residuals = deutsch._hermitian_trace_norms(diffs.reshape(2 * n, *shape))
         residuals[1::2] /= counts
         hits = (residuals <= tol).nonzero()[0]
         if hits.size:
@@ -848,8 +844,8 @@ def test_the_screen_leaves_every_solve_bit_identical(monkeypatch, case, budget):
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-14, 1e-300])
 def test_the_screen_leaves_short_blocks_bit_identical_on_haar_cases(monkeypatch, tol):
-    # a block of n steps is screened once n d_loop^2 >= SCREEN_MIN_SIZE; a
-    # budget of 254 spans the short blocks 1, 2, ..., 128 and no full one
+    # every window is screened; a budget of 254 spans the first window and
+    # the short blocks 32, 64 and 128, and no full one
     rng = np.random.default_rng(13)
     for d_cr in range(1, MAX_DIM + 1):
         for d_loop in range(1, MAX_DIM // d_cr + 1):
@@ -859,9 +855,9 @@ def test_the_screen_leaves_short_blocks_bit_identical_on_haar_cases(monkeypatch,
 
 
 @pytest.mark.parametrize("case", ["nonconv", "weak_rot"])
-def test_a_full_block_sends_at_most_four_matrices_to_eigvalsh(monkeypatch, case):
-    # a full block is judged within a long window of four, so the bound of four
-    # matrices now holds for each window, which sends them all in one call
+def test_every_window_sends_at_most_four_matrices_to_eigvalsh(monkeypatch, case):
+    # every window is screened and sends what is left in one call, so the
+    # bound of four matrices holds for each window, the first included
     trace_norms = deutsch._hermitian_trace_norms
     sizes = []
 
@@ -873,26 +869,15 @@ def test_a_full_block_sends_at_most_four_matrices_to_eigvalsh(monkeypatch, case)
     if case == "nonconv":
         # 100,001 steps: the window of 31, blocks of 32, 64 and 128, then 97
         # long windows of four full blocks and one of 418 steps (256 and 162)
-        d = 3
-        fixed_point(permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]), d)
+        fixed_point(permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]), 3)
         windows = [32, 64, 128] + [deutsch.LONG_WINDOW] * 97 + [418]
     else:
-        d = 2
         fixed_point(*weak_rotation())  # step 54,159 lies in the 53rd long window
         windows = [32, 64, 128] + [deutsch.LONG_WINDOW] * 53
-    # one eigvalsh call for the first window, then one a window; the first
-    # is judged whole below the size rule (all 62 residuals at d_loop 2) and
-    # screened above it, and every window after it is screened and sends at
-    # most four matrices
-    assert deutsch.WINDOW == 31 and deutsch.SCREEN_MIN_SIZE == 128
-    assert deutsch.LONG_WINDOW == 4 * deutsch.BLOCK_CAP
+    assert deutsch.WINDOW == 31 and deutsch.LONG_WINDOW == 4 * deutsch.BLOCK_CAP
+    # one eigvalsh call for the first window, then one a window
     assert len(sizes) == 1 + len(windows) == (102 if case == "nonconv" else 57)
-    assert all(n * d * d >= deutsch.SCREEN_MIN_SIZE for n in windows)
-    if case == "nonconv":
-        assert 31 * d * d >= deutsch.SCREEN_MIN_SIZE and sizes[0] <= 4
-    else:
-        assert 31 * d * d < deutsch.SCREEN_MIN_SIZE and sizes[0] == 62
-    assert max(sizes[1:]) <= 4
+    assert max(sizes) <= 4
 
 
 def test_oversized_problems_fail_before_the_cubic_checks(monkeypatch):

@@ -242,8 +242,6 @@ def test_unprintable_direction_stops_the_scan_and_is_named(monkeypatch):
     # party0 -> party1 has a denominator of more than 4,300 digits
     cbox = constrain(_row_local_box(_primes(10 ** 5, 10 ** 6)), [])
     named = r"^direction party0 -> party1: .*digits"
-    with pytest.raises(ValueError, match=named):
-        report_json("hostile", cbox, 0, [1])
     analysed = []  # the directions the scan analysed
     analyse_direction = signaling._analyse_direction
 
@@ -252,9 +250,17 @@ def test_unprintable_direction_stops_the_scan_and_is_named(monkeypatch):
         assert len(analysed) == 1, "the scan went on past an unprintable direction"
         return analyse_direction(shared, sender)
 
-    monkeypatch.setattr(signaling, "_analyse_direction", analyse_once)
-    with pytest.raises(ValueError, match=named):
-        scan_report_json("hostile", cbox)
+    # the default limit, whatever the interpreter was started with
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match=named):
+            report_json("hostile", cbox, 0, [1])
+        monkeypatch.setattr(signaling, "_analyse_direction", analyse_once)
+        with pytest.raises(ValueError, match=named):
+            scan_report_json("hostile", cbox)
+    finally:
+        sys.set_int_max_str_digits(saved)
     assert analysed == [(0, (1,))]
 
 
