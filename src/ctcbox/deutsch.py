@@ -304,7 +304,12 @@ def _hermitize(matrix: np.ndarray) -> np.ndarray:
 def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
                 tol: float = RESIDUAL_TOL,
                 max_iterations: int = MAX_ITERATIONS) -> FixedPointResult:
-    """Solve sigma = Tr_CR(U (rho_cr (x) sigma) U^dagger) from sigma = I/d."""
+    """Solve sigma = Tr_CR(U (rho_cr (x) sigma) U^dagger) from sigma = I/d.
+
+    The answer is the fixed point the iteration reaches, which need not be
+    Deutsch's maximum-entropy one: the qutrit reset channel, Kraus operators
+    |0><0| + |1><1| and |0><2|, gives diag(2/3, 1/3, 0) with 0.918 bits,
+    while diag(1/2, 1/2, 0), with 1 bit, is fixed as well."""
     if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
             or not (math.isfinite(tol) and tol > 0)):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
@@ -315,8 +320,13 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
     u = _as_square(u, "unitary")
     rho_cr = _as_square(rho_cr, "rho_cr")
     d_cr = rho_cr.shape[0]
-    if not isinstance(d_loop, int) or isinstance(d_loop, bool) or d_loop < 1:
+    try:
+        loop = as_index(d_loop, "loop dimension")
+    except ValueError:  # a bool, float or string, refused as a nonpositive one is
+        loop = 0
+    if loop < 1:
         raise ValueError(f"loop dimension must be a positive integer, got {d_loop!r}")
+    d_loop = loop
     if u.shape[0] != d_cr * d_loop:
         raise ValueError(
             f"unitary dimension {u.shape[0]} does not match CR dim {d_cr} "

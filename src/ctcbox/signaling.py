@@ -38,12 +38,11 @@ denominator) is projected onto the coalition once, rows with equal
 marginals in the same key order share one, and an input is read as the
 index of its row's marginal (``ConstrainedBox.row_ids``): once per
 coalition in a full scan or a direction, and only its own inputs for a
-single setting.  With the
-inputs ordered by coalition bits, sender bit, then bystander bits, a
-setting is a contiguous slice of 2^(b+1) indices, bit 0's then bit 1's,
-and that slice keys its analysis within the coalition: a repeated slice
-is one dict lookup, and a setting whose inputs all share one index is
-keyed by that index for every sender.  Only a new slice reads its two
+single setting.  A setting's line is the indices of its 2^(b+1) inputs,
+sender bit 0's bystander patterns then bit 1's, each lexicographic, and
+the line keys its analysis within the coalition: a repeated line is one
+dict lookup, whichever party sends, since the analysis depends on the
+line alone.  Only a new line reads its two
 buckets: a bucket is the multiplicities of its distinct marginals in
 order of first occurrence, each marginal added with its multiplicity,
 and then kept in lowest terms.  A repeated marginal adds no new key, so
@@ -101,24 +100,22 @@ def _check_scenario(cbox: ConstrainedBox, sender: int,
 class _Coalition(CoalitionMarginals):
     """What the directions toward one receiver coalition share, whichever
     party sends, on top of the coalition's marginals: each input's marginal
-    index, the settings' keys (``slices``), the buckets in lowest terms by
-    id and the analyses of their pairs (see the module docstring)."""
+    index, the analyses by line, the buckets in lowest terms by id and the
+    analyses of their pairs (see the module docstring)."""
 
     def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...]):
         super().__init__(cbox, coal)
         self.others = [i for i in range(cbox.n) if i not in coal]  # sender and bystanders
         self.keys = all_bit_tuples(len(coal))  # the settings, and the output keys
         self.codes = bit_codes(len(coal))
+        self.bases = spread(cbox.n, coal)  # by setting code: its inputs' coalition bits
         self.labels, self.parity = [""], [0]  # by output code: bit string, parity
         for _ in coal:
             self.labels = [label + bit for label in self.labels for bit in "01"]
             self.parity = [parity ^ bit for parity in self.parity for bit in (0, 1)]
         self.impractical = bool(set(coal) & set(cbox.pattern))
         self.at: list[int] | None = None  # input code -> index, once a direction read all
-        # per setting: its inputs' indices in the other parties' lexicographic
-        # order, or their one index if they share it
-        self.cube: list = []
-        self.by_slice: dict = {}  # a setting's key (see slices) -> analysis
+        self.by_line: dict[tuple, _Analysis] = {}  # a setting's line -> analysis
         self.by_counts: dict[tuple, int] = {}  # multiplicities -> bucket id
         self.ids: dict[tuple, int] = {}  # a bucket in lowest terms -> its id
         self.buckets: list[tuple[int, dict]] = []  # the distinct buckets, by id
@@ -129,33 +126,10 @@ class _Coalition(CoalitionMarginals):
         """The index of the paradox rows' empty marginal, once one is read."""
         return self.indices.get((1, (), ()))
 
-    def slices(self, sender: int) -> list:
-        """The key of each setting's analysis when ``sender`` sends: the
-        indices of its inputs, sender bit 0's then bit 1's, or their one
-        index if they share it."""
-        n, coal, others = self.box.n, self.coal, self.others
-        if self.at is None:  # the coalition's first direction: read every input once
-            of_row = [self.marginal(row_id) for row_id in range(len(self.box.integer_rows))]
-            self.at = at = [of_row[row_id] for row_id in self.box.row_ids]
-            inner = spread(n, others)
-            for base in spread(n, coal):
-                sub = tuple([at[base | code] for code in inner])
-                self.cube.append(sub[0] if sub.count(sub[0]) == len(sub) else sub)
-        r = others.index(sender)
-        if not r:  # the sender's bit leads already
-            return self.cube
-        # positions in a setting's inputs, sender bit first, then bystanders
-        order = spread(len(others), (r, *(i for i in range(len(others)) if i != r)))
-        return [sub if isinstance(sub, int) else tuple([sub[i] for i in order])
-                for sub in self.cube]
-
-    def inputs(self, sender: int, setting: int) -> list[int]:
-        """The input codes of the setting with code ``setting``: sender bit
-        0's bystander patterns, then bit 1's, each in lexicographic order."""
-        n = self.box.n
-        base = spread(n, self.coal)[setting]
-        return [base | code for code in spread(n, (sender, *(i for i in self.others
-                                                              if i != sender)))]
+    def order(self, sender: int) -> list[int]:
+        """The offsets of a setting's inputs when ``sender`` sends: sender
+        bit 0's bystander patterns, then bit 1's, each lexicographic."""
+        return spread(self.box.n, (sender, *(i for i in self.others if i != sender)))
 
     def line(self, inputs: list[int]) -> tuple:
         """The marginal indices of these input codes, read from their rows
@@ -167,15 +141,9 @@ class _Coalition(CoalitionMarginals):
                              f"{list(self.box.rows)[inputs[line.index(self.paradox)]]}")
         return line
 
-    def setting(self, sender: int, setting: int, key=None) -> _Analysis:
-        """The analysis of the setting with code ``setting``, read from its
-        inputs or given by its key (see ``slices``)."""
-        if key is None:
-            line = self.line(self.inputs(sender, setting))
-        else:
-            line = key if isinstance(key, tuple) else (key,) * (1 << len(self.others))
-            if self.paradox in line:  # read it input by input, to name the row
-                self.line(self.inputs(sender, setting))
+    def analysis_of(self, line: tuple) -> _Analysis:
+        """The analysis of a setting whose inputs, in ``order``, have the
+        marginal indices ``line``; none of them is a paradox row."""
         half = len(line) // 2
         return self.analysis(self.bucket(line[:half]), self.bucket(line[half:]))
 
@@ -192,9 +160,6 @@ class _Coalition(CoalitionMarginals):
             for m, times in counts.items():
                 den, nums = marginals[m]
                 scale = times * (common // den)
-                if not bucket:  # the first marginal: every key is new
-                    bucket = {out: num * scale for out, num in nums.items()}
-                    continue
                 for out, num in nums.items():
                     bucket[out] = bucket.get(out, 0) + num * scale
             # in lowest terms: a distribution is one bucket, whatever its rows
@@ -266,17 +231,12 @@ class _Analysis:
                   for d, counts in (a, b))
         keys, labels = shared.keys, shared.labels
         outs = sorted(p0.keys() | p1.keys())
-        if p0 is p1:  # one bucket for both sender bits: every guess ties
-            self.rule = dict.fromkeys(map(keys.__getitem__, outs), 0)
-            self.rule_json = dict.fromkeys(map(labels.__getitem__, outs), 0)
-            mass = den
-        else:
-            self.rule, self.rule_json = rule, rule_json = {}, {}
-            mass = 0
-            for out in outs:  # the map rule, ties guessing 0
-                n0, n1 = p0.get(out, 0), p1.get(out, 0)
-                guess = rule[keys[out]] = rule_json[labels[out]] = int(n1 > n0)
-                mass += n1 if guess else n0
+        self.rule, self.rule_json = rule, rule_json = {}, {}
+        mass = 0
+        for out in outs:  # the map rule, ties guessing 0
+            n0, n1 = p0.get(out, 0), p1.get(out, 0)
+            guess = rule[keys[out]] = rule_json[labels[out]] = int(n1 > n0)
+            mass += n1 if guess else n0
         self.dependent = p0 != p1
         self.success = Fraction(mass, 2 * den)
         # the mixture is summed in the order of the set union of the bit tuples
@@ -290,11 +250,17 @@ class _Analysis:
 
 def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
     """One analysis per receiver setting, settings in lexicographic order."""
-    by_slice, analyses = shared.by_slice, []
-    for setting, key in enumerate(shared.slices(sender)):
-        found = by_slice.get(key)
+    if shared.at is None:  # the coalition's first direction: read every input once
+        of_row = [shared.marginal(row_id) for row_id in range(len(shared.box.integer_rows))]
+        shared.at = [of_row[row_id] for row_id in shared.box.row_ids]
+    at, by_line, order, analyses = shared.at, shared.by_line, shared.order(sender), []
+    for base in shared.bases:
+        line = tuple([at[base | offset] for offset in order])
+        found = by_line.get(line)
         if found is None:
-            found = by_slice[key] = shared.setting(sender, setting, key)
+            if shared.paradox in line:  # read it input by input, to name the row
+                shared.line([base | offset for offset in order])
+            found = by_line[line] = shared.analysis_of(line)
         analyses.append(found)
     return analyses
 
@@ -315,7 +281,9 @@ def analyze_setting(cbox: ConstrainedBox, sender: int,
     if len(setting) != len(coal):
         raise ValueError("setting must give one bit per coalition party")
     shared = _Coalition(cbox, coal)
-    return _entry(sender, coal, setting, shared.setting(sender, shared.codes[setting]))
+    base = shared.bases[shared.codes[setting]]
+    line = shared.line([base | offset for offset in shared.order(sender)])
+    return _entry(sender, coal, setting, shared.analysis_of(line))
 
 
 def analyze(cbox: ConstrainedBox, sender: int,

@@ -45,7 +45,8 @@ def engine_observation(cbox, sender, coalition, setting, sender_value):
     """The engine's bucket of one sender input value as {outputs: Fraction},
     read from that value's rows alone; raises at the first paradox row."""
     shared = _Coalition(cbox, tuple(coalition))
-    inputs = shared.inputs(sender, shared.codes[tuple(setting)])
+    base = shared.bases[shared.codes[tuple(setting)]]
+    inputs = [base | offset for offset in shared.order(sender)]
     half = len(inputs) // 2
     line = shared.line(inputs[half:] if sender_value else inputs[:half])
     return decode_bucket(shared.buckets[shared.bucket(line)], len(shared.coal))

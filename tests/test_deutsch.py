@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from ctcbox import deutsch
 from ctcbox.deutsch import (EXAMPLE_NAMES, MAX_DIM, classical_consistency_crosscheck,
                             check_density_matrix, check_unitary, cr_output,
                             example, fixed_point, is_basis_permutation, loop_map,
-                            matrix_from_json, matrix_to_json, trace_norm)
+                            matrix_from_json, matrix_to_json, solve_json, trace_norm)
 
 
 def permutation_unitary(perm):
@@ -321,6 +323,45 @@ def test_fixed_point_rejects_non_integer_loop_dimension(d_loop):
     u, rho, _ = example("swap")
     with pytest.raises(ValueError, match="positive integer"):
         fixed_point(u, rho, d_loop)
+
+
+@pytest.mark.parametrize("d_loop", [np.int64(2), np.int32(2)], ids=["int64", "int32"])
+def test_numpy_integer_loop_dimensions_solve_as_plain_ints(d_loop):
+    u, rho, d = example("swap")
+    payloads = []
+    for dim in (d, d_loop):
+        check = classical_consistency_crosscheck(u, rho, dim)
+        payloads.append(json.dumps([solve_json("swap", u, rho, fixed_point(u, rho, dim)),
+                                    solve_json("swap", u, rho, check.solve, check)]))
+    assert payloads[1] == payloads[0]
+
+
+def von_neumann_bits(sigma):
+    return -sum(x * np.log2(x) for x in np.linalg.eigvalsh(sigma) if x > 1e-15)
+
+
+def test_the_solver_need_not_return_the_maximum_entropy_fixed_point():
+    # the qutrit reset channel: |0> and |1> stay, |2> falls to |0>
+    k0 = np.diag([1, 1, 0]).astype(complex)
+    k1 = np.zeros((3, 3), dtype=complex)
+    k1[0, 2] = 1
+    # dilated on CR(3) (x) loop(3): the columns of CR |0> are sum_k |k> (x) K_k,
+    # completed to a unitary by an orthonormal basis of their complement
+    columns = np.vstack([k0, k1, np.zeros((3, 3))])
+    complement = np.linalg.svd(columns.conj().T)[2][3:].conj().T
+    u = np.hstack([columns, complement])
+    rho = np.diag([1, 0, 0]).astype(complex)
+    for sigma in (np.eye(3) / 3, np.diag([0.3, 0.2, 0.5])):
+        assert np.allclose(loop_map(u, rho, sigma), k0 @ sigma @ k0.T + k1 @ sigma @ k1.T)
+    result = fixed_point(u, rho, 3)
+    assert (result.iterations, result.converged, result.from_average) == (1, True, False)
+    assert result.residual == 0.0
+    assert np.allclose(result.sigma, np.diag([2 / 3, 1 / 3, 0]), rtol=0, atol=1e-15)
+    assert von_neumann_bits(result.sigma) == pytest.approx(0.918296, abs=1e-6)
+    # the even mixture of |0> and |1> is fixed too, and has one bit
+    even = np.diag([0.5, 0.5, 0]).astype(complex)
+    assert trace_norm(loop_map(u, rho, even) - even) == 0.0
+    assert von_neumann_bits(even) == pytest.approx(1.0)
 
 
 def random_unitary(rng, d):

@@ -472,6 +472,28 @@ def test_each_coalition_shares_one_state_from_its_first_direction_to_its_last(
         assert coals == {coal for coal, (first, last) in span.items() if first <= k <= last}
 
 
+def test_a_line_is_analysed_once_whichever_party_sends(monkeypatch):
+    cbox = _looped_cycle(7)
+    calls = Counter()
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(signaling._Coalition, "bucket",
+                        counted("bucket", signaling._Coalition.bucket))
+    monkeypatch.setattr(signaling, "_Coalition", counted("state", signaling._Coalition))
+    monkeypatch.setattr(signaling, "_Analysis", counted("analysis", signaling._Analysis))
+    payload = scan_report_json("cycle", cbox)
+    assert payload["summary"]["directions"] == 441
+    # 126 coalitions, whose directions see 1,371 distinct lines: each line
+    # reads its two buckets once, whichever of its senders meets it first,
+    # and 439 distinct bucket pairs are analysed
+    assert calls == {"state": 126, "bucket": 2 * 1371, "analysis": 439}
+
+
 def test_scan_report_counts_both_conventions():
     cbox = constrain(named_box("pr"), [1])
     payload = scan_report_json("pr", cbox)
