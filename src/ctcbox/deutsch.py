@@ -31,14 +31,10 @@ end within those 31 steps, and the slow-gap ones run for thousands of
 steps in full blocks: in both, one call per block cost more in fixed numpy
 overhead than in arithmetic.  A full block of BLOCK_CAP = 256 steps is
 filled by doubling, rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., 256:
-nine products against powers of T that are squared once per solve.
-Squaring costs about d_loop^6, so only loops up to POWER_MAX_LOOP = 8 take
-this path; larger loops, and every shorter block, keep one product per
-step.  At d_cr = 1, d_loop = 16 and tol 1e-300, a budget of 520 steps
-took 31-45 ms one product a step and 52-79 ms filled from powers; at
-3,000 steps the two were level (153-158 and 155-185 ms).  Each side is
-five fresh processes, each the median of 9 solves, on one pinned CPU of
-a shared 2-vCPU VM.  No benchmark workload has a loop above 8.
+nine products against powers of T that are squared once per solve; every
+shorter block keeps one product per step.  A loop above 8 leaves no room
+for a CR system under MAX_DIM, so its map is sigma -> U sigma U^dagger,
+which fixes the start I/d: it ends at step 0 unless tol is below rounding.
 
 Every window is screened before eigvalsh sees it.  From what eigvalsh
 reads of each residual matrix H (the lower triangle and the real
@@ -104,10 +100,6 @@ UNITARY_TOL = 1e-10
 MATCH_TOL = 1e-9
 # the longest block fixed_point builds
 BLOCK_CAP = 256
-# up to this loop dimension a full block is filled from squared powers of
-# the map; squaring costs about d_loop^6, and at d_loop 16 it takes about
-# eight full blocks to repay (see the module docstring)
-POWER_MAX_LOOP = 8
 # fixed_point judges its first WINDOW steps, the blocks of 1, 2, 4, 8 and
 # 16 steps, with one eigvalsh call; 2^k - 1, so that it ends on a block edge
 WINDOW = 31
@@ -384,7 +376,7 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
             # each block starts from the last iterate before it, re-hermitized
             # so that rounding cannot drift across blocks
             rows[0] = _hermitize(last.reshape(shape)).reshape(-1) if b else start
-            if n == BLOCK_CAP and d_loop <= POWER_MAX_LOOP:
+            if n == BLOCK_CAP:
                 if not powers:  # squared once, at the first full block
                     powers = [step]
                     while len(powers) < BLOCK_CAP.bit_length():
@@ -436,20 +428,11 @@ def is_basis_permutation(u: np.ndarray) -> list[int] | None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return None
     d = u.shape[0]
-    perm = []
-    for j in range(d):
-        column = u[:, j]
-        i = int(np.argmax(np.abs(column)))
-        if abs(column[i] - 1) > UNITARY_TOL:
-            return None
-        rest = np.abs(column) > UNITARY_TOL
-        rest[i] = False
-        if rest.any():
-            return None
-        perm.append(i)
-    if len(set(perm)) != d:
+    # the largest entry of each column names its image (argmax refuses 0 x 0)
+    perm = np.abs(u).argmax(axis=0) if d else np.arange(0)
+    if (np.abs(u - np.eye(d)[:, perm]) > UNITARY_TOL).any() or len(set(perm)) != d:
         return None
-    return perm
+    return perm.tolist()
 
 
 class ClassicalCrosscheck(NamedTuple):

@@ -7,14 +7,16 @@ averaged uniformly, since the receivers have no access to them.  The
 sender's two input values then induce two observation distributions for
 each setting; signaling happens exactly when they differ.
 
-Three measures are reported per setting and shown to agree in kind:
-an exact distribution comparison (``dependent``), the exact success
-probability of the best guessing rule given a uniformly random sender
-bit, and the mutual information of the induced channel in bits.  The
-best rule picks the sender bit with the larger likelihood for each
-observed output tuple, guessing 0 on ties; its success probability
-exceeds 1/2 iff the distributions differ iff the information is
-positive.
+Three measures are reported per setting: an exact distribution
+comparison (``dependent``), the exact success probability of the best
+guessing rule given a uniformly random sender bit, and the mutual
+information of the induced channel in bits.  The best rule picks the
+sender bit with the larger likelihood for each observed output tuple,
+guessing 0 on ties; its success probability exceeds 1/2 iff the
+distributions differ.  These two are exact and decide.  The information
+is a float: it can read about +-1e-15 on an independent setting, and 0
+or below on a dependent one whose distributions differ by less than
+rounding.
 
 Some settings show perfectly correlated receiver outputs whose shared
 parity is fixed by the setting alone.  Such correlations look striking

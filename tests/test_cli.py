@@ -391,6 +391,26 @@ def test_zero_denominator_is_named_in_the_error(capsys, tmp_path, p):
     assert err == f"error: table[1]: probability '{p}' has a zero denominator\n"
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("show", {"parties": 1, "constraint": []},
+     "constraint: parity boxes need at least 2 parties"),
+    ("show", {"parties": 2, "constraint": "x"},
+     "field 'constraint' must be a list of index lists"),
+    ("show", {"parties": 2, "table": [1]}, "table[0]: entry must be an object"),
+    ("deutsch", [1], "problem file must be a JSON object"),
+    ("deutsch", {"unitary": [[[1, 0], [0, 0]], [[0, 0]]], "rho_cr": [[[1, 0]]],
+                 "d_loop": 2}, "unitary row 1 is not a list of the right length"),
+], ids=["one-party-constraint", "constraint-not-a-list", "table-entry",
+        "problem-not-an-object", "short-unitary-row"])
+def test_malformed_files_are_refused_by_name(capsys, tmp_path, command, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    flag = "--file" if command == "deutsch" else "--spec"
+    code, out, err = run(capsys, command, flag, str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no limit on integer string conversion")
 def test_unprintable_conditioned_row_is_named_in_the_error(capsys, tmp_path):

@@ -197,6 +197,68 @@ def test_is_basis_permutation():
     assert is_basis_permutation(np.diag([1, -1])) is None
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     assert is_basis_permutation(h) is None
+    assert is_basis_permutation(np.eye(2, 3)) is None
+    assert is_basis_permutation([[1, 1e-9], [0, 1]]) is None
+    assert is_basis_permutation([[1, 1], [0, 0]]) is None
+
+
+def column_by_column_permutation(u):
+    """`is_basis_permutation` as a loop over columns: its reference."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return None
+    d = u.shape[0]
+    perm = []
+    for j in range(d):
+        column = u[:, j]
+        i = int(np.argmax(np.abs(column)))
+        if abs(column[i] - 1) > deutsch.UNITARY_TOL:
+            return None
+        rest = np.abs(column) > deutsch.UNITARY_TOL
+        rest[i] = False
+        if rest.any():
+            return None
+        perm.append(i)
+    if len(set(perm)) != d:
+        return None
+    return perm
+
+
+def near_permutation(rng):
+    """A permutation matrix of size 0-5, maybe phased, perturbed, non-finite,
+    with a repeated column or cut to a non-square shape."""
+    d = int(rng.integers(0, 6))
+    u = permutation_unitary(rng.permutation(d))
+    if d and rng.random() < 0.4:
+        # phases of 1, -1, a rounding slip or anything, on some columns
+        angles = rng.choice([0, np.pi, 1e-12, rng.uniform(0, 2 * np.pi)], size=d)
+        u = u * np.where(rng.random(d) < 0.5, np.exp(1j * angles), 1)
+    if d and rng.random() < 0.5:
+        scale = rng.choice([1e-11, 1e-9, 0.5])
+        noise = scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        u = u + noise * (rng.random((d, d)) < rng.choice([0.2, 1.0]))
+    if d > 1 and rng.random() < 0.2:
+        j, k = rng.choice(d, size=2, replace=False)
+        u[:, j] = u[:, k]
+    if d and rng.random() < 0.2:
+        i, j = rng.integers(0, d, size=2)
+        u[i, j] = rng.choice([np.nan, np.inf, -np.inf, complex(np.nan, np.inf),
+                              complex(0, np.nan)])
+    if d and rng.random() < 0.1:
+        u = u[1:] if rng.random() < 0.5 else u[:, 1:]
+    return u
+
+
+def test_is_basis_permutation_matches_the_column_loop():
+    rng = np.random.default_rng(29)
+    answers = []
+    for _ in range(3000):
+        u = near_permutation(rng)
+        answer = is_basis_permutation(u)
+        assert answer == column_by_column_permutation(u)
+        answers.append(answer is not None)
+    # both answers are common, so neither side of the comparison is left untried
+    assert 0.2 < np.mean(answers) < 0.8
 
 
 def test_examples_are_well_formed():
@@ -568,7 +630,7 @@ def per_block_fixed_point(u, rho, d_loop, tol=1e-10, max_iterations=100_000):
         n = min(n, max_iterations + 1 - first)
         rows = np.empty((n + 1, d_loop * d_loop), dtype=complex)
         rows[0] = last
-        if n == deutsch.BLOCK_CAP and d_loop <= deutsch.POWER_MAX_LOOP:
+        if n == deutsch.BLOCK_CAP:
             if not powers:
                 powers = [step]
                 while len(powers) < deutsch.BLOCK_CAP.bit_length():
@@ -646,12 +708,11 @@ def test_long_windows_solve_gap_cases_as_the_per_block_oracle(case, tol):
                            per_block_fixed_point(u, rho, d, tol, deutsch.MAX_ITERATIONS))
 
 
-def test_loops_past_the_power_bound_solve_as_the_per_block_oracle():
-    # at d_loop 9 full blocks are built one product a step and judged in long
+def test_loops_above_eight_solve_as_the_per_block_oracle():
+    # at d_loop 9 full blocks are filled from powers and judged in long
     # windows too; with d_cr = 1 the start I/9 is fixed, and only a tolerance
     # below rounding keeps the solve stepping into them
     u, rho, d = random_unitary(np.random.default_rng(9), 9), np.eye(1, dtype=complex), 9
-    assert d > deutsch.POWER_MAX_LOOP
     for budget in (1278, 1500):
         result = fixed_point(u, rho, d, tol=1e-300, max_iterations=budget)
         assert not result.converged
@@ -718,9 +779,10 @@ def test_power_filled_blocks_match_the_per_step_reference(d_loop, t, budget):
     assert_same_solve(result, reference)
 
 
-def test_a_full_block_takes_nine_products_up_to_the_loop_bound(monkeypatch):
+def test_a_full_block_takes_nine_products(monkeypatch):
     # a block of BLOCK_CAP = 256 steps fills rows[k:2k] from rows[:k] T^k,
-    # k = 1, 2, 4, ..., 256; shorter blocks and larger loops step one by one
+    # k = 1, 2, 4, ..., 256, at every loop dimension; shorter blocks step one
+    # by one
     matmul = np.matmul
     calls = []
 
@@ -736,7 +798,7 @@ def test_a_full_block_takes_nine_products_up_to_the_loop_bound(monkeypatch):
         assert not result.converged  # so every step up to the budget was taken
         return len(calls)
 
-    assert deutsch.BLOCK_CAP == 256 and deutsch.POWER_MAX_LOOP == 8
+    assert deutsch.BLOCK_CAP == 256
     u, rho = permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]).astype(complex)
     assert [products(u, rho, 3, budget) for budget in (254, 510, 766)] == [
         255, 255 + 9, 255 + 2 * 9]
@@ -744,7 +806,24 @@ def test_a_full_block_takes_nine_products_up_to_the_loop_bound(monkeypatch):
     # with d_cr = 1 the start I/16 is fixed, so only a tolerance below
     # rounding keeps the solve stepping
     u = random_unitary(np.random.default_rng(12), 16)
-    assert products(u, np.eye(1, dtype=complex), 16, 510, tol=1e-300) == 255 + 256
+    assert products(u, np.eye(1, dtype=complex), 16, 510, tol=1e-300) == 255 + 9
+
+
+def test_loops_above_eight_start_at_their_fixed_point():
+    # a loop above 8 leaves no room for a CR system, and with d_cr = 1 the
+    # map sigma -> U sigma U^dagger fixes the start I/d, so no solve at a
+    # tolerance above rounding reaches a full block there
+    assert 2 * 9 > MAX_DIM
+    rng = np.random.default_rng(16)
+    rho = np.eye(1, dtype=complex)
+    for d in range(9, MAX_DIM + 1):
+        u = random_unitary(rng, d)
+        result = fixed_point(u, rho, d)
+        assert result.converged and result.iterations == 0
+        noisy = u + 1e-11 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        check_unitary(noisy)
+        result = fixed_point(noisy, rho, d)
+        assert result.converged and result.iterations <= 2
 
 
 @pytest.mark.parametrize("d_cr, d_loop", [(4, 2), (2, 4), (4, 4), (2, 8)])
