@@ -17,6 +17,16 @@ loads forms, boxes, ctc and tables, which the parser's help text needs;
 ``analyze`` alone loads signaling, and ``deutsch`` alone loads deutsch and
 numpy, each when it runs.
 
+With CTCBOX_TRACE=1 in the environment, each phase a subcommand runs
+writes one JSON line to stderr when it ends, {"phase": name, "ms": wall
+time}: load (reading an input file), build (the box, the solver problem,
+or a payload that needs neither), constrain, analyze (a verdict or
+signaling report), solve, and render (printing the output).  A phase's
+time runs from the end of the one before, the first one's from the start
+of ``main``.  Stdout and exit codes are the same either way; with the
+variable unset, tracing costs one environment lookup and a call of an
+empty function per phase.
+
 Exit codes: 0 on success, 1 when a requested check fails (signaling
 witness found, scenario mismatch, solver did not converge), 2 on usage
 or input errors, 141 (128 + SIGPIPE, as a shell reports a process the
@@ -50,6 +60,26 @@ EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
 
 Render = Callable[[dict], Iterator[str]]
+PHASES = ("load", "build", "constrain", "analyze", "solve", "render")
+
+
+class _Trace:
+    """Writes each phase's JSON line to stderr as the phase ends."""
+
+    def __init__(self) -> None:
+        from time import perf_counter
+        self.clock = perf_counter
+        self.since = perf_counter()
+
+    def __call__(self, phase: str) -> None:
+        now = self.clock()
+        print(json.dumps({"phase": phase, "ms": round(1e3 * (now - self.since), 3)}),
+              file=sys.stderr)
+        self.since = now
+
+
+def _untraced(phase: str) -> None:
+    """A phase ends, with tracing off."""
 
 
 def _read_json(path: str) -> tuple[object, str]:
@@ -69,16 +99,19 @@ def _load_box(args) -> NoSignalBox:
     if args.box is not None and args.spec is not None:
         raise ValueError("give either --box or --spec, not both")
     path = args.spec
-    if args.box is not None:
-        name = args.box.lower()
-        if not name.startswith("spec:"):
-            return named_box(name)
-        path = args.box[len("spec:"):]
-    if path is None:
-        raise ValueError("give a box with --box NAME, --box spec:FILE "
-                         "or --spec FILE")
-    data, label = _read_json(path)
-    return box_from_spec(data, label=label)
+    if args.box is not None and not args.box.lower().startswith("spec:"):
+        box = named_box(args.box.lower())
+    else:
+        if args.box is not None:
+            path = args.box[len("spec:"):]
+        if path is None:
+            raise ValueError("give a box with --box NAME, --box spec:FILE "
+                             "or --spec FILE")
+        data, label = _read_json(path)
+        args.phase("load")
+        box = box_from_spec(data, label=label)
+    args.phase("build")
+    return box
 
 
 def _parties(text: str | None, n: int) -> tuple[int, ...]:
@@ -96,6 +129,7 @@ def cmd_list(args) -> tuple[dict, Render]:
         "scenarios": [scenario_head(s) for s in SCENARIOS.values()],
         "deutsch_examples": list(EXAMPLE_NAMES),
     }
+    args.phase("build")
     return payload, _render_list
 
 
@@ -116,13 +150,20 @@ def cmd_show(args) -> tuple[dict, Render]:
     pattern = _parties(args.ctc, box.n)
     if not pattern:
         return box_to_spec(box), lambda payload: render_table(box)
-    return show_json(constrain(box, pattern)), partial(render_constrained, box)
+    payload = show_json(constrain(box, pattern))
+    args.phase("constrain")
+    return payload, partial(render_constrained, box)
 
 
 def cmd_verify(args) -> tuple[dict, Render]:
-    given = args.box is not None or args.spec is not None
-    boxes = [_load_box(args)] if given else [named_box(name) for name in BoxName]
-    return verify_json(boxes), render_verify
+    if args.box is not None or args.spec is not None:
+        boxes = [_load_box(args)]
+    else:
+        boxes = [named_box(name) for name in BoxName]
+        args.phase("build")
+    payload = verify_json(boxes)
+    args.phase("analyze")
+    return payload, render_verify
 
 
 def cmd_analyze(args) -> tuple[dict, Render]:
@@ -135,14 +176,18 @@ def cmd_analyze(args) -> tuple[dict, Render]:
                          "give both or neither")
     box = _load_box(args)
     cbox = constrain(box, _parties(args.ctc, box.n))
+    args.phase("constrain")
     if args.sender is None:
-        return scan_report_json(box.label, cbox), partial(render_scan, box)
-    sender_ids = _parties(args.sender, box.n)
-    if len(sender_ids) != 1:
-        raise ValueError("--sender takes exactly one party")
-    payload = report_json(box.label, cbox, sender_ids[0],
-                          _parties(args.receivers, box.n))
-    return payload, partial(render_report, box)
+        payload, render = scan_report_json(box.label, cbox), partial(render_scan, box)
+    else:
+        sender_ids = _parties(args.sender, box.n)
+        if len(sender_ids) != 1:
+            raise ValueError("--sender takes exactly one party")
+        payload = report_json(box.label, cbox, sender_ids[0],
+                              _parties(args.receivers, box.n))
+        render = partial(render_report, box)
+    args.phase("analyze")
+    return payload, render
 
 
 def cmd_deutsch(args) -> tuple[dict, Render]:
@@ -158,21 +203,27 @@ def cmd_deutsch(args) -> tuple[dict, Render]:
         label = args.example.lower()
     elif args.file is not None:
         data, label = _read_json(args.file)
+        args.phase("load")
         u, rho, d_loop = problem_from_json(data)
     else:
         raise ValueError("give a problem with --example NAME or --file FILE")
+    args.phase("build")
 
     budget = {"tol": args.tol, "max_iterations": args.max_iter}
     check = (classical_consistency_crosscheck(u, rho, d_loop, **budget)
              if args.crosscheck else None)
     result = check.solve if check else fixed_point(u, rho, d_loop, **budget)
-    return solve_json(label, u, rho, result, check), render_solve
+    payload = solve_json(label, u, rho, result, check)
+    args.phase("solve")
+    return payload, render_solve
 
 
 def cmd_reproduce(args) -> tuple[dict, Render]:
     if args.all and args.table is not None:
         raise ValueError("give either --table or --all, not both")
-    return reproduce_json("all" if args.table is None else args.table), render_reproduce
+    payload = reproduce_json("all" if args.table is None else args.table)
+    args.phase("build")
+    return payload, render_reproduce
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                f"{EXIT_OK} ok, {EXIT_CHECK_FAILED} check failed, {EXIT_USAGE} bad "
                f"input, {EXIT_BROKEN_PIPE} stdout closed before the output was "
                "written.")
+    parser.set_defaults(phase=_untraced)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, *parents):
@@ -248,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    trace = _Trace() if os.environ.get("CTCBOX_TRACE") == "1" else None
     args = build_parser().parse_args(argv)
+    if trace:
+        args.phase = trace
     try:
         payload, render = args.func(args)
     except ValueError as err:  # every input or usage problem (exit code 2)
@@ -266,6 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         # of the stdout buffer would fail again on the way out
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    args.phase("render")
     return EXIT_OK if payload.get("ok", True) else EXIT_CHECK_FAILED
 
 

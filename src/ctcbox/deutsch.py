@@ -29,12 +29,16 @@ and 16; the blocks of 32, 64 and 128 are a window each; and full blocks
 are judged LONG_WINDOW = 1,024 steps, four blocks, at a time.  Most solves
 end within those 31 steps, and the slow-gap ones run for thousands of
 steps in full blocks: in both, one call per block cost more in fixed numpy
-overhead than in arithmetic.  A full block of BLOCK_CAP = 256 steps is
-filled by doubling, rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., 256:
-nine products against powers of T that are squared once per solve; every
-shorter block keeps one product per step.  A loop above 8 leaves no room
-for a CR system under MAX_DIM, so its map is sigma -> U sigma U^dagger,
-which fixes the start I/d: it ends at step 0 unless tol is below rounding.
+overhead than in arithmetic.  The full blocks of BLOCK_CAP = 256 steps in
+a long window are filled together, by doubling: first, one block after
+the other, each block's start and its last row rows[256] = rows[0]
+T^256; then rows[j:2j] = rows[:j] T^j for j = 1, 2, 4, ..., 128, eight
+products that all the window's blocks share, each block's part the very
+product it would take alone.  The powers of T are squared once per solve.
+Every shorter block, and what is left of a budget that cuts a long
+window, takes one product per step.  A loop above 8 leaves no room for a
+CR system under MAX_DIM, so its map is sigma -> U sigma U^dagger, which
+fixes the start I/d: it ends at step 0 unless tol is below rounding.
 
 Every window is screened before eigvalsh sees it.  From what eigvalsh
 reads of each residual matrix H (the lower triangle and the real
@@ -57,17 +61,21 @@ sends one matrix to eigvalsh instead of 2,048.
 A window of several blocks returns what judging them one by one would,
 bit for bit: its first hit and its first smallest residual are those
 that block after block would find, and an averaged candidate adds the
-blocks' sums to the running total one block at a time, in order.
+blocks' sums to the running total one block at a time, in order; each
+block is summed once per window, and the sums serve both.  The window
+holds all its raw residuals, then all its averages', so that a long
+window's are two subtractions over runs of whole blocks, and the screen
+reads them in the steps' order, raw before average.
 
 Iteration counts and choices are those of judging one step at a time,
 except at the rounding floor: once residuals are rounding noise (a tol
 far below 1e-15), the chosen step may differ, and the state only by
 rounding.  A candidate is hermitized only when it is returned.  The
-100,000 steps of the non-converging 4 x 3 problem take about 0.07 s on
-one core of a shared 2-vCPU VM, against 0.09 s when each full block was
-a window of its own: the median over 7 alternating rounds, each the
-median of 21 solves in a fresh process pinned to one CPU (rounds read
-0.05-0.08 s and 0.07-0.11 s).
+100,000 steps of the non-converging 4 x 3 problem take about 0.03 s on
+one core of a shared 2-vCPU VM, against 0.05 s when each full block of a
+long window was filled on its own: the median over 7 alternating rounds,
+each the median of 21 solves in a fresh process pinned to one CPU (rounds
+read 0.03-0.05 s and 0.04-0.08 s).
 
 `classical_consistency_crosscheck` connects this solver back to the
 classical box analysis: when U permutes basis states and rho is
@@ -103,8 +111,10 @@ BLOCK_CAP = 256
 # fixed_point judges its first WINDOW steps, the blocks of 1, 2, 4, 8 and
 # 16 steps, with one eigvalsh call; 2^k - 1, so that it ends on a block edge
 WINDOW = 31
-# full blocks are judged LONG_WINDOW steps, four blocks, at a time; windows
-# of eight blocks ran no faster end to end and held about 1 MB more
+# full blocks are judged LONG_WINDOW steps, four blocks, at a time, and
+# filled together: each block's start and last row one after the other,
+# then eight products shared by all its blocks; windows of eight blocks ran
+# no faster and held about 1 MB more
 LONG_WINDOW = 4 * BLOCK_CAP
 # relative widening of the trace-norm bounds that screen a block:
 # eigvalsh's trace norm and the bounds each round by a few hundred ulps at
@@ -167,28 +177,35 @@ def _trace_norm_bounds(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray
 
 def _screened_trace_norms(diffs: np.ndarray, counts: np.ndarray, d: int,
                           tol: float) -> np.ndarray:
-    """Trace norms of ``diffs`` where they can decide a window.
+    """The residuals of a window where they can decide it.
 
-    Entries 2i and 2i + 1 are a raw residual and an average's, the latter
-    to be divided by ``counts[i]``.  The entries whose residual cannot be
-    the window's first one <= ``tol``, nor its first smallest one, read
-    +inf; the others are computed exactly as without the screen.
+    ``diffs[0, i]`` is step i's raw residual matrix and ``diffs[1, i]`` its
+    average's times ``counts[i]``; entries 2i and 2i + 1 of the result are
+    their trace norms, the latter divided by ``counts[i]``.  The entries
+    whose residual cannot be the window's first one <= ``tol``, nor its
+    first smallest one, read +inf; the others are computed exactly as
+    without the screen.
     """
-    lower, upper = _trace_norm_bounds(diffs, d)
-    lower[1::2] /= counts
-    upper[1::2] /= counts
+    n = len(counts)
+    lower, upper = _trace_norm_bounds(diffs.reshape(2 * n, -1), d)
+    lower[n:] /= counts
+    upper[n:] /= counts
     # the widened bounds lower (1 - M) - F <= residual <= upper (1 + M) + F,
     # compared through scalar thresholds
     widen = 1 + SCREEN_MARGIN
-    # no entry after a sure hit can be the first hit
-    sure = (upper <= (tol - SCREEN_FLOOR) / widen).nonzero()[0]
-    end = int(sure[0]) + 1 if sure.size else len(diffs)
     # a hit is at most tol; the smallest residual is at most every upper bound
-    cut = max(tol, float(upper.min()) * widen + SCREEN_FLOOR)
-    open_ = (lower[:end] <= (cut + SCREEN_FLOOR) / (1 - SCREEN_MARGIN)).nonzero()[0]
-    norms = np.full(len(diffs), np.inf)
-    norms[open_] = _hermitian_trace_norms(diffs[open_].reshape(-1, d, d))
-    return norms
+    smallest, sure = float(upper.min()), (tol - SCREEN_FLOOR) / widen
+    cut = max(tol, smallest * widen + SCREEN_FLOOR)
+    if smallest <= sure:
+        # no entry after the first sure hit can be the first hit, in the
+        # steps' order: its entry 2i + k, diffs[k, i], is bound i + k n
+        first = int((upper.reshape(2, n).T <= sure).argmax())
+        lower[first // 2 + 1:n] = lower[n + (first + 1) // 2:] = np.inf
+    open_ = (lower <= (cut + SCREEN_FLOOR) / (1 - SCREEN_MARGIN)).nonzero()[0]
+    norms = np.full(2 * n, np.inf)
+    norms[open_] = _hermitian_trace_norms(diffs.reshape(2 * n, d, d)[open_])
+    norms[n:] /= counts
+    return norms.reshape(2, n).T.reshape(-1)
 
 
 def trace_norm(matrix: np.ndarray) -> float:
@@ -339,18 +356,26 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
     best = (float("inf"), 0, False, start)
 
     def candidate(m: int, from_average: bool) -> np.ndarray:
-        k = 0
-        while m >= blocks[k][0] + len(blocks[k][1]) - 1:
-            k += 1
-        b, rows = blocks[k]
+        i = 0
+        while m >= blocks[i][0] + len(blocks[i][1]) - 1:
+            i += 1
+        b, rows = blocks[i]
         if not from_average:
             return rows[m - b].copy()
         # the window's earlier blocks are added to total one at a time, as
         # total itself takes them, so the sum has the same bits either way
         summed = total
-        for _, earlier in blocks[:k]:
-            summed = summed + earlier[:-1].sum(axis=0)
+        for earlier in block_sums(i):
+            summed = summed + earlier
         return (summed + rows[:m - b + 1].sum(axis=0)) / (m + 1)
+
+    def block_sums(count: int) -> list[np.ndarray]:
+        # the first count blocks' rows but their last, each block summed at
+        # most once per window, the full ones together
+        if count and not sums and k:
+            sums.extend(full[:, :-1].sum(axis=1))
+        sums.extend(rows[:-1].sum(axis=0) for _, rows in blocks[len(sums):count])
+        return sums[:count]
 
     def result(residual: float, m: int, from_average: bool, vector: np.ndarray,
                converged: bool) -> FixedPointResult:
@@ -365,47 +390,59 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
         # blocks go LONG_WINDOW steps at a time
         span = LONG_WINDOW if n == BLOCK_CAP else n
         end = min(max(first + span, WINDOW), budget + 1)
+        # T(A_m) - A_m = (sigma_(m+1) - sigma_0) / (m + 1) for the average
+        # A_m of sigma_0 .. sigma_m, since T is linear and
+        # sigma_(j+1) = T(sigma_j).  diffs[0, i] and diffs[1, i] are the
+        # residuals of step first + i's raw candidate and, times m + 1, of
+        # its average; at m = 0 the average is the start and its residual
+        # the raw one, so the raw one wins
+        diffs = np.empty((2, end - first, d_loop * d_loop), dtype=complex)
         # (b, rows) for each block, rows[i] being sigma_(b + i); the block
         # holds steps b .. b + len(rows) - 2
         blocks: list[tuple[int, np.ndarray]] = []
-        diffs = np.empty((end - first, 2, d_loop * d_loop), dtype=complex)
-        b = first
-        while b < end:
+        sums: list[np.ndarray] = []  # of the blocks, as block_sums needs them
+        k = (end - first) // BLOCK_CAP if n == BLOCK_CAP else 0  # full blocks
+        if k:
+            if not powers:  # squared once, at the first full block
+                powers = [step]
+                while len(powers) < BLOCK_CAP.bit_length():
+                    powers.append(powers[-1] @ powers[-1])
+                # the start once for each step of a block, so that its
+                # subtraction runs over whole blocks
+                starts = np.tile(start, (BLOCK_CAP, 1)).view(np.float64)
+            # each block starts from the last iterate before it, re-hermitized
+            # so that rounding cannot drift across blocks, and ends at
+            # rows[BLOCK_CAP] = rows[0] T^BLOCK_CAP; then rows[j:2j] =
+            # rows[:j] T^j for j = 1, 2, 4, ..., BLOCK_CAP / 2, in every block
+            # at once, each block's product the one it would take alone
+            full = np.empty((k, BLOCK_CAP + 1, d_loop * d_loop), dtype=complex)
+            for rows in full:
+                rows[0] = _hermitize(last.reshape(shape)).reshape(-1)
+                last = np.matmul(rows[:1], powers[-1], out=rows[BLOCK_CAP:])[0]
+            for j, power in enumerate(powers[:-1]):
+                np.matmul(full[:, :1 << j], power, out=full[:, 1 << j:2 << j])
+            # complex subtraction is that of the real and imaginary parts, and
+            # over the float views each block is one contiguous run
+            x = full.view(np.float64)
+            out = diffs[:, :k * BLOCK_CAP].view(np.float64).reshape(2, k, BLOCK_CAP, -1)
+            np.subtract(x[:, 1:], x[:, :-1], out=out[0])
+            np.subtract(x[:, 1:], starts, out=out[1])
+            blocks = [(first + i * BLOCK_CAP, rows) for i, rows in enumerate(full)]
+        b = first + k * BLOCK_CAP
+        while b < end:  # shorter blocks, and the rest of a budget: a product a step
             n = min(n, end - b)
             rows = np.empty((n + 1, d_loop * d_loop), dtype=complex)
-            # each block starts from the last iterate before it, re-hermitized
-            # so that rounding cannot drift across blocks
             rows[0] = _hermitize(last.reshape(shape)).reshape(-1) if b else start
-            if n == BLOCK_CAP:
-                if not powers:  # squared once, at the first full block
-                    powers = [step]
-                    while len(powers) < BLOCK_CAP.bit_length():
-                        powers.append(powers[-1] @ powers[-1])
-                # rows[k:2k] = rows[:k] T^k for k = 1, 2, 4, ..., BLOCK_CAP: one
-                # product for each power of 2, the last one for rows[n] alone
-                for j, power in enumerate(powers):
-                    out = rows[1 << j:2 << j]
-                    np.matmul(rows[:len(out)], power, out=out)
-            else:
-                for i in range(n):
-                    np.matmul(rows[i], step, out=rows[i + 1])
-            # T(A_m) - A_m = (sigma_(m+1) - sigma_0) / (m + 1) for the average
-            # A_m of sigma_0 .. sigma_m, since T is linear and
-            # sigma_(j+1) = T(sigma_j).  Entries 2i and 2i + 1 are step
-            # first + i's raw candidate and its average; at m = 0 the average
-            # is the start and its residual the raw one, so the raw one wins
-            out = diffs[b - first:b - first + n]
-            np.subtract(rows[1:], rows[:n], out=out[:, 0])
-            np.subtract(rows[1:], start, out=out[:, 1])
+            for i in range(n):
+                np.matmul(rows[i], step, out=rows[i + 1])
+            np.subtract(rows[1:], rows[:n], out=diffs[0, b - first:b - first + n])
+            np.subtract(rows[1:], start, out=diffs[1, b - first:b - first + n])
             blocks.append((b, rows))
             last = rows[n]
             b += n
             n = min(2 * n, BLOCK_CAP)
-        diffs = diffs.reshape(2 * (end - first), -1)
-        # the averages' divisors m + 1; dividing the raw ones by 1 is exact
-        counts = np.arange(first + 1, end + 1)
-        residuals = _screened_trace_norms(diffs, counts, d_loop, tol)
-        residuals[1::2] /= counts
+        # the averages' divisors m + 1
+        residuals = _screened_trace_norms(diffs, np.arange(first + 1, end + 1), d_loop, tol)
         hits = (residuals <= tol).nonzero()[0]
         if hits.size:
             hit = int(hits[0])
@@ -416,8 +453,8 @@ def fixed_point(u: np.ndarray, rho_cr: np.ndarray, d_loop: int, *,
         if residuals[low] < best[0]:
             m, from_average = first + low // 2, bool(low % 2)
             best = (float(residuals[low]), m, from_average, candidate(m, from_average))
-        for _, rows in blocks:
-            total += rows[:-1].sum(axis=0)
+        for block_sum in block_sums(len(blocks)):
+            total += block_sum
         first = end
     return result(*best, False)
 

@@ -14,9 +14,12 @@ information of the induced channel in bits.  The best rule picks the
 sender bit with the larger likelihood for each observed output tuple,
 guessing 0 on ties; its success probability exceeds 1/2 iff the
 distributions differ.  These two are exact and decide.  The information
-is a float: it can read about +-1e-15 on an independent setting, and 0
-or below on a dependent one whose distributions differ by less than
-rounding.
+is a float, H(mix) - (H0 + H1) / 2: it can read about +-1e-15 on an
+independent setting.  Where it reads 0 or below on a dependent one, the
+two sides having cancelled, it is summed instead over the outputs as
+(a + b) / (2 den) (1 - h(a / (a + b))) from the integer numerators a and
+b, h the binary entropy: no term is negative, so it reads above 0 unless
+every term underflows.
 
 Some settings show perfectly correlated receiver outputs whose shared
 parity is fixed by the setting alone.  Such correlations look striking
@@ -194,6 +197,29 @@ def _mutual_information(p0: Mapping, p1: Mapping, support: Iterable,
     return _entropy(mix, 2 * denominator) - (h0 + h1) / 2
 
 
+def _one_minus_h(a: int, b: int) -> float:
+    """1 - h(a / (a + b)) in bits, h the binary entropy, for a + b > 0."""
+    if not a or not b:
+        return 1.0
+    x = (a - b) / (a + b)  # int / int rounds correctly
+    if abs(x) <= 0.5:
+        # ((1 + x) ln(1 + x) + (1 - x) ln(1 - x)) / (2 ln 2), whose two
+        # terms here cancel by at most a factor of 2
+        return (x * math.atanh(x) + math.log1p(-x * x) / 2) / math.log(2)
+    # h(q) for the smaller share q < 1/4, where q ln q -> 0 as q does
+    q = min(a, b) / (a + b)
+    return 1 + ((q * math.log(q) if q else 0.0) + (1 - q) * math.log1p(-q)) / math.log(2)
+
+
+def _information_by_outputs(p0: Mapping, p1: Mapping, outs: Iterable,
+                            denominator: int) -> float:
+    """The information as a sum over outputs of (a + b) / (2 den) (1 - h(a /
+    (a + b))), a and b the output's numerators: every term is >= 0, so no
+    two terms cancel, and the sum is > 0 unless every term underflows."""
+    return sum((a + b) / (2 * denominator) * _one_minus_h(a, b)
+               for a, b in ((p0.get(out, 0), p1.get(out, 0)) for out in outs))
+
+
 def _note(parities: set[int]) -> str | None:
     """The note of an independent setting whose support has these parities."""
     if len(parities) != 1:
@@ -245,6 +271,8 @@ class _Analysis:
         union = (set(dict.fromkeys(map(keys.__getitem__, p0)))
                  | set(dict.fromkeys(map(keys.__getitem__, p1))))
         self.mi_bits = _mutual_information(p0, p1, map(shared.codes.__getitem__, union), den)
+        if self.dependent and self.mi_bits <= 0:  # the entropies cancelled
+            self.mi_bits = _information_by_outputs(p0, p1, outs, den)
         self.impractical = shared.impractical
         self.note = None if self.dependent else _note({shared.parity[out] for out in outs})
         self.success_json: str | None = None

@@ -85,6 +85,29 @@ def mutual_information_bits(p0, p1):
     return entropy_bits(mix) - (entropy_bits(p0) + entropy_bits(p1)) / 2
 
 
+def information_by_outputs(p0, p1):
+    """The same information as a sum over outcomes of (p + q) / 2 times
+    1 - h(p / (p + q)), p and q the outcome's two probabilities and h the
+    binary entropy: terms that are all >= 0, in sorted outcome order.  Each
+    float is taken from an exact Fraction, and 1 - h from its series form
+    (x atanh x + log1p(-x^2) / 2) / ln 2 at x = (p - q) / (p + q) for
+    |x| <= 1/2, else from the smaller share s < 1/4 as
+    1 + (s ln s + (1 - s) log1p(-s)) / ln 2."""
+    total = 0.0
+    for out in sorted(set(p0) | set(p1)):
+        p, q = Fraction(p0.get(out, 0)), Fraction(p1.get(out, 0))
+        if not p or not q:
+            gain = 1.0
+        elif abs(x := float((p - q) / (p + q))) <= 0.5:
+            gain = (x * math.atanh(x) + math.log1p(-x * x) / 2) / math.log(2)
+        else:
+            share = float(min(p, q) / (p + q))
+            gain = 1 + ((share * math.log(share) if share else 0.0)
+                        + (1 - share) * math.log1p(-share)) / math.log(2)
+        total += float((p + q) / 2) * gain
+    return total
+
+
 def parity_note(p0, p1):
     """The note of an independent setting: set when every outcome that
     either sender bit gives has one parity."""

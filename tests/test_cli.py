@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -470,6 +471,41 @@ def test_masses_too_small_for_a_float_carry_no_information(capsys, tmp_path):
                        "--receivers", "1", "--json")
     assert code == 0
     assert [entry["mi_bits"] for entry in json.loads(out)["entries"]] == [0.0, 0.0]
+
+
+def test_a_dependent_setting_carries_positive_information(capsys, tmp_path):
+    # bob reads 0 with probability 5/11 when alice's input is 0 and 5/11 +
+    # 10^-10 when it is 1: the two entropies agree to about 1e-16, so their
+    # float difference cancels, while the sum of per-output terms, each >= 0,
+    # is about 1e-20 / (8 ln 2 (5/11)(6/11))
+    p = {0: Fraction(5, 11), 1: Fraction(5, 11) + Fraction(1, 10 ** 10)}
+    table = [{"in": [x, y], "out": [0, b], "p": str(p[x] if b == 0 else 1 - p[x])}
+             for x in (0, 1) for y in (0, 1) for b in (0, 1)]
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"parties": 2, "table": table}))
+    argv = ("analyze", "--spec", str(path), "--sender", "0", "--receivers", "1")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    rule = "dependent; guess 0->1, 1->0; success 10000000001/20000000000"
+    assert out == (f"box {path} (2 parties): explicit table\n"
+                   "self-consistent parties: none\n"
+                   "sender: alice; receivers: bob\n"
+                   f"setting y=0: {rule}; information 0.000000 bits\n"
+                   f"setting y=1: {rule}; information 0.000000 bits\n"
+                   "summary: 2/2 settings dependent (4/4 cases); max success "
+                   "10000000001/20000000000; mean information 0.000000 bits\n")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    info = 7.273587497681842e-21
+    entry = {"sender": "alice", "coalition": ["bob"], "dependent": True,
+             "rule": {"0": 1, "1": 0}, "success": "10000000001/20000000000",
+             "mi_bits": info, "impractical": False, "note": None}
+    assert json.loads(out) == {
+        "box": str(path), "ctc": [], "sender": "alice", "coalition": ["bob"],
+        "entries": [{**entry, "setting": [y]} for y in (0, 1)],
+        "summary": {"settings": 2, "dependent_settings": 2, "cases": 4,
+                    "dependent_cases": 4, "impractical": False,
+                    "max_success": "10000000001/20000000000", "mean_mi_bits": info}}
 
 
 @pytest.mark.parametrize("option", ["--max-iter=-1", "--tol=nan", "--tol=inf",

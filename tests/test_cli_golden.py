@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from ctcbox.cli import main
+from ctcbox.cli import PHASES, main
 
 # table.json mixes the pr box (weight 1/3) with a local box that always
 # answers (0, 0); leaky.json is the deterministic table of pr with bob looped,
@@ -245,7 +245,8 @@ GOLDEN = {
 }
 
 
-def run_case(argv: str, directory, monkeypatch, capsys) -> tuple[int, str]:
+def run_case(argv: str, directory, monkeypatch, capsys) -> tuple[int, str, str]:
+    """The exit code, the sha256 of stdout, and stderr."""
     for name, data in FILES.items():
         (directory / name).write_text(json.dumps(data))
     (directory / "bad.json").write_text("{not json")
@@ -255,10 +256,30 @@ def run_case(argv: str, directory, monkeypatch, capsys) -> tuple[int, str]:
         code = main(shlex.split(argv))
     except SystemExit as stop:
         code = stop.code
-    out = capsys.readouterr().out
-    return code, hashlib.sha256(out.encode()).hexdigest()
+    captured = capsys.readouterr()
+    return code, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN))
 def test_cli_output_is_pinned(argv, tmp_path, monkeypatch, capsys):
-    assert run_case(argv, tmp_path, monkeypatch, capsys) == GOLDEN[argv]
+    assert run_case(argv, tmp_path, monkeypatch, capsys)[:2] == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_tracing_adds_only_phase_lines_to_stderr(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CTCBOX_TRACE", raising=False)
+    _, _, quiet = run_case(argv, tmp_path, monkeypatch, capsys)
+    monkeypatch.setenv("CTCBOX_TRACE", "1")
+    code, digest, err = run_case(argv, tmp_path, monkeypatch, capsys)
+    assert (code, digest) == GOLDEN[argv]
+    lines = err.splitlines(keepends=True)
+    traced = [line for line in lines if line.startswith('{"phase": ')]
+    assert "".join(line for line in lines if line not in traced) == quiet
+    assert '"phase"' not in quiet
+    phases = [json.loads(line) for line in traced]
+    for phase in phases:
+        assert set(phase) == {"phase", "ms"} and phase["ms"] >= 0
+    # each phase once, in the order they run, and render only for an output
+    order = [PHASES.index(phase["phase"]) for phase in phases]
+    assert order == sorted(set(order))
+    assert (PHASES.index("render") in order) == (code in (0, 1))

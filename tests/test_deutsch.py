@@ -668,13 +668,15 @@ def assert_identical_solve(result, oracle):
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-14, 1e-300])
 def test_the_window_solves_haar_cases_as_the_per_block_oracle(tol):
-    # budgets inside, at and past the window's blocks, and within a full block
+    # budgets inside, at and past the window's blocks, and within a full
+    # block; 766, 1022 and 1100 cut the first long window after two full
+    # blocks, after three, and after three and 78 steps
     rng = np.random.default_rng(23)
     for d_cr in range(1, MAX_DIM + 1):
         for d_loop in range(1, MAX_DIM // d_cr + 1):
             u = random_unitary(rng, d_cr * d_loop)
             rho = random_density(rng, d_cr)
-            for budget in (0, 1, 2, 14, 15, 30, 31, 254, 255, 600):
+            for budget in (0, 1, 2, 14, 15, 30, 31, 254, 255, 600, 766, 1022, 1100):
                 assert_identical_solve(
                     fixed_point(u, rho, d_loop, tol=tol, max_iterations=budget),
                     per_block_fixed_point(u, rho, d_loop, tol, budget))
@@ -779,10 +781,12 @@ def test_power_filled_blocks_match_the_per_step_reference(d_loop, t, budget):
     assert_same_solve(result, reference)
 
 
-def test_a_full_block_takes_nine_products(monkeypatch):
-    # a block of BLOCK_CAP = 256 steps fills rows[k:2k] from rows[:k] T^k,
-    # k = 1, 2, 4, ..., 256, at every loop dimension; shorter blocks step one
-    # by one
+def test_a_long_window_shares_eight_products(monkeypatch):
+    # a long window of k full blocks of BLOCK_CAP = 256 steps takes one
+    # one-row product per block, rows[256] = rows[0] T^256, then fills
+    # rows[j:2j] from rows[:j] T^j, j = 1, 2, 4, ..., 128, for all k blocks in
+    # eight shared products, at every loop dimension; the 255 steps before
+    # take one product each
     matmul = np.matmul
     calls = []
 
@@ -798,15 +802,16 @@ def test_a_full_block_takes_nine_products(monkeypatch):
         assert not result.converged  # so every step up to the budget was taken
         return len(calls)
 
-    assert deutsch.BLOCK_CAP == 256
+    assert deutsch.BLOCK_CAP == 256 and deutsch.LONG_WINDOW == 4 * 256
     u, rho = permutation_unitary(OSCILLATING), np.diag([1, 0, 0, 0]).astype(complex)
-    assert [products(u, rho, 3, budget) for budget in (254, 510, 766)] == [
-        255, 255 + 9, 255 + 2 * 9]
-    assert products(*weak_coupling(8, 0.01), 8, 510) == 255 + 9
+    # budgets 510, 766 and 1278 end the first long window after 1, 2 and 4 blocks
+    assert [products(u, rho, 3, budget) for budget in (254, 510, 766, 1278)] == [
+        255, 255 + 1 + 8, 255 + 2 + 8, 255 + 4 + 8]
+    assert products(*weak_coupling(8, 0.01), 8, 510) == 255 + 1 + 8
     # with d_cr = 1 the start I/16 is fixed, so only a tolerance below
     # rounding keeps the solve stepping
     u = random_unitary(np.random.default_rng(12), 16)
-    assert products(u, np.eye(1, dtype=complex), 16, 510, tol=1e-300) == 255 + 9
+    assert products(u, np.eye(1, dtype=complex), 16, 510, tol=1e-300) == 255 + 1 + 8
 
 
 def test_loops_above_eight_start_at_their_fixed_point():

@@ -9,7 +9,8 @@ from ctcbox.boxes import (NoSignalBox, all_bit_tuples, is_no_signaling, marginal
 from ctcbox.ctc import constrain, induced_parity_form
 from ctcbox.forms import BooleanForm, xor_bits
 from ctcbox.signaling import SignalingEntry, analyze, analyze_setting
-from signaling_oracle import engine_observation, parity_note, receiver_observation
+from signaling_oracle import (engine_observation, information_by_outputs, parity_note,
+                              receiver_observation)
 
 MI_TOL = 1e-12
 
@@ -258,6 +259,8 @@ def entry_by_rows(cbox, sender, coalition, setting):
     mix = [(p0.get(out, Fraction(0)) + p1.get(out, Fraction(0))) / 2 for out in support]
     mi = float_entropy(mix) - (float_entropy(p0.values()) + float_entropy(p1.values())) / 2
     dependent = p0 != p1
+    if dependent and mi <= 0:  # the entropies cancelled
+        mi = information_by_outputs(p0, p1)
     return SignalingEntry(sender, coalition, setting, dependent, rule, success, mi,
                           bool(set(coalition) & set(cbox.pattern)),
                           None if dependent else parity_note(p0, p1))

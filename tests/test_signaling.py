@@ -317,6 +317,49 @@ def test_mutual_information_extremes():
     assert abs(mutual_information_bits(p0, p0)) <= MI_TOL
 
 
+def near_table(p0, p1):
+    """Bob reads 0 with probability p0 when alice's input is 0, p1 when it
+    is 1; alice always reads 0."""
+    p = {0: p0, 1: p1}
+    return boxes.box_from_spec({"parties": 2, "table": [
+        {"in": [x, y], "out": [0, b], "p": str(p[x] if b == 0 else 1 - p[x])}
+        for x in (0, 1) for y in (0, 1) for b in (0, 1)]})
+
+
+def test_dependent_settings_carry_positive_information():
+    # distributions 10^-1 .. 10^-39 apart: the float entropies cancel from
+    # about 10^-8 on, while I = delta^2 / (8 ln 2 p (1 - p)) (1 + O(delta))
+    for base in (Fraction(1, 2), Fraction(1, 3), Fraction(5, 11), Fraction(99, 100)):
+        for k in range(1, 40):
+            delta = Fraction(1, 10 ** k)
+            other = base + delta if base + delta < 1 else base - delta
+            cbox = constrain(near_table(base, other), [])
+            for entry in analyze(cbox, sender=0, coalition=[1]):
+                assert entry.dependent and entry.success > Fraction(1, 2)
+                assert entry.mi_bits > 0
+                if k >= 6:
+                    approx = float(delta) ** 2 / (8 * math.log(2) * base * (1 - base))
+                    assert entry.mi_bits == pytest.approx(approx, rel=1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10 ** 30), min_size=2, max_size=6),
+       st.lists(st.integers(0, 10 ** 30), min_size=2, max_size=6))
+def test_information_by_outputs_is_the_entropy_difference(a, b):
+    # the two forms agree wherever the entropy difference is not cancelled
+    size = max(len(a), len(b))
+    a, b = a + [0] * (size - len(a)), b + [0] * (size - len(b))
+    if not sum(a) or not sum(b):
+        return
+    den = sum(a) * sum(b)
+    p0 = {out: n * sum(b) for out, n in enumerate(a) if n}
+    p1 = {out: n * sum(a) for out, n in enumerate(b) if n}
+    by_outputs = signaling._information_by_outputs(p0, p1, range(size), den)
+    assert by_outputs >= 0
+    difference = signaling._mutual_information(p0, p1, range(size), den)
+    assert by_outputs == pytest.approx(difference, rel=1e-9, abs=1e-13)
+
+
 def test_pr_bob_entries():
     cbox = constrain(named_box("pr"), [1])
     entries = analyze(cbox, sender=1, coalition=[0])
