@@ -19,13 +19,18 @@ numpy, each when it runs.
 
 With CTCBOX_TRACE=1 in the environment, each phase a subcommand runs
 writes one JSON line to stderr when it ends, {"phase": name, "ms": wall
-time}: load (reading an input file), build (the box, the solver problem,
+time, ...}: import (the modules ``analyze`` and ``deutsch`` load when they
+run), load (reading an input file), build (the box, the solver problem,
 or a payload that needs neither), constrain, analyze (a verdict or
 signaling report), solve, and render (printing the output).  A phase's
 time runs from the end of the one before, the first one's from the start
-of ``main``.  Stdout and exit codes are the same either way; with the
+of ``main``, and leaves out the trace's own work.  Some phases also carry
+counts (``COUNTS``): constrain its rows, distinct rows and paradox rows;
+a signaling report's analyze its directions, settings and dependent
+settings, and for a full scan the distinct lines, buckets and analyses
+the scan built.  Stdout and exit codes are the same either way; with the
 variable unset, tracing costs one environment lookup and a call of an
-empty function per phase.
+empty function per phase, and no count is taken.
 
 Exit codes: 0 on success, 1 when a requested check fails (signaling
 witness found, scenario mismatch, solver did not converge), 2 on usage
@@ -60,7 +65,12 @@ EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
 
 Render = Callable[[dict], Iterator[str]]
-PHASES = ("load", "build", "constrain", "analyze", "solve", "render")
+PHASES = ("import", "load", "build", "constrain", "analyze", "solve", "render")
+# the counts a phase's line may carry, each a non-negative int
+COUNTS = {"constrain": ("rows", "distinct_rows", "paradox_rows"),
+          "analyze": ("directions", "settings", "dependent_settings",
+                      "lines", "buckets", "analyses")}
+Counts = Callable[[], dict]
 
 
 class _Trace:
@@ -71,15 +81,22 @@ class _Trace:
         self.clock = perf_counter
         self.since = perf_counter()
 
-    def __call__(self, phase: str) -> None:
-        now = self.clock()
-        print(json.dumps({"phase": phase, "ms": round(1e3 * (now - self.since), 3)}),
-              file=sys.stderr)
-        self.since = now
+    def __call__(self, phase: str, counts: Counts | None = None) -> None:
+        line = {"phase": phase, "ms": round(1e3 * (self.clock() - self.since), 3)}
+        if counts:
+            line.update(counts())
+        print(json.dumps(line), file=sys.stderr)
+        self.since = self.clock()
 
 
-def _untraced(phase: str) -> None:
-    """A phase ends, with tracing off."""
+def _untraced(phase: str, counts: Counts | None = None) -> None:
+    """A phase ends, with tracing off: its counts are not taken."""
+
+
+def _constrained(cbox) -> Counts:
+    """The counts of a constrain phase."""
+    return lambda: {"rows": len(cbox.rows), "distinct_rows": len(cbox.integer_rows),
+                    "paradox_rows": len(cbox.paradox_inputs)}
 
 
 def _read_json(path: str) -> tuple[object, str]:
@@ -150,8 +167,9 @@ def cmd_show(args) -> tuple[dict, Render]:
     pattern = _parties(args.ctc, box.n)
     if not pattern:
         return box_to_spec(box), lambda payload: render_table(box)
-    payload = show_json(constrain(box, pattern))
-    args.phase("constrain")
+    cbox = constrain(box, pattern)
+    payload = show_json(cbox)
+    args.phase("constrain", _constrained(cbox))
     return payload, partial(render_constrained, box)
 
 
@@ -168,7 +186,8 @@ def cmd_verify(args) -> tuple[dict, Render]:
 
 def cmd_analyze(args) -> tuple[dict, Render]:
     # imported here, so that the other subcommands do not compile it
-    from .signaling import render_report, render_scan, report_json, scan_report_json
+    from .signaling import _scan_report, render_report, render_scan, report_json
+    args.phase("import")
 
     # checked first: loading and constraining a large box takes seconds
     if (args.sender is None) != (args.receivers is None):
@@ -176,9 +195,10 @@ def cmd_analyze(args) -> tuple[dict, Render]:
                          "give both or neither")
     box = _load_box(args)
     cbox = constrain(box, _parties(args.ctc, box.n))
-    args.phase("constrain")
+    args.phase("constrain", _constrained(cbox))
     if args.sender is None:
-        payload, render = scan_report_json(box.label, cbox), partial(render_scan, box)
+        payload, built = _scan_report(box.label, cbox)
+        render = partial(render_scan, box)
     else:
         sender_ids = _parties(args.sender, box.n)
         if len(sender_ids) != 1:
@@ -186,7 +206,12 @@ def cmd_analyze(args) -> tuple[dict, Render]:
         payload = report_json(box.label, cbox, sender_ids[0],
                               _parties(args.receivers, box.n))
         render = partial(render_report, box)
-    args.phase("analyze")
+        built = dict  # one direction fills no store of a scan: no count of one
+    summary = payload["summary"]  # one direction's has no count of directions
+    args.phase("analyze", lambda: {"directions": summary.get("directions", 1),
+                                   "settings": summary["settings"],
+                                   "dependent_settings": summary["dependent_settings"],
+                                   **built()})
     return payload, render
 
 
@@ -195,6 +220,7 @@ def cmd_deutsch(args) -> tuple[dict, Render]:
     # subcommands start without it
     from .deutsch import (classical_consistency_crosscheck, example, fixed_point,
                           problem_from_json, render_solve, solve_json)
+    args.phase("import")
 
     if args.example is not None and args.file is not None:
         raise ValueError("give either --example or --file, not both")

@@ -61,10 +61,18 @@ probability is returned, and v / d is the same correctly rounded
 float as the Fraction it stands for.  They are computed, and the rule
 and success rendered, once per distinct pair of buckets; each entry
 owns its rule.
-A full scan shares this work among the senders of each coalition: the
-marginals, the buckets and the analyses are made at the coalition's
-first direction and dropped after its last, while each direction becomes
-its report before the next is read.
+A full scan shares this work among the senders of each coalition, and
+the buckets and their analyses among every coalition of one size: a
+bucket is keyed by the coalition's output codes, so it and the analysis
+of a pair mean the same to any coalition of that size, and only
+``impractical`` is the coalition's own, read as each entry is built.
+The store of one size holds each bucket once, as the (denominator,
+output codes, numerators) that key its id, and lives for the scan.  A
+coalition's marginals, and its half lines, multiplicities and lines,
+which name its own marginal indices, are made at its first direction and
+dropped after its last, while each direction becomes its report before
+the next is read.  A single direction or setting keeps a store of its
+own.
 Reading a bucket raises at its first paradox row, so a setting whose
 rows are all consistent is observed even when another setting is not;
 a report names the direction such a row stops.
@@ -74,8 +82,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .boxes import CoalitionMarginals, NoSignalBox, all_bit_tuples, bit_codes, spread
 from .ctc import ConstrainedBox, head_json, parse_pattern, render_head
@@ -102,29 +111,52 @@ def _check_scenario(cbox: ConstrainedBox, sender: int,
     return sender, coal
 
 
+@cache
+def _tables(size: int) -> tuple[list, dict, list[str], list[int]]:
+    """A coalition of this size's settings and output keys, their codes, and
+    by output code its bit string and its parity."""
+    labels, parity = [""], [0]
+    for _ in range(size):
+        labels = [label + bit for label in labels for bit in "01"]
+        parity = [p ^ bit for p in parity for bit in (0, 1)]
+    return all_bit_tuples(size), bit_codes(size), labels, parity
+
+
+class _Store:
+    """What depends on a coalition's size alone, which every coalition of
+    one size in a full scan reads and writes: the buckets in lowest terms
+    by id, the analyses of their pairs, and a count of the lines that its
+    coalitions analysed."""
+
+    __slots__ = ("ids", "buckets", "by_pair", "lines")
+
+    def __init__(self) -> None:
+        # a bucket in lowest terms, (den, output codes, numerators) -> its id
+        self.ids: dict[tuple[int, tuple, tuple], int] = {}
+        self.buckets: list[tuple[int, tuple, tuple]] = []  # the distinct buckets, by id
+        self.by_pair: dict[tuple[int, int], _Analysis] = {}  # bucket ids -> analysis
+        self.lines = 0  # added as each coalition is done
+
+
 class _Coalition(CoalitionMarginals):
     """What the directions toward one receiver coalition share, whichever
     party sends, on top of the coalition's marginals: each input's marginal
-    index, the analyses by line, the buckets in lowest terms by id and the
-    analyses of their pairs (see the module docstring)."""
+    index, the analyses by line, the bucket ids by half line and by
+    multiplicities, and a ``store`` of the buckets and their analyses, its
+    own until a scan attaches its size's (see the module docstring)."""
 
     def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...]):
         super().__init__(cbox, coal)
         self.others = [i for i in range(cbox.n) if i not in coal]  # sender and bystanders
-        self.keys = all_bit_tuples(len(coal))  # the settings, and the output keys
-        self.codes = bit_codes(len(coal))
+        # the settings and output keys, their codes; by output code: bit string, parity
+        self.keys, self.codes, self.labels, self.parity = _tables(len(coal))
         self.bases = spread(cbox.n, coal)  # by setting code: its inputs' coalition bits
-        self.labels, self.parity = [""], [0]  # by output code: bit string, parity
-        for _ in coal:
-            self.labels = [label + bit for label in self.labels for bit in "01"]
-            self.parity = [parity ^ bit for parity in self.parity for bit in (0, 1)]
         self.impractical = bool(set(coal) & set(cbox.pattern))
         self.at: list[int] | None = None  # input code -> index, once a direction read all
         self.by_line: dict[tuple, _Analysis] = {}  # a setting's line -> analysis
+        self.by_half: dict[tuple, int] = {}  # half a line -> bucket id
         self.by_counts: dict[tuple, int] = {}  # multiplicities -> bucket id
-        self.ids: dict[tuple, int] = {}  # a bucket in lowest terms -> its id
-        self.buckets: list[tuple[int, dict]] = []  # the distinct buckets, by id
-        self.by_pair: dict[tuple[int, int], _Analysis] = {}  # bucket ids -> analysis
+        self.store = _Store()
 
     @property
     def paradox(self) -> int | None:
@@ -155,6 +187,9 @@ class _Coalition(CoalitionMarginals):
     def bucket(self, line: tuple) -> int:
         """The id of the bucket of inputs whose marginal indices are ``line``,
         summed in this order; none of them is a paradox row."""
+        found = self.by_half.get(line)
+        if found is not None:
+            return found
         counts = {m: line.count(m) for m in dict.fromkeys(line)}  # in order of first occurrence
         key = (*counts, *counts.values())
         found = self.by_counts.get(key)
@@ -173,18 +208,20 @@ class _Coalition(CoalitionMarginals):
             if g > 1:
                 den //= g
                 bucket = {out: num // g for out, num in bucket.items()}
-            found = self.by_counts[key] = self.ids.setdefault(
-                (den, tuple(bucket), tuple(bucket.values())), len(self.buckets))
-            if found == len(self.buckets):
-                self.buckets.append((den, bucket))
+            buckets, summed = self.store.buckets, (den, tuple(bucket), tuple(bucket.values()))
+            found = self.by_counts[key] = self.store.ids.setdefault(summed, len(buckets))
+            if found == len(buckets):
+                buckets.append(summed)
+        self.by_half[line] = found
         return found
 
     def analysis(self, a: int, b: int) -> _Analysis:
         """The analysis of a setting whose sender bits observe buckets ``a``
         and ``b``."""
-        found = self.by_pair.get((a, b))
+        store = self.store
+        found = store.by_pair.get((a, b))
         if found is None:
-            found = self.by_pair[a, b] = _Analysis(self.buckets[a], self.buckets[b], self)
+            found = store.by_pair[a, b] = _Analysis(store.buckets[a], store.buckets[b], self)
         return found
 
 
@@ -246,17 +283,21 @@ class SignalingEntry(NamedTuple):
 
 class _Analysis:
     """Rule, success, information and note of one distinct bucket pair, the
-    rule also by bit strings; ``success_json`` is str(success) once a
-    payload has needed it."""
+    rule also by bit strings, and the success in lowest terms as ``odds``
+    (numerator, denominator): a Fraction is built only when ``success`` is
+    asked for, and ``success_json`` is its str() once a payload has needed
+    it.  It holds nothing of a coalition but its size."""
 
-    __slots__ = ("dependent", "rule", "success", "mi_bits", "impractical", "note",
+    __slots__ = ("dependent", "rule", "odds", "fraction", "mi_bits", "note",
                  "rule_json", "success_json")
 
-    def __init__(self, a: tuple[int, dict], b: tuple[int, dict], shared: _Coalition):
-        # the buckets (denominator, numerators by output code) over one denominator
+    def __init__(self, a: tuple[int, tuple, tuple], b: tuple[int, tuple, tuple],
+                 shared: _Coalition):
+        # the buckets (denominator, output codes, numerators) over one denominator
         den = math.lcm(a[0], b[0])
-        p0, p1 = (counts if d == den else {out: num * (den // d) for out, num in counts.items()}
-                  for d, counts in (a, b))
+        p0, p1 = (dict(zip(outs, nums)) if d == den else
+                  {out: num * (den // d) for out, num in zip(outs, nums)}
+                  for d, outs, nums in (a, b))
         keys, labels = shared.keys, shared.labels
         outs = sorted(p0.keys() | p1.keys())
         self.rule, self.rule_json = rule, rule_json = {}, {}
@@ -266,16 +307,23 @@ class _Analysis:
             guess = rule[keys[out]] = rule_json[labels[out]] = int(n1 > n0)
             mass += n1 if guess else n0
         self.dependent = p0 != p1
-        self.success = Fraction(mass, 2 * den)
+        g = math.gcd(mass, 2 * den)
+        self.odds = mass // g, 2 * den // g
+        self.fraction: Fraction | None = None
         # the mixture is summed in the order of the set union of the bit tuples
         union = (set(dict.fromkeys(map(keys.__getitem__, p0)))
                  | set(dict.fromkeys(map(keys.__getitem__, p1))))
         self.mi_bits = _mutual_information(p0, p1, map(shared.codes.__getitem__, union), den)
         if self.dependent and self.mi_bits <= 0:  # the entropies cancelled
             self.mi_bits = _information_by_outputs(p0, p1, outs, den)
-        self.impractical = shared.impractical
         self.note = None if self.dependent else _note({shared.parity[out] for out in outs})
         self.success_json: str | None = None
+
+    @property
+    def success(self) -> Fraction:
+        if self.fraction is None:
+            self.fraction = Fraction(*self.odds)
+        return self.fraction
 
 
 def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
@@ -295,10 +343,10 @@ def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
     return analyses
 
 
-def _entry(sender: int, coal: tuple[int, ...], setting: tuple[int, ...],
+def _entry(shared: _Coalition, sender: int, setting: tuple[int, ...],
            a: _Analysis) -> SignalingEntry:
-    return SignalingEntry(sender, coal, setting, a.dependent, dict(a.rule), a.success,
-                          a.mi_bits, a.impractical, a.note)
+    return SignalingEntry(sender, shared.coal, setting, a.dependent, dict(a.rule), a.success,
+                          a.mi_bits, shared.impractical, a.note)
 
 
 def analyze_setting(cbox: ConstrainedBox, sender: int,
@@ -313,7 +361,7 @@ def analyze_setting(cbox: ConstrainedBox, sender: int,
     shared = _Coalition(cbox, coal)
     base = shared.bases[shared.codes[setting]]
     line = shared.line([base | offset for offset in shared.order(sender)])
-    return _entry(sender, coal, setting, shared.analysis_of(line))
+    return _entry(shared, sender, setting, shared.analysis_of(line))
 
 
 def analyze(cbox: ConstrainedBox, sender: int,
@@ -321,7 +369,7 @@ def analyze(cbox: ConstrainedBox, sender: int,
     """One entry per receiver setting, settings in lexicographic order."""
     sender, coal = _check_scenario(cbox, sender, coalition)
     shared = _Coalition(cbox, coal)
-    return [_entry(sender, coal, setting, a) for setting, a
+    return [_entry(shared, sender, setting, a) for setting, a
             in zip(shared.keys, _analyse_direction(shared, sender))]
 
 
@@ -333,22 +381,25 @@ def mean_mi_bits(entries: Iterable[SignalingEntry]) -> float:
     return sum(e.mi_bits for e in entries) / len(entries)
 
 
-def _scan(cbox: ConstrainedBox) -> Iterator[tuple[int, _Coalition]]:
+def _scan(cbox: ConstrainedBox, stores: dict[int, _Store]) -> Iterator[tuple[int, _Coalition]]:
     """Each direction's sender and coalition state, in ``full_scan``'s
-    order.  A coalition's state is made at its first direction and dropped
-    after its last sender, the highest party outside it."""
+    order.  A coalition's state is made at its first direction, with its
+    size's store from ``stores``, and dropped after its last sender's, the
+    highest party outside it."""
     n = cbox.n
     begun: dict[tuple[int, ...], _Coalition] = {}  # coalitions begun, not done
     for sender in range(n):
         others = [i for i in range(n) if i != sender]
         for size in range(1, n):
             for coalition in combinations(others, size):
-                shared = begun.get(coalition) or _Coalition(cbox, coalition)
-                if sender == shared.others[-1]:
-                    begun.pop(coalition, None)
-                else:
-                    begun[coalition] = shared
+                shared = begun.get(coalition)
+                if shared is None:
+                    shared = begun[coalition] = _Coalition(cbox, coalition)
+                    shared.store = stores.setdefault(size, shared.store)
                 yield sender, shared
+                if sender == shared.others[-1]:
+                    del begun[coalition]
+                    shared.store.lines += len(shared.by_line)
 
 
 def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
@@ -359,8 +410,8 @@ def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
     coalition indices; an unconstrained no-signaling box yields no
     dependent entry anywhere.
     """
-    for sender, shared in _scan(cbox):
-        yield sender, shared.coal, [_entry(sender, shared.coal, setting, a) for setting, a
+    for sender, shared in _scan(cbox, {}):
+        yield sender, shared.coal, [_entry(shared, sender, setting, a) for setting, a
                                     in zip(shared.keys, _analyse_direction(shared, sender))]
 
 
@@ -375,12 +426,13 @@ def _direction_json(shared: _Coalition, sender: int,
         analyses = _analyse_direction(shared, sender)
         for setting, a in zip(shared.keys, analyses):
             if a.success_json is None:
-                a.success_json = str(a.success)
+                num, den = a.odds
+                a.success_json = f"{num}/{den}" if den != 1 else str(num)
             entries_json.append({
                 "sender": names[sender], "coalition": coalition_names.copy(),
                 "setting": list(setting), "dependent": a.dependent,
                 "rule": dict(a.rule_json), "success": a.success_json,
-                "mi_bits": a.mi_bits, "impractical": a.impractical, "note": a.note})
+                "mi_bits": a.mi_bits, "impractical": shared.impractical, "note": a.note})
     except ValueError as err:
         raise ValueError(f"direction {names[sender]} -> "
                          f"{','.join(coalition_names)}: {err}") from err
@@ -405,17 +457,27 @@ def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
     return report
 
 
-def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:
-    """Each direction's report, built as it is scanned, and overall counts."""
-    names = party_names(cbox.n)
-    reports = [_direction_json(shared, sender, names)[0] for sender, shared in _scan(cbox)]
+def _scan_report(box_label: str, cbox: ConstrainedBox) -> tuple[dict, Callable[[], dict]]:
+    """``scan_report_json``'s payload, and a call that counts the distinct
+    lines, buckets and analyses its scan built."""
+    names, stores = party_names(cbox.n), {}
+    reports = [_direction_json(shared, sender, names)[0]
+               for sender, shared in _scan(cbox, stores)]
     overall = {key: sum(r["summary"][key] for r in reports) for key in
                ("settings", "dependent_settings", "cases", "dependent_cases")}
     overall["directions"] = len(reports)
     overall["dependent_directions"] = sum(r["summary"]["dependent_settings"] > 0
                                           for r in reports)
-    return {**head_json(box_label, cbox.n, cbox.pattern),
-            "reports": reports, "summary": overall}
+    payload = {**head_json(box_label, cbox.n, cbox.pattern),
+               "reports": reports, "summary": overall}
+    return payload, lambda: {"lines": sum(store.lines for store in stores.values()),
+                             "buckets": sum(len(store.buckets) for store in stores.values()),
+                             "analyses": sum(len(store.by_pair) for store in stores.values())}
+
+
+def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:
+    """Each direction's report, built as it is scanned, and overall counts."""
+    return _scan_report(box_label, cbox)[0]
 
 
 def _counts(s: dict) -> str:

@@ -49,7 +49,8 @@ def engine_observation(cbox, sender, coalition, setting, sender_value):
     inputs = [base | offset for offset in shared.order(sender)]
     half = len(inputs) // 2
     line = shared.line(inputs[half:] if sender_value else inputs[:half])
-    return decode_bucket(shared.buckets[shared.bucket(line)], len(shared.coal))
+    den, outs, nums = shared.store.buckets[shared.bucket(line)]
+    return decode_bucket((den, dict(zip(outs, nums))), len(shared.coal))
 
 
 def entropy_bits(dist):

@@ -622,3 +622,41 @@ def test_renderers_read_only_the_json(tmp_path, monkeypatch, argv):
     payload, render = args.func(args)
     lines = list(render(payload))
     assert lines and list(render(json.loads(json.dumps(payload)))) == lines
+
+
+def traced_phases(capsys, monkeypatch, *argv):
+    monkeypatch.setenv("CTCBOX_TRACE", "1")
+    code, _, err = run(capsys, *argv)
+    return code, [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+
+
+def test_only_on_demand_imports_write_an_import_phase(capsys, monkeypatch):
+    _, phases = traced_phases(capsys, monkeypatch, "list")
+    assert [phase["phase"] for phase in phases] == ["build", "render"]
+    _, phases = traced_phases(capsys, monkeypatch, "deutsch", "--example", "swap")
+    assert [phase["phase"] for phase in phases] == ["import", "build", "solve", "render"]
+    _, phases = traced_phases(capsys, monkeypatch, "analyze", "--box", "pr", "--sender",
+                              "alice")
+    assert [phase["phase"] for phase in phases] == ["import"]
+
+
+def test_a_traced_scan_counts_its_rows_settings_and_shared_work(capsys, monkeypatch):
+    code, phases = traced_phases(capsys, monkeypatch, "analyze", "--box", "pr", "--ctc", "bob")
+    assert code == 0
+    counts = {phase.pop("phase"): phase for phase in phases}
+    assert all(phase.pop("ms") >= 0 for phase in counts.values())
+    assert counts["constrain"] == {"rows": 4, "distinct_rows": 3, "paradox_rows": 0}
+    # two lines a direction; alice -> bob at y = 0 and bob -> alice at x = 1
+    # observe the same bucket pair, which both coalitions of size 1 share
+    assert counts["analyze"] == {"directions": 2, "settings": 4, "dependent_settings": 1,
+                                 "lines": 4, "buckets": 2, "analyses": 3}
+    code, phases = traced_phases(capsys, monkeypatch, "analyze", "--box", "pr", "--ctc",
+                                 "alice,bob", "--sender", "bob", "--receivers", "alice")
+    assert code == 2  # paradox rows are counted before the report stops at one
+    assert phases[-1] == {"phase": "constrain", "ms": phases[-1]["ms"], "rows": 4,
+                          "distinct_rows": 2, "paradox_rows": 3}
+    code, phases = traced_phases(capsys, monkeypatch, "analyze", "--box", "svetlichny",
+                                 "--sender", "alice", "--receivers", "bob,charlie")
+    assert code == 0
+    assert {key: phases[-2][key] for key in phases[-2] if key != "ms"} == {
+        "phase": "analyze", "directions": 1, "settings": 4, "dependent_settings": 0}

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from ctcbox.cli import PHASES, main
+from ctcbox.cli import COUNTS, PHASES, main
 
 # table.json mixes the pr box (weight 1/3) with a local box that always
 # answers (0, 0); leaky.json is the deterministic table of pr with bob looped,
@@ -265,6 +265,18 @@ def test_cli_output_is_pinned(argv, tmp_path, monkeypatch, capsys):
     assert run_case(argv, tmp_path, monkeypatch, capsys)[:2] == GOLDEN[argv]
 
 
+def traced_counts(argv: str, phase: str) -> set[str]:
+    """The count keys documented for this phase of this invocation: all of
+    a constrain phase's, and an analyze phase's for a signaling report,
+    the scan's last three only for a full scan."""
+    documented = COUNTS.get(phase, ())
+    if phase == "analyze" and not argv.startswith("analyze"):
+        return set()  # a verdict
+    if phase == "analyze" and "--sender" in argv:
+        return set(documented[:3])
+    return set(documented)
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN))
 def test_tracing_adds_only_phase_lines_to_stderr(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("CTCBOX_TRACE", raising=False)
@@ -278,7 +290,10 @@ def test_tracing_adds_only_phase_lines_to_stderr(argv, tmp_path, monkeypatch, ca
     assert '"phase"' not in quiet
     phases = [json.loads(line) for line in traced]
     for phase in phases:
-        assert set(phase) == {"phase", "ms"} and phase["ms"] >= 0
+        assert phase["ms"] >= 0
+        counts = {key: value for key, value in phase.items() if key not in ("phase", "ms")}
+        assert set(counts) == traced_counts(argv, phase["phase"])
+        assert all(type(value) is int and value >= 0 for value in counts.values())
     # each phase once, in the order they run, and render only for an output
     order = [PHASES.index(phase["phase"]) for phase in phases]
     assert order == sorted(set(order))

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,8 @@ from ctcbox.boxes import (NoSignalBox, all_bit_tuples, is_no_signaling, marginal
                           parity_box)
 from ctcbox.ctc import constrain, induced_parity_form
 from ctcbox.forms import BooleanForm, xor_bits
-from ctcbox.signaling import SignalingEntry, analyze, analyze_setting
+from ctcbox.signaling import (SignalingEntry, analyze, analyze_setting, full_scan,
+                              scan_report_json)
 from signaling_oracle import (engine_observation, information_by_outputs, parity_note,
                               receiver_observation)
 
@@ -298,3 +300,71 @@ def test_signaling_engine_matches_row_sums(cbox):
                 first_error = next((e for e in expected if isinstance(e, str)), None)
                 assert outcome(lambda: analyze(cbox, sender, coalition)) == (
                     first_error or expected)
+
+
+@st.composite
+def tiny_mass_tables(draw):
+    """Tables at n = 2..3 whose rows are one base row, with masses down to
+    1e-400 beside the first outcome's, or the base row with a mass down to
+    1e-300 moved from the first outcome to another; under any loop pattern,
+    so that looping every party can leave paradox rows."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    outcomes = all_bit_tuples(n)
+    support = draw(st.lists(st.sampled_from(outcomes), min_size=2, max_size=4, unique=True))
+    tiny = [Fraction(draw(st.integers(min_value=1, max_value=9)),
+                     10 ** draw(st.integers(min_value=1, max_value=400))) for _ in support[1:]]
+    base = {support[0]: 1 - sum(tiny), **dict(zip(support[1:], tiny))}
+    rows = {}
+    for inputs in outcomes:
+        rows[inputs] = row = dict(base)
+        if draw(st.booleans()):
+            move = Fraction(draw(st.integers(min_value=1, max_value=9)),
+                            10 ** draw(st.integers(min_value=2, max_value=300)))
+            to = draw(st.sampled_from(outcomes))
+            row[support[0]] -= move
+            row[to] = row.get(to, 0) + move
+    pattern = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    return constrain(NoSignalBox(n, rows), pattern)
+
+
+def two_party_table(row_x0, row_x1):
+    """Alice's input x picks bob's row; alice's own output is always 0."""
+    return constrain(NoSignalBox(2, {(x, y): {(0, b): p for b, p in row.items()}
+                                     for x, row in ((0, row_x0), (1, row_x1))
+                                     for y in (0, 1)}), [])
+
+
+# the sum of the oracle's per-output terms, none negative, is the
+# information of a dependent setting; the engine's fallback sums the same
+# terms from integer numerators, so any positive sum shows
+INFORMATION_FLOOR = 0.0
+TINY = Fraction(1, 10 ** 400)
+FIVE_ELEVENTHS = {0: Fraction(5, 11), 1: Fraction(6, 11)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_mass_tables())
+@example(two_party_table({0: TINY, 1: 1 - TINY}, {0: TINY, 1: 1 - TINY}))
+@example(two_party_table(FIVE_ELEVENTHS, {0: FIVE_ELEVENTHS[0] + Fraction(1, 10 ** 10),
+                                          1: FIVE_ELEVENTHS[1] - Fraction(1, 10 ** 10)}))
+@example(two_party_table({0: TINY, 1: 1 - TINY}, {0: 2 * TINY, 1: 1 - 2 * TINY}))
+def test_information_agrees_with_the_verdict_down_to_tiny_masses(cbox):
+    entries, error = [], None
+    try:
+        for _, _, found in full_scan(cbox):
+            entries += found
+        payload = scan_report_json("tiny", cbox)
+    except ValueError as err:
+        error = str(err)
+    if error is not None:  # the only errors: a paradox row, or the digit limit
+        assert re.search(r"observation undefined: paradox row|digits", error)
+    else:
+        for report in payload["reports"]:
+            for entry in report["entries"]:
+                assert entry["dependent"] == (Fraction(entry["success"]) > Fraction(1, 2))
+    for e in entries:
+        assert e.dependent == (e.success > Fraction(1, 2))
+        p0, p1 = (receiver_observation(cbox, e.sender, e.coalition, e.setting, value)
+                  for value in (0, 1))
+        if information_by_outputs(p0, p1) > INFORMATION_FLOOR:
+            assert e.mi_bits > 0

@@ -51,8 +51,8 @@ def project(row, coalition):
 def per_row_observations(shared, sender):
     """The bucket reader that adds every row on its own, in Fractions and in
     lexicographic input order, into a new bucket on every read, for the
-    coalition ``shared``; a bucket is (its denominator, {output code:
-    numerator})."""
+    coalition ``shared``; a bucket is (its denominator, its output codes,
+    their numerators)."""
     cbox, coal = shared.box, shared.coal
     n = cbox.n
     settings_, bits = spread(n, coal), spread(n, (sender,))
@@ -69,7 +69,8 @@ def per_row_observations(shared, sender):
                 raise ValueError(f"observation undefined: paradox row at inputs {row.inputs}")
             for key, p in project(row.outcomes, coal).items():
                 probs[codes[key]] = probs.get(codes[key], Fraction(0)) + p / len(bystanders)
-        return over_lcm(probs)
+        den, nums = over_lcm(probs)
+        return den, tuple(nums), tuple(nums.values())
     return read
 
 
@@ -86,14 +87,14 @@ ENGINE_BUCKET = signaling._Coalition.bucket
 
 
 def fresh_bucket(shared, line):
-    """The engine's bucket, summed afresh under a new id: no memo of
-    multiplicities or contents hands out a bucket summed before."""
-    memos = shared.by_counts, shared.ids
-    shared.by_counts, shared.ids = {}, {}
+    """The engine's bucket, summed afresh under a new id: no memo of half
+    lines, multiplicities or contents hands out a bucket summed before."""
+    memos = shared.by_half, shared.by_counts, shared.store.ids
+    shared.by_half, shared.by_counts, shared.store.ids = {}, {}, {}
     try:
         return ENGINE_BUCKET(shared, line)
     finally:
-        shared.by_counts, shared.ids = memos
+        shared.by_half, shared.by_counts, shared.store.ids = memos
 
 
 def per_pair_is_no_signaling(box):
@@ -277,10 +278,10 @@ def test_buckets_handed_out_afresh_give_the_same_scan():
         handed, summed = [0], [0]  # buckets handed out, and new ones among them
         with pytest.MonkeyPatch.context() as patch:
             def recording(shared, line):
-                known = len(shared.buckets)
+                known = len(shared.store.buckets)
                 handed[0] += 1
                 found = ENGINE_BUCKET(shared, line)
-                summed[0] += len(shared.buckets) > known
+                summed[0] += len(shared.store.buckets) > known
                 return found
 
             patch.setattr(signaling._Coalition, "bucket", recording)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import random
 import sys
 import tracemalloc
 import weakref
@@ -533,8 +534,101 @@ def test_a_line_is_analysed_once_whichever_party_sends(monkeypatch):
     assert payload["summary"]["directions"] == 441
     # 126 coalitions, whose directions see 1,371 distinct lines: each line
     # reads its two buckets once, whichever of its senders meets it first,
-    # and 439 distinct bucket pairs are analysed
-    assert calls == {"state": 126, "bucket": 2 * 1371, "analysis": 439}
+    # and the 190 distinct bucket pairs of the coalitions' sizes are
+    # analysed once each (439 if each coalition kept its own)
+    assert calls == {"state": 126, "bucket": 2 * 1371, "analysis": 190}
+
+
+def test_coalitions_of_one_size_share_an_analysis_and_keep_their_own_flag(monkeypatch):
+    # bob echoes his input: alice -> bob at y = 0 and bob -> alice at x = 1
+    # both observe outcome 0 for either sender bit, but only bob is looped
+    cbox = constrain(named_box("pr"), [1])
+    seen = {}  # (sender, coalition) -> its analyses
+    analyse_direction = signaling._analyse_direction
+
+    def recording(shared, sender):
+        seen[sender, shared.coal] = analyse_direction(shared, sender)
+        return seen[sender, shared.coal]
+
+    monkeypatch.setattr(signaling, "_analyse_direction", recording)
+    payload = scan_report_json("pr", cbox)
+    assert seen[0, (1,)][0] is seen[1, (0,)][1]
+    flags = {(r["sender"], r["coalition"][0]): [e["impractical"] for e in r["entries"]]
+             for r in payload["reports"]}
+    assert flags == {("alice", "bob"): [True, True], ("bob", "alice"): [False, False]}
+    scanned = {(sender, coal): [e.impractical for e in entries]
+               for sender, coal, entries in full_scan(cbox)}
+    assert scanned == {(0, (1,)): [True, True], (1, (0,)): [False, False]}
+    assert [e.impractical for e in analyze(cbox, 0, [1])] == [True, True]
+    assert [e.impractical for e in analyze(cbox, 1, [0])] == [False, False]
+
+
+ENGINE_SCAN = signaling._scan
+
+
+class _Unshared(dict):
+    """Stores by size that keep nothing: each coalition scans with the
+    store it was made with, its own, as before stores were shared."""
+
+    def setdefault(self, size, store):
+        return store
+
+
+def _per_coalition_scan(cbox, stores):
+    return ENGINE_SCAN(cbox, _Unshared())
+
+
+def _seeded_table(rng, n):
+    """A parity box, a mixture of three over a ~1e18 denominator, or a
+    table whose rows are drawn from a pool of four with small supports."""
+    def form():
+        return BooleanForm.from_monomials(n, [rng.sample(range(n), rng.randint(0, min(n, 3)))
+                                              for _ in range(rng.randint(0, n))])
+    kind = rng.randrange(3)
+    if kind == 0:
+        return parity_box(form())
+    outcomes = all_bit_tuples(n)
+    if kind == 1:
+        den = rng.randrange(10 ** 18, 2 * 10 ** 18)
+        a = rng.randrange(1, den - 1)
+        b = rng.randrange(1, den - a)
+        weights = (Fraction(a, den), Fraction(b, den), Fraction(den - a - b, den))
+        rows = {x: {} for x in outcomes}
+        for w, box in zip(weights, (parity_box(form()) for _ in range(3))):
+            for x, row in box.rows.items():
+                for out, p in row.items():
+                    rows[x][out] = rows[x].get(out, 0) + w * p
+        return NoSignalBox(n, rows)
+    pool = []
+    for _ in range(4):
+        support = rng.sample(outcomes, rng.randint(1, 3))
+        weights = [rng.randint(1, 5) for _ in support]
+        pool.append({out: Fraction(w, sum(weights)) for out, w in zip(support, weights)})
+    return NoSignalBox(n, {x: rng.choice(pool) for x in outcomes})
+
+
+def _scan_or_error(scan):
+    try:
+        return scan()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_stores_shared_by_size_scan_as_a_store_per_coalition(seed, monkeypatch):
+    rng = random.Random(seed)
+    n = 2 + seed % 5
+    box = _seeded_table(rng, n)
+    # looping every party of a small-support table leaves paradox rows
+    cbox = constrain(box, rng.sample(range(n), rng.randint(0, n)))
+    shared = [_scan_or_error(lambda: scan_report_json("t", cbox)),
+              _scan_or_error(lambda: list(full_scan(cbox)))]
+    monkeypatch.setattr(signaling, "_scan", _per_coalition_scan)
+    own = [_scan_or_error(lambda: scan_report_json("t", cbox)),
+           _scan_or_error(lambda: list(full_scan(cbox)))]
+    # == compares every mi_bits float by value, json.dumps also every key order
+    assert shared == own
+    assert json.dumps(shared[0]) == json.dumps(own[0])
 
 
 def test_scan_report_counts_both_conventions():
