@@ -12,7 +12,8 @@ import re
 from enum import Enum
 from functools import cache
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .forms import (BooleanForm, as_bit, bit_string, input_names, normalize_pattern,
@@ -494,15 +495,86 @@ def box_to_spec(box: NoSignalBox) -> dict:
     return {"parties": box.n, "table": entries}
 
 
+_get_in, _get_out, _get_p = itemgetter("in"), itemgetter("out"), itemgetter("p")
+
+
+def _bulk_rows(entries: list, codes: Mapping, bits: list) -> dict | None:
+    """The rows of a table of plain JSON entries, by input tuple, checked and
+    filled in bulk passes (see ``box_from_spec``); None when a check fails or
+    an entry is of another kind."""
+    try:
+        if ({*map(type, entries)} != {dict}
+                or {*map(type, chain(map(_get_in, entries), map(_get_out, entries)))} != {list}
+                # the sum of bits is an int only when every bit is an int or a bool
+                or type(sum(chain.from_iterable(chain(map(_get_in, entries),
+                                                      map(_get_out, entries))))) is not int
+                or not {*map(type, map(_get_p, entries))} <= {str, int}):
+            return None
+        ins = list(map(codes.get, map(tuple, map(_get_in, entries))))
+        outs = list(map(codes.get, map(tuple, map(_get_out, entries))))
+        # in order of first occurrence, so that the rows read them in the order made
+        parsed = {p: exact_fraction(p) for p in dict.fromkeys(map(_get_p, entries))}
+    except (KeyError, TypeError, ValueError):
+        return None
+    if None in ins or None in outs:  # a bit other than 0 or 1, or a wrong arity
+        return None
+    rows: list[dict] = [{} for _ in bits]  # by input code
+    for row, out, p in zip(map(rows.__getitem__, ins), map(bits.__getitem__, outs),
+                           map(parsed.__getitem__, map(_get_p, entries))):
+        row[out] = p  # out is the shared tuple, as in _entry_rows
+    if sum(map(len, rows)) != len(entries):  # an outcome given twice
+        return None
+    return dict(zip(bits, rows))
+
+
+def _entry_rows(entries: list, parties: int, codes: Mapping, bits: list) -> dict:
+    """The rows of a table spec's entries, checked entry by entry: the first
+    failing entry raises its BoxSpecError."""
+    rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {
+        inputs: {} for inputs in bits}
+    parsed: dict = {}  # each distinct 'num/den' string or int, parsed once
+
+    def probability(value) -> Fraction:
+        if type(value) is not str and type(value) is not int:
+            return exact_fraction(value)
+        if value not in parsed:
+            parsed[value] = exact_fraction(value)
+        return parsed[value]
+
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise BoxSpecError(f"table[{k}]: entry must be an object")
+        try:
+            inputs, _ = _bit_tuple(entry["in"], codes)
+            outputs, code = _bit_tuple(entry["out"], codes)
+            p = probability(entry["p"])
+        except KeyError as err:
+            raise BoxSpecError(f"table[{k}]: missing field {err}") from err
+        except (ValueError, TypeError) as err:
+            raise BoxSpecError(f"table[{k}]: {err}") from err
+        if len(inputs) != parties or len(outputs) != parties:
+            raise BoxSpecError(f"table[{k}]: 'in' and 'out' must have {parties} bits")
+        if outputs in rows[inputs]:
+            raise BoxSpecError(f"table[{k}]: duplicate entry for {inputs} -> {outputs}")
+        rows[inputs][bits[code]] = p  # the shared tuple: NoSignalBox checks its bits by id
+    return rows
+
+
 def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
     """Build a validated box from a spec dict (see ``box_to_spec``).
 
-    Each bit is checked and each distinct 'num/den' string or integer
-    parsed once.  Rows given with the same entry sequence, the same
-    outputs with the same p in the same order, become one row object, so
-    ``NoSignalBox`` checks each of them once; a row given in another entry
-    order stays a row of its own.  An error names the first failing entry,
-    or the first input whose row fails, as if every row were checked.
+    A table is checked in bulk passes over all its entries: each is an
+    object with 'in' and 'out' lists of n int or bool bits and an exact
+    'p' string or integer, each distinct p is parsed once, and no outcome
+    is given twice for one input.  Only when a bulk check fails, or an
+    entry is of another kind (a dict subclass, a tuple of bits, a
+    ``Fraction``), is each entry checked in turn, which raises the first
+    failing entry's error or loads the other kinds.  Rows given with the
+    same entry sequence, the same outputs with the same p in the same
+    order, become one row object, so ``NoSignalBox`` checks each of them
+    once; a row given in another entry order stays a row of its own.  An
+    error names the first failing entry, or the first input whose row
+    fails, as if every row were checked.
     """
     if not isinstance(data, dict):
         raise BoxSpecError("box spec must be a JSON object")
@@ -533,33 +605,9 @@ def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
         raise BoxSpecError("field 'table' must be a list of entries")
     codes = bit_codes(parties)
     bits = list(codes)
-    rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {
-        inputs: {} for inputs in bits}
-    parsed: dict = {}  # each distinct 'num/den' string or int, parsed once
-
-    def probability(value) -> Fraction:
-        if type(value) is not str and type(value) is not int:
-            return exact_fraction(value)
-        if value not in parsed:
-            parsed[value] = exact_fraction(value)
-        return parsed[value]
-
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise BoxSpecError(f"table[{k}]: entry must be an object")
-        try:
-            inputs, _ = _bit_tuple(entry["in"], codes)
-            outputs, code = _bit_tuple(entry["out"], codes)
-            p = probability(entry["p"])
-        except KeyError as err:
-            raise BoxSpecError(f"table[{k}]: missing field {err}") from err
-        except (ValueError, TypeError) as err:
-            raise BoxSpecError(f"table[{k}]: {err}") from err
-        if len(inputs) != parties or len(outputs) != parties:
-            raise BoxSpecError(f"table[{k}]: 'in' and 'out' must have {parties} bits")
-        if outputs in rows[inputs]:
-            raise BoxSpecError(f"table[{k}]: duplicate entry for {inputs} -> {outputs}")
-        rows[inputs][bits[code]] = p  # the shared tuple: NoSignalBox checks its bits by id
+    rows = _bulk_rows(entries, codes, bits)
+    if rows is None:
+        rows = _entry_rows(entries, parties, codes, bits)
     # rows with the same outputs and p objects in the same order become one
     # object, which NoSignalBox checks once; the ids are of live objects
     first: dict[tuple, dict] = {}

@@ -104,11 +104,13 @@ def _read_json(path: str) -> tuple[object, str]:
     try:
         if path == "-":
             return json.load(sys.stdin), "stdin"
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle), path
     except OSError as err:
         raise ValueError(f"cannot read {path}: {err}") from err
-    except (json.JSONDecodeError, RecursionError) as err:
+    # besides a JSON syntax error: bytes that are not UTF-8, or an integer
+    # longer than the interpreter converts
+    except (ValueError, RecursionError) as err:
         raise ValueError(f"{path} is not valid JSON: {err}") from err
 
 

@@ -206,6 +206,37 @@ def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
         assert code == 2 and out == "" and "not valid JSON" in err
 
 
+LONG_INTEGER = b"[" + b"1" * 5000 + b"]"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on integer string conversion")
+@pytest.mark.parametrize("argv", [("show", "--spec"), ("show", "--spec", "-"),
+                                  ("deutsch", "--file")], ids=["spec", "stdin", "deutsch"])
+@pytest.mark.parametrize("data", [b"\xff{}", LONG_INTEGER], ids=["not-utf-8", "long-integer"])
+def test_unreadable_json_is_refused_by_name(capsys, tmp_path, monkeypatch, argv, data):
+    if argv[-1] == "-":
+        path = "-"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    else:
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        argv = (*argv, str(path))
+    # the default limit, whatever the interpreter was started with
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as limit:
+            int("1" * 5000)
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    reason = (limit.value if data == LONG_INTEGER
+              else "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
+    assert code == 2 and out == ""
+    assert err == f"error: {path} is not valid JSON: {reason}\n"
+
+
 def test_deutsch_example_json(capsys):
     code, out, _ = run(capsys, "deutsch", "--example", "swap",
                        "--crosscheck", "--json")

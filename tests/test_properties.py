@@ -307,12 +307,13 @@ def tiny_mass_tables(draw):
     """Tables at n = 2..3 whose rows are one base row, with masses down to
     1e-400 beside the first outcome's, or the base row with a mass down to
     1e-300 moved from the first outcome to another; under any loop pattern,
-    so that looping every party can leave paradox rows."""
+    so that looping every party can leave paradox rows.  Each mass is below
+    1/10, so the first outcome keeps more than 1/2 of every row."""
     n = draw(st.integers(min_value=2, max_value=3))
     outcomes = all_bit_tuples(n)
     support = draw(st.lists(st.sampled_from(outcomes), min_size=2, max_size=4, unique=True))
     tiny = [Fraction(draw(st.integers(min_value=1, max_value=9)),
-                     10 ** draw(st.integers(min_value=1, max_value=400))) for _ in support[1:]]
+                     10 ** draw(st.integers(min_value=2, max_value=400))) for _ in support[1:]]
     base = {support[0]: 1 - sum(tiny), **dict(zip(support[1:], tiny))}
     rows = {}
     for inputs in outcomes:

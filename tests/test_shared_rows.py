@@ -379,10 +379,16 @@ def test_a_table_spec_checks_each_bit_once_and_parses_each_string_once(monkeypat
         monkeypatch.setattr(boxes, name, counting)
     n = 3
     plain = box_from_spec(_spec_entries(n, int))
-    # plain int bits are checked by their lookup, each p string parsed once
+    # int and bool bits in lists are checked in bulk by their lookup, and
+    # each p string is parsed once
     assert calls == {"as_bit": 0, "exact_fraction": 1}
     assert box_from_spec(_spec_entries(n, bool)) == plain
-    assert calls == {"as_bit": 2 * n * 4 ** n, "exact_fraction": 2}
+    assert calls == {"as_bit": 0, "exact_fraction": 2}
+    # bits in tuples are checked entry by entry, each bool bit once
+    spec = _spec_entries(n, bool)
+    spec["table"] = [{**entry, "in": tuple(entry["in"])} for entry in spec["table"]]
+    assert box_from_spec(spec) == plain
+    assert calls == {"as_bit": 2 * n * 4 ** n, "exact_fraction": 3}
 
 
 def _mixture_spec(n):
