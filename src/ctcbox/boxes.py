@@ -505,7 +505,8 @@ def _bulk_rows(entries: list, codes: Mapping, bits: list) -> dict | None:
     try:
         if ({*map(type, entries)} != {dict}
                 or {*map(type, chain(map(_get_in, entries), map(_get_out, entries)))} != {list}
-                # the sum of bits is an int only when every bit is an int or a bool
+                # the sum of bits is an int only when every bit is an int or a bool;
+                # a float bit beside an int too large for a float overflows
                 or type(sum(chain.from_iterable(chain(map(_get_in, entries),
                                                       map(_get_out, entries))))) is not int
                 or not {*map(type, map(_get_p, entries))} <= {str, int}):
@@ -514,7 +515,7 @@ def _bulk_rows(entries: list, codes: Mapping, bits: list) -> dict | None:
         outs = list(map(codes.get, map(tuple, map(_get_out, entries))))
         # in order of first occurrence, so that the rows read them in the order made
         parsed = {p: exact_fraction(p) for p in dict.fromkeys(map(_get_p, entries))}
-    except (KeyError, TypeError, ValueError):
+    except (ArithmeticError, KeyError, TypeError, ValueError):
         return None
     if None in ins or None in outs:  # a bit other than 0 or 1, or a wrong arity
         return None

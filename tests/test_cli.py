@@ -429,11 +429,13 @@ def test_zero_denominator_is_named_in_the_error(capsys, tmp_path, p):
     ("show", {"parties": 2, "constraint": "x"},
      "field 'constraint' must be a list of index lists"),
     ("show", {"parties": 2, "table": [1]}, "table[0]: entry must be an object"),
+    ("show", {"parties": 2, "table": [{"in": [10 ** 400, 0.5], "out": [0, 0], "p": "1"}]},
+     f"table[0]: expected a bit (0 or 1), got {10 ** 400}"),
     ("deutsch", [1], "problem file must be a JSON object"),
     ("deutsch", {"unitary": [[[1, 0], [0, 0]], [[0, 0]]], "rho_cr": [[[1, 0]]],
                  "d_loop": 2}, "unitary row 1 is not a list of the right length"),
 ], ids=["one-party-constraint", "constraint-not-a-list", "table-entry",
-        "problem-not-an-object", "short-unitary-row"])
+        "huge-bit-beside-float-bit", "problem-not-an-object", "short-unitary-row"])
 def test_malformed_files_are_refused_by_name(capsys, tmp_path, command, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

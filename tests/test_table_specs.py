@@ -65,6 +65,7 @@ def _entry(inputs, outputs, p="1/4"):
 
 
 OK = [_entry([0, 0], out) for out in ([0, 0], [0, 1], [1, 0], [1, 1])]
+HUGE = 10 ** 400  # an int bit too large to convert to a float
 
 
 # two parties; each table fails at two or more entries, and the error names
@@ -114,13 +115,19 @@ OK = [_entry([0, 0], out) for out in ([0, 0], [0, 1], [1, 0], [1, 1])]
      "table[1]: probabilities must be exact (Fraction, int or 'num/den' string), got bool"),
     ([_entry([0, 0], [0, 0], 1), _entry([0, 1], [0, 0], 1.0), _entry([0, 1], [0, 0], True)],
      "table[1]: probabilities must be exact (Fraction, int or 'num/den' string), got float"),
+    # an int too large for a float beside a float bit: their sum overflows
+    ([_entry([HUGE, 0.5], [0, 0], "1")],
+     f"table[0]: expected a bit (0 or 1), got {HUGE}"),
+    ([OK[0], _entry([0, 0], [0, HUGE]), _entry([0, 0.5], [0, 0])],
+     f"table[1]: expected a bit (0 or 1), got {HUGE}"),
 ], ids=["object-then-missing", "missing-then-str-bit", "float-then-range",
         "range-out-then-missing-in", "arity-then-duplicate", "empty-then-float-bit",
         "not-a-list-then-bool-p", "float-p-then-bool-p", "zero-den-then-abc",
         "exponent-then-zero-den", "duplicate-then-object", "bad-bit-and-bad-p-in-one",
         "bool-bits-then-abc", "duplicate-bool-then-float", "arity-out-then-str-p",
         "none-bit-then-missing", "rows-sum-then-duplicate", "tuple-bits-then-range",
-        "fraction-p-then-float", "int-then-bool-p", "int-then-float-p"])
+        "fraction-p-then-float", "int-then-bool-p", "int-then-float-p",
+        "huge-then-float-bit", "huge-out-then-float-bit"])
 def test_a_table_with_several_faults_names_its_first_failing_entry(table, message):
     spec = {"parties": 2, "table": table}
     for load in (box_from_spec, per_entry_box):
