@@ -28,9 +28,10 @@ of ``main``, and leaves out the trace's own work.  Some phases also carry
 counts (``COUNTS``): constrain its rows, distinct rows and paradox rows;
 a signaling report's analyze its directions, settings and dependent
 settings, and for a full scan the distinct lines, buckets and analyses
-the scan built.  Stdout and exit codes are the same either way; with the
-variable unset, tracing costs one environment lookup and a call of an
-empty function per phase, and no count is taken.
+the scan built, each counted per coalition size.  Stdout and exit codes
+are the same either way; with the variable unset, tracing costs one
+environment lookup and a call of an empty function per phase, and no
+count is taken.
 
 Exit codes: 0 on success, 1 when a requested check fails (signaling
 witness found, scenario mismatch, solver did not converge), 2 on usage
@@ -100,18 +101,20 @@ def _constrained(cbox) -> Counts:
 
 
 def _read_json(path: str) -> tuple[object, str]:
-    """Parsed JSON from a file, or from stdin for '-', and its label."""
+    """Parsed JSON from a file, or from stdin for '-', and its label, which
+    its errors name."""
+    label = "stdin" if path == "-" else path
     try:
         if path == "-":
-            return json.load(sys.stdin), "stdin"
+            return json.load(sys.stdin), label
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle), path
+            return json.load(handle), label
     except OSError as err:
-        raise ValueError(f"cannot read {path}: {err}") from err
+        raise ValueError(f"cannot read {label}: {err}") from err
     # besides a JSON syntax error: bytes that are not UTF-8, or an integer
     # longer than the interpreter converts
     except (ValueError, RecursionError) as err:
-        raise ValueError(f"{path} is not valid JSON: {err}") from err
+        raise ValueError(f"{label} is not valid JSON: {err}") from err
 
 
 def _load_box(args) -> NoSignalBox:

@@ -45,12 +45,11 @@ index of its row's marginal (``ConstrainedBox.row_ids``): once per
 coalition in a full scan or a direction, and only its own inputs for a
 single setting.  A setting's line is the indices of its 2^(b+1) inputs,
 sender bit 0's bystander patterns then bit 1's, each lexicographic, and
-the line keys its analysis within the coalition: a repeated line is one
-dict lookup, whichever party sends, since the analysis depends on the
-line alone.  Only a new line reads its two
-buckets: a bucket is the multiplicities of its distinct marginals in
-order of first occurrence, each marginal added with its multiplicity,
-and then kept in lowest terms.  A repeated marginal adds no new key, so
+the line keys its analysis: a repeated line is one dict lookup, whichever
+party sends, since the analysis depends on the line alone.  Only a new
+line reads its two buckets: a bucket is the multiplicities of its
+distinct marginals in order of first occurrence, each marginal added
+with its multiplicity, and then kept in lowest terms.  A repeated marginal adds no new key, so
 keys keep the order in which they first appear row by row, the order in
 which entropies sum their floats, and every numerator stands for the
 probability the row-by-row sum gives.
@@ -61,21 +60,29 @@ probability is returned, and v / d is the same correctly rounded
 float as the Fraction it stands for.  They are computed, and the rule
 and success rendered, once per distinct pair of buckets; each entry
 owns its rule.
-A full scan shares this work among the senders of each coalition, and
-the buckets and their analyses among every coalition of one size: a
-bucket is keyed by the coalition's output codes, so it and the analysis
-of a pair mean the same to any coalition of that size, and only
-``impractical`` is the coalition's own, read as each entry is built.
-The store of one size holds each bucket once, as the (denominator,
-output codes, numerators) that key its id, and lives for the scan.  A
-coalition's marginals, and its half lines, multiplicities and lines,
-which name its own marginal indices, are made at its first direction and
-dropped after its last, while each direction becomes its report before
-the next is read.  A single direction or setting keeps a store of its
-own.
+A full scan goes one coalition size at a time, and shares this work
+among every direction toward a coalition of that size: a marginal's
+index is keyed by its (denominator, output codes, numerators), a bucket's
+id likewise, and the output codes are the coalition's, so a marginal, a
+line, a bucket and an analysis mean the same to any coalition of one
+size and any sender.  Every memo is keyed by content, so no float and no
+payload byte depends on which coalition built it first, and only
+``impractical`` is the coalition's own.  The store of one size holds the
+marginals, lines, half lines, multiplicities, buckets and analyses; a
+coalition keeps only the index of each input's marginal, from its first
+direction to its last sender's.  Within a size the directions come by
+sender, then coalition; each leaves a record, its ``impractical`` flag
+and its analyses, and the store is dropped once its size is done.  The
+records are then read in report order, by sender, then coalition size,
+then coalition.  A single direction or setting keeps a store of its own.
 Reading a bucket raises at its first paradox row, so a setting whose
 rows are all consistent is observed even when another setting is not;
-a report names the direction such a row stops.
+a report names the direction such a row stops.  A paradox row stops the
+first direction of a scan, party 0 -> party 1, which reads every input.
+A scan formats each direction's successes as it reads the direction, so
+a success too long to print stops it there; the error is that of the
+first direction in report order that fails, which only an earlier
+sender's larger coalition can precede.
 """
 
 from __future__ import annotations
@@ -124,28 +131,32 @@ def _tables(size: int) -> tuple[list, dict, list[str], list[int]]:
 
 class _Store:
     """What depends on a coalition's size alone, which every coalition of
-    one size in a full scan reads and writes: the buckets in lowest terms
-    by id, the analyses of their pairs, and a count of the lines that its
-    coalitions analysed."""
+    one size in a full scan reads and writes: the marginals by index, the
+    analyses by line, the bucket ids by half line and by multiplicities,
+    the buckets in lowest terms by id, and the analyses of their pairs."""
 
-    __slots__ = ("ids", "buckets", "by_pair", "lines")
+    __slots__ = ("indices", "marginals", "by_line", "by_half", "by_counts", "ids", "buckets",
+                 "by_pair")
 
     def __init__(self) -> None:
+        self.indices: dict[tuple, int] = {}  # (den, output codes, numerators) -> index
+        self.marginals: list[tuple[int, dict]] = []  # the distinct marginals, by index
+        self.by_line: dict[tuple, _Analysis] = {}  # a setting's line -> analysis
+        self.by_half: dict[tuple, int] = {}  # half a line -> bucket id
+        self.by_counts: dict[tuple, int] = {}  # multiplicities -> bucket id
         # a bucket in lowest terms, (den, output codes, numerators) -> its id
         self.ids: dict[tuple[int, tuple, tuple], int] = {}
         self.buckets: list[tuple[int, tuple, tuple]] = []  # the distinct buckets, by id
         self.by_pair: dict[tuple[int, int], _Analysis] = {}  # bucket ids -> analysis
-        self.lines = 0  # added as each coalition is done
 
 
 class _Coalition(CoalitionMarginals):
     """What the directions toward one receiver coalition share, whichever
-    party sends, on top of the coalition's marginals: each input's marginal
-    index, the analyses by line, the bucket ids by half line and by
-    multiplicities, and a ``store`` of the buckets and their analyses, its
-    own until a scan attaches its size's (see the module docstring)."""
+    party sends: each input's marginal index, on top of a ``store`` of its
+    size's marginals and what is keyed by their indices, its own unless a
+    scan passes one (see the module docstring)."""
 
-    def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...]):
+    def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...], store: _Store | None = None):
         super().__init__(cbox, coal)
         self.others = [i for i in range(cbox.n) if i not in coal]  # sender and bystanders
         # the settings and output keys, their codes; by output code: bit string, parity
@@ -153,10 +164,9 @@ class _Coalition(CoalitionMarginals):
         self.bases = spread(cbox.n, coal)  # by setting code: its inputs' coalition bits
         self.impractical = bool(set(coal) & set(cbox.pattern))
         self.at: list[int] | None = None  # input code -> index, once a direction read all
-        self.by_line: dict[tuple, _Analysis] = {}  # a setting's line -> analysis
-        self.by_half: dict[tuple, int] = {}  # half a line -> bucket id
-        self.by_counts: dict[tuple, int] = {}  # multiplicities -> bucket id
-        self.store = _Store()
+        self.store = store = _Store() if store is None else store
+        self.indices, self.marginals = store.indices, store.marginals
+        self.by_line, self.by_half, self.by_counts = store.by_line, store.by_half, store.by_counts
 
     @property
     def paradox(self) -> int | None:
@@ -343,10 +353,10 @@ def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
     return analyses
 
 
-def _entry(shared: _Coalition, sender: int, setting: tuple[int, ...],
+def _entry(sender: int, coal: tuple[int, ...], impractical: bool, setting: tuple[int, ...],
            a: _Analysis) -> SignalingEntry:
-    return SignalingEntry(sender, shared.coal, setting, a.dependent, dict(a.rule), a.success,
-                          a.mi_bits, shared.impractical, a.note)
+    return SignalingEntry(sender, coal, setting, a.dependent, dict(a.rule), a.success,
+                          a.mi_bits, impractical, a.note)
 
 
 def analyze_setting(cbox: ConstrainedBox, sender: int,
@@ -361,7 +371,7 @@ def analyze_setting(cbox: ConstrainedBox, sender: int,
     shared = _Coalition(cbox, coal)
     base = shared.bases[shared.codes[setting]]
     line = shared.line([base | offset for offset in shared.order(sender)])
-    return _entry(shared, sender, setting, shared.analysis_of(line))
+    return _entry(sender, coal, shared.impractical, setting, shared.analysis_of(line))
 
 
 def analyze(cbox: ConstrainedBox, sender: int,
@@ -369,7 +379,7 @@ def analyze(cbox: ConstrainedBox, sender: int,
     """One entry per receiver setting, settings in lexicographic order."""
     sender, coal = _check_scenario(cbox, sender, coalition)
     shared = _Coalition(cbox, coal)
-    return [_entry(shared, sender, setting, a) for setting, a
+    return [_entry(sender, coal, shared.impractical, setting, a) for setting, a
             in zip(shared.keys, _analyse_direction(shared, sender))]
 
 
@@ -381,25 +391,86 @@ def mean_mi_bits(entries: Iterable[SignalingEntry]) -> float:
     return sum(e.mi_bits for e in entries) / len(entries)
 
 
-def _scan(cbox: ConstrainedBox, stores: dict[int, _Store]) -> Iterator[tuple[int, _Coalition]]:
-    """Each direction's sender and coalition state, in ``full_scan``'s
-    order.  A coalition's state is made at its first direction, with its
-    size's store from ``stores``, and dropped after its last sender's, the
-    highest party outside it."""
-    n = cbox.n
-    begun: dict[tuple[int, ...], _Coalition] = {}  # coalitions begun, not done
+def _toward(n: int, sender: int, size: int) -> Iterator[tuple[int, ...]]:
+    """The coalitions of ``size`` parties that ``sender`` sends to, in order."""
+    return combinations([i for i in range(n) if i != sender], size)
+
+
+def _directions(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every (sender, coalition), by sender, then coalition size, then
+    coalition indices: the order of ``full_scan`` and of a scan's reports."""
     for sender in range(n):
-        others = [i for i in range(n) if i != sender]
         for size in range(1, n):
-            for coalition in combinations(others, size):
-                shared = begun.get(coalition)
+            for coal in _toward(n, sender, size):
+                yield sender, coal
+
+
+def _analysed(shared: _Coalition, sender: int,
+              names: tuple[str, ...] | None) -> list[_Analysis]:
+    """The direction's analyses; given party ``names``, each success is
+    formatted for a payload, and an error names the direction."""
+    if names is None:
+        return _analyse_direction(shared, sender)
+    # a paradox row, or str() refusing an integer longer than
+    # sys.get_int_max_str_digits()
+    try:
+        analyses = _analyse_direction(shared, sender)
+        for a in analyses:
+            if a.success_json is None:
+                num, den = a.odds
+                a.success_json = f"{num}/{den}" if den != 1 else str(num)
+    except ValueError as err:
+        raise ValueError(f"direction {names[sender]} -> "
+                         f"{','.join(names[i] for i in shared.coal)}: {err}") from err
+    return analyses
+
+
+def _raise_before(cbox: ConstrainedBox, names: tuple[str, ...] | None, sender: int,
+                  size: int) -> None:
+    """Raise the error of the first failing direction in ``full_scan``'s
+    order if it precedes ``sender``'s first failing one toward ``size``
+    parties: the scan met none before that one, so only an earlier
+    sender's larger coalition can."""
+    for earlier in range(sender):
+        for larger in range(size + 1, cbox.n):
+            store = _Store()
+            for coal in _toward(cbox.n, earlier, larger):
+                _analysed(_Coalition(cbox, coal, store), earlier, names)
+
+
+_Record = tuple[bool, list[_Analysis]]  # a direction's impractical flag and analyses
+
+
+def _scan(cbox: ConstrainedBox, names: tuple[str, ...] | None = None
+          ) -> tuple[dict[tuple[int, tuple[int, ...]], _Record], dict[str, int]]:
+    """Each direction's record by (sender, coalition), and the counts of the
+    distinct lines, buckets and analyses built, one coalition size at a
+    time (see the module docstring).  A coalition's state lasts from its
+    first direction to its last sender's, the highest party outside it.
+    An error is the first in ``full_scan``'s order; ``names`` as for
+    ``_analysed``."""
+    n = cbox.n
+    records: dict[tuple[int, tuple[int, ...]], _Record] = {}
+    built = dict.fromkeys(("lines", "buckets", "analyses"), 0)
+    for size in range(1, n):
+        store, begun = _Store(), {}  # begun: coalitions begun, not done
+        for sender in range(n):
+            for coal in _toward(n, sender, size):
+                shared = begun.get(coal)
                 if shared is None:
-                    shared = begun[coalition] = _Coalition(cbox, coalition)
-                    shared.store = stores.setdefault(size, shared.store)
-                yield sender, shared
+                    shared = begun[coal] = _Coalition(cbox, coal, store)
+                try:
+                    analyses = _analysed(shared, sender, names)
+                except ValueError:
+                    _raise_before(cbox, names, sender, size)
+                    raise
+                records[sender, coal] = shared.impractical, analyses
                 if sender == shared.others[-1]:
-                    del begun[coalition]
-                    shared.store.lines += len(shared.by_line)
+                    del begun[coal]
+        built["lines"] += len(store.by_line)
+        built["buckets"] += len(store.buckets)
+        built["analyses"] += len(store.by_pair)
+    return records, built
 
 
 def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
@@ -407,51 +478,43 @@ def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
     """Entries for every sender and every coalition of the remaining parties.
 
     Yields one direction at a time, by sender, then coalition size, then
-    coalition indices; an unconstrained no-signaling box yields no
-    dependent entry anywhere.
+    coalition indices, once the whole scan is done; an unconstrained
+    no-signaling box yields no dependent entry anywhere.
     """
-    for sender, shared in _scan(cbox, {}):
-        yield sender, shared.coal, [_entry(shared, sender, setting, a) for setting, a
-                                    in zip(shared.keys, _analyse_direction(shared, sender))]
+    records = _scan(cbox)[0]
+    for sender, coal in _directions(cbox.n):
+        impractical, analyses = records.pop((sender, coal))
+        yield sender, coal, [_entry(sender, coal, impractical, setting, a) for setting, a
+                             in zip(_tables(len(coal))[0], analyses)]
 
 
-def _direction_json(shared: _Coalition, sender: int,
-                    names: tuple[str, ...]) -> tuple[dict, list[_Analysis]]:
-    """The direction's report, and its analyses; an error names the direction."""
-    coalition_names = [names[i] for i in shared.coal]
-    entries_json = []
-    # a paradox row, or str() refusing an integer longer than
-    # sys.get_int_max_str_digits()
-    try:
-        analyses = _analyse_direction(shared, sender)
-        for setting, a in zip(shared.keys, analyses):
-            if a.success_json is None:
-                num, den = a.odds
-                a.success_json = f"{num}/{den}" if den != 1 else str(num)
-            entries_json.append({
-                "sender": names[sender], "coalition": coalition_names.copy(),
-                "setting": list(setting), "dependent": a.dependent,
-                "rule": dict(a.rule_json), "success": a.success_json,
-                "mi_bits": a.mi_bits, "impractical": shared.impractical, "note": a.note})
-    except ValueError as err:
-        raise ValueError(f"direction {names[sender]} -> "
-                         f"{','.join(coalition_names)}: {err}") from err
+def _direction_json(names: tuple[str, ...], sender: int, coal: tuple[int, ...],
+                    impractical: bool, analyses: list[_Analysis]) -> dict:
+    """The direction's report, from its analyses with their successes
+    formatted."""
+    coalition_names = [names[i] for i in coal]
+    entries_json = [{"sender": names[sender], "coalition": coalition_names.copy(),
+                     "setting": list(setting), "dependent": a.dependent,
+                     "rule": dict(a.rule_json), "success": a.success_json,
+                     "mi_bits": a.mi_bits, "impractical": impractical, "note": a.note}
+                    for setting, a in zip(_tables(len(coal))[0], analyses)]
     dependent = sum(1 for a in analyses if a.dependent)
     # both counting conventions: settings, and (setting, sender bit) cases
     summary = {"settings": len(analyses), "dependent_settings": dependent,
                "cases": 2 * len(analyses), "dependent_cases": 2 * dependent,
-               "impractical": shared.impractical}
+               "impractical": impractical}
     return {"sender": names[sender], "coalition": coalition_names,
-            "entries": entries_json, "summary": summary}, analyses
+            "entries": entries_json, "summary": summary}
 
 
 def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
                 coalition: Iterable[int]) -> dict:
     """Full signaling report for one sender/coalition pair as a JSON dict."""
     sender, coal = _check_scenario(cbox, sender, coalition)
-    direction, analyses = _direction_json(_Coalition(cbox, coal), sender,
-                                          party_names(cbox.n))
-    report = {**head_json(box_label, cbox.n, cbox.pattern), **direction}
+    names, shared = party_names(cbox.n), _Coalition(cbox, coal)
+    analyses = _analysed(shared, sender, names)
+    report = {**head_json(box_label, cbox.n, cbox.pattern),
+              **_direction_json(names, sender, coal, shared.impractical, analyses)}
     report["summary"]["max_success"] = str(max(a.success for a in analyses))
     report["summary"]["mean_mi_bits"] = mean_mi_bits(analyses)
     return report
@@ -460,9 +523,10 @@ def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
 def _scan_report(box_label: str, cbox: ConstrainedBox) -> tuple[dict, Callable[[], dict]]:
     """``scan_report_json``'s payload, and a call that counts the distinct
     lines, buckets and analyses its scan built."""
-    names, stores = party_names(cbox.n), {}
-    reports = [_direction_json(shared, sender, names)[0]
-               for sender, shared in _scan(cbox, stores)]
+    names = party_names(cbox.n)
+    records, built = _scan(cbox, names)
+    reports = [_direction_json(names, sender, coal, *records.pop((sender, coal)))
+               for sender, coal in _directions(cbox.n)]
     overall = {key: sum(r["summary"][key] for r in reports) for key in
                ("settings", "dependent_settings", "cases", "dependent_cases")}
     overall["directions"] = len(reports)
@@ -470,13 +534,11 @@ def _scan_report(box_label: str, cbox: ConstrainedBox) -> tuple[dict, Callable[[
                                           for r in reports)
     payload = {**head_json(box_label, cbox.n, cbox.pattern),
                "reports": reports, "summary": overall}
-    return payload, lambda: {"lines": sum(store.lines for store in stores.values()),
-                             "buckets": sum(len(store.buckets) for store in stores.values()),
-                             "analyses": sum(len(store.by_pair) for store in stores.values())}
+    return payload, lambda: built
 
 
 def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:
-    """Each direction's report, built as it is scanned, and overall counts."""
+    """Each direction's report, in ``full_scan``'s order, and overall counts."""
     return _scan_report(box_label, cbox)[0]
 
 

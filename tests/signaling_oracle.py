@@ -8,14 +8,25 @@ the same measures from those two distributions, and an entry as a report
 payload renders it; nothing in ``ctcbox`` calls them.  ``engine_observation``
 reads one of the two buckets the engine itself sums, to compare with
 ``receiver_observation``.
+
+``per_coalition_full_scan`` and ``per_coalition_scan_report`` are the scan
+as it ran before coalitions of one size shared their work: sender by
+sender, each coalition with a store of its own, made at its first
+direction and dropped after its last sender's, and each direction
+reported, or failing, as it is read.  They are the reference for
+``signaling.full_scan`` and ``signaling.scan_report_json``, which scan one
+coalition size at a time.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
+from ctcbox import signaling
 from ctcbox.boxes import all_bit_tuples, decode_bucket
+from ctcbox.ctc import head_json
 from ctcbox.forms import bit_string, party_names, xor_bits
-from ctcbox.signaling import _Coalition
+from ctcbox.signaling import SignalingEntry, _Coalition
 
 
 def receiver_observation(cbox, sender, coalition, setting, sender_value):
@@ -133,3 +144,45 @@ def entry_to_json(entry, n):
             "mi_bits": entry.mi_bits,
             "impractical": entry.impractical,
             "note": entry.note}
+
+
+def per_coalition_scan(cbox):
+    """Each direction's sender and coalition state, by sender, then
+    coalition size, then coalition indices; a coalition's state keeps its
+    own store from its first direction to its last sender's."""
+    n = cbox.n
+    begun = {}  # coalitions begun, not done
+    for sender in range(n):
+        others = [i for i in range(n) if i != sender]
+        for size in range(1, n):
+            for coalition in combinations(others, size):
+                shared = begun.get(coalition)
+                if shared is None:
+                    shared = begun[coalition] = _Coalition(cbox, coalition)
+                yield sender, shared
+                if sender == shared.others[-1]:
+                    del begun[coalition]
+
+
+def per_coalition_full_scan(cbox):
+    """``full_scan``'s directions, each analysed as it is read."""
+    for sender, shared in per_coalition_scan(cbox):
+        yield sender, shared.coal, [
+            SignalingEntry(sender, shared.coal, setting, a.dependent, dict(a.rule), a.success,
+                           a.mi_bits, shared.impractical, a.note)
+            for setting, a in zip(shared.keys, signaling._analyse_direction(shared, sender))]
+
+
+def per_coalition_scan_report(box_label, cbox):
+    """``scan_report_json``'s payload, each direction reported as it is read."""
+    names = party_names(cbox.n)
+    reports = [signaling._direction_json(names, sender, shared.coal, shared.impractical,
+                                         signaling._analysed(shared, sender, names))
+               for sender, shared in per_coalition_scan(cbox)]
+    overall = {key: sum(r["summary"][key] for r in reports) for key in
+               ("settings", "dependent_settings", "cases", "dependent_cases")}
+    overall["directions"] = len(reports)
+    overall["dependent_directions"] = sum(r["summary"]["dependent_settings"] > 0
+                                          for r in reports)
+    return {**head_json(box_label, cbox.n, cbox.pattern), "reports": reports,
+            "summary": overall}

@@ -216,7 +216,7 @@ LONG_INTEGER = b"[" + b"1" * 5000 + b"]"
 @pytest.mark.parametrize("data", [b"\xff{}", LONG_INTEGER], ids=["not-utf-8", "long-integer"])
 def test_unreadable_json_is_refused_by_name(capsys, tmp_path, monkeypatch, argv, data):
     if argv[-1] == "-":
-        path = "-"
+        path = "stdin"  # as every output labels it
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     else:
         path = tmp_path / "input.json"
@@ -680,9 +680,10 @@ def test_a_traced_scan_counts_its_rows_settings_and_shared_work(capsys, monkeypa
     assert all(phase.pop("ms") >= 0 for phase in counts.values())
     assert counts["constrain"] == {"rows": 4, "distinct_rows": 3, "paradox_rows": 0}
     # two lines a direction; alice -> bob at y = 0 and bob -> alice at x = 1
-    # observe the same bucket pair, which both coalitions of size 1 share
+    # read the same line, which both coalitions of size 1 share, and so
+    # observe the same bucket pair
     assert counts["analyze"] == {"directions": 2, "settings": 4, "dependent_settings": 1,
-                                 "lines": 4, "buckets": 2, "analyses": 3}
+                                 "lines": 3, "buckets": 2, "analyses": 3}
     code, phases = traced_phases(capsys, monkeypatch, "analyze", "--box", "pr", "--ctc",
                                  "alice,bob", "--sender", "bob", "--receivers", "alice")
     assert code == 2  # paradox rows are counted before the report stops at one

@@ -20,7 +20,8 @@ from ctcbox.forms import BooleanForm
 from ctcbox.signaling import (analyze, analyze_setting, full_scan, mean_mi_bits, report_json,
                               scan_report_json)
 from signaling_oracle import (engine_observation, entropy_bits, entry_to_json, map_rule,
-                              mutual_information_bits, receiver_observation, rule_success,
+                              mutual_information_bits, per_coalition_full_scan,
+                              per_coalition_scan_report, receiver_observation, rule_success,
                               success_probability)
 
 MI_TOL = 1e-12
@@ -487,33 +488,49 @@ def test_each_coalition_shares_one_state_from_its_first_direction_to_its_last(
     n = 4
     cbox = _looped_cycle(n)
     made = []  # (coalition, weak reference to its state), in order of creation
+    stores = []  # weak references to the stores, in order of creation
     coalition_state = signaling._Coalition
 
-    def recorded(cbox, coalition):
-        state = coalition_state(cbox, coalition)
+    def recorded(cbox, coalition, store):
+        state = coalition_state(cbox, coalition, store)
         made.append((coalition, weakref.ref(state)))
         return state
 
-    alive = []  # (the direction's coalition, the coalitions whose state is referenced)
+    class TracedStore(signaling._Store):
+        """A store that a weak reference can follow."""
+
+        def __init__(self):
+            super().__init__()
+            stores.append(weakref.ref(self))
+
+    # (the direction's coalition, the coalitions whose state is referenced,
+    # whether the direction's store is the only one referenced)
+    alive = []
     analyse_direction = signaling._analyse_direction
 
     def recording(shared, sender):
-        alive.append((shared.coal, {coal for coal, state in made if state() is not None}))
+        alive.append((shared.coal, {coal for coal, state in made if state() is not None},
+                      [store() for store in stores if store() is not None] == [shared.store]))
         return analyse_direction(shared, sender)
 
     monkeypatch.setattr(signaling, "_Coalition", recorded)
+    monkeypatch.setattr(signaling, "_Store", TracedStore)
     monkeypatch.setattr(signaling, "_analyse_direction", recording)
     payload = scan_report_json("cycle", cbox)
     coalitions = [coal for coal, _ in made]
     assert len(coalitions) == len(set(coalitions)) == 2 ** n - 2
+    assert len(stores) == n - 1  # one a coalition size
     assert all(state() is None for _, state in made)
+    assert all(store() is None for store in stores)
     # made at a coalition's first direction, dropped after its last sender's
     assert len(alive) == payload["summary"]["directions"] == n * (2 ** (n - 1) - 1)
     span = {}  # coalition -> (its first direction, its last)
-    for k, (coal, _) in enumerate(alive):
+    for k, (coal, _, _) in enumerate(alive):
         span[coal] = span.get(coal, (k, k))[0], k
-    for k, (_, coals) in enumerate(alive):
-        assert coals == {coal for coal, (first, last) in span.items() if first <= k <= last}
+    for k, (coal, coals, one_store) in enumerate(alive):
+        assert coals == {c for c, (first, last) in span.items() if first <= k <= last}
+        # once a size is done, neither its store nor a state of its size is referenced
+        assert one_store and {len(other) for other in coals} == {len(coal)}
 
 
 def test_a_line_is_analysed_once_whichever_party_sends(monkeypatch):
@@ -532,11 +549,13 @@ def test_a_line_is_analysed_once_whichever_party_sends(monkeypatch):
     monkeypatch.setattr(signaling, "_Analysis", counted("analysis", signaling._Analysis))
     payload = scan_report_json("cycle", cbox)
     assert payload["summary"]["directions"] == 441
-    # 126 coalitions, whose directions see 1,371 distinct lines: each line
-    # reads its two buckets once, whichever of its senders meets it first,
-    # and the 190 distinct bucket pairs of the coalitions' sizes are
-    # analysed once each (439 if each coalition kept its own)
-    assert calls == {"state": 126, "bucket": 2 * 1371, "analysis": 190}
+    # 126 coalitions, whose directions see 1,097 distinct lines, counted
+    # once a coalition size (1,371 if each coalition kept its own): each
+    # line reads its two buckets once, whichever coalition of its size and
+    # whichever sender meets it first, and the 190 distinct bucket pairs of
+    # the coalitions' sizes are analysed once each (439 if each coalition
+    # kept its own)
+    assert calls == {"state": 126, "bucket": 2 * 1097, "analysis": 190}
 
 
 def test_coalitions_of_one_size_share_an_analysis_and_keep_their_own_flag(monkeypatch):
@@ -561,21 +580,6 @@ def test_coalitions_of_one_size_share_an_analysis_and_keep_their_own_flag(monkey
     assert scanned == {(0, (1,)): [True, True], (1, (0,)): [False, False]}
     assert [e.impractical for e in analyze(cbox, 0, [1])] == [True, True]
     assert [e.impractical for e in analyze(cbox, 1, [0])] == [False, False]
-
-
-ENGINE_SCAN = signaling._scan
-
-
-class _Unshared(dict):
-    """Stores by size that keep nothing: each coalition scans with the
-    store it was made with, its own, as before stores were shared."""
-
-    def setdefault(self, size, store):
-        return store
-
-
-def _per_coalition_scan(cbox, stores):
-    return ENGINE_SCAN(cbox, _Unshared())
 
 
 def _seeded_table(rng, n):
@@ -614,21 +618,83 @@ def _scan_or_error(scan):
         return f"ValueError: {err}"
 
 
-@pytest.mark.parametrize("seed", range(15))
-def test_stores_shared_by_size_scan_as_a_store_per_coalition(seed, monkeypatch):
-    rng = random.Random(seed)
-    n = 2 + seed % 5
+def _distinct_table(rng, n):
+    """A table of 2^n distinct rows, each with all 2^n outcomes over its own
+    odd denominator near 2^61."""
+    outcomes = all_bit_tuples(n)
+    rows = {}
+    for x in outcomes:
+        den = rng.randrange(2 ** 61 - 2 ** 40, 2 ** 61) | 1
+        cuts = sorted(rng.sample(range(1, den), 2 ** n - 1))
+        rows[x] = {out: Fraction(b - a, den)
+                   for out, a, b in zip(outcomes, [0, *cuts], [*cuts, den])}
+    return NoSignalBox(n, rows)
+
+
+def _scan_case(case):
+    """A seeded table, looped at random; the table of distinct rows; or
+    mermin2 with every party looped, which leaves paradox rows."""
+    if case == "distinct":
+        return constrain(_distinct_table(random.Random(2061), 5), [0])
+    if case == "paradox":
+        return constrain(named_box("mermin2"), [0, 1, 2])
+    rng = random.Random(case)
+    n = 2 + case % 5
     box = _seeded_table(rng, n)
     # looping every party of a small-support table leaves paradox rows
-    cbox = constrain(box, rng.sample(range(n), rng.randint(0, n)))
+    return constrain(box, rng.sample(range(n), rng.randint(0, n)))
+
+
+@pytest.mark.parametrize("case", [*range(15), "distinct", "paradox"])
+def test_stores_shared_by_size_scan_as_a_store_per_coalition(case):
+    cbox = _scan_case(case)
     shared = [_scan_or_error(lambda: scan_report_json("t", cbox)),
               _scan_or_error(lambda: list(full_scan(cbox)))]
-    monkeypatch.setattr(signaling, "_scan", _per_coalition_scan)
-    own = [_scan_or_error(lambda: scan_report_json("t", cbox)),
-           _scan_or_error(lambda: list(full_scan(cbox)))]
-    # == compares every mi_bits float by value, json.dumps also every key order
-    assert shared == own
+    own = [_scan_or_error(lambda: per_coalition_scan_report("t", cbox)),
+           _scan_or_error(lambda: list(per_coalition_full_scan(cbox)))]
+    if case == "paradox":
+        assert all(isinstance(got, str) for got in shared)
+    # json.dumps compares the payload as printed, or the error text; == every
+    # entry's mi_bits float by value
     assert json.dumps(shared[0]) == json.dumps(own[0])
+    assert shared[1] == own[1]
+
+
+def test_a_failing_scan_names_the_first_direction_in_report_order(monkeypatch):
+    # party1 -> party0 is scanned before party0 -> party1,party2, a larger
+    # coalition, but reported after it
+    cbox = _looped_cycle(4)
+    analyse_direction = signaling._analyse_direction
+
+    def failing(shared, sender):
+        if (sender, shared.coal) in {(1, (0,)), (0, (1, 2))}:
+            raise ValueError(f"fails toward {len(shared.coal)}")
+        return analyse_direction(shared, sender)
+
+    monkeypatch.setattr(signaling, "_analyse_direction", failing)
+    for scan, own in [(lambda: scan_report_json("t", cbox),
+                       lambda: per_coalition_scan_report("t", cbox)),
+                      (lambda: list(full_scan(cbox)),
+                       lambda: list(per_coalition_full_scan(cbox)))]:
+        assert _scan_or_error(scan) == _scan_or_error(own)
+    assert _scan_or_error(lambda: scan_report_json("t", cbox)) == (
+        "ValueError: direction party0 -> party1,party2: fails toward 2")
+    assert _scan_or_error(lambda: list(full_scan(cbox))) == "ValueError: fails toward 2"
+
+
+def test_a_scan_keeps_one_coalition_size_at_a_time():
+    # 64 distinct rows over their own denominators: coalitions share few
+    # marginals, lines or buckets, and a size's are dropped before the next
+    cbox = constrain(_distinct_table(random.Random(2061), 6), [0])
+    cbox.integer_rows  # built once, before the measurement
+    tracemalloc.start()
+    try:
+        payload = scan_report_json("distinct", cbox)
+        final, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload["summary"]["directions"] == 6 * (2 ** 5 - 1)
+    assert peak - final < 2.5 * 2 ** 20
 
 
 def test_scan_report_counts_both_conventions():
