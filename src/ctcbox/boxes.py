@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from enum import Enum
 from functools import cache
 from fractions import Fraction
@@ -321,7 +322,7 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     """
     n = box.n
     signaling = [j for j in range(n) if CoalitionMarginals(
-        box, [i for i in range(n) if i != j]).first_change([j])]
+        box, tuple(i for i in range(n) if i != j)).first_change([j])]
     if not signaling:
         return NoSignalingVerdict(True)
     for size in range(1, n):
@@ -371,24 +372,32 @@ def render_verify(payload: dict) -> Iterator[str]:
 bit_codes = cache(lambda n: {bits: k for k, bits in enumerate(all_bit_tuples(n))})
 
 
+@cache
+def projection(n: int, coal: tuple[int, ...]) -> array:
+    """By outcome code, the code of the coalition's bits in the coalition's
+    order; built once per (n, coalition) and read only."""
+    weight = {i: 1 << k for k, i in enumerate(reversed(coal))}
+    project = [0]
+    for w in [weight.get(i, 0) for i in reversed(range(n))]:
+        project += [v + w for v in project]
+    return array("H", project)
+
+
 class CoalitionMarginals:
     """The marginals of the distinct rows of a ``NoSignalBox`` or a
-    ``ConstrainedBox`` on one coalition: the engine of both the verdict and
-    the signaling scan.  A row (by its id in ``row_ids``) is projected when
-    its marginal is first asked for.  Rows whose marginals have the same
-    denominator, keys and numerators in order share one (den, {output code:
-    numerator}), over the row's own denominator and keyed in order of first
-    occurrence, the order the scan sums floats in.  Marginals equal in
-    lowest terms, in any key order, share a distribution id, found only for
-    the rows compared."""
+    ``ConstrainedBox`` on one coalition (a tuple of parties): the engine of
+    both the verdict and the signaling scan.  ``project`` is the coalition's
+    ``projection``, shared by every box of its party count.  A row (by its
+    id in ``row_ids``) is projected when its marginal is first asked for.
+    Rows whose marginals have the same denominator, keys and numerators in
+    order share one (den, {output code: numerator}), over the row's own
+    denominator and keyed in order of first occurrence, the order the scan
+    sums floats in.  Marginals equal in lowest terms, in any key order,
+    share a distribution id, found only for the rows compared."""
 
-    def __init__(self, box, coal: Sequence[int]):
+    def __init__(self, box, coal: tuple[int, ...]):
         self.box, self.coal = box, coal
-        # outcome code -> the code of the coalition's bits, in the coalition's order
-        weight = {i: 1 << k for k, i in enumerate(reversed(coal))}
-        self.project = [0]
-        for w in [weight.get(i, 0) for i in reversed(range(box.n))]:
-            self.project += [v + w for v in self.project]
+        self.project = projection(box.n, coal)
         self.index_of: list[int | None] = [None] * len(box.integer_rows)  # by row id
         self.dist_of: list[int | None] = [None] * len(box.integer_rows)  # by row id
         self.marginals: list[tuple[int, dict]] = []  # the distinct marginals, by index

@@ -41,10 +41,16 @@ over the lcm of their denominators times 2^b.  The marginals come from
 on too: each distinct row (``ConstrainedBox.integer_rows``, over its own
 denominator) is projected onto the coalition once, rows with equal
 marginals in the same key order share one, and an input is read as the
-index of its row's marginal (``ConstrainedBox.row_ids``): once per
-coalition in a full scan or a direction, and only its own inputs for a
-single setting.  A setting's line is the indices of its 2^(b+1) inputs,
-sender bit 0's bystander patterns then bit 1's, each lexicographic, and
+index of its row's marginal (``ConstrainedBox.row_ids``).  A full scan
+or a direction reads every input once per coalition, in C, as one row
+per setting: the marginal indices of its 2^(b+1) inputs, lexicographic
+in the parties outside the coalition.  A single setting reads only its
+own inputs.  Which inputs a setting has, and where a row's outcome
+lands in the coalition's outputs, depend on the party count and the
+coalition alone: ``_settings_order`` and ``boxes.projection`` build them
+once per shape in the process.  A setting's line is its row reordered for the sender,
+sender bit 0's bystander patterns then bit 1's, each lexicographic, by
+an ``itemgetter`` built once per (outside parties, sender position);
 the line keys its analysis: a repeated line is one dict lookup, whichever
 party sends, since the analysis depends on the line alone.  Only a new
 line reads its two buckets: a bucket is the multiplicities of its
@@ -59,25 +65,28 @@ parity table per coalition; Fractions are built only when a success
 probability is returned, and v / d is the same correctly rounded
 float as the Fraction it stands for.  They are computed, and the rule
 and success rendered, once per distinct pair of buckets; each entry
-owns its rule.
+owns its rule.  Equal buckets are one object, and when it serves both
+sender bits the setting is independent with success 1/2 and every
+guess 0, so only the information and the note are computed.
 A full scan goes one coalition size at a time, and shares this work
 among every direction toward a coalition of that size: a marginal's
 index is keyed by its (denominator, output codes, numerators), a bucket's
 id likewise, and the output codes are the coalition's, so a marginal, a
 line, a bucket and an analysis mean the same to any coalition of one
-size and any sender.  Every memo is keyed by content, so no float and no
-payload byte depends on which coalition built it first, and only
-``impractical`` is the coalition's own.  The store of one size holds the
-marginals, lines, half lines, multiplicities, buckets and analyses; a
-coalition keeps only the index of each input's marginal, from its first
-direction to its last sender's.  Within a size the directions come by
-sender, then coalition; each leaves a record, its ``impractical`` flag
-and its analyses, and the store is dropped once its size is done.  The
+size and any sender.  Every memo is keyed by content or by shape, so no
+float and no payload byte depends on which coalition built it first, and
+only ``impractical`` is the coalition's own.  The store of one size holds
+the marginals, lines, half lines, multiplicities, buckets and analyses; a
+coalition keeps only its settings' rows, from its first direction to its
+last sender's.  Within a size the directions come by sender, then
+coalition; each leaves a record, its ``impractical`` flag and its
+analyses, and the store is dropped once its size is done.  The
 records are then read in report order, by sender, then coalition size,
 then coalition.  A single direction or setting keeps a store of its own.
 Reading a bucket raises at its first paradox row, so a setting whose
-rows are all consistent is observed even when another setting is not;
-a report names the direction such a row stops.  A paradox row stops the
+rows are all consistent is observed even when another setting is not; a
+line that holds a paradox row is read again input by input to name the
+row, and a report names the direction such a row stops.  A paradox row stops the
 first direction of a scan, party 0 -> party 1, which reads every input.
 A scan formats each direction's successes as it reads the direction, so
 a success too long to print stops it there; the error is that of the
@@ -88,9 +97,11 @@ sender's larger coalition can precede.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .boxes import CoalitionMarginals, NoSignalBox, all_bit_tuples, bit_codes, spread
@@ -129,6 +140,27 @@ def _tables(size: int) -> tuple[list, dict, list[str], list[int]]:
     return all_bit_tuples(size), bit_codes(size), labels, parity
 
 
+@cache
+def _bits_of(size: int) -> dict[str, tuple[int, ...]]:
+    """A coalition of this size's output keys by bit string."""
+    keys, _, labels, _ = _tables(size)
+    return dict(zip(labels, keys))
+
+
+@cache
+def _settings_order(n: int, coal: tuple[int, ...]) -> array:
+    """The input codes by coalition setting, each setting's lexicographic in
+    the parties outside the coalition; built once per (n, coalition)."""
+    return array("H", spread(n, (*coal, *(i for i in range(n) if i not in coal))))
+
+
+@cache
+def _reorder(width: int, position: int) -> itemgetter:
+    """A setting's row (``width`` outside parties, lexicographic) as its line
+    when the outside party at ``position`` sends: that party's bit first."""
+    return itemgetter(*spread(width, (position, *(i for i in range(width) if i != position))))
+
+
 class _Store:
     """What depends on a coalition's size alone, which every coalition of
     one size in a full scan reads and writes: the marginals by index, the
@@ -152,18 +184,18 @@ class _Store:
 
 class _Coalition(CoalitionMarginals):
     """What the directions toward one receiver coalition share, whichever
-    party sends: each input's marginal index, on top of a ``store`` of its
-    size's marginals and what is keyed by their indices, its own unless a
-    scan passes one (see the module docstring)."""
+    party sends: each setting's row of marginal indices, on top of a
+    ``store`` of its size's marginals and what is keyed by their indices,
+    its own unless a scan passes one (see the module docstring)."""
 
     def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...], store: _Store | None = None):
         super().__init__(cbox, coal)
         self.others = [i for i in range(cbox.n) if i not in coal]  # sender and bystanders
         # the settings and output keys, their codes; by output code: bit string, parity
         self.keys, self.codes, self.labels, self.parity = _tables(len(coal))
-        self.bases = spread(cbox.n, coal)  # by setting code: its inputs' coalition bits
+        self.order = _settings_order(cbox.n, coal)
         self.impractical = bool(set(coal) & set(cbox.pattern))
-        self.at: list[int] | None = None  # input code -> index, once a direction read all
+        self.rows: list[tuple] | None = None  # by setting code, once a direction read all
         self.store = store = _Store() if store is None else store
         self.indices, self.marginals = store.indices, store.marginals
         self.by_line, self.by_half, self.by_counts = store.by_line, store.by_half, store.by_counts
@@ -173,12 +205,17 @@ class _Coalition(CoalitionMarginals):
         """The index of the paradox rows' empty marginal, once one is read."""
         return self.indices.get((1, (), ()))
 
-    def order(self, sender: int) -> list[int]:
-        """The offsets of a setting's inputs when ``sender`` sends: sender
-        bit 0's bystander patterns, then bit 1's, each lexicographic."""
-        return spread(self.box.n, (sender, *(i for i in self.others if i != sender)))
+    def reorder(self, sender: int) -> itemgetter:
+        """A setting's row, or its inputs, in line order when ``sender`` sends:
+        sender bit 0's bystander patterns, then bit 1's, each lexicographic."""
+        return _reorder(len(self.others), self.others.index(sender))
 
-    def line(self, inputs: list[int]) -> tuple:
+    def inputs(self, setting: int, sender: int) -> tuple:
+        """The input codes of the setting with this code, in line order."""
+        width = 1 << len(self.others)
+        return self.reorder(sender)(self.order[setting * width:(setting + 1) * width])
+
+    def line(self, inputs: tuple[int, ...]) -> tuple:
         """The marginal indices of these input codes, read from their rows
         only; raises at the first paradox row."""
         ids = self.box.row_ids
@@ -292,42 +329,62 @@ class SignalingEntry(NamedTuple):
 
 
 class _Analysis:
-    """Rule, success, information and note of one distinct bucket pair, the
-    rule also by bit strings, and the success in lowest terms as ``odds``
+    """Rule, success, information and note of one distinct bucket pair: the
+    rule keyed by bit strings as ``rule_json`` (``rule`` derives the dict by
+    bit tuples from it), and the success in lowest terms as ``odds``
     (numerator, denominator): a Fraction is built only when ``success`` is
     asked for, and ``success_json`` is its str() once a payload has needed
-    it.  It holds nothing of a coalition but its size."""
+    it.  When one bucket serves both sender bits, the setting is
+    independent, every guess is 0 and the success 1/2, and only the
+    information and the note are computed, as for two equal buckets.  It
+    holds nothing of a coalition but its size."""
 
-    __slots__ = ("dependent", "rule", "odds", "fraction", "mi_bits", "note",
-                 "rule_json", "success_json")
+    __slots__ = ("dependent", "odds", "fraction", "mi_bits", "note", "rule_json",
+                 "success_json")
 
     def __init__(self, a: tuple[int, tuple, tuple], b: tuple[int, tuple, tuple],
                  shared: _Coalition):
-        # the buckets (denominator, output codes, numerators) over one denominator
-        den = math.lcm(a[0], b[0])
-        p0, p1 = (dict(zip(outs, nums)) if d == den else
-                  {out: num * (den // d) for out, num in zip(outs, nums)}
-                  for d, outs, nums in (a, b))
         keys, labels = shared.keys, shared.labels
-        outs = sorted(p0.keys() | p1.keys())
-        self.rule, self.rule_json = rule, rule_json = {}, {}
-        mass = 0
-        for out in outs:  # the map rule, ties guessing 0
-            n0, n1 = p0.get(out, 0), p1.get(out, 0)
-            guess = rule[keys[out]] = rule_json[labels[out]] = int(n1 > n0)
-            mass += n1 if guess else n0
-        self.dependent = p0 != p1
-        g = math.gcd(mass, 2 * den)
-        self.odds = mass // g, 2 * den // g
         self.fraction: Fraction | None = None
-        # the mixture is summed in the order of the set union of the bit tuples
+        self.success_json: str | None = None
+        if a is b:
+            den, outs, nums = a
+            p0 = p1 = dict(zip(outs, nums))
+            outs = sorted(outs)
+            self.rule_json = dict.fromkeys(map(labels.__getitem__, outs), 0)
+            self.dependent, self.odds = False, (1, 2)
+        else:
+            # the buckets (denominator, output codes, numerators) over one denominator
+            den = math.lcm(a[0], b[0])
+            p0, p1 = (dict(zip(outs, nums)) if d == den else
+                      {out: num * (den // d) for out, num in zip(outs, nums)}
+                      for d, outs, nums in (a, b))
+            outs = sorted(p0.keys() | p1.keys())
+            self.rule_json = rule_json = {}
+            mass = 0
+            for out in outs:  # the map rule, ties guessing 0
+                n0, n1 = p0.get(out, 0), p1.get(out, 0)
+                guess = rule_json[labels[out]] = int(n1 > n0)
+                mass += n1 if guess else n0
+            self.dependent = p0 != p1
+            g = math.gcd(mass, 2 * den)
+            self.odds = mass // g, 2 * den // g
+        # the mixture is summed in the order of the set union of the bit tuples,
+        # built alike for one bucket and for two: a set built another way can
+        # iterate in another order, and move the float sum
         union = (set(dict.fromkeys(map(keys.__getitem__, p0)))
                  | set(dict.fromkeys(map(keys.__getitem__, p1))))
         self.mi_bits = _mutual_information(p0, p1, map(shared.codes.__getitem__, union), den)
         if self.dependent and self.mi_bits <= 0:  # the entropies cancelled
             self.mi_bits = _information_by_outputs(p0, p1, outs, den)
         self.note = None if self.dependent else _note({shared.parity[out] for out in outs})
-        self.success_json: str | None = None
+
+    @property
+    def rule(self) -> dict[tuple[int, ...], int]:
+        """A new dict of the rule keyed by bit tuples."""
+        rule_json = self.rule_json  # never empty: a bucket has an output
+        bits = _bits_of(len(next(iter(rule_json))))
+        return dict(zip(map(bits.__getitem__, rule_json), rule_json.values()))
 
     @property
     def success(self) -> Fraction:
@@ -338,16 +395,16 @@ class _Analysis:
 
 def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
     """One analysis per receiver setting, settings in lexicographic order."""
-    if shared.at is None:  # the coalition's first direction: read every input once
+    if shared.rows is None:  # the coalition's first direction: read every input once
         of_row = [shared.marginal(row_id) for row_id in range(len(shared.box.integer_rows))]
-        shared.at = [of_row[row_id] for row_id in shared.box.row_ids]
-    at, by_line, order, analyses = shared.at, shared.by_line, shared.order(sender), []
-    for base in shared.bases:
-        line = tuple([at[base | offset] for offset in order])
+        at = map(of_row.__getitem__, map(shared.box.row_ids.__getitem__, shared.order))
+        shared.rows = list(zip(*[at] * (1 << len(shared.others))))  # a row per setting
+    by_line, analyses = shared.by_line, []
+    for setting, line in enumerate(map(shared.reorder(sender), shared.rows)):
         found = by_line.get(line)
         if found is None:
             if shared.paradox in line:  # read it input by input, to name the row
-                shared.line([base | offset for offset in order])
+                shared.line(shared.inputs(setting, sender))
             found = by_line[line] = shared.analysis_of(line)
         analyses.append(found)
     return analyses
@@ -355,7 +412,7 @@ def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
 
 def _entry(sender: int, coal: tuple[int, ...], impractical: bool, setting: tuple[int, ...],
            a: _Analysis) -> SignalingEntry:
-    return SignalingEntry(sender, coal, setting, a.dependent, dict(a.rule), a.success,
+    return SignalingEntry(sender, coal, setting, a.dependent, a.rule, a.success,
                           a.mi_bits, impractical, a.note)
 
 
@@ -369,8 +426,7 @@ def analyze_setting(cbox: ConstrainedBox, sender: int,
     if len(setting) != len(coal):
         raise ValueError("setting must give one bit per coalition party")
     shared = _Coalition(cbox, coal)
-    base = shared.bases[shared.codes[setting]]
-    line = shared.line([base | offset for offset in shared.order(sender)])
+    line = shared.line(shared.inputs(shared.codes[setting], sender))
     return _entry(sender, coal, shared.impractical, setting, shared.analysis_of(line))
 
 

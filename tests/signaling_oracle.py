@@ -56,8 +56,7 @@ def engine_observation(cbox, sender, coalition, setting, sender_value):
     """The engine's bucket of one sender input value as {outputs: Fraction},
     read from that value's rows alone; raises at the first paradox row."""
     shared = _Coalition(cbox, tuple(coalition))
-    base = shared.bases[shared.codes[tuple(setting)]]
-    inputs = [base | offset for offset in shared.order(sender)]
+    inputs = shared.inputs(shared.codes[tuple(setting)], sender)
     half = len(inputs) // 2
     line = shared.line(inputs[half:] if sender_value else inputs[:half])
     den, outs, nums = shared.store.buckets[shared.bucket(line)]

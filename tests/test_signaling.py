@@ -23,6 +23,7 @@ from signaling_oracle import (engine_observation, entropy_bits, entry_to_json, m
                               mutual_information_bits, per_coalition_full_scan,
                               per_coalition_scan_report, receiver_observation, rule_success,
                               success_probability)
+from test_shared_rows import shared_row_tables
 
 MI_TOL = 1e-12
 PARITY_RULE = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
@@ -658,6 +659,155 @@ def test_stores_shared_by_size_scan_as_a_store_per_coalition(case):
     # entry's mi_bits float by value
     assert json.dumps(shared[0]) == json.dumps(own[0])
     assert shared[1] == own[1]
+
+
+def _same_bucket_analyses(cbox):
+    """(bucket, coalition state) of each analysis a scan of ``cbox`` builds
+    from one bucket object for both sender bits, up to a paradox row that
+    stops the scan."""
+    built = []
+    analysis = signaling._Analysis
+
+    def recording(a, b, shared):
+        if a is b:
+            built.append((a, shared))
+        return analysis(a, b, shared)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signaling, "_Analysis", recording)
+        _scan_or_error(lambda: scan_report_json("t", cbox))
+    return built
+
+
+def _analysis_fields(a):
+    """An analysis as it reaches a payload: the rule in its key order and
+    the information bit for bit."""
+    return a.dependent, list(a.rule_json.items()), a.odds, a.note, float.hex(a.mi_bits)
+
+
+def assert_one_bucket_analysed_as_two_equal_ones(cbox):
+    """Each analysis of one bucket object for both sender bits is the one
+    two equal bucket objects give; returns how many there were."""
+    built = _same_bucket_analyses(cbox)
+    for a, shared in built:
+        equal = (a[0], tuple(list(a[1])), tuple(list(a[2])))
+        assert equal == a and equal is not a
+        assert (_analysis_fields(signaling._Analysis(a, a, shared))
+                == _analysis_fields(signaling._Analysis(a, equal, shared)))
+    return len(built)
+
+
+def _rotation_table():
+    """Five parties; each row puts 1000001/1000003 on the outputs equal to
+    the inputs, and 1/1000003 on the inputs rotated left by one and on
+    their complement (added up where two of these coincide).  Its buckets
+    have up to 16 outputs whose float masses differ by six orders of
+    magnitude, so the order in which the mixture sums them shows."""
+    n = 5
+    rows = {}
+    for x in all_bit_tuples(n):
+        row = rows[x] = {}
+        for out, p in ((x, Fraction(1000001, 1000003)), (x[1:] + x[:1], Fraction(1, 1000003)),
+                       (tuple(1 - b for b in x), Fraction(1, 1000003))):
+            row[out] = row.get(out, 0) + p
+    return constrain(NoSignalBox(n, rows), [])
+
+
+@pytest.mark.parametrize("case", [*range(15), "rotation"])
+def test_one_bucket_for_both_sender_bits_is_analysed_as_two_equal_ones(case):
+    cbox = _rotation_table() if case == "rotation" else _scan_case(case)
+    count = assert_one_bucket_analysed_as_two_equal_ones(cbox)
+    if case == "rotation":
+        assert count > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(shared_row_tables())
+def test_one_bucket_for_both_sender_bits_on_shared_row_tables(case):
+    rows, pattern = case
+    assert_one_bucket_analysed_as_two_equal_ones(
+        constrain(NoSignalBox(len(next(iter(rows))), rows), pattern))
+
+
+def _shape_runs(n, cbox):
+    """The verdicts, scans and directions whose tables are cached by shape."""
+    table = NoSignalBox(n, {x: r.outcomes for x, r in cbox.rows.items()})
+    is_no_signaling(cbox.box)
+    is_no_signaling(table)
+    scan_report_json("t", cbox)
+    list(full_scan(cbox))
+    analyze(cbox, n - 1, range(n - 1))
+    report_json("t", cbox, 0, [1])
+    analyze_setting(cbox, 1, [0], [1])
+
+
+SHAPE_CACHES = (boxes.projection, signaling._settings_order, signaling._reorder,
+                signaling._tables, signaling._bits_of)
+
+
+def test_the_shape_caches_hold_one_entry_per_shape():
+    for cached in SHAPE_CACHES:
+        cached.cache_clear()
+    # the cycle and the star of parities, party 0 looped: other rows, the same shapes
+    families = (lambda n: [[i, (i + 1) % n] for i in range(n)],
+                lambda n: [[0, i] for i in range(1, n)])
+    sizes = []
+    for monomials in families:
+        for n in range(2, 8):
+            form = BooleanForm.from_monomials(n, monomials(n))
+            _shape_runs(n, constrain(parity_box(form), [0]))
+        sizes.append([cached.cache_info().currsize for cached in SHAPE_CACHES])
+    # one entry per (n, coalition), per (outside parties, sender position)
+    # and per coalition size; the second family adds none
+    assert sizes[0] == sizes[1]
+    coalitions = sum(2 ** n - 2 for n in range(2, 8))
+    assert all(size <= most for size, most
+               in zip(sizes[0], [coalitions, coalitions, sum(range(1, 7)), 6, 6]))
+
+
+def test_a_second_setting_of_one_shape_builds_no_table(monkeypatch):
+    n = 6
+    cycle = _looped_cycle(n)
+    star = constrain(parity_box(BooleanForm.from_monomials(n, [[0, i] for i in range(1, n)])),
+                     [0])
+    first = analyze_setting(cycle, 0, [1, 3], [0, 1])
+    misses = [cached.cache_info().misses for cached in SHAPE_CACHES]
+    spread_calls = []
+
+    def counted(module):
+        spread = module.spread
+        return lambda *args: spread_calls.append(args) or spread(*args)
+
+    for module in (boxes, signaling):
+        monkeypatch.setattr(module, "spread", counted(module))
+    second = analyze_setting(star, 0, [1, 3], [1, 1])
+    assert [cached.cache_info().misses for cached in SHAPE_CACHES] == misses
+    assert spread_calls == []
+    assert first == analyze(cycle, 0, [1, 3])[1]
+    assert second == analyze(star, 0, [1, 3])[3]
+
+
+def test_the_shapes_of_every_party_count_take_little_memory():
+    shapes = [(n, coal) for n in range(2, boxes.MAX_PARTIES + 1) for size in range(1, n)
+              for coal in combinations(range(n), size)]
+    # for each kind of table, its cache up to 7 parties, and the tables of
+    # every shape up to MAX_PARTIES
+    up_to_seven, every = [], []
+    for table in (boxes.projection, signaling._settings_order):
+        table.cache_clear()
+        tracemalloc.start()
+        try:
+            held = [table(n, coal) for n, coal in shapes if n <= 7]
+            up_to_seven.append(tracemalloc.get_traced_memory()[0])
+            held = [table(n, coal) for n, coal in shapes]
+            table.cache_clear()
+            before = tracemalloc.get_traced_memory()[0]
+            held.clear()
+            every.append(before - tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+    assert sum(up_to_seven) < 0.2 * 2 ** 20
+    assert max(every) <= 3 * 2 ** 20
 
 
 def test_a_failing_scan_names_the_first_direction_in_report_order(monkeypatch):
