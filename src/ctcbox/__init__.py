@@ -18,17 +18,16 @@ __version__ = "0.1.0"
 # the public names, by the submodule that defines them
 _EXPORTS = {
     "boxes": ("BoxName", "BoxSpecError", "CHSH_CLASSICAL_BOUND", "CHSH_TSIRELSON_BOUND",
-              "MarginalDistribution", "NAMED_FORMS", "NoSignalBox", "NoSignalingVerdict",
-              "SignalingWitness", "all_bit_tuples", "box_from_spec", "box_to_spec",
-              "chsh_value", "is_no_signaling", "marginal", "named_box", "parity_box",
-              "parity_equation"),
+              "NAMED_FORMS", "NoSignalBox", "NoSignalingVerdict", "SignalingWitness",
+              "all_bit_tuples", "box_from_spec", "box_to_spec", "chsh_value",
+              "is_no_signaling", "named_box", "parity_box", "parity_equation"),
     "ctc": ("ConstrainedBox", "ConstrainedRow", "constrain", "constrained_to_json",
-            "induced_parity_form", "normalize_pattern", "parse_pattern"),
+            "induced_parity_form", "parse_pattern"),
     "deutsch": ("ClassicalCrosscheck", "FixedPointResult", "classical_consistency_crosscheck",
                 "cr_output", "example", "fixed_point", "is_basis_permutation", "loop_map",
                 "matrix_from_json", "matrix_to_json", "trace_norm"),
-    "forms": ("BooleanForm", "as_bit", "input_names", "output_names", "party_names",
-              "xor_bits"),
+    "forms": ("BooleanForm", "as_bit", "input_names", "normalize_pattern", "output_names",
+              "party_names", "xor_bits"),
     "signaling": ("SignalingEntry", "analyze", "analyze_setting", "full_scan",
                   "mean_mi_bits", "report_json", "scan_report_json"),
     "tables": ("SCENARIOS", "Scenario", "scenario", "scenario_relation", "verify_scenario"),

@@ -17,8 +17,8 @@ from itertools import chain, combinations, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .forms import (BooleanForm, as_bit, bit_string, input_names, normalize_pattern,
-                    output_names, party_names, xor_bits)
+from .forms import (BooleanForm, as_bit, bit_string, input_names, output_names, party_names,
+                    xor_bits)
 
 CHSH_CLASSICAL_BOUND = Fraction(2)
 CHSH_TSIRELSON_BOUND = 2 * math.sqrt(2)
@@ -231,37 +231,6 @@ def render_table(box: NoSignalBox) -> Iterator[str]:
         for outputs in sorted(box.rows[inputs]):
             yield (f"{bit_string(inputs, ' ')} | {bit_string(outputs, ' ')} : "
                    f"{box.rows[inputs][outputs]}")
-
-
-class MarginalDistribution(NamedTuple):
-    """Output distribution of a coalition of parties at fixed full inputs."""
-
-    coalition: tuple[int, ...]
-    inputs: tuple[int, ...]
-    probs: dict[tuple[int, ...], Fraction]
-
-
-def marginal(box: NoSignalBox, coalition: Iterable[int],
-             inputs: Iterable[int]) -> MarginalDistribution:
-    """Sum the box row over the outputs of parties outside the coalition."""
-    coal = normalize_pattern(box.n, coalition)
-    if not coal:
-        raise ValueError("coalition must be nonempty")
-    full = tuple(as_bit(b) for b in inputs)
-    if len(full) != box.n:
-        raise ValueError(f"expected {box.n} inputs, got {len(full)}")
-    return MarginalDistribution(coal, full,
-                                project_outcomes(box.rows[full].items(), coal))
-
-
-def project_outcomes(outcomes: Iterable[tuple[tuple[int, ...], Fraction]],
-                     coalition: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    """Sum (outputs, p) pairs over the outputs of parties outside ``coalition``."""
-    probs: dict[tuple[int, ...], Fraction] = {}
-    for outputs, p in outcomes:
-        key = tuple(outputs[i] for i in coalition)
-        probs[key] = probs.get(key, Fraction(0)) + p
-    return probs
 
 
 class SignalingWitness(NamedTuple):

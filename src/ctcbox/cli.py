@@ -211,12 +211,12 @@ def cmd_analyze(args) -> tuple[dict, Render]:
         payload = report_json(box.label, cbox, sender_ids[0],
                               _parties(args.receivers, box.n))
         render = partial(render_report, box)
-        built = dict  # one direction fills no store of a scan: no count of one
+        built = {}  # one direction fills no store of a scan: no count of one
     summary = payload["summary"]  # one direction's has no count of directions
     args.phase("analyze", lambda: {"directions": summary.get("directions", 1),
                                    "settings": summary["settings"],
                                    "dependent_settings": summary["dependent_settings"],
-                                   **built()})
+                                   **built})
     return payload, render
 
 

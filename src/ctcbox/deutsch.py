@@ -70,12 +70,7 @@ reads them in the steps' order, raw before average.
 Iteration counts and choices are those of judging one step at a time,
 except at the rounding floor: once residuals are rounding noise (a tol
 far below 1e-15), the chosen step may differ, and the state only by
-rounding.  A candidate is hermitized only when it is returned.  The
-100,000 steps of the non-converging 4 x 3 problem take about 0.03 s on
-one core of a shared 2-vCPU VM, against 0.05 s when each full block of a
-long window was filled on its own: the median over 7 alternating rounds,
-each the median of 21 solves in a fresh process pinned to one CPU (rounds
-read 0.03-0.05 s and 0.04-0.08 s).
+rounding.  A candidate is hermitized only when it is returned.
 
 `classical_consistency_crosscheck` connects this solver back to the
 classical box analysis: when U permutes basis states and rho is

@@ -116,14 +116,6 @@ class BooleanForm(_Form):
         return cls(n, frozenset(acc))
 
     @classmethod
-    def zero(cls, n: int) -> "BooleanForm":
-        return cls(n, frozenset())
-
-    @classmethod
-    def one(cls, n: int) -> "BooleanForm":
-        return cls(n, frozenset({frozenset()}))
-
-    @classmethod
     def variable(cls, n: int, index: int) -> "BooleanForm":
         return cls(n, frozenset({frozenset({index})}))
 

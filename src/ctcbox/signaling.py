@@ -102,7 +102,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .boxes import CoalitionMarginals, NoSignalBox, all_bit_tuples, bit_codes, spread
 from .ctc import ConstrainedBox, head_json, parse_pattern, render_head
@@ -576,9 +576,9 @@ def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
     return report
 
 
-def _scan_report(box_label: str, cbox: ConstrainedBox) -> tuple[dict, Callable[[], dict]]:
-    """``scan_report_json``'s payload, and a call that counts the distinct
-    lines, buckets and analyses its scan built."""
+def _scan_report(box_label: str, cbox: ConstrainedBox) -> tuple[dict, dict]:
+    """``scan_report_json``'s payload, and the counts of the distinct lines,
+    buckets and analyses its scan built."""
     names = party_names(cbox.n)
     records, built = _scan(cbox, names)
     reports = [_direction_json(names, sender, coal, *records.pop((sender, coal)))
@@ -590,7 +590,7 @@ def _scan_report(box_label: str, cbox: ConstrainedBox) -> tuple[dict, Callable[[
                                           for r in reports)
     payload = {**head_json(box_label, cbox.n, cbox.pattern),
                "reports": reports, "summary": overall}
-    return payload, lambda: built
+    return payload, built
 
 
 def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:

@@ -1,5 +1,9 @@
 """Signaling measures written from their definitions, as test oracles.
 
+``marginal`` is a box row's marginal on a coalition, summed in Fractions
+by ``project_outcomes``; the engine reads marginals through
+``boxes.CoalitionMarginals`` instead.
+
 The scan computes each entry's rule, success, information and note from
 integer buckets (``signaling._Analysis``).  The functions here compute
 the two observation distributions of a setting, {outputs: Fraction} for
@@ -25,8 +29,29 @@ from itertools import combinations
 from ctcbox import signaling
 from ctcbox.boxes import all_bit_tuples, decode_bucket
 from ctcbox.ctc import head_json
-from ctcbox.forms import bit_string, party_names, xor_bits
+from ctcbox.forms import as_bit, bit_string, normalize_pattern, party_names, xor_bits
 from ctcbox.signaling import SignalingEntry, _Coalition
+
+
+def marginal(box, coalition, inputs):
+    """{coalition's outputs: Fraction}: the box row at full ``inputs``
+    summed over the outputs of the parties outside the coalition."""
+    coal = normalize_pattern(box.n, coalition)
+    if not coal:
+        raise ValueError("coalition must be nonempty")
+    full = tuple(as_bit(b) for b in inputs)
+    if len(full) != box.n:
+        raise ValueError(f"expected {box.n} inputs, got {len(full)}")
+    return project_outcomes(box.rows[full].items(), coal)
+
+
+def project_outcomes(outcomes, coalition):
+    """Sum (outputs, p) pairs over the outputs of parties outside ``coalition``."""
+    probs = {}
+    for outputs, p in outcomes:
+        key = tuple(outputs[i] for i in coalition)
+        probs[key] = probs.get(key, Fraction(0)) + p
+    return probs
 
 
 def receiver_observation(cbox, sender, coalition, setting, sender_value):

@@ -8,8 +8,9 @@ from ctcbox.boxes import (BoxName, BoxSpecError, CHSH_CLASSICAL_BOUND,
                           CHSH_TSIRELSON_BOUND, MAX_PARTIES, NAMED_FORMS, NoSignalBox,
                           all_bit_tuples, box_from_spec, box_to_spec,
                           chsh_value, exact_fraction, is_no_signaling,
-                          marginal, named_box, parity_box, parity_equation)
+                          named_box, parity_box, parity_equation)
 from ctcbox.forms import BooleanForm, xor_bits
+from signaling_oracle import marginal
 
 
 def deterministic_box(n, mapping):
@@ -191,9 +192,9 @@ def test_marginal_uniform_for_parity_boxes():
     for inputs in all_bit_tuples(3):
         for party in range(3):
             m = marginal(box, [party], inputs)
-            assert m.probs == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+            assert m == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
         m = marginal(box, [0, 1], inputs)
-        assert all(p == Fraction(1, 4) for p in m.probs.values())
+        assert all(p == Fraction(1, 4) for p in m.values())
 
 
 def test_marginal_validation():
@@ -210,7 +211,7 @@ def test_marginal_keys_follow_the_coalition_order():
     # a = 1 and b = c = 0 at every input, so the key of parties 0 and 2 is (1, 0)
     box = deterministic_box(3, {inputs: (1, 0, 0) for inputs in all_bit_tuples(3)})
     for inputs in all_bit_tuples(3):
-        assert marginal(box, [0, 2], inputs).probs == {(1, 0): Fraction(1)}
+        assert marginal(box, [0, 2], inputs) == {(1, 0): Fraction(1)}
 
 
 def test_no_signaling_holds_for_named_boxes():
@@ -232,13 +233,25 @@ def test_no_signaling_witness_is_lexicographically_first():
     assert w.marginal_b == {(1,): Fraction(1)}
 
 
-def test_witness_is_decoded_from_the_compared_marginals(monkeypatch):
-    def boom(*args):
-        raise AssertionError("project_outcomes called")
+def counting_decodes(monkeypatch):
+    """Count the verdict's calls of ``decode_bucket``, its one way from
+    integer marginals to Fractions."""
+    calls = []
+    decode_bucket = boxes.decode_bucket
 
-    monkeypatch.setattr(boxes, "project_outcomes", boom)
+    def counting(*args):
+        calls.append(args)
+        return decode_bucket(*args)
+
+    monkeypatch.setattr(boxes, "decode_bucket", counting)
+    return calls
+
+
+def test_witness_is_decoded_from_the_compared_marginals(monkeypatch):
+    calls = counting_decodes(monkeypatch)
     mapping = {(0, 0): (0, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
     w = is_no_signaling(deterministic_box(2, mapping)).witness
+    assert len(calls) == 2
     assert w.coalition == (0,)
     assert (w.inputs_a, w.inputs_b) == ((0, 0), (0, 1))
     assert w.marginal_a == {(0,): 1}
@@ -260,25 +273,18 @@ class CountingRows(list):
 
 def test_passing_verdict_checks_n_conditions(monkeypatch):
     # n conditions, each projecting every distinct row at most once onto
-    # its coalition; Fraction marginals are built for a witness only
-    calls = {"project_outcomes": 0}
-    project_outcomes = boxes.project_outcomes
-
-    def counting(*args):
-        calls["project_outcomes"] += 1
-        return project_outcomes(*args)
-
-    monkeypatch.setattr(boxes, "project_outcomes", counting)
+    # its coalition; Fraction marginals are decoded for a witness only
+    calls = counting_decodes(monkeypatch)
     n = 6
     cycle = BooleanForm.from_monomials(n, [[i, (i + 1) % n] for i in range(n)])
     box = parity_box(cycle)
     rows = box.integer_rows = CountingRows(box.integer_rows)
     assert is_no_signaling(box).ok
     assert 0 < rows.reads <= n * len(rows)
-    assert calls["project_outcomes"] == 0
+    assert len(calls) == 0
     mapping = {(0, 0): (0, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
     assert not is_no_signaling(deterministic_box(2, mapping)).ok
-    assert calls["project_outcomes"] <= 2
+    assert len(calls) == 2
 
 
 def test_chsh_values():

@@ -42,14 +42,15 @@ def test_name_helpers():
 
 
 def test_from_monomials_cancels_duplicates():
-    assert BooleanForm.from_monomials(2, [[0], [0]]) == BooleanForm.zero(2)
+    assert BooleanForm.from_monomials(2, [[0], [0]]) == BooleanForm.from_monomials(2, [])
     twice = BooleanForm.from_monomials(3, [[0, 1], [1, 0], [2]])
     assert twice == BooleanForm.from_monomials(3, [[2]])
 
 
 def test_constant_forms():
-    zero = BooleanForm.zero(2)
-    one = BooleanForm.one(2)
+    # no monomial is the constant 0; the empty monomial is the constant 1
+    zero = BooleanForm.from_monomials(2, [])
+    one = BooleanForm.from_monomials(2, [[]])
     for bits in product((0, 1), repeat=2):
         assert zero.evaluate(bits) == 0
         assert one.evaluate(bits) == 1

@@ -11,12 +11,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
 import ctcbox
 from ctcbox import deutsch
-from ctcbox.boxes import SignalingWitness, is_no_signaling, marginal, named_box
+from ctcbox.boxes import SignalingWitness, is_no_signaling, named_box
 from ctcbox.cli import main
 from ctcbox.ctc import constrain
 from ctcbox.deutsch_defaults import EXAMPLE_NAMES
@@ -101,6 +102,18 @@ def test_lazy_names_are_listed_and_resolve():
         assert getattr(ctcbox, name) is getattr(deutsch, name)
     with pytest.raises(AttributeError):
         ctcbox.no_such_name
+    # each class or function is listed under the module that defines it
+    for module, names in ctcbox._EXPORTS.items():
+        for name in names:
+            value = getattr(ctcbox, name)
+            if isinstance(value, (type, FunctionType)):
+                assert value.__module__ == f"ctcbox.{module}", name
+    # and every name but the quantum loop's resolves without numpy
+    classical = [name for name in ctcbox.__all__ if ctcbox._MODULE_OF[name] != "deutsch"]
+    proc = python(BLOCK_NUMPY + "import ctcbox\n"
+                  "for name in sys.argv[1:]:\n"
+                  "    getattr(ctcbox, name)\n", *classical)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_example_names_match_the_builders():
@@ -114,7 +127,6 @@ def _crosscheck():
 
 RECORDS = {
     "BooleanForm": lambda: BooleanForm.from_monomials(2, [[0, 1]]),
-    "MarginalDistribution": lambda: marginal(named_box("pr"), [0], (0, 1)),
     "SignalingWitness": lambda: SignalingWitness((0,), (0, 0), (0, 1), {}, {}),
     "NoSignalingVerdict": lambda: is_no_signaling(named_box("pr")),
     "ConstrainedRow": lambda: constrain(named_box("pr"), [1]).rows[0, 0],

@@ -5,14 +5,13 @@ from itertools import combinations
 
 from hypothesis import example, given, settings, strategies as st
 
-from ctcbox.boxes import (NoSignalBox, all_bit_tuples, is_no_signaling, marginal,
-                          parity_box)
+from ctcbox.boxes import NoSignalBox, all_bit_tuples, is_no_signaling, parity_box
 from ctcbox.ctc import constrain, induced_parity_form
 from ctcbox.forms import BooleanForm, xor_bits
 from ctcbox.signaling import (SignalingEntry, analyze, analyze_setting, full_scan,
                               scan_report_json)
-from signaling_oracle import (engine_observation, information_by_outputs, parity_note,
-                              receiver_observation)
+from signaling_oracle import (engine_observation, information_by_outputs, marginal,
+                              parity_note, receiver_observation)
 
 MI_TOL = 1e-12
 
@@ -82,7 +81,7 @@ def loop_table(form, looped):
 
 
 def first_witness_by_marginals(box):
-    """The documented scan written with the public ``marginal``: coalitions
+    """The documented scan written with the oracle's ``marginal``: coalitions
     by size, then lexicographically, then coalition inputs, then
     completions, all lexicographic."""
     n = box.n
@@ -91,9 +90,9 @@ def first_witness_by_marginals(box):
             for r_inputs in all_bit_tuples(size):
                 fulls = [full for full in all_bit_tuples(n)
                          if tuple(full[i] for i in coalition) == r_inputs]
-                base = marginal(box, coalition, fulls[0]).probs
+                base = marginal(box, coalition, fulls[0])
                 for trial in fulls[1:]:
-                    probs = marginal(box, coalition, trial).probs
+                    probs = marginal(box, coalition, trial)
                     if probs != base:
                         return coalition, fulls[0], trial, base, probs
     return None
@@ -160,8 +159,7 @@ def test_only_looped_parties_signal(case):
         for inputs in all_bit_tuples(n):
             if inputs[sender] == 0:
                 flipped = inputs[:sender] + (1,) + inputs[sender + 1:]
-                assert (marginal(box, rest, inputs).probs
-                        == marginal(box, rest, flipped).probs)
+                assert marginal(box, rest, inputs) == marginal(box, rest, flipped)
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,7 +175,7 @@ def test_strict_coalition_marginals_are_uniform(form):
     n = box.n
     share = Fraction(1, 2)
     for inputs in all_bit_tuples(n):
-        probs = marginal(box, [0], inputs).probs
+        probs = marginal(box, [0], inputs)
         assert probs == {(0,): share, (1,): share}
 
 

@@ -27,6 +27,7 @@ from ctcbox.boxes import (NoSignalBox, NoSignalingVerdict, SignalingWitness,
 from ctcbox.ctc import constrain
 from ctcbox.forms import BooleanForm
 from ctcbox.signaling import report_json, scan_report_json
+from signaling_oracle import project_outcomes
 
 # primes with nothing in common, so rows over them have unrelated denominators
 PRIMES = [1_000_003, 998_244_353, 2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3, 10 ** 18 + 9]
@@ -36,16 +37,6 @@ def over_lcm(probs):
     """{key: Fraction} as (lcm of the denominators, {key: numerator})."""
     den = math.lcm(*(p.denominator for p in probs.values()))
     return den, {key: p.numerator * (den // p.denominator) for key, p in probs.items()}
-
-
-def project(row, coalition):
-    """A row's marginal on the coalition, {coalition's outputs: Fraction},
-    keys in order of first occurrence."""
-    probs = {}
-    for out, p in row.items():
-        key = tuple(out[i] for i in coalition)
-        probs[key] = probs.get(key, Fraction(0)) + p
-    return probs
 
 
 def per_row_observations(shared, sender):
@@ -67,7 +58,7 @@ def per_row_observations(shared, sender):
             row = rows[code]
             if row.paradox:
                 raise ValueError(f"observation undefined: paradox row at inputs {row.inputs}")
-            for key, p in project(row.outcomes, coal).items():
+            for key, p in project_outcomes(row.outcomes.items(), coal).items():
                 probs[codes[key]] = probs.get(codes[key], Fraction(0)) + p / len(bystanders)
         den, nums = over_lcm(probs)
         return den, tuple(nums), tuple(nums.values())
@@ -108,7 +99,8 @@ def per_pair_is_no_signaling(box):
         patterns = spread(n, senders)[1:]
         for base in spread(n, coalition):
             for pattern in patterns:
-                a, b = (project(table[code], coalition) for code in (base, base | pattern))
+                a, b = (project_outcomes(table[code].items(), coalition)
+                        for code in (base, base | pattern))
                 if a != b:
                     return (base, base | pattern), (a, b)
 

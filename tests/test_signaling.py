@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from ctcbox import boxes, signaling
 from ctcbox.boxes import (BoxName, NoSignalBox, all_bit_tuples, bit_codes, is_no_signaling,
-                          marginal, named_box, parity_box)
+                          named_box, parity_box)
 from ctcbox.ctc import constrain
 from ctcbox.forms import BooleanForm
 from ctcbox.signaling import (analyze, analyze_setting, full_scan, mean_mi_bits, report_json,
                               scan_report_json)
 from signaling_oracle import (engine_observation, entropy_bits, entry_to_json, map_rule,
-                              mutual_information_bits, per_coalition_full_scan,
+                              marginal, mutual_information_bits, per_coalition_full_scan,
                               per_coalition_scan_report, receiver_observation, rule_success,
                               success_probability)
 from test_shared_rows import shared_row_tables
@@ -161,8 +161,7 @@ def test_a_verdict_reads_only_the_inputs_it_compares():
                 for i, bit in zip(senders, pattern):
                     trial[i] = bit
                 expected.append(codes[tuple(trial)])
-                if marginal(table, coalition, base).probs != marginal(table, coalition,
-                                                                        trial).probs:
+                if marginal(table, coalition, base) != marginal(table, coalition, trial):
                     return expected[-2:]
         return None
 
@@ -183,13 +182,14 @@ def test_a_verdict_reads_only_the_inputs_it_compares():
 
 
 def test_scan_does_not_project_setting_by_setting(monkeypatch):
+    # the scan sums integer buckets: it builds no Fraction, not even for a success
     def boom(*args):
-        raise AssertionError("per-setting projection called")
+        raise AssertionError("Fraction built")
 
+    cbox = constrain(named_box("svetlichny"), [0])
     for module in (boxes, signaling):
-        monkeypatch.setattr(module, "project_outcomes", boom, raising=False)
-        monkeypatch.setattr(module, "assemble_inputs", boom, raising=False)
-    payload = scan_report_json("svetlichny", constrain(named_box("svetlichny"), [0]))
+        monkeypatch.setattr(module, "Fraction", boom)
+    payload = scan_report_json("svetlichny", cbox)
     assert payload["summary"]["dependent_settings"] == 2
 
 
