@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from ctcbox import boxes
 from ctcbox.boxes import (BoxName, BoxSpecError, CHSH_CLASSICAL_BOUND,
-                          CHSH_TSIRELSON_BOUND, MAX_PARTIES, NAMED_FORMS, NoSignalBox,
-                          all_bit_tuples, box_from_spec, box_to_spec,
-                          chsh_value, exact_fraction, is_no_signaling,
+                          CHSH_TSIRELSON_BOUND, MAX_PARTIES, NAMED_FORMS, CoalitionMarginals,
+                          NoSignalBox, all_bit_tuples, box_from_spec, box_to_spec,
+                          chsh_value, decode_bucket, exact_fraction, is_no_signaling,
                           named_box, parity_box, parity_equation)
 from ctcbox.forms import BooleanForm, xor_bits
 from signaling_oracle import marginal
@@ -212,6 +213,21 @@ def test_marginal_keys_follow_the_coalition_order():
     box = deterministic_box(3, {inputs: (1, 0, 0) for inputs in all_bit_tuples(3)})
     for inputs in all_bit_tuples(3):
         assert marginal(box, [0, 2], inputs) == {(1, 0): Fraction(1)}
+
+
+def test_coalition_marginals_match_the_oracle_marginal():
+    # the engine's integer buckets, decoded, are the Fraction sums of the oracle
+    # on every coalition (sorted, as the oracle keys it and the scan builds it)
+    cases = [named_box(name) for name in BoxName]
+    cases.append(deterministic_box(3, {inputs: (inputs[1], 1, inputs[0] ^ inputs[2])
+                                       for inputs in all_bit_tuples(3)}))
+    for box in cases:
+        for size in range(1, box.n + 1):
+            for coal in combinations(range(box.n), size):
+                state = CoalitionMarginals(box, coal)
+                for inputs, row_id in zip(all_bit_tuples(box.n), box.row_ids):
+                    bucket = state.marginals[state.marginal(row_id)]
+                    assert decode_bucket(bucket, size) == marginal(box, coal, inputs)
 
 
 def test_no_signaling_holds_for_named_boxes():

@@ -16,7 +16,7 @@ from types import FunctionType
 import pytest
 
 import ctcbox
-from ctcbox import deutsch
+from ctcbox import boxes, deutsch
 from ctcbox.boxes import SignalingWitness, is_no_signaling, named_box
 from ctcbox.cli import main
 from ctcbox.ctc import constrain
@@ -114,6 +114,14 @@ def test_lazy_names_are_listed_and_resolve():
                   "for name in sys.argv[1:]:\n"
                   "    getattr(ctcbox, name)\n", *classical)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_test_only_helpers_are_not_in_the_package():
+    # the Fraction marginal and the constant forms live in the test oracle
+    for name in ("marginal", "MarginalDistribution", "project_outcomes"):
+        assert name not in ctcbox.__all__
+        assert not hasattr(boxes, name), name
+    assert not hasattr(BooleanForm, "zero") and not hasattr(BooleanForm, "one")
 
 
 def test_example_names_match_the_builders():
