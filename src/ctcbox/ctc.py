@@ -194,7 +194,7 @@ def parse_pattern(n: int, spec: Iterable) -> tuple[int, ...]:
         name = item.strip().lower()
         if name in known:
             return known[name]
-        if name.isdigit():
+        if name.isdecimal():
             return int(name)
         raise ValueError(f"unknown party {item!r}; "
                          f"use an index or one of {', '.join(known)}")

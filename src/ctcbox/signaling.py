@@ -65,9 +65,8 @@ parity table per coalition; Fractions are built only when a success
 probability is returned, and v / d is the same correctly rounded
 float as the Fraction it stands for.  They are computed, and the rule
 and success rendered, once per distinct pair of buckets; each entry
-owns its rule.  Equal buckets are one object, and when it serves both
-sender bits the setting is independent with success 1/2 and every
-guess 0, so only the information and the note are computed.
+owns its rule.  Equal buckets are one object; when one serves both
+sender bits, its entropy is computed once for both sides.
 A full scan goes one coalition size at a time, and shares this work
 among every direction toward a coalition of that size: a marginal's
 index is keyed by its (denominator, output codes, numerators), a bucket's
@@ -79,19 +78,22 @@ only ``impractical`` is the coalition's own.  The store of one size holds
 the marginals, lines, half lines, multiplicities, buckets and analyses; a
 coalition keeps only its settings' rows, from its first direction to its
 last sender's.  Within a size the directions come by sender, then
-coalition; each leaves a record, its ``impractical`` flag and its
-analyses, and the store is dropped once its size is done.  The
-records are then read in report order, by sender, then coalition size,
-then coalition.  A single direction or setting keeps a store of its own.
+coalition; each leaves a record, (sender, coalition, ``impractical``,
+analyses), and the store is dropped once its size is done.  The records
+are then sorted into report order, by sender, then coalition size, then
+coalition.  A single direction or setting keeps a store of its own.
 Reading a bucket raises at its first paradox row, so a setting whose
 rows are all consistent is observed even when another setting is not; a
 line that holds a paradox row is read again input by input to name the
 row, and a report names the direction such a row stops.  A paradox row stops the
 first direction of a scan, party 0 -> party 1, which reads every input.
 A scan formats each direction's successes as it reads the direction, so
-a success too long to print stops it there; the error is that of the
-first direction in report order that fails, which only an earlier
-sender's larger coalition can precede.
+a success too long to print stops that direction.  The scan keeps the
+error and reads no further direction of that sender or a later one;
+once every size is done it raises the last error it kept.  Each error
+kept after another is a smaller sender's, so the last is that of the
+first direction in report order that fails, and every direction before
+it has been read.
 """
 
 from __future__ import annotations
@@ -334,10 +336,7 @@ class _Analysis:
     bit tuples from it), and the success in lowest terms as ``odds``
     (numerator, denominator): a Fraction is built only when ``success`` is
     asked for, and ``success_json`` is its str() once a payload has needed
-    it.  When one bucket serves both sender bits, the setting is
-    independent, every guess is 0 and the success 1/2, and only the
-    information and the note are computed, as for two equal buckets.  It
-    holds nothing of a coalition but its size."""
+    it.  It holds nothing of a coalition but its size."""
 
     __slots__ = ("dependent", "odds", "fraction", "mi_bits", "note", "rule_json",
                  "success_json")
@@ -347,31 +346,26 @@ class _Analysis:
         keys, labels = shared.keys, shared.labels
         self.fraction: Fraction | None = None
         self.success_json: str | None = None
-        if a is b:
-            den, outs, nums = a
-            p0 = p1 = dict(zip(outs, nums))
-            outs = sorted(outs)
-            self.rule_json = dict.fromkeys(map(labels.__getitem__, outs), 0)
-            self.dependent, self.odds = False, (1, 2)
-        else:
-            # the buckets (denominator, output codes, numerators) over one denominator
-            den = math.lcm(a[0], b[0])
-            p0, p1 = (dict(zip(outs, nums)) if d == den else
-                      {out: num * (den // d) for out, num in zip(outs, nums)}
-                      for d, outs, nums in (a, b))
-            outs = sorted(p0.keys() | p1.keys())
-            self.rule_json = rule_json = {}
-            mass = 0
-            for out in outs:  # the map rule, ties guessing 0
-                n0, n1 = p0.get(out, 0), p1.get(out, 0)
-                guess = rule_json[labels[out]] = int(n1 > n0)
-                mass += n1 if guess else n0
-            self.dependent = p0 != p1
-            g = math.gcd(mass, 2 * den)
-            self.odds = mass // g, 2 * den // g
-        # the mixture is summed in the order of the set union of the bit tuples,
-        # built alike for one bucket and for two: a set built another way can
-        # iterate in another order, and move the float sum
+        # the buckets (denominator, output codes, numerators) over one denominator
+        den = math.lcm(a[0], b[0])
+        p0, p1 = (dict(zip(outs, nums)) if d == den else
+                  {out: num * (den // d) for out, num in zip(outs, nums)}
+                  for d, outs, nums in (a, b))
+        if a is b:  # one bucket serves both sender bits: one entropy for both sides
+            p1 = p0
+        outs = sorted(p0.keys() | p1.keys())
+        self.rule_json = rule_json = {}
+        mass = 0
+        for out in outs:  # the map rule, ties guessing 0
+            n0, n1 = p0.get(out, 0), p1.get(out, 0)
+            guess = rule_json[labels[out]] = int(n1 > n0)
+            mass += n1 if guess else n0
+        self.dependent = p0 != p1
+        g = math.gcd(mass, 2 * den)
+        self.odds = mass // g, 2 * den // g
+        # the mixture is summed in the order of the set union of the bit tuples:
+        # a set built another way can iterate in another order, and move the
+        # float sum
         union = (set(dict.fromkeys(map(keys.__getitem__, p0)))
                  | set(dict.fromkeys(map(keys.__getitem__, p1))))
         self.mi_bits = _mutual_information(p0, p1, map(shared.codes.__getitem__, union), den)
@@ -452,15 +446,6 @@ def _toward(n: int, sender: int, size: int) -> Iterator[tuple[int, ...]]:
     return combinations([i for i in range(n) if i != sender], size)
 
 
-def _directions(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every (sender, coalition), by sender, then coalition size, then
-    coalition indices: the order of ``full_scan`` and of a scan's reports."""
-    for sender in range(n):
-        for size in range(1, n):
-            for coal in _toward(n, sender, size):
-                yield sender, coal
-
-
 def _analysed(shared: _Coalition, sender: int,
               names: tuple[str, ...] | None) -> list[_Analysis]:
     """The direction's analyses; given party ``names``, each success is
@@ -481,51 +466,38 @@ def _analysed(shared: _Coalition, sender: int,
     return analyses
 
 
-def _raise_before(cbox: ConstrainedBox, names: tuple[str, ...] | None, sender: int,
-                  size: int) -> None:
-    """Raise the error of the first failing direction in ``full_scan``'s
-    order if it precedes ``sender``'s first failing one toward ``size``
-    parties: the scan met none before that one, so only an earlier
-    sender's larger coalition can."""
-    for earlier in range(sender):
-        for larger in range(size + 1, cbox.n):
-            store = _Store()
-            for coal in _toward(cbox.n, earlier, larger):
-                _analysed(_Coalition(cbox, coal, store), earlier, names)
-
-
-_Record = tuple[bool, list[_Analysis]]  # a direction's impractical flag and analyses
-
-
 def _scan(cbox: ConstrainedBox, names: tuple[str, ...] | None = None
-          ) -> tuple[dict[tuple[int, tuple[int, ...]], _Record], dict[str, int]]:
-    """Each direction's record by (sender, coalition), and the counts of the
+          ) -> tuple[list[tuple[int, tuple[int, ...], bool, list[_Analysis]]], dict[str, int]]:
+    """Each direction's (sender, coalition, impractical, analyses), by
+    sender, then coalition size, then coalition, and the counts of the
     distinct lines, buckets and analyses built, one coalition size at a
     time (see the module docstring).  A coalition's state lasts from its
     first direction to its last sender's, the highest party outside it.
-    An error is the first in ``full_scan``'s order; ``names`` as for
-    ``_analysed``."""
+    An error is the first in this order; ``names`` as for ``_analysed``."""
     n = cbox.n
-    records: dict[tuple[int, tuple[int, ...]], _Record] = {}
+    records, error, stop = [], None, n
     built = dict.fromkeys(("lines", "buckets", "analyses"), 0)
     for size in range(1, n):
         store, begun = _Store(), {}  # begun: coalitions begun, not done
-        for sender in range(n):
-            for coal in _toward(n, sender, size):
-                shared = begun.get(coal)
-                if shared is None:
-                    shared = begun[coal] = _Coalition(cbox, coal, store)
-                try:
-                    analyses = _analysed(shared, sender, names)
-                except ValueError:
-                    _raise_before(cbox, names, sender, size)
-                    raise
-                records[sender, coal] = shared.impractical, analyses
-                if sender == shared.others[-1]:
-                    del begun[coal]
+        for sender, coal in ((s, c) for s in range(stop) for c in _toward(n, s, size)):
+            shared = begun.get(coal)
+            if shared is None:
+                shared = begun[coal] = _Coalition(cbox, coal, store)
+            try:
+                records.append((sender, coal, shared.impractical,
+                                _analysed(shared, sender, names)))
+            except ValueError as err:
+                # an error kept later is a smaller sender's, so earlier in this order
+                error, stop = err, sender
+                break
+            if sender == shared.others[-1]:
+                del begun[coal]
         built["lines"] += len(store.by_line)
         built["buckets"] += len(store.buckets)
         built["analyses"] += len(store.by_pair)
+    if error is not None:
+        raise error
+    records.sort(key=itemgetter(0))  # stable: by size, then coalition, within a sender
     return records, built
 
 
@@ -533,13 +505,12 @@ def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
                                                       list[SignalingEntry]]]:
     """Entries for every sender and every coalition of the remaining parties.
 
-    Yields one direction at a time, by sender, then coalition size, then
-    coalition indices, once the whole scan is done; an unconstrained
-    no-signaling box yields no dependent entry anywhere.
+    Yields one direction at a time from the records of a single pass,
+    by sender, then coalition size, then coalition indices, once the pass
+    is done; an unconstrained no-signaling box yields no dependent entry
+    anywhere.
     """
-    records = _scan(cbox)[0]
-    for sender, coal in _directions(cbox.n):
-        impractical, analyses = records.pop((sender, coal))
+    for sender, coal, impractical, analyses in _scan(cbox)[0]:
         yield sender, coal, [_entry(sender, coal, impractical, setting, a) for setting, a
                              in zip(_tables(len(coal))[0], analyses)]
 
@@ -581,8 +552,7 @@ def _scan_report(box_label: str, cbox: ConstrainedBox) -> tuple[dict, dict]:
     buckets and analyses its scan built."""
     names = party_names(cbox.n)
     records, built = _scan(cbox, names)
-    reports = [_direction_json(names, sender, coal, *records.pop((sender, coal)))
-               for sender, coal in _directions(cbox.n)]
+    reports = [_direction_json(names, *record) for record in records]
     overall = {key: sum(r["summary"][key] for r in reports) for key in
                ("settings", "dependent_settings", "cases", "dependent_cases")}
     overall["directions"] = len(reports)

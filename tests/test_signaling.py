@@ -810,26 +810,48 @@ def test_the_shapes_of_every_party_count_take_little_memory():
     assert max(every) <= 3 * 2 ** 20
 
 
-def test_a_failing_scan_names_the_first_direction_in_report_order(monkeypatch):
+@pytest.mark.parametrize("failing", [
     # party1 -> party0 is scanned before party0 -> party1,party2, a larger
     # coalition, but reported after it
+    {(1, (0,)), (0, (1, 2))},
+    # each failure a smaller sender's and a larger coalition's than the last
+    {(2, (0, 1)), (1, (0, 2, 3)), (0, (1, 2, 3))},
+    {(3, (0, 1, 2))},  # the last direction
+    {(0, (1,))},  # the first direction
+], ids=["two", "three", "last", "first"])
+def test_a_failing_scan_names_the_first_direction_in_report_order(monkeypatch, failing):
     cbox = _looped_cycle(4)
     analyse_direction = signaling._analyse_direction
+    analysed = []  # the directions analysed, in the order read
 
-    def failing(shared, sender):
-        if (sender, shared.coal) in {(1, (0,)), (0, (1, 2))}:
-            raise ValueError(f"fails toward {len(shared.coal)}")
+    def failing_direction(shared, sender):
+        analysed.append((sender, shared.coal))
+        if analysed[-1] in failing:
+            raise ValueError(f"fails at {sender} -> {shared.coal}")
         return analyse_direction(shared, sender)
 
-    monkeypatch.setattr(signaling, "_analyse_direction", failing)
-    for scan, own in [(lambda: scan_report_json("t", cbox),
-                       lambda: per_coalition_scan_report("t", cbox)),
-                      (lambda: list(full_scan(cbox)),
-                       lambda: list(per_coalition_full_scan(cbox)))]:
-        assert _scan_or_error(scan) == _scan_or_error(own)
-    assert _scan_or_error(lambda: scan_report_json("t", cbox)) == (
-        "ValueError: direction party0 -> party1,party2: fails toward 2")
-    assert _scan_or_error(lambda: list(full_scan(cbox))) == "ValueError: fails toward 2"
+    monkeypatch.setattr(signaling, "_analyse_direction", failing_direction)
+    first = min(failing, key=lambda d: (d[0], len(d[1]), d[1]))  # in report order
+    every = [(sender, coal) for sender in range(4) for size in range(1, 4)
+             for coal in combinations([i for i in range(4) if i != sender], size)]
+    for scan, own, error in [(lambda: scan_report_json("t", cbox),
+                              lambda: per_coalition_scan_report("t", cbox),
+                              f"direction party{first[0]} -> "
+                              f"{','.join(f'party{i}' for i in first[1])}: "),
+                             (lambda: list(full_scan(cbox)),
+                              lambda: list(per_coalition_full_scan(cbox)), "")]:
+        expected = _scan_or_error(own)
+        assert expected == f"ValueError: {error}fails at {first[0]} -> {first[1]}"
+        analysed.clear()
+        assert _scan_or_error(scan) == expected
+        read = analysed.copy()
+        assert len(set(read)) == len(read), "a direction was analysed twice"
+        # every direction before the first failing one in report order is read
+        assert set(every[:every.index(first)]) <= set(read)
+        # after a failure, only a smaller sender's directions are read
+        for i, direction in enumerate(read):
+            if direction in failing:
+                assert all(sender < direction[0] for sender, _ in read[i + 1:])
 
 
 def test_a_scan_keeps_one_coalition_size_at_a_time():
