@@ -28,8 +28,8 @@ _EXPORTS = {
                 "matrix_from_json", "matrix_to_json", "trace_norm"),
     "forms": ("BooleanForm", "as_bit", "input_names", "normalize_pattern", "output_names",
               "party_names", "xor_bits"),
-    "signaling": ("SignalingEntry", "analyze", "analyze_setting", "full_scan",
-                  "mean_mi_bits", "report_json", "scan_report_json"),
+    "signaling": ("SignalingEntry", "analyze", "full_scan", "mean_mi_bits", "report_json",
+                  "scan_report_json"),
     "tables": ("SCENARIOS", "Scenario", "scenario", "scenario_relation", "verify_scenario"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -44,14 +44,14 @@ marginals in the same key order share one, and an input is read as the
 index of its row's marginal (``ConstrainedBox.row_ids``).  A full scan
 or a direction reads every input once per coalition, in C, as one row
 per setting: the marginal indices of its 2^(b+1) inputs, lexicographic
-in the parties outside the coalition.  A single setting reads only its
-own inputs.  Which inputs a setting has, and where a row's outcome
-lands in the coalition's outputs, depend on the party count and the
-coalition alone: ``_settings_order`` and ``boxes.projection`` build them
-once per shape in the process.  A setting's line is its row reordered for the sender,
-sender bit 0's bystander patterns then bit 1's, each lexicographic, by
-an ``itemgetter`` built once per (outside parties, sender position);
-the line keys its analysis: a repeated line is one dict lookup, whichever
+in the parties outside the coalition.  Which inputs a setting has, and
+where a row's outcome lands in the coalition's outputs, depend on the
+party count and the coalition alone: ``_settings_order`` and
+``boxes.projection`` build them once per shape in the process.  A
+setting's line is its row reordered for the sender, sender bit 0's
+bystander patterns then bit 1's, each lexicographic, by an
+``itemgetter`` built once per (outside parties, sender position); the
+line keys its analysis: a repeated line is one dict lookup, whichever
 party sends, since the analysis depends on the line alone.  Only a new
 line reads its two buckets: a bucket is the multiplicities of its
 distinct marginals in order of first occurrence, each marginal added
@@ -81,12 +81,12 @@ last sender's.  Within a size the directions come by sender, then
 coalition; each leaves a record, (sender, coalition, ``impractical``,
 analyses), and the store is dropped once its size is done.  The records
 are then sorted into report order, by sender, then coalition size, then
-coalition.  A single direction or setting keeps a store of its own.
-Reading a bucket raises at its first paradox row, so a setting whose
-rows are all consistent is observed even when another setting is not; a
-line that holds a paradox row is read again input by input to name the
-row, and a report names the direction such a row stops.  A paradox row stops the
-first direction of a scan, party 0 -> party 1, which reads every input.
+coalition.  A single direction keeps a store of its own.  A direction
+raises at its first setting whose line holds a paradox row, and names
+the line's first paradox row, sender bit 0's bystander patterns before
+bit 1's; a report names the direction such a row stops.  A paradox row
+stops the first direction of a scan, party 0 -> party 1, which reads
+every input.
 A scan formats each direction's successes as it reads the direction, so
 a success too long to print stops that direction.  The scan keeps the
 error and reads no further direction of that sender or a later one;
@@ -108,7 +108,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .boxes import CoalitionMarginals, NoSignalBox, all_bit_tuples, bit_codes, spread
 from .ctc import ConstrainedBox, head_json, parse_pattern, render_head
-from .forms import as_bit, input_names, normalize_pattern, party_names
+from .forms import input_names, normalize_pattern, party_names
 
 
 def _entropy(masses: Iterable, denominator: int) -> float:
@@ -217,16 +217,6 @@ class _Coalition(CoalitionMarginals):
         width = 1 << len(self.others)
         return self.reorder(sender)(self.order[setting * width:(setting + 1) * width])
 
-    def line(self, inputs: tuple[int, ...]) -> tuple:
-        """The marginal indices of these input codes, read from their rows
-        only; raises at the first paradox row."""
-        ids = self.box.row_ids
-        line = tuple([self.marginal(ids[code]) for code in inputs])
-        if self.paradox in line:
-            raise ValueError("observation undefined: paradox row at inputs "
-                             f"{list(self.box.rows)[inputs[line.index(self.paradox)]]}")
-        return line
-
     def analysis_of(self, line: tuple) -> _Analysis:
         """The analysis of a setting whose inputs, in ``order``, have the
         marginal indices ``line``; none of them is a paradox row."""
@@ -332,19 +322,16 @@ class SignalingEntry(NamedTuple):
 
 class _Analysis:
     """Rule, success, information and note of one distinct bucket pair: the
-    rule keyed by bit strings as ``rule_json`` (``rule`` derives the dict by
-    bit tuples from it), and the success in lowest terms as ``odds``
-    (numerator, denominator): a Fraction is built only when ``success`` is
-    asked for, and ``success_json`` is its str() once a payload has needed
-    it.  It holds nothing of a coalition but its size."""
+    rule keyed by bit strings as ``rule_json``, and the success in lowest
+    terms as ``odds`` (numerator, denominator), whose str() is
+    ``success_json`` once a payload has needed it.  It holds nothing of a
+    coalition but its size."""
 
-    __slots__ = ("dependent", "odds", "fraction", "mi_bits", "note", "rule_json",
-                 "success_json")
+    __slots__ = ("dependent", "odds", "mi_bits", "note", "rule_json", "success_json")
 
     def __init__(self, a: tuple[int, tuple, tuple], b: tuple[int, tuple, tuple],
                  shared: _Coalition):
         keys, labels = shared.keys, shared.labels
-        self.fraction: Fraction | None = None
         self.success_json: str | None = None
         # the buckets (denominator, output codes, numerators) over one denominator
         den = math.lcm(a[0], b[0])
@@ -373,19 +360,6 @@ class _Analysis:
             self.mi_bits = _information_by_outputs(p0, p1, outs, den)
         self.note = None if self.dependent else _note({shared.parity[out] for out in outs})
 
-    @property
-    def rule(self) -> dict[tuple[int, ...], int]:
-        """A new dict of the rule keyed by bit tuples."""
-        rule_json = self.rule_json  # never empty: a bucket has an output
-        bits = _bits_of(len(next(iter(rule_json))))
-        return dict(zip(map(bits.__getitem__, rule_json), rule_json.values()))
-
-    @property
-    def success(self) -> Fraction:
-        if self.fraction is None:
-            self.fraction = Fraction(*self.odds)
-        return self.fraction
-
 
 def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
     """One analysis per receiver setting, settings in lexicographic order."""
@@ -397,31 +371,24 @@ def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
     for setting, line in enumerate(map(shared.reorder(sender), shared.rows)):
         found = by_line.get(line)
         if found is None:
-            if shared.paradox in line:  # read it input by input, to name the row
-                shared.line(shared.inputs(setting, sender))
+            if shared.paradox in line:
+                code = shared.inputs(setting, sender)[line.index(shared.paradox)]
+                raise ValueError("observation undefined: paradox row at inputs "
+                                 f"{list(shared.box.rows)[code]}")
             found = by_line[line] = shared.analysis_of(line)
         analyses.append(found)
     return analyses
 
 
-def _entry(sender: int, coal: tuple[int, ...], impractical: bool, setting: tuple[int, ...],
-           a: _Analysis) -> SignalingEntry:
-    return SignalingEntry(sender, coal, setting, a.dependent, a.rule, a.success,
-                          a.mi_bits, impractical, a.note)
-
-
-def analyze_setting(cbox: ConstrainedBox, sender: int,
-                    coalition: Iterable[int],
-                    setting: Iterable[int]) -> SignalingEntry:
-    """The entry of one receiver setting.  Raises when one of the rows it
-    averages is a paradox row; paradox rows elsewhere do not matter."""
-    sender, coal = _check_scenario(cbox, sender, coalition)
-    setting = tuple(as_bit(b) for b in setting)
-    if len(setting) != len(coal):
-        raise ValueError("setting must give one bit per coalition party")
-    shared = _Coalition(cbox, coal)
-    line = shared.line(shared.inputs(shared.codes[setting], sender))
-    return _entry(sender, coal, shared.impractical, setting, shared.analysis_of(line))
+def _entries(sender: int, coal: tuple[int, ...], impractical: bool,
+             analyses: list[_Analysis]) -> list[SignalingEntry]:
+    """A direction's entries from its record, settings in lexicographic
+    order; each owns its rule, keyed by bit tuples."""
+    bits = _bits_of(len(coal))
+    return [SignalingEntry(sender, coal, setting, a.dependent,
+                           dict(zip(map(bits.__getitem__, a.rule_json), a.rule_json.values())),
+                           Fraction(*a.odds), a.mi_bits, impractical, a.note)
+            for setting, a in zip(_tables(len(coal))[0], analyses)]
 
 
 def analyze(cbox: ConstrainedBox, sender: int,
@@ -429,8 +396,7 @@ def analyze(cbox: ConstrainedBox, sender: int,
     """One entry per receiver setting, settings in lexicographic order."""
     sender, coal = _check_scenario(cbox, sender, coalition)
     shared = _Coalition(cbox, coal)
-    return [_entry(sender, coal, shared.impractical, setting, a) for setting, a
-            in zip(shared.keys, _analyse_direction(shared, sender))]
+    return _entries(sender, coal, shared.impractical, _analyse_direction(shared, sender))
 
 
 def mean_mi_bits(entries: Iterable[SignalingEntry]) -> float:
@@ -510,9 +476,8 @@ def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
     is done; an unconstrained no-signaling box yields no dependent entry
     anywhere.
     """
-    for sender, coal, impractical, analyses in _scan(cbox)[0]:
-        yield sender, coal, [_entry(sender, coal, impractical, setting, a) for setting, a
-                             in zip(_tables(len(coal))[0], analyses)]
+    for record in _scan(cbox)[0]:
+        yield record[0], record[1], _entries(*record)
 
 
 def _direction_json(names: tuple[str, ...], sender: int, coal: tuple[int, ...],
@@ -542,7 +507,7 @@ def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
     analyses = _analysed(shared, sender, names)
     report = {**head_json(box_label, cbox.n, cbox.pattern),
               **_direction_json(names, sender, coal, shared.impractical, analyses)}
-    report["summary"]["max_success"] = str(max(a.success for a in analyses))
+    report["summary"]["max_success"] = str(max(Fraction(*a.odds) for a in analyses))
     report["summary"]["mean_mi_bits"] = mean_mi_bits(analyses)
     return report
 

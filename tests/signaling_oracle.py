@@ -4,6 +4,11 @@
 by ``project_outcomes``; the engine reads marginals through
 ``boxes.CoalitionMarginals`` instead.
 
+``analyze_setting`` is the entry of one receiver setting, read from that
+setting's own inputs alone by ``engine_line``: a paradox row elsewhere
+does not matter to it, where ``signaling.analyze`` reads the whole
+direction and stops at its first setting that holds one.
+
 The scan computes each entry's rule, success, information and note from
 integer buckets (``signaling._Analysis``).  The functions here compute
 the two observation distributions of a setting, {outputs: Fraction} for
@@ -11,7 +16,7 @@ sender bit 0 and for sender bit 1, by summing rows (``receiver_observation``),
 the same measures from those two distributions, and an entry as a report
 payload renders it; nothing in ``ctcbox`` calls them.  ``engine_observation``
 reads one of the two buckets the engine itself sums, to compare with
-``receiver_observation``.
+``receiver_observation``; it too reads its inputs by ``engine_line``.
 
 ``per_coalition_full_scan`` and ``per_coalition_scan_report`` are the scan
 as it ran before coalitions of one size shared their work: sender by
@@ -30,7 +35,7 @@ from ctcbox import signaling
 from ctcbox.boxes import all_bit_tuples, decode_bucket
 from ctcbox.ctc import head_json
 from ctcbox.forms import as_bit, bit_string, normalize_pattern, party_names, xor_bits
-from ctcbox.signaling import SignalingEntry, _Coalition
+from ctcbox.signaling import _Coalition
 
 
 def marginal(box, coalition, inputs):
@@ -77,13 +82,38 @@ def receiver_observation(cbox, sender, coalition, setting, sender_value):
     return probs
 
 
+def engine_line(shared, inputs):
+    """The marginal indices of these input codes, read from their rows
+    only; raises at the first paradox row."""
+    ids = shared.box.row_ids
+    line = tuple([shared.marginal(ids[code]) for code in inputs])
+    if shared.paradox in line:
+        raise ValueError("observation undefined: paradox row at inputs "
+                         f"{list(shared.box.rows)[inputs[line.index(shared.paradox)]]}")
+    return line
+
+
+def analyze_setting(cbox, sender, coalition, setting):
+    """The entry of one receiver setting.  Raises when one of the rows it
+    averages is a paradox row; paradox rows elsewhere do not matter."""
+    sender, coal = signaling._check_scenario(cbox, sender, coalition)
+    setting = tuple(as_bit(b) for b in setting)
+    if len(setting) != len(coal):
+        raise ValueError("setting must give one bit per coalition party")
+    shared = _Coalition(cbox, coal)
+    line = engine_line(shared, shared.inputs(shared.codes[setting], sender))
+    # _entries pairs a direction's analyses with its settings in order
+    (entry,) = signaling._entries(sender, coal, shared.impractical, [shared.analysis_of(line)])
+    return entry._replace(setting=setting)
+
+
 def engine_observation(cbox, sender, coalition, setting, sender_value):
     """The engine's bucket of one sender input value as {outputs: Fraction},
     read from that value's rows alone; raises at the first paradox row."""
     shared = _Coalition(cbox, tuple(coalition))
     inputs = shared.inputs(shared.codes[tuple(setting)], sender)
     half = len(inputs) // 2
-    line = shared.line(inputs[half:] if sender_value else inputs[:half])
+    line = engine_line(shared, inputs[half:] if sender_value else inputs[:half])
     den, outs, nums = shared.store.buckets[shared.bucket(line)]
     return decode_bucket((den, dict(zip(outs, nums))), len(shared.coal))
 
@@ -191,10 +221,8 @@ def per_coalition_scan(cbox):
 def per_coalition_full_scan(cbox):
     """``full_scan``'s directions, each analysed as it is read."""
     for sender, shared in per_coalition_scan(cbox):
-        yield sender, shared.coal, [
-            SignalingEntry(sender, shared.coal, setting, a.dependent, dict(a.rule), a.success,
-                           a.mi_bits, shared.impractical, a.note)
-            for setting, a in zip(shared.keys, signaling._analyse_direction(shared, sender))]
+        yield sender, shared.coal, signaling._entries(
+            sender, shared.coal, shared.impractical, signaling._analyse_direction(shared, sender))
 
 
 def per_coalition_scan_report(box_label, cbox):

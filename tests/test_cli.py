@@ -155,6 +155,16 @@ def test_analyze_names_the_direction_a_paradox_row_stops(capsys, direction, fmt)
                    "paradox row at inputs (0, 0, 1)\n")
 
 
+def test_analyze_names_the_first_paradox_row_of_the_line(capsys):
+    # the line of bob's y = 0 reads charlie's bit 0 first: (1, 0, 0)
+    # comes before (0, 0, 1)
+    code, out, err = run(capsys, "analyze", "--box", "mermin2", "--ctc", "alice,bob,charlie",
+                         "--sender", "charlie", "--receivers", "bob")
+    assert (code, out) == (2, "")
+    assert err == ("error: direction charlie -> bob: observation undefined: "
+                   "paradox row at inputs (1, 0, 0)\n")
+
+
 def test_analyze_rejects_overlapping_roles(capsys):
     code, _, err = run(capsys, "analyze", "--box", "pr", "--ctc", "bob",
                        "--sender", "alice", "--receivers", "alice")

@@ -16,13 +16,13 @@ from types import FunctionType
 import pytest
 
 import ctcbox
-from ctcbox import boxes, deutsch
+from ctcbox import boxes, deutsch, signaling
 from ctcbox.boxes import SignalingWitness, is_no_signaling, named_box
 from ctcbox.cli import main
 from ctcbox.ctc import constrain
 from ctcbox.deutsch_defaults import EXAMPLE_NAMES
 from ctcbox.forms import BooleanForm
-from ctcbox.signaling import analyze_setting
+from ctcbox.signaling import _Analysis, _Coalition, analyze
 from ctcbox.tables import SCENARIOS, verify_scenario
 
 SRC = str(Path(ctcbox.__file__).resolve().parents[1])
@@ -117,11 +117,17 @@ def test_lazy_names_are_listed_and_resolve():
 
 
 def test_test_only_helpers_are_not_in_the_package():
-    # the Fraction marginal and the constant forms live in the test oracle
+    # the Fraction marginal, the constant forms and the one-setting read
+    # live in the test oracle
     for name in ("marginal", "MarginalDistribution", "project_outcomes"):
         assert name not in ctcbox.__all__
         assert not hasattr(boxes, name), name
     assert not hasattr(BooleanForm, "zero") and not hasattr(BooleanForm, "one")
+    assert "analyze_setting" not in ctcbox.__all__
+    assert not hasattr(signaling, "analyze_setting")
+    # an entry is built from a direction's record, not from one analysis
+    assert not hasattr(_Coalition, "line")
+    assert not hasattr(_Analysis, "rule") and not hasattr(_Analysis, "success")
 
 
 def test_example_names_match_the_builders():
@@ -138,7 +144,7 @@ RECORDS = {
     "SignalingWitness": lambda: SignalingWitness((0,), (0, 0), (0, 1), {}, {}),
     "NoSignalingVerdict": lambda: is_no_signaling(named_box("pr")),
     "ConstrainedRow": lambda: constrain(named_box("pr"), [1]).rows[0, 0],
-    "SignalingEntry": lambda: analyze_setting(constrain(named_box("pr"), [1]), 1, [0], (0,)),
+    "SignalingEntry": lambda: analyze(constrain(named_box("pr"), [1]), 1, [0])[0],
     "Scenario": lambda: SCENARIOS["I"],
     "ScenarioCheck": lambda: verify_scenario(SCENARIOS["I"]),
     "FixedPointResult": lambda: _crosscheck().solve,

@@ -17,10 +17,9 @@ from ctcbox.boxes import (BoxName, NoSignalBox, all_bit_tuples, bit_codes, is_no
                           named_box, parity_box)
 from ctcbox.ctc import constrain
 from ctcbox.forms import BooleanForm
-from ctcbox.signaling import (analyze, analyze_setting, full_scan, mean_mi_bits, report_json,
-                              scan_report_json)
-from signaling_oracle import (engine_observation, entropy_bits, entry_to_json, map_rule,
-                              marginal, mutual_information_bits, per_coalition_full_scan,
+from ctcbox.signaling import analyze, full_scan, mean_mi_bits, report_json, scan_report_json
+from signaling_oracle import (analyze_setting, engine_observation, entropy_bits, entry_to_json,
+                              map_rule, marginal, mutual_information_bits, per_coalition_full_scan,
                               per_coalition_scan_report, receiver_observation, rule_success,
                               success_probability)
 from test_shared_rows import shared_row_tables
@@ -79,6 +78,19 @@ def test_a_report_names_the_direction_a_paradox_row_stops():
     # one direction's own analysis keeps the plain message
     with pytest.raises(ValueError, match=r"^observation undefined: paradox row"):
         analyze(cbox, 0, [1])
+
+
+def test_a_paradox_row_is_named_in_line_order():
+    # charlie -> bob, setting y = 0: its line is charlie's bit 0 with
+    # x = 0, 1, then charlie's bit 1 with x = 0, 1, so the first paradox
+    # row in line order is (1, 0, 0), where in row order it is (0, 0, 1)
+    cbox = constrain(named_box("mermin2"), [0, 1, 2])
+    with pytest.raises(ValueError, match=r"^observation undefined: paradox row at inputs "
+                                         r"\(1, 0, 0\)$"):
+        analyze(cbox, 2, [1])
+    with pytest.raises(ValueError, match=r"^direction charlie -> bob: observation undefined: "
+                                         r"paradox row at inputs \(1, 0, 0\)$"):
+        report_json("mermin2", cbox, 2, [1])
 
 
 def test_paradox_rows_are_raised_per_bucket():
