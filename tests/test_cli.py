@@ -484,84 +484,12 @@ def test_unprintable_conditioned_row_is_named_in_the_error(capsys, tmp_path):
     assert err == f"error: inputs (0, 0, 0): {limit.value}\n"
 
 
-def first_in_order_table() -> dict:
-    """Three parties: p(a, b, c | x) = (1/2 +- 1/d)(1/4 +- 1/e), + when a = 0
-    and + when b = c, where d = 10^1100 + 2k + 1 and e = 10^2200 + 2k + 1
-    for input code k.  A success of bob -> alice, the first direction a
-    scan reads that fails, or of alice -> bob,charlie, the first in report
-    order, has a denominator of more than 4,300 digits; alice -> bob's is
-    1/2."""
-    table = []
-    for k in range(8):
-        d, e = 10 ** 1100 + 2 * k + 1, 10 ** 2200 + 2 * k + 1
-        for out in range(8):
-            a, b, c = out >> 2, (out >> 1) & 1, out & 1
-            p = ((Fraction(1, 2) + Fraction(1 if a == 0 else -1, d))
-                 * (Fraction(1, 4) + Fraction(1 if b == c else -1, e)))
-            table.append({"in": [k >> 2, (k >> 1) & 1, k & 1], "out": [a, b, c], "p": str(p)})
-    return {"parties": 3, "table": table}
-
-
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="no limit on integer string conversion")
-def test_a_scan_error_names_the_first_failing_direction_in_report_order(capsys, tmp_path):
-    path = tmp_path / "first_in_order.json"
-    path.write_text(json.dumps(first_in_order_table()))
-    # the default limit, whatever the interpreter was started with
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        scan = run(capsys, "analyze", "--spec", str(path))
-        direction = run(capsys, "analyze", "--spec", str(path),
-                        "--sender", "alice", "--receivers", "bob")
-    finally:
-        sys.set_int_max_str_digits(saved)
-    code, out, err = scan
-    assert code == 2 and out == ""
-    assert err.startswith("error: direction alice -> bob,charlie: Exceeds the limit (4300 digits)")
-    code, out, err = direction
-    assert code == 0 and err == ""
-    assert "summary: 0/2 settings dependent (0/4 cases); max success 1/2" in out
-
-
 @pytest.mark.parametrize("party", ["dave", "²"])
 def test_an_unknown_party_is_named(capsys, party):
     # "²" is a digit to str.isdigit(), but no integer to int()
     code, out, err = run(capsys, "show", "--box", "pr", "--ctc", party)
     assert code == 2 and out == ""
     assert err == f"error: unknown party '{party}'; use an index or one of alice, bob, charlie\n"
-
-
-def test_masses_too_small_for_a_float_carry_no_information(capsys, tmp_path):
-    # 1/10^400 is 0.0 as a float, and its entropy term x log2 x tends to 0
-    den = 10 ** 400
-    table = []
-    for ins in ([0, 0], [0, 1], [1, 0], [1, 1]):
-        table += [{"in": ins, "out": [0, 0], "p": f"1/{den}"},
-                  {"in": ins, "out": [1, 1], "p": f"{den - 1}/{den}"}]
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps({"parties": 2, "table": table}))
-    code, out, err = run(capsys, "analyze", "--spec", str(path))
-    assert (code, err) == (0, "")
-    assert out == (f"box {path} (2 parties): explicit table\n"
-                   "self-consistent parties: none\n"
-                   "direction alice -> bob: 0/2 settings dependent (0/4 cases)\n"
-                   "direction bob -> alice: 0/2 settings dependent (0/4 cases)\n"
-                   "overall: 0/2 directions signal; 0/4 settings dependent (0/8 cases)\n")
-    code, out, err = run(capsys, "analyze", "--spec", str(path), "--sender", "0",
-                         "--receivers", "1")
-    assert (code, err) == (0, "")
-    assert out == (f"box {path} (2 parties): explicit table\n"
-                   "self-consistent parties: none\n"
-                   "sender: alice; receivers: bob\n"
-                   "setting y=0: independent\n"
-                   "setting y=1: independent\n"
-                   "summary: 0/2 settings dependent (0/4 cases); max success 1/2; "
-                   "mean information 0.000000 bits\n")
-    code, out, _ = run(capsys, "analyze", "--spec", str(path), "--sender", "0",
-                       "--receivers", "1", "--json")
-    assert code == 0
-    assert [entry["mi_bits"] for entry in json.loads(out)["entries"]] == [0.0, 0.0]
 
 
 def test_a_dependent_setting_carries_positive_information(capsys, tmp_path):

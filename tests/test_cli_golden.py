@@ -63,6 +63,8 @@ GOLDEN = {
         (0, "d1b27fb978b10b60c17ff3b10acd235e420de6738d86f2768f63001ddc7906c7"),
     "show --box PR --ctc bob":
         (0, "081b00f9344a8e6257c4457d7cb6786751be6f3a21e64be11949fb9cd719ff1a"),
+    "show --box pr --ctc bob":
+        (0, "081b00f9344a8e6257c4457d7cb6786751be6f3a21e64be11949fb9cd719ff1a"),
     "show --box pr --ctc bob --json":
         (0, "f5729c017c2e0a95c6fa70b23b88940f1a1e9022a97cc4b019eddf0f046c7175"),
     "show --box pr --ctc alice,bob":
