@@ -13,12 +13,11 @@ from array import array
 from enum import Enum
 from functools import cache
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .forms import (BooleanForm, as_bit, bit_string, input_names, output_names, party_names,
-                    xor_bits)
+from .forms import BooleanForm, as_bit, bit_string, input_names, output_names, party_names
 
 CHSH_CLASSICAL_BOUND = Fraction(2)
 CHSH_TSIRELSON_BOUND = 2 * math.sqrt(2)
@@ -29,6 +28,7 @@ MAX_PARTIES = 10
 # an optional sign, then an integer or integer/integer; Fraction itself also
 # takes decimals and exponents, and for "1e99999999" it builds 10**99999999
 _EXACT_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_MISSING = object()  # the row of an input absent from a given table
 
 
 def all_bit_tuples(n: int) -> list[tuple[int, ...]]:
@@ -68,11 +68,14 @@ def _bit_tuple(raw, codes: Mapping) -> tuple[tuple[int, ...], int | None]:
 
 
 def _checked_row(n: int, given: Mapping, inputs: tuple[int, ...], codes: Mapping,
-                 bits: list, known: dict) -> tuple[dict, tuple[int, tuple]]:
+                 bits: Sequence, known: dict) -> tuple[dict, tuple[int, tuple]]:
     """A given row of a box, checked: (the row keyed by the shared bit tuples,
     its integer form).  ``known`` maps the id of each shared tuple to its code."""
     row: dict[tuple[int, ...], Fraction] = {}
-    kept = []  # the codes of the row's outcomes, in order
+    kept = []  # (code, numerator, denominator) of the row's outcomes, in order
+    # id(given value) -> (Fraction, numerator, denominator, the value): the value
+    # stays referenced, so its id is not given to another
+    parsed: dict[int, tuple] = {}
     for outputs, value in given.items():
         code = known.get(id(outputs))
         if code is None:
@@ -80,20 +83,24 @@ def _checked_row(n: int, given: Mapping, inputs: tuple[int, ...], codes: Mapping
             if len(out) != n:
                 raise ValueError(f"outputs {out} for inputs {inputs} have wrong arity")
         out = bits[code]
-        p = exact_fraction(value)
-        if p.numerator < 0:
+        found = parsed.get(id(value))
+        if found is None:
+            p = exact_fraction(value)
+            found = parsed[id(value)] = p, p.numerator, p.denominator, value
+        p, num, d, _ = found
+        if num < 0:
             raise ValueError(f"negative probability {p} at inputs {inputs}, outputs {out}")
-        if p.numerator:
+        if num:
             if out in row:
                 raise ValueError(f"duplicate outcome {out} for inputs {inputs}")
             row[out] = p
-            kept.append(code)
-    den = math.lcm(*(p.denominator for p in row.values()))
-    nums = [p.numerator * (den // p.denominator) for p in row.values()]
+            kept.append((code, num, d))
+    den = math.lcm(*{d for _, _, d in kept})
+    nums = [num * (den // d) for _, num, d in kept]
     if sum(nums) != den:
         raise ValueError(f"probabilities for inputs {inputs} sum to "
                          f"{sum(row.values(), Fraction(0))}, expected 1")
-    return row, (den, tuple(zip(kept, nums)))
+    return row, (den, tuple(zip([code for code, _, _ in kept], nums)))
 
 
 class NoSignalBox:
@@ -113,6 +120,12 @@ class NoSignalBox:
     occurrence, each in the exact integer format (denominator, ((outcome
     code, numerator), ...)) over the row's own least common denominator.
 
+    The input and outcome tuples are the shared ones of ``shared_bits(n)``,
+    built once per n with the code of each tuple by its id, so a given
+    outcome that is a shared tuple is coded by one lookup.  Each input's
+    row is looked up once, in one bulk pass, and held while the box is
+    built; each given value of a row is parsed once.
+
     ``form`` records the parity constraint the box was built from, when
     there is one; boxes loaded from explicit tables carry ``form=None``.
     """
@@ -122,27 +135,24 @@ class NoSignalBox:
         if n < 1:
             raise ValueError("a box needs at least one party")
         codes = bit_codes(n)
-        bits = list(codes)  # the shared bit tuples, by code
-        known = {id(out): code for code, out in enumerate(bits)}
-        checked: dict[int, tuple] = {}  # id(given row) -> (given row, row id)
+        bits, known = shared_bits(n)
+        given = list(map(rows.get, bits, repeat(_MISSING)))  # by input code
+        ids = list(map(id, given))  # the given rows stay referenced
+        checked: dict[int, int] = {}  # id(given row) -> row id
         interned: dict[tuple, int] = {}  # integer form -> row id
         distinct: list[dict] = []
-        table: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        row_ids: list[int] = []
-        for inputs in bits:
-            if inputs not in rows:
-                raise ValueError(f"missing row for inputs {inputs}")
-            given = rows[inputs]
-            seen = checked.get(id(given))
-            if seen is None:  # the given row stays referenced: its id is not reused
-                row, integer = _checked_row(n, given, inputs, codes, bits, known)
-                seen = checked[id(given)] = given, interned.setdefault(integer, len(distinct))
-                if seen[1] == len(distinct):
+        for code, key in enumerate(ids):
+            if key not in checked:  # a given row is checked at its first input
+                if given[code] is _MISSING:
+                    raise ValueError(f"missing row for inputs {bits[code]}")
+                row, integer = _checked_row(n, given[code], bits[code], codes, bits, known)
+                row_id = checked[key] = interned.setdefault(integer, len(distinct))
+                if row_id == len(distinct):
                     distinct.append(row)
-            table[inputs] = distinct[seen[1]]
-            row_ids.append(seen[1])
-        extra = [key for key in rows if key not in table]
-        if extra:
+        row_ids = list(map(checked.__getitem__, ids))
+        table = dict(zip(bits, map(distinct.__getitem__, row_ids)))
+        if len(rows) != len(table):
+            extra = [key for key in rows if key not in table]
             raise ValueError(f"unexpected input tuples: {extra[:3]}")
         self.n = n
         self.rows = table
@@ -173,15 +183,17 @@ def parity_box(form: BooleanForm, *, label: str | None = None) -> NoSignalBox:
     Every input row has 2**(n-1) equiprobable outcomes of weight
     1/2**(n-1), and the rows are the two shared ones of the even- and
     odd-parity outcomes; the construction is a pure function of the form.
+    The form's values on all inputs come from one truth-table pass
+    (``BooleanForm.truth_table``, one bulk bit-mask pass per monomial), and
+    the weight and the outcomes of each parity from ``parity_outcomes``,
+    built once per n.
     """
     n = form.n
     if n < 2:
         raise ValueError("parity boxes need at least 2 parties")
-    weight = Fraction(1, 2 ** (n - 1))
-    bit_tuples = list(bit_codes(n))  # the inputs, and the outcomes
-    by_parity = [dict.fromkeys([out for out in bit_tuples if xor_bits(out) == rhs], weight)
-                 for rhs in (0, 1)]
-    rows = {inputs: by_parity[form.evaluate(inputs)] for inputs in bit_tuples}
+    weight, outcomes = parity_outcomes(n)
+    by_value = dict(zip("01", (dict.fromkeys(outs, weight) for outs in outcomes)))
+    rows = dict(zip(shared_bits(n)[0], map(by_value.__getitem__, form.truth_table())))
     return NoSignalBox(n, rows, form=form, label=label)
 
 
@@ -286,8 +298,15 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     ``CoalitionMarginals`` per coalition: only the inputs compared are
     read, each distinct row is projected at most once per coalition over
     its own denominator, and two inputs differ when their marginals'
-    distribution ids do, so no number carries the primes of two rows.  The
-    witness marginals are decoded from the two marginals compared.
+    distribution ids do, so no number carries the primes of two rows.  A
+    row's distribution id, once known, is read from a list without a call.
+    The coalition's input codes, the senders' patterns and where each
+    outcome lands in the coalition's outputs are per-shape tables
+    (``spread_codes`` and ``projection``), each built once per (party
+    count, parties) in the process; no table is keyed by a box, so a
+    second verdict of an equal box does its projections again.  The
+    witness marginals are decoded from the two rows compared, projected
+    once more.
     """
     n = box.n
     signaling = [j for j in range(n) if CoalitionMarginals(
@@ -342,6 +361,30 @@ bit_codes = cache(lambda n: {bits: k for k, bits in enumerate(all_bit_tuples(n))
 
 
 @cache
+def shared_bits(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    """The shared n-bit tuples of ``bit_codes(n)`` by code, and the code of
+    each by its id; built once per n and read only."""
+    bits = tuple(bit_codes(n))
+    return bits, {id(out): code for code, out in enumerate(bits)}
+
+
+@cache
+def parity_outcomes(n: int) -> tuple[Fraction, tuple[tuple, tuple]]:
+    """1/2**(n-1), and the shared n-bit outcome tuples of even parity and of
+    odd parity, each by code; built once per n and read only."""
+    parity = BooleanForm.from_monomials(n, [[i] for i in range(n)]).truth_table()
+    bits = shared_bits(n)[0]
+    return Fraction(1, 2 ** (n - 1)), tuple(
+        tuple(out for out, odd in zip(bits, parity) if odd == value) for value in "01")
+
+
+@cache
+def spread_codes(n: int, parties: tuple[int, ...]) -> array:
+    """``spread(n, parties)``, built once per (n, parties) and read only."""
+    return array("H", spread(n, parties))
+
+
+@cache
 def projection(n: int, coal: tuple[int, ...]) -> array:
     """By outcome code, the code of the coalition's bits in the coalition's
     order; built once per (n, coalition) and read only."""
@@ -357,7 +400,8 @@ class CoalitionMarginals:
     ``ConstrainedBox`` on one coalition (a tuple of parties): the engine of
     both the verdict and the signaling scan.  ``project`` is the coalition's
     ``projection``, shared by every box of its party count.  A row (by its
-    id in ``row_ids``) is projected when its marginal is first asked for.
+    id in ``row_ids``) is projected when its marginal or, for the verdict,
+    its distribution id is first asked for.
     Rows whose marginals have the same denominator, keys and numerators in
     order share one (den, {output code: numerator}), over the row's own
     denominator and keyed in order of first occurrence, the order the scan
@@ -373,15 +417,21 @@ class CoalitionMarginals:
         self.indices: dict[tuple, int] = {}  # (den, keys, numerators) -> index
         self.dist_ids: dict[tuple, int] = {}  # (den, keys, numerators), lowest terms -> id
 
+    def projected(self, row_id: int) -> tuple[int, dict]:
+        """The row's marginal, (den, {output code: numerator}) over the row's
+        denominator, keyed in order of first occurrence."""
+        den, row = self.box.integer_rows[row_id]
+        project, counts = self.project, {}
+        for out, num in row:
+            key = project[out]
+            counts[key] = counts.get(key, 0) + num
+        return den, counts
+
     def marginal(self, row_id: int) -> int:
         """The index of the row's marginal."""
         index = self.index_of[row_id]
         if index is None:
-            den, row = self.box.integer_rows[row_id]
-            project, counts = self.project, {}
-            for out, num in row:
-                key = project[out]
-                counts[key] = counts.get(key, 0) + num
+            den, counts = self.projected(row_id)
             index = self.index_of[row_id] = self.indices.setdefault(
                 (den, tuple(counts), tuple(counts.values())), len(self.marginals))
             if index == len(self.marginals):
@@ -389,10 +439,12 @@ class CoalitionMarginals:
         return index
 
     def distribution(self, row_id: int) -> int:
-        """The distribution id of the row's marginal."""
+        """The distribution id of the row's marginal; a row with no marginal
+        index is projected without one, as the verdict needs only ids."""
         found = self.dist_of[row_id]
         if found is None:
-            den, counts = self.marginals[self.marginal(row_id)]
+            index = self.index_of[row_id]
+            den, counts = self.projected(row_id) if index is None else self.marginals[index]
             keys = sorted(counts)
             nums = tuple(map(counts.__getitem__, keys))
             g = math.gcd(den, *nums)
@@ -406,14 +458,20 @@ class CoalitionMarginals:
         """The first pair of input codes, the coalition's inputs then the
         senders' patterns lexicographic, whose marginals are different
         distributions; only the inputs compared are read."""
-        ids, distribution = self.box.row_ids, self.distribution
-        patterns = spread(self.box.n, senders)[1:]
-        for base in spread(self.box.n, self.coal):
+        ids, known, distribution = self.box.row_ids, self.dist_of, self.distribution
+        patterns = spread_codes(self.box.n, tuple(senders))[1:]
+        for base in spread_codes(self.box.n, self.coal):
             a = ids[base]
             for pattern in patterns:
                 b = ids[base | pattern]
-                if a != b and distribution(a) != distribution(b):
-                    return base, base | pattern
+                if a != b:
+                    dist_a, dist_b = known[a], known[b]
+                    if dist_a is None:
+                        dist_a = distribution(a)
+                    if dist_b is None:
+                        dist_b = distribution(b)
+                    if dist_a != dist_b:
+                        return base, base | pattern
 
 
 def decode_bucket(bucket: tuple[int, dict], width: int) -> dict[tuple, Fraction]:

@@ -20,21 +20,25 @@ which `induced_parity_form` computes symbolically; the table built by
 A conditioned row depends only on the box's row and the looped input
 bits, so each distinct (row, looped bits) pair is conditioned once, from
 the box's integer row, and conditioned rows with the same items in the
-same order are one shared object.  Like a box, a ``ConstrainedBox`` gives
-each input code a ``row_ids`` entry into ``integer_rows``, its distinct
-rows in the exact integer format of ``boxes`` for the signaling scan,
-each over its own denominator: every row is divided by its own surviving
-mass, and a denominator shared by the table would carry the primes of
-every row's mass in every numerator.  A paradox row is (1, ()).
+same order are one shared object.  Each probability is one Fraction per
+``constrain``, and the row ids and the per-input ``ConstrainedRow``s are
+made in bulk passes over the input codes.  Like a box, a
+``ConstrainedBox`` gives each input code a ``row_ids`` entry into
+``integer_rows``, its distinct rows in the exact integer format of
+``boxes`` for the signaling scan, each over its own denominator: every
+row is divided by its own surviving mass, and a denominator shared by
+the table would carry the primes of every row's mass in every
+numerator.  A paradox row is (1, ()).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .boxes import NoSignalBox, bit_codes, describe_box, spread
+from .boxes import NoSignalBox, describe_box, shared_bits, spread_codes
 from .forms import (PARTY_NAMES, BooleanForm, bit_string, input_names, normalize_pattern,
                     output_names, party_names)
 
@@ -54,33 +58,40 @@ class ConstrainedBox:
         self.box = box
         self.n = box.n
         self.pattern = normalize_pattern(box.n, pattern)
-        bits = list(bit_codes(self.n))  # the outcome tuples, by code
-        looped = spread(self.n, self.pattern)[-1]  # the code of the looped bits
+        bits = shared_bits(self.n)[0]  # the input and outcome tuples, by code
+        looped = spread_codes(self.n, self.pattern)[-1]  # the code of the looped bits
+        # by input code, (box row id, looped bits)
+        keys = list(zip(box.row_ids, map(looped.__and__, range(len(bits)))))
         conditioned: dict[tuple[int, int], int] = {}  # (box row id, looped bits) -> row id
         interned: dict[tuple, int] = {}  # integer form -> row id
         outcomes: list[dict] = []
-        rows: dict[tuple[int, ...], ConstrainedRow] = {}
-        self.row_ids: list[int] = []
-        for code, (inputs, box_row) in enumerate(zip(box.rows, box.row_ids)):
-            key = box_row, code & looped
-            if key not in conditioned:
-                # the kept numerators, over the box row's denominator
-                kept = [(out, num) for out, num in box.integer_rows[box_row][1]
-                        if out & looped == key[1]]
-                mass = sum(num for _, num in kept)  # zero iff nothing is kept
-                # over the lcm of the conditioned Fractions' denominators
-                common = math.gcd(*(num for _, num in kept)) or 1
-                integer = (mass // common or 1,
-                           tuple((out, num // common) for out, num in kept))
-                conditioned[key] = interned.setdefault(integer, len(outcomes))
-                if conditioned[key] == len(outcomes):
-                    den, items = integer
-                    share = {num: Fraction(num, den) for num in {num for _, num in items}}
-                    outcomes.append({bits[out]: share[num] for out, num in items})
-            row_id = conditioned[key]
-            self.row_ids.append(row_id)
-            rows[inputs] = ConstrainedRow(inputs, outcomes[row_id], not outcomes[row_id])
-        self.rows = rows
+        fractions: dict[tuple[int, int], Fraction] = {}  # (numerator, denominator) -> p
+        for key in dict.fromkeys(keys):  # in order of first occurrence
+            box_row, looped_bits = key
+            # the kept numerators, over the box row's denominator
+            kept = [(out, num) for out, num in box.integer_rows[box_row][1]
+                    if out & looped == looped_bits]
+            nums = [num for _, num in kept]
+            # over the lcm of the conditioned Fractions' denominators
+            common = math.gcd(*nums) or 1
+            if common > 1:
+                kept = [(out, num // common) for out, num in kept]
+            integer = (sum(nums) // common or 1, tuple(kept))  # a paradox row is (1, ())
+            row_id = conditioned[key] = interned.setdefault(integer, len(outcomes))
+            if row_id == len(outcomes):
+                den = integer[0]
+                for num in {num for _, num in kept}:
+                    if (num, den) not in fractions:
+                        fractions[num, den] = Fraction(num, den)
+                outcomes.append({bits[out]: fractions[num, den] for out, num in kept})
+        self.row_ids: list[int] = list(map(conditioned.__getitem__, keys))
+        paradox = [not row for row in outcomes]  # by row id
+        # tuple.__new__ is how ConstrainedRow._make builds a row, here without a
+        # Python call per input
+        self.rows: dict[tuple[int, ...], ConstrainedRow] = dict(zip(bits, map(
+            tuple.__new__, repeat(ConstrainedRow),
+            zip(bits, map(outcomes.__getitem__, self.row_ids),
+                map(paradox.__getitem__, self.row_ids)))))
         self.integer_rows: list[tuple[int, tuple]] = list(interned)
 
     @property

@@ -8,6 +8,7 @@ the correlation boxes in this package: XOR of all outputs == form(inputs).
 from __future__ import annotations
 
 import operator
+from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 INPUT_NAMES = ("x", "y", "z")
@@ -80,6 +81,16 @@ def party_names(n: int) -> tuple[str, ...]:
     return _labels(PARTY_NAMES, "party", n)
 
 
+@cache
+def party_masks(n: int) -> tuple[int, tuple[int, ...]]:
+    """The integer with bit k set for every n-bit input code k, and by party
+    the integer whose bit k is set iff code k has a 1 at that party (party
+    0's bit the most significant); built once per n."""
+    codes = 1 << n
+    return (1 << codes) - 1, tuple(int(("1" * w + "0" * w) * (codes // (2 * w)), 2)
+                                   for w in (1 << (n - 1 - i) for i in range(n)))
+
+
 class _Form(NamedTuple):
     n: int
     monomials: frozenset[frozenset[int]]
@@ -137,6 +148,28 @@ class BooleanForm(_Form):
                 term &= bits[index]
             value ^= term
         return value
+
+    def truth_table(self) -> str:
+        """The form's value on every input code, the code being the input bits
+        read as a binary number (party 0's bit the most significant), as the
+        characters "0" and "1" in code order.
+
+        Each monomial is one bulk pass over the codes: the AND of its
+        parties' ``party_masks``, an integer whose bit k is set iff code k
+        has a 1 at each of them; the form is the XOR of these integers.
+
+        >>> BooleanForm.from_monomials(2, [[0, 1]]).truth_table()
+        '0001'
+        """
+        n, monomials = self
+        every, masks = party_masks(n)
+        table = 0
+        for mono in monomials:
+            term = every
+            for index in mono:
+                term &= masks[index]
+            table ^= term
+        return format(table, f"0{1 << n}b")[::-1]
 
     def sorted_monomials(self) -> list[tuple[int, ...]]:
         """Monomials in canonical order: by degree, then by indices."""

@@ -108,7 +108,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .boxes import CoalitionMarginals, NoSignalBox, all_bit_tuples, bit_codes, spread
 from .ctc import ConstrainedBox, head_json, parse_pattern, render_head
-from .forms import input_names, normalize_pattern, party_names
+from .forms import BooleanForm, input_names, normalize_pattern, party_names
 
 
 def _entropy(masses: Iterable, denominator: int) -> float:
@@ -135,11 +135,11 @@ def _check_scenario(cbox: ConstrainedBox, sender: int,
 def _tables(size: int) -> tuple[list, dict, list[str], list[int]]:
     """A coalition of this size's settings and output keys, their codes, and
     by output code its bit string and its parity."""
-    labels, parity = [""], [0]
+    labels = [""]
     for _ in range(size):
         labels = [label + bit for label in labels for bit in "01"]
-        parity = [p ^ bit for p in parity for bit in (0, 1)]
-    return all_bit_tuples(size), bit_codes(size), labels, parity
+    parity = BooleanForm.from_monomials(size, [[i] for i in range(size)]).truth_table()
+    return all_bit_tuples(size), bit_codes(size), labels, list(map(int, parity))
 
 
 @cache
@@ -291,9 +291,12 @@ def _information_by_outputs(p0: Mapping, p1: Mapping, outs: Iterable,
                             denominator: int) -> float:
     """The information as a sum over outputs of (a + b) / (2 den) (1 - h(a /
     (a + b))), a and b the output's numerators: every term is >= 0, so no
-    two terms cancel, and the sum is > 0 unless every term underflows."""
-    return sum((a + b) / (2 * denominator) * _one_minus_h(a, b)
-               for a, b in ((p0.get(out, 0), p1.get(out, 0)) for out in outs))
+    two terms cancel, and the sum is > 0 unless every term underflows.  The
+    terms are added left to right, as in ``mean_mi_bits``."""
+    total = 0.0
+    for a, b in ((p0.get(out, 0), p1.get(out, 0)) for out in outs):
+        total += (a + b) / (2 * denominator) * _one_minus_h(a, b)
+    return total
 
 
 def _note(parities: set[int]) -> str | None:
@@ -400,11 +403,17 @@ def analyze(cbox: ConstrainedBox, sender: int,
 
 
 def mean_mi_bits(entries: Iterable[SignalingEntry]) -> float:
-    """Average per-setting information, receivers choosing settings uniformly."""
+    """Average per-setting information, receivers choosing settings uniformly.
+
+    The floats are added left to right: from Python 3.12 on, ``sum()``
+    compensates a float sum, and could move the last bit of a payload."""
     entries = list(entries)
     if not entries:
         raise ValueError("no entries to average")
-    return sum(e.mi_bits for e in entries) / len(entries)
+    total = 0.0
+    for e in entries:
+        total += e.mi_bits
+    return total / len(entries)
 
 
 def _toward(n: int, sender: int, size: int) -> Iterator[tuple[int, ...]]:

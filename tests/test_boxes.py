@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -62,16 +63,38 @@ def test_spec_party_count_is_bounded(spec):
         box_from_spec(spec)
 
 
+def anf_forms(n):
+    """Every Boolean function of n bits, each built from its algebraic normal
+    form: one form per set of monomials."""
+    monomials = [m for k in range(n + 1) for m in combinations(range(n), k)]
+    for chosen in range(1 << len(monomials)):
+        yield BooleanForm.from_monomials(
+            n, [m for k, m in enumerate(monomials) if chosen >> k & 1])
+
+
 def test_parity_box_structure():
-    for name, form in NAMED_FORMS.items():
-        box = named_box(name)
+    rng = random.Random(38)
+    boxes_ = [(form, named_box(name)) for name, form in NAMED_FORMS.items()]
+    forms = [*anf_forms(2), *anf_forms(3)]
+    for n in range(4, 8):
+        monomials = [m for k in range(n + 1) for m in combinations(range(n), k)]
+        forms += [BooleanForm.from_monomials(n, rng.sample(monomials, k))
+                  for k in (1, 2, n, len(monomials) // 2)]
+    boxes_ += [(form, parity_box(form)) for form in forms]
+    functions = set()
+    for form, box in boxes_:
         n = box.n
         weight = Fraction(1, 2 ** (n - 1))
+        values = []
         for inputs, row in box.rows.items():
             assert len(row) == 2 ** (n - 1)
             assert all(p == weight for p in row.values())
             rhs = form.evaluate(inputs)
             assert all(xor_bits(out) == rhs for out in row)
+            values.append(rhs)
+        functions.add((n, tuple(values)))
+    # the forms at n = 2 and 3 are every function of two and of three bits
+    assert len({key for key in functions if key[0] <= 3}) == 16 + 256
 
 
 def test_named_box_accepts_strings_case_insensitively():

@@ -344,9 +344,9 @@ def test_rows_handed_out_afresh_build_the_box_a_plain_dict_builds():
     rows = {x: {x: half, tuple(1 - b for b in x): half} for x in all_bit_tuples(n)}
     fresh_rows = FreshRows(rows)
     fresh, plain = NoSignalBox(n, fresh_rows), NoSignalBox(n, rows)
-    # ids were recycled: the row looked up for ``in`` and dropped gave its id
-    # to the next row handed out
-    assert len(set(fresh_rows.ids)) < len(fresh_rows.ids)
+    # each row is looked up once and held while the box is built, so no
+    # row's id is handed to another
+    assert len(set(fresh_rows.ids)) == len(fresh_rows.ids) == 2 ** n
     assert fresh == plain
     assert fresh.row_ids == plain.row_ids == list(range(2 ** n))
     assert fresh.integer_rows == plain.integer_rows

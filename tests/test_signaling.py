@@ -8,11 +8,12 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctcbox import boxes, signaling
+from ctcbox import boxes, forms, signaling
 from ctcbox.boxes import (BoxName, NoSignalBox, all_bit_tuples, bit_codes, is_no_signaling,
                           named_box, parity_box)
 from ctcbox.ctc import constrain
@@ -450,6 +451,13 @@ def test_mean_mi_requires_entries():
         mean_mi_bits([])
 
 
+def test_mean_mi_adds_left_to_right_on_every_python():
+    # a compensated sum, as sum() of floats is from Python 3.12 on, keeps both
+    # 1e-16 and reads 0.3333333333333334
+    entries = [SimpleNamespace(mi_bits=bits) for bits in (1.0, 1e-16, 1e-16)]
+    assert repr(mean_mi_bits(entries)) == "0.3333333333333333"
+
+
 def test_unconstrained_box_never_signals():
     for name in ("pr", "svetlichny"):
         box = named_box(name)
@@ -754,7 +762,8 @@ def _shape_runs(n, cbox):
 
 
 SHAPE_CACHES = (boxes.projection, signaling._settings_order, signaling._reorder,
-                signaling._tables, signaling._bits_of)
+                signaling._tables, signaling._bits_of, boxes.spread_codes, boxes.shared_bits,
+                boxes.parity_outcomes, forms.party_masks)
 
 
 def test_the_shape_caches_hold_one_entry_per_shape():
@@ -769,12 +778,14 @@ def test_the_shape_caches_hold_one_entry_per_shape():
             form = BooleanForm.from_monomials(n, monomials(n))
             _shape_runs(n, constrain(parity_box(form), [0]))
         sizes.append([cached.cache_info().currsize for cached in SHAPE_CACHES])
-    # one entry per (n, coalition), per (outside parties, sender position)
-    # and per coalition size; the second family adds none
+    # one entry per (n, coalition), per (outside parties, sender position),
+    # per coalition size, per (n, parties) and per party count; the second
+    # family adds none
     assert sizes[0] == sizes[1]
     coalitions = sum(2 ** n - 2 for n in range(2, 8))
     assert all(size <= most for size, most
-               in zip(sizes[0], [coalitions, coalitions, sum(range(1, 7)), 6, 6]))
+               in zip(sizes[0], [coalitions, coalitions, sum(range(1, 7)), 6, 6, coalitions,
+                                 6, 6, 7]))
 
 
 def test_a_second_setting_of_one_shape_builds_no_table(monkeypatch):
@@ -802,23 +813,30 @@ def test_a_second_setting_of_one_shape_builds_no_table(monkeypatch):
 def test_the_shapes_of_every_party_count_take_little_memory():
     shapes = [(n, coal) for n in range(2, boxes.MAX_PARTIES + 1) for size in range(1, n)
               for coal in combinations(range(n), size)]
+    counts = [(n,) for n in range(1, boxes.MAX_PARTIES + 1)]
     # for each kind of table, its cache up to 7 parties, and the tables of
-    # every shape up to MAX_PARTIES
+    # every shape up to MAX_PARTIES; the tables it reads are built first, so
+    # that each kind counts its own memory
     up_to_seven, every = [], []
-    for table in (boxes.projection, signaling._settings_order):
+    for table, keys in ((boxes.projection, shapes), (signaling._settings_order, shapes),
+                        (boxes.spread_codes, shapes), (boxes.shared_bits, counts),
+                        (boxes.parity_outcomes, counts[1:]), (forms.party_masks, counts)):
+        held = [table(*key) for key in keys]
         table.cache_clear()
         tracemalloc.start()
         try:
-            held = [table(n, coal) for n, coal in shapes if n <= 7]
+            held = [table(*key) for key in keys if key[0] <= 7]
             up_to_seven.append(tracemalloc.get_traced_memory()[0])
-            held = [table(n, coal) for n, coal in shapes]
+            held = [table(*key) for key in keys]
             table.cache_clear()
             before = tracemalloc.get_traced_memory()[0]
             held.clear()
             every.append(before - tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-    assert sum(up_to_seven) < 0.2 * 2 ** 20
+    # the two tables of each coalition, then the tables of (n, parties) and of n
+    assert sum(up_to_seven[:2]) < 0.2 * 2 ** 20
+    assert sum(up_to_seven[2:]) < 0.1 * 2 ** 20
     assert max(every) <= 3 * 2 ** 20
 
 
