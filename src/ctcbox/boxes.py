@@ -23,12 +23,16 @@ CHSH_CLASSICAL_BOUND = Fraction(2)
 CHSH_TSIRELSON_BOUND = 2 * math.sqrt(2)
 # the most parties a spec file may ask for: a table spec lists up to 4**n
 # entries and a full scan analyses n * (2**(n-1) - 1) directions; parity_box
-# shares its two rows and takes about 5 ms at n = 9 and 10 ms at n = 10
+# builds at most two rows and takes about 0.13 ms at n = 9 and 0.26 ms at
+# n = 10 (one core of a 2-vCPU Xeon VM, Python 3.11)
 MAX_PARTIES = 10
 # an optional sign, then an integer or integer/integer; Fraction itself also
 # takes decimals and exponents, and for "1e99999999" it builds 10**99999999
 _EXACT_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _MISSING = object()  # the row of an input absent from a given table
+# by the form's value at input 0, a truth table's characters as row ids: the
+# row of input 0 is row 0
+_ROW_OF_VALUE = (bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"01", b"\1\0"))
 
 
 def all_bit_tuples(n: int) -> list[tuple[int, ...]]:
@@ -161,6 +165,16 @@ class NoSignalBox:
         self.form = form
         self.label = label
 
+    @classmethod
+    def _made(cls, n: int, rows: dict, row_ids: list[int], integer_rows: list[tuple[int, tuple]],
+              *, form: BooleanForm | None, label: str | None) -> NoSignalBox:
+        """A box of rows the package made itself, already in the form
+        ``__init__`` checks given rows into: nothing is checked again."""
+        box = cls.__new__(cls)
+        box.n, box.rows, box.row_ids, box.integer_rows = n, rows, row_ids, integer_rows
+        box.form, box.label = form, label
+        return box
+
     def prob(self, inputs: Iterable[int], outputs: Iterable[int]) -> Fraction:
         """p(outputs | inputs); zero for outcomes absent from the table."""
         return self.rows[tuple(inputs)].get(tuple(outputs), Fraction(0))
@@ -181,20 +195,29 @@ def parity_box(form: BooleanForm, *, label: str | None = None) -> NoSignalBox:
     """Box whose outputs are uniform over {XOR(outputs) == form(inputs)}.
 
     Every input row has 2**(n-1) equiprobable outcomes of weight
-    1/2**(n-1), and the rows are the two shared ones of the even- and
-    odd-parity outcomes; the construction is a pure function of the form.
-    The form's values on all inputs come from one truth-table pass
+    1/2**(n-1): the outcomes of even parity where the form is 0 and of odd
+    parity where it is 1, and the box holds one row object per parity that
+    occurs; the construction is a pure function of the form.  The form's
+    values on all inputs come from one truth-table pass
     (``BooleanForm.truth_table``, one bulk bit-mask pass per monomial), and
-    the weight and the outcomes of each parity from ``parity_outcomes``,
-    built once per n.
+    ``row_ids`` from that table in one C pass, the row of input 0 being row
+    0.  The weight, the outcomes and the integer row of each parity come
+    from ``parity_outcomes``, built once per n.  The rows are made here in
+    the form ``NoSignalBox`` would check them into, so none is checked
+    again; each box gets row dicts of its own.
     """
     n = form.n
     if n < 2:
         raise ValueError("parity boxes need at least 2 parties")
-    weight, outcomes = parity_outcomes(n)
-    by_value = dict(zip("01", (dict.fromkeys(outs, weight) for outs in outcomes)))
-    rows = dict(zip(shared_bits(n)[0], map(by_value.__getitem__, form.truth_table())))
-    return NoSignalBox(n, rows, form=form, label=label)
+    weight, outcomes, integer_rows = parity_outcomes(n)
+    truth = form.truth_table()
+    first = int(truth[0])
+    row_ids = list(truth.encode().translate(_ROW_OF_VALUE[first]))
+    parities = (first, 1 - first)[:2 if 1 in row_ids else 1]  # by row id
+    rows = [dict.fromkeys(outcomes[parity], weight) for parity in parities]
+    return NoSignalBox._made(n, dict(zip(shared_bits(n)[0], map(rows.__getitem__, row_ids))),
+                             row_ids, [integer_rows[parity] for parity in parities],
+                             form=form, label=label)
 
 
 class BoxName(str, Enum):
@@ -273,7 +296,7 @@ class NoSignalingVerdict(NamedTuple):
 
 
 def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
-    """Complete no-signaling check: n conditions, then the ordered witness scan.
+    """Complete no-signaling check: n conditions, then the witness search.
 
     A box is no-signaling iff, for every proper coalition R and every
     fixing of R's inputs, the marginal of R's outputs does not depend on
@@ -285,16 +308,32 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     a time then leaves it fixed.
 
     The parties that fail their condition are the signaling set S.  When S
-    is empty the box passes.  Otherwise the scan runs in the documented
-    order (coalitions by size then lexicographically, coalition inputs,
-    completions, all lexicographic) and returns the lexicographically
-    first witness.  It skips every coalition that contains S, which passes
-    by the proof above, and varies only the inputs of S outside R, since
-    no other input moves R's marginal: the first completion with a given
-    pattern of those bits has all other bits 0, so the witness is the one
-    a scan over every completion finds.
+    is empty the box passes.  Otherwise the verdict returns the witness of
+    the documented order (coalitions by size then lexicographically,
+    coalition inputs, completions, all lexicographic): the lexicographically
+    first.  A coalition that contains S passes, by the proof above, and
+    only the inputs of S outside R are varied, since no other input moves
+    R's marginal: the first completion with a given pattern of those bits
+    has all other bits 0, so the witness is the one a scan over every
+    completion finds.
 
-    Both stages compare marginals on the scan's engine, a
+    The same argument makes failing monotone: a coalition R that fails for
+    sender k still fails when any party other than k joins it.  R's
+    marginal moves when the outside inputs change one at a time, so a
+    single party k outside R moves it, and k is in S.  For every R' that
+    holds R but not k, R's marginal is a marginal of the marginal of R',
+    so x_k moves that one too, and every R of at most n-2 parties grows so
+    into one of exactly n-2.  So the search starts at the top: it scans
+    the coalitions of n-2 parties lexicographically.  When none fails, no
+    smaller one does, and the witness's coalition has n-1 parties; the
+    first of these in lexicographic order is the complement of the last
+    party of S, and its condition has already found the witness.  When one
+    fails, the coalitions of 1 to n-3 parties are scanned in the
+    documented order, and the failure found at n-2 parties is the witness
+    only when none of them fails.  A box whose witness has at most n-3
+    parties pays for that probe.
+
+    Each stage compares marginals on the scan's engine, a
     ``CoalitionMarginals`` per coalition: only the inputs compared are
     read, each distinct row is projected at most once per coalition over
     its own denominator, and two inputs differ when their marginals'
@@ -309,24 +348,38 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     once more.
     """
     n = box.n
-    signaling = [j for j in range(n) if CoalitionMarginals(
-        box, tuple(i for i in range(n) if i != j)).first_change([j])]
+    signaling = []
+    for j in range(n):
+        state = CoalitionMarginals(box, tuple(i for i in range(n) if i != j))
+        move = state.first_change([j])
+        if move:
+            signaling.append(j)
+            last = state, move  # the condition of the last signaling party
     if not signaling:
         return NoSignalingVerdict(True)
-    for size in range(1, n):
-        for coalition in combinations(range(n), size):
+    probe = _first_failure(box, signaling, [n - 2]) if n > 2 else None
+    state, move = (_first_failure(box, signaling, range(1, n - 2)) or probe) if probe else last
+    inputs = shared_bits(n)[0]
+    return NoSignalingVerdict(False, SignalingWitness(
+        state.coal, *(inputs[code] for code in move),
+        *(decode_bucket(state.marginals[state.marginal(box.row_ids[code])], len(state.coal))
+          for code in move)))
+
+
+def _first_failure(box: NoSignalBox, signaling: list[int], sizes: Iterable[int]
+                   ) -> tuple[CoalitionMarginals, tuple[int, int]] | None:
+    """The first coalition of these sizes, by size then lexicographically,
+    whose marginal a party of ``signaling`` outside it moves: its state and
+    the two input codes compared; None when every one passes."""
+    for size in sizes:
+        for coalition in combinations(range(box.n), size):
             senders = [i for i in signaling if i not in coalition]
-            if not senders:
-                continue
-            state = CoalitionMarginals(box, coalition)
-            move = state.first_change(senders)
-            if move:
-                inputs = list(box.rows)
-                return NoSignalingVerdict(False, SignalingWitness(
-                    coalition, *(inputs[code] for code in move),
-                    *(decode_bucket(state.marginals[state.marginal(box.row_ids[code])], size)
-                      for code in move)))
-    raise AssertionError("a signaling party leaves a witness")
+            if senders:
+                state = CoalitionMarginals(box, coalition)
+                move = state.first_change(senders)
+                if move:
+                    return state, move
+    return None
 
 
 def verify_json(boxes: Iterable[NoSignalBox]) -> dict:
@@ -369,13 +422,16 @@ def shared_bits(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
 
 
 @cache
-def parity_outcomes(n: int) -> tuple[Fraction, tuple[tuple, tuple]]:
-    """1/2**(n-1), and the shared n-bit outcome tuples of even parity and of
-    odd parity, each by code; built once per n and read only."""
+def parity_outcomes(n: int) -> tuple[Fraction, tuple[tuple, tuple], tuple[tuple, tuple]]:
+    """1/2**(n-1), the shared n-bit outcome tuples of even parity and of odd
+    parity, each by code, and the integer row of each parity, (2**(n-1),
+    ((code, 1), ...)); built once per n and read only."""
     parity = BooleanForm.from_monomials(n, [[i] for i in range(n)]).truth_table()
     bits = shared_bits(n)[0]
-    return Fraction(1, 2 ** (n - 1)), tuple(
-        tuple(out for out, odd in zip(bits, parity) if odd == value) for value in "01")
+    codes = tuple(tuple(code for code, odd in enumerate(parity) if odd == value)
+                  for value in "01")
+    return (Fraction(1, 2 ** (n - 1)), tuple(tuple(map(bits.__getitem__, c)) for c in codes),
+            tuple((2 ** (n - 1), tuple(zip(c, repeat(1)))) for c in codes))
 
 
 @cache
@@ -476,7 +532,7 @@ class CoalitionMarginals:
 
 def decode_bucket(bucket: tuple[int, dict], width: int) -> dict[tuple, Fraction]:
     """A bucket keyed by ``width``-bit codes as {bits: Fraction}."""
-    keys = all_bit_tuples(width)
+    keys = shared_bits(width)[0]
     return {keys[k]: Fraction(v, bucket[0]) for k, v in bucket[1].items()}
 
 

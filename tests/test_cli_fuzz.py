@@ -12,15 +12,16 @@ numbers only, since argparse's own refusal ends the process.
 """
 
 import contextlib
+import functools
 import io
 import json
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctcbox.boxes import box_to_spec, named_box
 from ctcbox.cli import main
-from ctcbox.deutsch import example, matrix_to_json
 
 
 def table_spec(name: str) -> dict:
@@ -40,17 +41,25 @@ def permutation_problem(d_cr: int, d_loop: int, step: int) -> dict:
             "d_loop": d_loop}
 
 
-def example_problem(name: str) -> dict:
-    u, rho, d_loop = example(name)
-    return {"unitary": matrix_to_json(u), "rho_cr": matrix_to_json(rho), "d_loop": d_loop}
+@functools.cache
+def problems() -> list[dict]:
+    """The solver problems the ``deutsch`` cases mutate: two built-in
+    examples, which need numpy, and two permutations."""
+    pytest.importorskip("numpy")
+    from ctcbox.deutsch import example, matrix_to_json
+
+    def example_problem(name: str) -> dict:
+        u, rho, d_loop = example(name)
+        return {"unitary": matrix_to_json(u), "rho_cr": matrix_to_json(rho), "d_loop": d_loop}
+
+    return [example_problem("swap"), example_problem("grandfather"),
+            permutation_problem(2, 8, 5), permutation_problem(4, 3, 7)]
 
 
 SPECS = [box_to_spec(named_box("pr")), box_to_spec(named_box("mermin2")),
          {"parties": 5, "constraint": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]},
          {"parties": 6, "constraint": [[0, 1, 2], [3, 4], [5]]},
          table_spec("pr"), table_spec("svetlichny")]
-PROBLEMS = [example_problem("swap"), example_problem("grandfather"),
-            permutation_problem(2, 8, 5), permutation_problem(4, 3, 7)]
 # no int between 6 and 10: a box of more parties than 6 is valid, and slow
 HOSTILE = [None, True, False, 0, 1, 2, 3, 6, -1, 11, 10 ** 30, 0.5, 1e308, float("nan"),
            "", "0", "1/2", "1/0", "-1/2", "abc", "1/" + "3" * 5000, [], [[]], [0, 1],
@@ -121,7 +130,7 @@ def deutsch_commands(draw):
         argv.append("--crosscheck")
     if draw(st.booleans()):
         argv.append("--json")
-    return argv, draw(json_input(PROBLEMS))
+    return argv, draw(json_input(problems()))
 
 
 def run(argv: list[str], stdin: str) -> tuple[int, str, str]:

@@ -16,7 +16,7 @@ from types import FunctionType
 import pytest
 
 import ctcbox
-from ctcbox import boxes, deutsch, signaling
+from ctcbox import boxes, signaling
 from ctcbox.boxes import SignalingWitness, is_no_signaling, named_box
 from ctcbox.cli import main
 from ctcbox.ctc import constrain
@@ -53,6 +53,7 @@ def test_classical_commands_run_without_numpy(capsys, argv, json_flag):
 
 
 def test_deutsch_runs_without_dataclasses(capsys):
+    pytest.importorskip("numpy")
     argv = ["deutsch", "--example", "swap", "--crosscheck"]
     proc = python(BLOCK_DATACLASSES + RUN_MAIN, *argv)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -60,9 +61,18 @@ def test_deutsch_runs_without_dataclasses(capsys):
     assert proc.stdout == capsys.readouterr().out.encode()
 
 
+def test_deutsch_without_numpy_is_a_usage_error():
+    proc = python(BLOCK_NUMPY + RUN_MAIN, "deutsch", "--example", "swap")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: the deutsch subcommand needs numpy\n"
+
+
 @pytest.mark.parametrize("argv", CLASSICAL_COMMANDS + [["deutsch", "--example", "swap"]],
                          ids=" ".join)
 def test_only_analyze_loads_signaling(argv):
+    if argv[0] == "deutsch":
+        pytest.importorskip("numpy")
     proc = python("import contextlib, io, sys\nfrom ctcbox.cli import main\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   "    main(sys.argv[1:])\n"
@@ -96,24 +106,26 @@ def test_lazy_names_are_listed_and_resolve():
                   "print('numpy' in sys.modules)\n")
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.split() == [b"True", b"False"]
+    with pytest.raises(AttributeError):
+        ctcbox.no_such_name
+    # every name but the quantum loop's resolves without numpy
+    classical = [name for name in ctcbox.__all__ if ctcbox._MODULE_OF[name] != "deutsch"]
+    proc = python(BLOCK_NUMPY + "import ctcbox\n"
+                  "for name in sys.argv[1:]:\n"
+                  "    getattr(ctcbox, name)\n", *classical)
+    assert proc.returncode == 0, proc.stderr.decode()
+    pytest.importorskip("numpy")
+    from ctcbox import deutsch
     for name in ctcbox.__all__:
         assert getattr(ctcbox, name) is not None
     for name in ("fixed_point", "example", "FixedPointResult"):
         assert getattr(ctcbox, name) is getattr(deutsch, name)
-    with pytest.raises(AttributeError):
-        ctcbox.no_such_name
     # each class or function is listed under the module that defines it
     for module, names in ctcbox._EXPORTS.items():
         for name in names:
             value = getattr(ctcbox, name)
             if isinstance(value, (type, FunctionType)):
                 assert value.__module__ == f"ctcbox.{module}", name
-    # and every name but the quantum loop's resolves without numpy
-    classical = [name for name in ctcbox.__all__ if ctcbox._MODULE_OF[name] != "deutsch"]
-    proc = python(BLOCK_NUMPY + "import ctcbox\n"
-                  "for name in sys.argv[1:]:\n"
-                  "    getattr(ctcbox, name)\n", *classical)
-    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_test_only_helpers_are_not_in_the_package():
@@ -131,11 +143,15 @@ def test_test_only_helpers_are_not_in_the_package():
 
 
 def test_example_names_match_the_builders():
+    pytest.importorskip("numpy")
+    from ctcbox import deutsch
     assert tuple(deutsch.EXAMPLES) == EXAMPLE_NAMES
     assert deutsch.EXAMPLE_NAMES is EXAMPLE_NAMES
 
 
 def _crosscheck():
+    pytest.importorskip("numpy")
+    from ctcbox import deutsch
     return deutsch.classical_consistency_crosscheck(*deutsch.example("swap"))
 
 

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 from ctcbox.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -15,6 +17,7 @@ def fenced_block(after: str, language: str) -> str:
 
 
 def test_library_example_runs():
+    pytest.importorskip("numpy")  # the example runs the quantum loop
     code = fenced_block("## Library\n", "python")
     exec(compile(code, "README.md", "exec"), {})
 

@@ -154,9 +154,13 @@ def test_a_scan_reads_each_input_once_per_coalition():
     assert Counter(rows.touched) == {code: coalitions for code in range(2 ** n)}
 
 
-def test_a_verdict_reads_only_the_inputs_it_compares():
+@pytest.mark.parametrize("looped", [[0], [0, 1], [0, 1, 2]], ids=["one", "two", "three"])
+def test_a_verdict_reads_only_the_inputs_it_compares(looped):
+    # party 0 looped: the witness has n - 1 parties, found by a condition;
+    # two parties: n - 2, found by the probe; three: n - 3, by the ascending loop
     n = 6
-    cbox = _looped_cycle(n)
+    cycle = BooleanForm.from_monomials(n, [[i, (i + 1) % n] for i in range(n)])
+    cbox = constrain(parity_box(cycle), looped)
     table = NoSignalBox(n, {x: row.outcomes for x, row in cbox.rows.items()})
     codes = bit_codes(n)
     expected = []  # the input codes the documented search compares, in order
@@ -178,20 +182,47 @@ def test_a_verdict_reads_only_the_inputs_it_compares():
                     return expected[-2:]
         return None
 
-    def first_witness(signaling_):
-        for size in range(1, n):
+    def first_failure(signaling_, sizes):
+        for size in sizes:
             for coalition in combinations(range(n), size):
                 senders = [i for i in signaling_ if i not in coalition]
                 move = senders and moves(coalition, senders)
                 if move:
                     return move
 
-    witness = first_witness([j for j in range(n) if moves([i for i in range(n) if i != j], [j])])
+    # the n conditions, then the coalitions of n - 2 parties; the ascending
+    # loop runs only after one of those fails, and when none does the
+    # witness is the last signaling party's condition
+    conditions = [moves([i for i in range(n) if i != j], [j]) for j in range(n)]
+    signaling_ = [j for j in range(n) if conditions[j]]
+    probe = first_failure(signaling_, [n - 2])
+    witness = (first_failure(signaling_, range(1, n - 2)) or probe if probe
+               else conditions[signaling_[-1]])
     rows = table.row_ids = RecordingRows(table.row_ids)
     verdict = is_no_signaling(table)
+    assert len(verdict.witness.coalition) == n - len(looped)
     assert [codes[verdict.witness.inputs_a], codes[verdict.witness.inputs_b]] == witness
     # the witness's two rows are read once more, to decode their marginals
     assert rows.touched == expected + witness
+
+
+def test_a_one_party_loop_verdict_builds_two_states_a_party(monkeypatch):
+    # n conditions and the n - 1 coalitions of n - 2 free parties decide
+    # the witness of the n - 1 free parties; the ascending search built 135
+    n = 8
+    cbox = _looped_cycle(n)
+    table = NoSignalBox(n, {x: row.outcomes for x, row in cbox.rows.items()})
+    built = []
+
+    class Counted(boxes.CoalitionMarginals):
+        def __init__(self, box, coal):
+            built.append(coal)
+            super().__init__(box, coal)
+
+    monkeypatch.setattr(boxes, "CoalitionMarginals", Counted)
+    verdict = is_no_signaling(table)
+    assert verdict.witness.coalition == tuple(range(1, n))
+    assert len(built) <= 2 * n - 1
 
 
 def test_scan_does_not_project_setting_by_setting(monkeypatch):
@@ -779,13 +810,13 @@ def test_the_shape_caches_hold_one_entry_per_shape():
             _shape_runs(n, constrain(parity_box(form), [0]))
         sizes.append([cached.cache_info().currsize for cached in SHAPE_CACHES])
     # one entry per (n, coalition), per (outside parties, sender position),
-    # per coalition size, per (n, parties) and per party count; the second
-    # family adds none
+    # per coalition size, per (n, parties) and per party count (the shared
+    # bit tuples also per witness width, down to 1); the second family adds none
     assert sizes[0] == sizes[1]
     coalitions = sum(2 ** n - 2 for n in range(2, 8))
     assert all(size <= most for size, most
                in zip(sizes[0], [coalitions, coalitions, sum(range(1, 7)), 6, 6, coalitions,
-                                 6, 6, 7]))
+                                 7, 6, 7]))
 
 
 def test_a_second_setting_of_one_shape_builds_no_table(monkeypatch):
