@@ -27,7 +27,7 @@ _EXPORTS = {
                 "cr_output", "example", "fixed_point", "is_basis_permutation", "loop_map",
                 "matrix_from_json", "matrix_to_json", "trace_norm"),
     "forms": ("BooleanForm", "as_bit", "input_names", "normalize_pattern", "output_names",
-              "party_names", "xor_bits"),
+              "party_names"),
     "signaling": ("SignalingEntry", "analyze", "full_scan", "mean_mi_bits", "report_json",
                   "scan_report_json"),
     "tables": ("SCENARIOS", "Scenario", "scenario", "scenario_relation", "verify_scenario"),

@@ -36,8 +36,9 @@ _ROW_OF_VALUE = (bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"01", b"\1\0"
 
 
 def all_bit_tuples(n: int) -> list[tuple[int, ...]]:
-    """All length-n bit tuples in lexicographic order."""
-    return list(product((0, 1), repeat=n))
+    """All length-n bit tuples in lexicographic order: the shared tuples of
+    ``shared_bits(n)``, in a list of the caller's own."""
+    return list(shared_bits(n)[0])
 
 
 def exact_fraction(value) -> Fraction:
@@ -61,8 +62,9 @@ def exact_fraction(value) -> Fraction:
 
 
 def _bit_tuple(raw, codes: Mapping) -> tuple[tuple[int, ...], int | None]:
-    """``tuple(map(as_bit, raw))``, and its code in ``codes`` (``bit_codes(n)``)
-    or None when it has another length; plain ints are checked by the lookup."""
+    """``tuple(map(as_bit, raw))``, and its code in ``codes`` (the code by
+    tuple of ``shared_bits(n)``) or None when it has another length; plain
+    ints are checked by the lookup."""
     bits = tuple(raw)
     code = codes.get(bits) if {*map(type, bits)} == {int} else None
     if code is None:
@@ -138,8 +140,7 @@ class NoSignalBox:
                  label: str | None = None):
         if n < 1:
             raise ValueError("a box needs at least one party")
-        codes = bit_codes(n)
-        bits, known = shared_bits(n)
+        bits, codes, known = shared_bits(n)
         given = list(map(rows.get, bits, repeat(_MISSING)))  # by input code
         ids = list(map(id, given))  # the given rows stay referenced
         checked: dict[int, int] = {}  # id(given row) -> row id
@@ -408,36 +409,39 @@ def render_verify(payload: dict) -> Iterator[str]:
                    f"vs {w['inputs_b']} give different marginals")
 
 
-# {bits: code} for the n-bit tuples, the code being the bits read as a binary
-# number (the index in all_bit_tuples); one shared dict per n, read only
-bit_codes = cache(lambda n: {bits: k for k, bits in enumerate(all_bit_tuples(n))})
-
-
 @cache
-def shared_bits(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-    """The shared n-bit tuples of ``bit_codes(n)`` by code, and the code of
-    each by its id; built once per n and read only."""
-    bits = tuple(bit_codes(n))
-    return bits, {id(out): code for code, out in enumerate(bits)}
+def shared_bits(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int],
+                                 dict[int, int]]:
+    """The n-bit tuples by code, the code being the bits read as a binary
+    number (party 0's bit the most significant), the code of each tuple,
+    and the code of each shared tuple by its id; built once per n and read
+    only."""
+    bits, codes = tuple(product((0, 1), repeat=n)), range(1 << n)
+    return bits, dict(zip(bits, codes)), dict(zip(map(id, bits), codes))
 
 
 @cache
 def parity_outcomes(n: int) -> tuple[Fraction, tuple[tuple, tuple], tuple[tuple, tuple]]:
     """1/2**(n-1), the shared n-bit outcome tuples of even parity and of odd
     parity, each by code, and the integer row of each parity, (2**(n-1),
-    ((code, 1), ...)); built once per n and read only."""
-    parity = BooleanForm.from_monomials(n, [[i] for i in range(n)]).truth_table()
+    ((code, 1), ...)); built once per n and read only.  An outcome's
+    parity, the XOR of its bits, is that of the number of 1s in its code."""
     bits = shared_bits(n)[0]
-    codes = tuple(tuple(code for code, odd in enumerate(parity) if odd == value)
-                  for value in "01")
+    codes = tuple(tuple(code for code in range(1 << n) if code.bit_count() & 1 == value)
+                  for value in (0, 1))
     return (Fraction(1, 2 ** (n - 1)), tuple(tuple(map(bits.__getitem__, c)) for c in codes),
             tuple((2 ** (n - 1), tuple(zip(c, repeat(1)))) for c in codes))
 
 
 @cache
 def spread_codes(n: int, parties: tuple[int, ...]) -> array:
-    """``spread(n, parties)``, built once per (n, parties) and read only."""
-    return array("H", spread(n, parties))
+    """The input codes with bits only at ``parties``, lexicographic in those
+    bits; built once per (n, parties) and read only."""
+    codes = [0]
+    for i in reversed(parties):  # the first party's bit ends up the most significant
+        bit = 1 << (n - 1 - i)
+        codes += [c | bit for c in codes]
+    return array("H", codes)  # from the finished list: no room is left over
 
 
 @cache
@@ -536,15 +540,6 @@ def decode_bucket(bucket: tuple[int, dict], width: int) -> dict[tuple, Fraction]
     return {keys[k]: Fraction(v, bucket[0]) for k, v in bucket[1].items()}
 
 
-def spread(n: int, parties: Sequence[int]) -> list[int]:
-    """Input codes with bits only at ``parties``, lexicographic in those bits."""
-    codes = [0]
-    for i in reversed(parties):  # the first party's bit ends up the most significant
-        bit = 1 << (n - 1 - i)
-        codes += [c | bit for c in codes]
-    return codes
-
-
 def chsh_value(box: NoSignalBox) -> Fraction:
     """E(0,0) + E(0,1) + E(1,0) - E(1,1) for a two-party box.
 
@@ -590,7 +585,7 @@ def box_to_spec(box: NoSignalBox) -> dict:
 _get_in, _get_out, _get_p = itemgetter("in"), itemgetter("out"), itemgetter("p")
 
 
-def _bulk_rows(entries: list, codes: Mapping, bits: list) -> dict | None:
+def _bulk_rows(entries: list, codes: Mapping, bits: Sequence) -> dict | None:
     """The rows of a table of plain JSON entries, by input tuple, checked and
     filled in bulk passes (see ``box_from_spec``); None when a check fails or
     an entry is of another kind."""
@@ -620,7 +615,7 @@ def _bulk_rows(entries: list, codes: Mapping, bits: list) -> dict | None:
     return dict(zip(bits, rows))
 
 
-def _entry_rows(entries: list, parties: int, codes: Mapping, bits: list) -> dict:
+def _entry_rows(entries: list, parties: int, codes: Mapping, bits: Sequence) -> dict:
     """The rows of a table spec's entries, checked entry by entry: the first
     failing entry raises its BoxSpecError."""
     rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {
@@ -696,8 +691,7 @@ def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
     entries = data["table"]
     if not isinstance(entries, list):
         raise BoxSpecError("field 'table' must be a list of entries")
-    codes = bit_codes(parties)
-    bits = list(codes)
+    bits, codes, _ = shared_bits(parties)
     rows = _bulk_rows(entries, codes, bits)
     if rows is None:
         rows = _entry_rows(entries, parties, codes, bits)

@@ -25,13 +25,6 @@ def as_bit(value: int) -> int:
     raise ValueError(f"expected a bit (0 or 1), got {value!r}")
 
 
-def xor_bits(bits: Iterable[int]) -> int:
-    out = 0
-    for b in bits:
-        out ^= b
-    return out
-
-
 def bit_string(bits: Iterable[int], sep: str = "") -> str:
     """Bits as text: "01" keys an outcome in a payload, "0 1" (sep=" ") prints."""
     return sep.join(map(str, bits))

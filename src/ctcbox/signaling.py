@@ -46,8 +46,9 @@ or a direction reads every input once per coalition, in C, as one row
 per setting: the marginal indices of its 2^(b+1) inputs, lexicographic
 in the parties outside the coalition.  Which inputs a setting has, and
 where a row's outcome lands in the coalition's outputs, depend on the
-party count and the coalition alone: ``_settings_order`` and
-``boxes.projection`` build them once per shape in the process.  A
+party count and the coalition alone: ``boxes.spread_codes``, of the
+coalition's parties then the others, and ``boxes.projection`` build
+them once per shape in the process.  A
 setting's line is its row reordered for the sender, sender bit 0's
 bystander patterns then bit 1's, each lexicographic, by an
 ``itemgetter`` built once per (outside parties, sender position); the
@@ -60,8 +61,9 @@ keys keep the order in which they first appear row by row, the order in
 which entropies sum their floats, and every numerator stands for the
 probability the row-by-row sum gives.
 Rule, success and information come from the two buckets of a setting
-scaled to one denominator d, in one pass over the output codes and a
-parity table per coalition; Fractions are built only when a success
+scaled to one denominator d, in one pass over the output codes, an
+output's parity being its code's count of 1 bits mod 2; Fractions are
+built only when a success
 probability is returned, and v / d is the same correctly rounded
 float as the Fraction it stands for.  They are computed, and the rule
 and success rendered, once per distinct pair of buckets; each entry
@@ -99,16 +101,15 @@ it has been read.
 from __future__ import annotations
 
 import math
-from array import array
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .boxes import CoalitionMarginals, NoSignalBox, all_bit_tuples, bit_codes, spread
+from .boxes import CoalitionMarginals, NoSignalBox, shared_bits, spread_codes
 from .ctc import ConstrainedBox, head_json, parse_pattern, render_head
-from .forms import BooleanForm, input_names, normalize_pattern, party_names
+from .forms import bit_string, input_names, normalize_pattern, party_names
 
 
 def _entropy(masses: Iterable, denominator: int) -> float:
@@ -132,35 +133,17 @@ def _check_scenario(cbox: ConstrainedBox, sender: int,
 
 
 @cache
-def _tables(size: int) -> tuple[list, dict, list[str], list[int]]:
-    """A coalition of this size's settings and output keys, their codes, and
-    by output code its bit string and its parity."""
-    labels = [""]
-    for _ in range(size):
-        labels = [label + bit for label in labels for bit in "01"]
-    parity = BooleanForm.from_monomials(size, [[i] for i in range(size)]).truth_table()
-    return all_bit_tuples(size), bit_codes(size), labels, list(map(int, parity))
-
-
-@cache
-def _bits_of(size: int) -> dict[str, tuple[int, ...]]:
-    """A coalition of this size's output keys by bit string."""
-    keys, _, labels, _ = _tables(size)
-    return dict(zip(labels, keys))
-
-
-@cache
-def _settings_order(n: int, coal: tuple[int, ...]) -> array:
-    """The input codes by coalition setting, each setting's lexicographic in
-    the parties outside the coalition; built once per (n, coalition)."""
-    return array("H", spread(n, (*coal, *(i for i in range(n) if i not in coal))))
+def _labels(size: int) -> list[str]:
+    """By output code, a coalition of this size's output key as a bit string."""
+    return list(map(bit_string, shared_bits(size)[0]))
 
 
 @cache
 def _reorder(width: int, position: int) -> itemgetter:
     """A setting's row (``width`` outside parties, lexicographic) as its line
     when the outside party at ``position`` sends: that party's bit first."""
-    return itemgetter(*spread(width, (position, *(i for i in range(width) if i != position))))
+    others = (i for i in range(width) if i != position)
+    return itemgetter(*spread_codes(width, (position, *others)))
 
 
 class _Store:
@@ -193,9 +176,11 @@ class _Coalition(CoalitionMarginals):
     def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...], store: _Store | None = None):
         super().__init__(cbox, coal)
         self.others = [i for i in range(cbox.n) if i not in coal]  # sender and bystanders
-        # the settings and output keys, their codes; by output code: bit string, parity
-        self.keys, self.codes, self.labels, self.parity = _tables(len(coal))
-        self.order = _settings_order(cbox.n, coal)
+        # the settings and output keys by code, their codes, their bit strings by code
+        self.keys, self.codes, _ = shared_bits(len(coal))
+        self.labels = _labels(len(coal))
+        # the input codes by setting, each setting's lexicographic in the others
+        self.order = spread_codes(cbox.n, (*coal, *self.others))
         self.impractical = bool(set(coal) & set(cbox.pattern))
         self.rows: list[tuple] | None = None  # by setting code, once a direction read all
         self.store = store = _Store() if store is None else store
@@ -361,7 +346,7 @@ class _Analysis:
         self.mi_bits = _mutual_information(p0, p1, map(shared.codes.__getitem__, union), den)
         if self.dependent and self.mi_bits <= 0:  # the entropies cancelled
             self.mi_bits = _information_by_outputs(p0, p1, outs, den)
-        self.note = None if self.dependent else _note({shared.parity[out] for out in outs})
+        self.note = None if self.dependent else _note({out.bit_count() & 1 for out in outs})
 
 
 def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
@@ -377,7 +362,7 @@ def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
             if shared.paradox in line:
                 code = shared.inputs(setting, sender)[line.index(shared.paradox)]
                 raise ValueError("observation undefined: paradox row at inputs "
-                                 f"{list(shared.box.rows)[code]}")
+                                 f"{shared_bits(shared.box.n)[0][code]}")
             found = by_line[line] = shared.analysis_of(line)
         analyses.append(found)
     return analyses
@@ -386,12 +371,12 @@ def _analyse_direction(shared: _Coalition, sender: int) -> list[_Analysis]:
 def _entries(sender: int, coal: tuple[int, ...], impractical: bool,
              analyses: list[_Analysis]) -> list[SignalingEntry]:
     """A direction's entries from its record, settings in lexicographic
-    order; each owns its rule, keyed by bit tuples."""
-    bits = _bits_of(len(coal))
+    order; each owns its rule, keyed by bit tuples, each label read as its code."""
+    keys = shared_bits(len(coal))[0]
     return [SignalingEntry(sender, coal, setting, a.dependent,
-                           dict(zip(map(bits.__getitem__, a.rule_json), a.rule_json.values())),
+                           {keys[int(label, 2)]: guess for label, guess in a.rule_json.items()},
                            Fraction(*a.odds), a.mi_bits, impractical, a.note)
-            for setting, a in zip(_tables(len(coal))[0], analyses)]
+            for setting, a in zip(keys, analyses)]
 
 
 def analyze(cbox: ConstrainedBox, sender: int,
@@ -498,7 +483,7 @@ def _direction_json(names: tuple[str, ...], sender: int, coal: tuple[int, ...],
                      "setting": list(setting), "dependent": a.dependent,
                      "rule": dict(a.rule_json), "success": a.success_json,
                      "mi_bits": a.mi_bits, "impractical": impractical, "note": a.note}
-                    for setting, a in zip(_tables(len(coal))[0], analyses)]
+                    for setting, a in zip(shared_bits(len(coal))[0], analyses)]
     dependent = sum(1 for a in analyses if a.dependent)
     # both counting conventions: settings, and (setting, sender bit) cases
     summary = {"settings": len(analyses), "dependent_settings": dependent,

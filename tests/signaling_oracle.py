@@ -31,18 +31,38 @@ direction and dropped after its last sender's, and each direction
 reported, or failing, as it is read.  They are the reference for
 ``signaling.full_scan`` and ``signaling.scan_report_json``, which scan one
 coalition size at a time.
+
+``xor_bits`` is the parity of a bit tuple, and ``spread`` lists the input
+codes with bits at chosen parties, each read from the bits themselves:
+the references for the parity of an output code, its count of 1 bits mod
+2, and for ``boxes.spread_codes``, built by doubling.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from ctcbox import signaling
 from ctcbox.boxes import (CoalitionMarginals, NoSignalingVerdict, SignalingWitness,
                           all_bit_tuples, decode_bucket)
 from ctcbox.ctc import head_json
-from ctcbox.forms import as_bit, bit_string, normalize_pattern, party_names, xor_bits
+from ctcbox.forms import as_bit, bit_string, normalize_pattern, party_names
 from ctcbox.signaling import _Coalition
+
+
+def xor_bits(bits):
+    """The XOR of the bits: 1 iff an odd number of them are 1."""
+    out = 0
+    for b in bits:
+        out ^= b
+    return out
+
+
+def spread(n, parties):
+    """The n-bit input codes, party 0's bit the most significant, whose bits
+    outside ``parties`` are 0, lexicographic in the bits at ``parties``."""
+    return [sum(bit << (n - 1 - i) for i, bit in zip(parties, bits))
+            for bits in product((0, 1), repeat=len(parties))]
 
 
 def marginal(box, coalition, inputs):

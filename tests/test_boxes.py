@@ -13,8 +13,8 @@ from ctcbox.boxes import (BoxName, BoxSpecError, CHSH_CLASSICAL_BOUND,
                           chsh_value, decode_bucket, exact_fraction, is_no_signaling,
                           named_box, parity_box, parity_equation)
 from ctcbox.ctc import constrain
-from ctcbox.forms import BooleanForm, xor_bits
-from signaling_oracle import ascending_witness, marginal
+from ctcbox.forms import BooleanForm
+from signaling_oracle import ascending_witness, marginal, xor_bits
 from test_recorded_runs import FILES
 
 

@@ -8,7 +8,8 @@ from ctcbox.boxes import (BoxName, NAMED_FORMS, NoSignalBox, all_bit_tuples,
                           named_box)
 from ctcbox.ctc import (ConstrainedBox, constrain, constrained_to_json,
                         induced_parity_form, normalize_pattern, parse_pattern)
-from ctcbox.forms import BooleanForm, party_names, xor_bits
+from ctcbox.forms import BooleanForm, party_names
+from signaling_oracle import xor_bits
 
 
 def test_normalize_pattern():

@@ -4,8 +4,7 @@ from itertools import product
 import pytest
 
 import ctcbox.forms
-from ctcbox.forms import (BooleanForm, as_bit, input_names, output_names, party_names,
-                          xor_bits)
+from ctcbox.forms import BooleanForm, as_bit, input_names, output_names, party_names
 
 
 def test_docstring_examples():
@@ -25,12 +24,6 @@ def test_as_bit_accepts_bits_and_bools():
 def test_as_bit_rejects_non_bits(bad):
     with pytest.raises(ValueError):
         as_bit(bad)
-
-
-def test_xor_bits():
-    assert xor_bits([]) == 0
-    assert xor_bits([1, 1, 1]) == 1
-    assert xor_bits((1, 0, 1, 0)) == 0
 
 
 def test_name_helpers():

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctcbox.boxes import NoSignalBox, all_bit_tuples, is_no_signaling, parity_box
 from ctcbox.ctc import constrain, induced_parity_form
-from ctcbox.forms import BooleanForm, xor_bits
+from ctcbox.forms import BooleanForm
 from ctcbox.signaling import SignalingEntry, analyze, full_scan, scan_report_json
 from signaling_oracle import (analyze_setting, engine_observation, information_by_outputs,
-                              marginal, parity_note, receiver_observation)
+                              marginal, parity_note, receiver_observation, xor_bits)
 
 MI_TOL = 1e-12
 

@@ -22,12 +22,12 @@ from hypothesis import given, settings, strategies as st
 
 from ctcbox import boxes, signaling
 from ctcbox.boxes import (NoSignalBox, NoSignalingVerdict, SignalingWitness,
-                          all_bit_tuples, bit_codes, box_from_spec, is_no_signaling,
-                          parity_box, spread)
+                          all_bit_tuples, box_from_spec, is_no_signaling, parity_box,
+                          shared_bits)
 from ctcbox.ctc import constrain
 from ctcbox.forms import BooleanForm
 from ctcbox.signaling import report_json, scan_report_json
-from signaling_oracle import project_outcomes
+from signaling_oracle import project_outcomes, spread
 
 # primes with nothing in common, so rows over them have unrelated denominators
 PRIMES = [1_000_003, 998_244_353, 2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3, 10 ** 18 + 9]
@@ -48,7 +48,7 @@ def per_row_observations(shared, sender):
     n = cbox.n
     settings_, bits = spread(n, coal), spread(n, (sender,))
     bystanders = spread(n, [i for i in range(n) if i != sender and i not in coal])
-    codes = bit_codes(len(coal))
+    codes = shared_bits(len(coal))[1]
     rows = list(cbox.rows.values())
 
     def read(setting, bit):
@@ -232,12 +232,12 @@ def test_shared_rows_give_what_the_per_row_engine_gives(case):
     rows, pattern = case
     n = len(next(iter(rows)))
     box = NoSignalBox(n, rows)
-    inputs = all_bit_tuples(n)
+    inputs, codes = all_bit_tuples(n), shared_bits(n)[1]
     for x in inputs:
         for y in inputs:
             # one row object iff the same items in the same order
             same = list(rows[x].items()) == list(rows[y].items())
-            assert (box.row_ids[bit_codes(n)[x]] == box.row_ids[bit_codes(n)[y]]) == same
+            assert (box.row_ids[codes[x]] == box.row_ids[codes[y]]) == same
             assert (box.rows[x] is box.rows[y]) == same
     assert_same_as_per_row(box, pattern)
 

@@ -7,22 +7,22 @@ import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctcbox import boxes, forms, signaling
-from ctcbox.boxes import (BoxName, NoSignalBox, all_bit_tuples, bit_codes, is_no_signaling,
-                          named_box, parity_box)
+from ctcbox.boxes import (BoxName, NoSignalBox, all_bit_tuples, is_no_signaling, named_box,
+                          parity_box, shared_bits)
 from ctcbox.ctc import constrain
-from ctcbox.forms import BooleanForm
+from ctcbox.forms import BooleanForm, bit_string
 from ctcbox.signaling import analyze, full_scan, mean_mi_bits, report_json, scan_report_json
 from signaling_oracle import (analyze_setting, engine_observation, entropy_bits, entry_to_json,
                               map_rule, marginal, mutual_information_bits, per_coalition_full_scan,
                               per_coalition_scan_report, receiver_observation, rule_success,
-                              success_probability)
+                              spread, success_probability, xor_bits)
 from test_shared_rows import shared_row_tables
 
 MI_TOL = 1e-12
@@ -34,6 +34,12 @@ def test_entropy_bits():
     assert entropy_bits({(0,): Fraction(1)}) == 0
     uniform = {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
     assert math.isclose(entropy_bits(uniform), 1.0)
+
+
+def test_xor_bits():
+    assert xor_bits([]) == 0
+    assert xor_bits([1, 1, 1]) == 1
+    assert xor_bits((1, 0, 1, 0)) == 0
 
 
 def test_receiver_observation_pr():
@@ -162,7 +168,7 @@ def test_a_verdict_reads_only_the_inputs_it_compares(looped):
     cycle = BooleanForm.from_monomials(n, [[i, (i + 1) % n] for i in range(n)])
     cbox = constrain(parity_box(cycle), looped)
     table = NoSignalBox(n, {x: row.outcomes for x, row in cbox.rows.items()})
-    codes = bit_codes(n)
+    codes = shared_bits(n)[1]
     expected = []  # the input codes the documented search compares, in order
 
     def moves(coalition, senders):
@@ -792,9 +798,8 @@ def _shape_runs(n, cbox):
     analyze_setting(cbox, 1, [0], [1])
 
 
-SHAPE_CACHES = (boxes.projection, signaling._settings_order, signaling._reorder,
-                signaling._tables, signaling._bits_of, boxes.spread_codes, boxes.shared_bits,
-                boxes.parity_outcomes, forms.party_masks)
+SHAPE_CACHES = (boxes.projection, signaling._reorder, signaling._labels, boxes.spread_codes,
+                boxes.shared_bits, boxes.parity_outcomes, forms.party_masks)
 
 
 def test_the_shape_caches_hold_one_entry_per_shape():
@@ -814,42 +819,80 @@ def test_the_shape_caches_hold_one_entry_per_shape():
     # bit tuples also per witness width, down to 1); the second family adds none
     assert sizes[0] == sizes[1]
     coalitions = sum(2 ** n - 2 for n in range(2, 8))
+    # the codes of (n, parties): a coalition's or the senders', at most one per
+    # (n, coalition), and each coalition's settings order; a reorder of
+    # width w is the settings order of its sender alone at n = w, but for w = 1
+    spread_keys = 2 * coalitions + 1
     assert all(size <= most for size, most
-               in zip(sizes[0], [coalitions, coalitions, sum(range(1, 7)), 6, 6, coalitions,
-                                 7, 6, 7]))
+               in zip(sizes[0], [coalitions, sum(range(1, 7)), 6, spread_keys, 7, 6, 7]))
 
 
-def test_a_second_setting_of_one_shape_builds_no_table(monkeypatch):
+def test_a_second_setting_of_one_shape_builds_no_table():
     n = 6
     cycle = _looped_cycle(n)
     star = constrain(parity_box(BooleanForm.from_monomials(n, [[0, i] for i in range(1, n)])),
                      [0])
     first = analyze_setting(cycle, 0, [1, 3], [0, 1])
     misses = [cached.cache_info().misses for cached in SHAPE_CACHES]
-    spread_calls = []
-
-    def counted(module):
-        spread = module.spread
-        return lambda *args: spread_calls.append(args) or spread(*args)
-
-    for module in (boxes, signaling):
-        monkeypatch.setattr(module, "spread", counted(module))
+    hits = boxes.spread_codes.cache_info().hits
     second = analyze_setting(star, 0, [1, 3], [1, 1])
     assert [cached.cache_info().misses for cached in SHAPE_CACHES] == misses
-    assert spread_calls == []
+    # the settings order and the reorder read the codes built for the first
+    assert boxes.spread_codes.cache_info().hits > hits
     assert first == analyze(cycle, 0, [1, 3])[1]
     assert second == analyze(star, 0, [1, 3])[3]
+
+
+def test_the_bit_code_tables_follow_from_the_bits():
+    # every table against the bits it stands for, at every party count
+    for n in range(1, boxes.MAX_PARTIES + 1):
+        bits, codes, known = shared_bits(n)
+        assert list(bits) == list(product((0, 1), repeat=n))
+        assert all_bit_tuples(n) == list(bits)
+        assert all(a is b for a, b in zip(all_bit_tuples(n), bits))
+        assert codes == {out: code for code, out in enumerate(bits)}
+        assert known == {id(out): code for code, out in enumerate(bits)}
+        # parity by the count of 1 bits; labels as printed, read back as codes
+        assert [code.bit_count() & 1 for code in codes.values()] == list(map(xor_bits, bits))
+        labels = signaling._labels(n)
+        assert labels == list(map(bit_string, bits))
+        assert [int(label, 2) for label in labels] == list(range(2 ** n))
+        if n > 1:
+            weight, outcomes, integer_rows = boxes.parity_outcomes(n)
+            assert weight == Fraction(1, 2 ** (n - 1))
+            for value in (0, 1):
+                kept = [out for out in bits if xor_bits(out) == value]
+                assert list(outcomes[value]) == kept
+                assert all(a is b for a, b in zip(outcomes[value], kept))
+                assert integer_rows[value] == (2 ** (n - 1), tuple((codes[out], 1) for out in kept))
+        # a coalition's codes, also in an order drawn at random, and its
+        # settings order: the coalition's codes each with every pattern of
+        # the others (every coalition up to 7 parties, one in 20 above)
+        rng = random.Random(n)
+        for size in range(n + 1):
+            for coal in combinations(range(n), size):
+                assert boxes.spread_codes(n, coal).tolist() == spread(n, coal)
+                others = tuple(i for i in range(n) if i not in coal)
+                if n <= 7 or rng.random() < 0.05:
+                    order = rng.sample(coal, size)
+                    assert boxes.spread_codes(n, tuple(order)).tolist() == spread(n, order)
+                    assert boxes.spread_codes(n, (*coal, *others)).tolist() == [
+                        setting | pattern for setting in spread(n, coal)
+                        for pattern in spread(n, others)]
 
 
 def test_the_shapes_of_every_party_count_take_little_memory():
     shapes = [(n, coal) for n in range(2, boxes.MAX_PARTIES + 1) for size in range(1, n)
               for coal in combinations(range(n), size)]
+    # each coalition's settings order: its parties, then the others
+    orders = [(n, (*coal, *(i for i in range(n) if i not in coal))) for n, coal in shapes]
     counts = [(n,) for n in range(1, boxes.MAX_PARTIES + 1)]
     # for each kind of table, its cache up to 7 parties, and the tables of
     # every shape up to MAX_PARTIES; the tables it reads are built first, so
-    # that each kind counts its own memory
+    # that each kind counts its own memory; the settings orders and the
+    # coalitions' codes, both of spread_codes, are measured one after the other
     up_to_seven, every = [], []
-    for table, keys in ((boxes.projection, shapes), (signaling._settings_order, shapes),
+    for table, keys in ((boxes.projection, shapes), (boxes.spread_codes, orders),
                         (boxes.spread_codes, shapes), (boxes.shared_bits, counts),
                         (boxes.parity_outcomes, counts[1:]), (forms.party_masks, counts)):
         held = [table(*key) for key in keys]
@@ -865,9 +908,10 @@ def test_the_shapes_of_every_party_count_take_little_memory():
             every.append(before - tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-    # the two tables of each coalition, then the tables of (n, parties) and of n
-    assert sum(up_to_seven[:2]) < 0.2 * 2 ** 20
-    assert sum(up_to_seven[2:]) < 0.1 * 2 ** 20
+    # the three tables of each coalition, then the tables of n: the bit tuples
+    # with their codes, the parity outcomes and the party masks
+    assert sum(up_to_seven[:3]) < 0.2 * 2 ** 20
+    assert sum(up_to_seven[3:]) < 0.1 * 2 ** 20
     assert max(every) <= 3 * 2 ** 20
 
 

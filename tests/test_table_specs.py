@@ -13,14 +13,13 @@ from fractions import Fraction
 import pytest
 
 from ctcbox import boxes
-from ctcbox.boxes import BoxSpecError, NoSignalBox, all_bit_tuples, bit_codes, box_from_spec
+from ctcbox.boxes import BoxSpecError, NoSignalBox, all_bit_tuples, box_from_spec
 
 
 def per_entry_box(data, *, label=None):
     """A table spec's box, every entry checked and placed on its own."""
     parties, entries = data["parties"], data["table"]
-    codes = bit_codes(parties)
-    bits = list(codes)
+    bits, codes, _ = boxes.shared_bits(parties)
     rows = {inputs: {} for inputs in bits}
     parsed = {}  # each distinct 'num/den' string or int, parsed once
 
