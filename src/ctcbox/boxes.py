@@ -11,11 +11,11 @@ import math
 import re
 from array import array
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain, combinations, product, repeat
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import itemgetter, methodcaller
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .forms import BooleanForm, as_bit, bit_string, input_names, output_names, party_names
 
@@ -73,64 +73,94 @@ def _bit_tuple(raw, codes: Mapping) -> tuple[tuple[int, ...], int | None]:
     return bits, code
 
 
-def _checked_row(n: int, given: Mapping, inputs: tuple[int, ...], codes: Mapping,
-                 bits: Sequence, known: dict) -> tuple[dict, tuple[int, tuple]]:
-    """A given row of a box, checked: (the row keyed by the shared bit tuples,
-    its integer form).  ``known`` maps the id of each shared tuple to its code."""
-    row: dict[tuple[int, ...], Fraction] = {}
-    kept = []  # (code, numerator, denominator) of the row's outcomes, in order
-    # id(given value) -> (Fraction, numerator, denominator, the value): the value
-    # stays referenced, so its id is not given to another
-    parsed: dict[int, tuple] = {}
-    for outputs, value in given.items():
+def _integer_row(n: int, pairs: Iterable, inputs: tuple[int, ...], parsed: dict
+                 ) -> tuple[int, tuple]:
+    """A given row, as its (outputs, p) pairs, checked into its integer row
+    (see ``NoSignalBox``); ``parsed`` maps the id of each given p to (p,
+    numerator, denominator, the given p)."""
+    bits, codes, known = shared_bits(n)
+    kept: dict[int, tuple] = {}  # outcome code -> its entry of parsed
+    for outputs, value in pairs:
         code = known.get(id(outputs))
         if code is None:
             out, code = _bit_tuple(outputs, codes)
             if len(out) != n:
                 raise ValueError(f"outputs {out} for inputs {inputs} have wrong arity")
-        out = bits[code]
         found = parsed.get(id(value))
         if found is None:
             p = exact_fraction(value)
             found = parsed[id(value)] = p, p.numerator, p.denominator, value
-        p, num, d, _ = found
+        p, num, _, _ = found
         if num < 0:
-            raise ValueError(f"negative probability {p} at inputs {inputs}, outputs {out}")
+            raise ValueError(f"negative probability {p} at inputs {inputs}, outputs {bits[code]}")
         if num:
-            if out in row:
-                raise ValueError(f"duplicate outcome {out} for inputs {inputs}")
-            row[out] = p
-            kept.append((code, num, d))
-    den = math.lcm(*{d for _, _, d in kept})
-    nums = [num * (den // d) for _, num, d in kept]
+            if code in kept:
+                raise ValueError(f"duplicate outcome {bits[code]} for inputs {inputs}")
+            kept[code] = found
+    den = math.lcm(*{d for _, _, d, _ in kept.values()})
+    nums = [num * (den // d) for _, num, d, _ in kept.values()]
     if sum(nums) != den:
         raise ValueError(f"probabilities for inputs {inputs} sum to "
-                         f"{sum(row.values(), Fraction(0))}, expected 1")
-    return row, (den, tuple(zip([code for code, _, _ in kept], nums)))
+                         f"{Fraction(sum(nums), den)}, expected 1")
+    return den, tuple(zip(kept, nums))
+
+
+def _checked_rows(n: int, given: Sequence, pairs: Callable[[object], Iterable]
+                  ) -> tuple[list[int], list[tuple[int, tuple]]]:
+    """The ``row_ids`` and ``integer_rows`` of given rows, by input code,
+    ``pairs(row)`` giving a row's (outputs, p) pairs: a row object given
+    for several inputs is checked once, at its first input, and rows of the
+    same integer form share a row id."""
+    checked: dict[int, int] = {}  # id(given row) -> row id; the given rows stay referenced
+    interned: dict[tuple, int] = {}  # integer row -> row id
+    parsed: dict[int, tuple] = {}
+    for inputs, row in zip(shared_bits(n)[0], given):
+        if id(row) not in checked:
+            if row is _MISSING:
+                raise ValueError(f"missing row for inputs {inputs}")
+            checked[id(row)] = interned.setdefault(_integer_row(n, pairs(row), inputs, parsed),
+                                                   len(interned))
+    return list(map(checked.__getitem__, map(id, given))), list(interned)
+
+
+def fraction_rows(n: int, integer_rows: Iterable[tuple[int, tuple]]) -> list[dict]:
+    """Each integer row as {outputs: Fraction}, keyed by the shared tuples
+    of ``shared_bits(n)`` in the row's order."""
+    bits, fraction = shared_bits(n)[0], cache(Fraction)  # one Fraction per value
+    return [{bits[code]: fraction(num, den) for code, num in row} for den, row in integer_rows]
+
+
+def printed_rows(table) -> Iterator[tuple[tuple[int, ...], list]]:
+    """Each input tuple of a ``NoSignalBox`` or a ``ConstrainedBox`` with
+    its row's (outputs, "num/den") pairs, outputs in lexicographic order;
+    each distinct row is printed once, at its first input."""
+    bits = shared_bits(table.n)[0]
+    printed: dict[int, list] = {}  # row id -> its pairs
+    text = cache(lambda num, den: str(Fraction(num, den)))  # each value printed once
+    for inputs, row_id in zip(bits, table.row_ids):
+        if row_id not in printed:
+            den, row = table.integer_rows[row_id]
+            printed[row_id] = [(bits[code], text(num, den)) for code, num in sorted(row)]
+        yield inputs, printed[row_id]
 
 
 class NoSignalBox:
     """Conditional distribution p(outputs | inputs) for n binary parties.
 
-    Rows are stored sparsely: only outcomes with positive probability
-    appear.  Probabilities are exact Fractions and every row must sum to
-    exactly 1.  Instances are treated as immutable once built; two boxes
-    compare equal iff their tables agree entry for entry.
+    Every row sums to exactly 1.  Instances are treated as immutable once
+    built; two boxes compare equal iff their tables agree entry for entry.
 
-    The box holds one row object per distinct row: a row object given for
-    several inputs is checked once, and checked rows with the same items in
-    the same order become one shared dict, so ``rows`` may map many inputs
-    to one object.  Rows, shared or not, are never modified.  ``row_ids``
-    gives each input code (its bits read as a binary number) the index of
-    its row in ``integer_rows``, the distinct rows in order of first
-    occurrence, each in the exact integer format (denominator, ((outcome
-    code, numerator), ...)) over the row's own least common denominator.
+    A box is its integer rows: ``row_ids`` gives each input code (its bits
+    read as a binary number) the index of its row in ``integer_rows``, the
+    distinct rows in order of first occurrence, each in the exact integer
+    format (denominator, ((outcome code, numerator), ...)) over the row's
+    own least common denominator, its outcomes of positive probability in
+    the order given.  One validator checks each given row object once, at
+    its first input, and parses each given value of a box once.
 
-    The input and outcome tuples are the shared ones of ``shared_bits(n)``,
-    built once per n with the code of each tuple by its id, so a given
-    outcome that is a shared tuple is coded by one lookup.  Each input's
-    row is looked up once, in one bulk pass, and held while the box is
-    built; each given value of a row is parsed once.
+    ``rows`` is the table as Fractions, {inputs: {outputs: p}}, built on
+    first access and kept: one dict per row id, keyed by the shared tuples
+    of ``shared_bits(n)``.  Rows are never modified.
 
     ``form`` records the parity constraint the box was built from, when
     there is one; boxes loaded from explicit tables carry ``form=None``.
@@ -140,41 +170,28 @@ class NoSignalBox:
                  label: str | None = None):
         if n < 1:
             raise ValueError("a box needs at least one party")
-        bits, codes, known = shared_bits(n)
-        given = list(map(rows.get, bits, repeat(_MISSING)))  # by input code
-        ids = list(map(id, given))  # the given rows stay referenced
-        checked: dict[int, int] = {}  # id(given row) -> row id
-        interned: dict[tuple, int] = {}  # integer form -> row id
-        distinct: list[dict] = []
-        for code, key in enumerate(ids):
-            if key not in checked:  # a given row is checked at its first input
-                if given[code] is _MISSING:
-                    raise ValueError(f"missing row for inputs {bits[code]}")
-                row, integer = _checked_row(n, given[code], bits[code], codes, bits, known)
-                row_id = checked[key] = interned.setdefault(integer, len(distinct))
-                if row_id == len(distinct):
-                    distinct.append(row)
-        row_ids = list(map(checked.__getitem__, ids))
-        table = dict(zip(bits, map(distinct.__getitem__, row_ids)))
-        if len(rows) != len(table):
-            extra = [key for key in rows if key not in table]
+        bits, codes, _ = shared_bits(n)
+        # each row is looked up once and held while the box is built
+        self.row_ids, self.integer_rows = _checked_rows(
+            n, list(map(rows.get, bits, repeat(_MISSING))), methodcaller("items"))
+        if len(rows) != len(bits):
+            extra = [key for key in rows if key not in codes]
             raise ValueError(f"unexpected input tuples: {extra[:3]}")
-        self.n = n
-        self.rows = table
-        self.row_ids = row_ids
-        self.integer_rows: list[tuple[int, tuple]] = list(interned)
-        self.form = form
-        self.label = label
+        self.n, self.form, self.label = n, form, label
 
     @classmethod
-    def _made(cls, n: int, rows: dict, row_ids: list[int], integer_rows: list[tuple[int, tuple]],
-              *, form: BooleanForm | None, label: str | None) -> NoSignalBox:
-        """A box of rows the package made itself, already in the form
-        ``__init__`` checks given rows into: nothing is checked again."""
+    def _of(cls, n: int, row_ids: list[int], integer_rows: list[tuple[int, tuple]],
+            *, form: BooleanForm | None = None, label: str | None = None) -> NoSignalBox:
+        """The box of integer rows already checked: nothing is checked again."""
         box = cls.__new__(cls)
-        box.n, box.rows, box.row_ids, box.integer_rows = n, rows, row_ids, integer_rows
-        box.form, box.label = form, label
+        box.n, box.row_ids, box.integer_rows, box.form, box.label = (
+            n, row_ids, integer_rows, form, label)
         return box
+
+    @cached_property
+    def rows(self) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
+        rows = fraction_rows(self.n, self.integer_rows)
+        return dict(zip(shared_bits(self.n)[0], map(rows.__getitem__, self.row_ids)))
 
     def prob(self, inputs: Iterable[int], outputs: Iterable[int]) -> Fraction:
         """p(outputs | inputs); zero for outcomes absent from the table."""
@@ -183,7 +200,10 @@ class NoSignalBox:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NoSignalBox):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        # a row's numerators, over their sum, are its Fractions in the order given
+        mine, theirs = ([sorted(row) for _, row in box.integer_rows] for box in (self, other))
+        return self.n == other.n and all(mine[a] == theirs[b] for a, b in
+                                         set(zip(self.row_ids, other.row_ids)))
 
     __hash__ = None
 
@@ -197,28 +217,25 @@ def parity_box(form: BooleanForm, *, label: str | None = None) -> NoSignalBox:
 
     Every input row has 2**(n-1) equiprobable outcomes of weight
     1/2**(n-1): the outcomes of even parity where the form is 0 and of odd
-    parity where it is 1, and the box holds one row object per parity that
-    occurs; the construction is a pure function of the form.  The form's
+    parity where it is 1, and the box holds one row per parity that occurs;
+    the construction is a pure function of the form.  The form's
     values on all inputs come from one truth-table pass
     (``BooleanForm.truth_table``, one bulk bit-mask pass per monomial), and
     ``row_ids`` from that table in one C pass, the row of input 0 being row
-    0.  The weight, the outcomes and the integer row of each parity come
-    from ``parity_outcomes``, built once per n.  The rows are made here in
-    the form ``NoSignalBox`` would check them into, so none is checked
-    again; each box gets row dicts of its own.
+    0.  The integer row of each parity comes from ``parity_rows``, built
+    once per n in the form ``NoSignalBox`` checks rows into, so none is
+    checked again.
     """
     n = form.n
     if n < 2:
         raise ValueError("parity boxes need at least 2 parties")
-    weight, outcomes, integer_rows = parity_outcomes(n)
+    integer_rows = parity_rows(n)
     truth = form.truth_table()
     first = int(truth[0])
     row_ids = list(truth.encode().translate(_ROW_OF_VALUE[first]))
     parities = (first, 1 - first)[:2 if 1 in row_ids else 1]  # by row id
-    rows = [dict.fromkeys(outcomes[parity], weight) for parity in parities]
-    return NoSignalBox._made(n, dict(zip(shared_bits(n)[0], map(rows.__getitem__, row_ids))),
-                             row_ids, [integer_rows[parity] for parity in parities],
-                             form=form, label=label)
+    return NoSignalBox._of(n, row_ids, [integer_rows[parity] for parity in parities],
+                           form=form, label=label)
 
 
 class BoxName(str, Enum):
@@ -263,10 +280,9 @@ def render_table(box: NoSignalBox) -> Iterator[str]:
     """The full table as text; the spec payload of a parity box lists no rows."""
     yield describe_box(box)
     yield f"{' '.join(input_names(box.n))} | {' '.join(output_names(box.n))} : p"
-    for inputs in sorted(box.rows):
-        for outputs in sorted(box.rows[inputs]):
-            yield (f"{bit_string(inputs, ' ')} | {bit_string(outputs, ' ')} : "
-                   f"{box.rows[inputs][outputs]}")
+    for inputs, row in printed_rows(box):
+        for outputs, p in row:
+            yield f"{bit_string(inputs, ' ')} | {bit_string(outputs, ' ')} : {p}"
 
 
 class SignalingWitness(NamedTuple):
@@ -421,16 +437,13 @@ def shared_bits(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ..
 
 
 @cache
-def parity_outcomes(n: int) -> tuple[Fraction, tuple[tuple, tuple], tuple[tuple, tuple]]:
-    """1/2**(n-1), the shared n-bit outcome tuples of even parity and of odd
-    parity, each by code, and the integer row of each parity, (2**(n-1),
-    ((code, 1), ...)); built once per n and read only.  An outcome's
-    parity, the XOR of its bits, is that of the number of 1s in its code."""
-    bits = shared_bits(n)[0]
-    codes = tuple(tuple(code for code in range(1 << n) if code.bit_count() & 1 == value)
-                  for value in (0, 1))
-    return (Fraction(1, 2 ** (n - 1)), tuple(tuple(map(bits.__getitem__, c)) for c in codes),
-            tuple((2 ** (n - 1), tuple(zip(c, repeat(1)))) for c in codes))
+def parity_rows(n: int) -> tuple[tuple[int, tuple], tuple[int, tuple]]:
+    """The integer row of the n-bit outcomes of even parity and of odd
+    parity, (2**(n-1), ((code, 1), ...)) by code; built once per n and read
+    only.  An outcome's parity, the XOR of its bits, is that of the number
+    of 1s in its code."""
+    return tuple((2 ** (n - 1), tuple((code, 1) for code in range(1 << n)
+                                      if code.bit_count() & 1 == value)) for value in (0, 1))
 
 
 @cache
@@ -551,10 +564,9 @@ def chsh_value(box: NoSignalBox) -> Fraction:
         raise ValueError("the CHSH functional is defined for 2-party boxes")
 
     def correlator(x: int, y: int) -> Fraction:
-        total = Fraction(0)
-        for (a, b), p in box.rows[(x, y)].items():
-            total += p if (a ^ b) == 0 else -p
-        return total
+        # outcome code 2a + b: a ^ b is the parity of its 1 bits
+        den, row = box.integer_rows[box.row_ids[2 * x + y]]
+        return Fraction(sum(-num if out.bit_count() & 1 else num for out, num in row), den)
 
     return (correlator(0, 0) + correlator(0, 1)
             + correlator(1, 0) - correlator(1, 1))
@@ -572,23 +584,19 @@ def box_to_spec(box: NoSignalBox) -> dict:
     if box.form is not None:
         return {"parties": box.n,
                 "constraint": [list(m) for m in box.form.sorted_monomials()]}
-    rendered: dict[int, list] = {}  # row id -> its sorted outcomes, p as "num/den"
     entries = []
-    for (inputs, row), row_id in zip(box.rows.items(), box.row_ids):  # sorted inputs
-        if row_id not in rendered:
-            rendered[row_id] = [(outputs, str(row[outputs])) for outputs in sorted(row)]
-        entries += [{"in": list(inputs), "out": list(outputs), "p": p}
-                    for outputs, p in rendered[row_id]]
+    for inputs, row in printed_rows(box):
+        entries += [{"in": list(inputs), "out": list(outputs), "p": p} for outputs, p in row]
     return {"parties": box.n, "table": entries}
 
 
 _get_in, _get_out, _get_p = itemgetter("in"), itemgetter("out"), itemgetter("p")
 
 
-def _bulk_rows(entries: list, codes: Mapping, bits: Sequence) -> dict | None:
-    """The rows of a table of plain JSON entries, by input tuple, checked and
-    filled in bulk passes (see ``box_from_spec``); None when a check fails or
-    an entry is of another kind."""
+def _bulk_rows(entries: list, codes: Mapping, bits: Sequence) -> list | None:
+    """By input code, the (outputs, ps) lists a table of plain JSON entries
+    gives, checked and gathered in bulk passes (see ``box_from_spec``);
+    None when a check fails or an entry is of another kind."""
     try:
         if ({*map(type, entries)} != {dict}
                 or {*map(type, chain(map(_get_in, entries), map(_get_out, entries)))} != {list}
@@ -600,26 +608,27 @@ def _bulk_rows(entries: list, codes: Mapping, bits: Sequence) -> dict | None:
             return None
         ins = list(map(codes.get, map(tuple, map(_get_in, entries))))
         outs = list(map(codes.get, map(tuple, map(_get_out, entries))))
-        # in order of first occurrence, so that the rows read them in the order made
         parsed = {p: exact_fraction(p) for p in dict.fromkeys(map(_get_p, entries))}
     except (ArithmeticError, KeyError, TypeError, ValueError):
         return None
     if None in ins or None in outs:  # a bit other than 0 or 1, or a wrong arity
         return None
-    rows: list[dict] = [{} for _ in bits]  # by input code
-    for row, out, p in zip(map(rows.__getitem__, ins), map(bits.__getitem__, outs),
-                           map(parsed.__getitem__, map(_get_p, entries))):
-        row[out] = p  # out is the shared tuple, as in _entry_rows
-    if sum(map(len, rows)) != len(entries):  # an outcome given twice
+    rows: list[tuple[list, list]] = [([], []) for _ in bits]
+    for (row_outs, row_ps), out, p in zip(map(rows.__getitem__, ins), map(bits.__getitem__, outs),
+                                          map(parsed.__getitem__, map(_get_p, entries))):
+        row_outs.append(out)  # the shared tuple, as in _entry_rows
+        row_ps.append(p)
+    if any(len({*map(id, row_outs)}) < len(row_outs) for row_outs, _ in rows):  # given twice
         return None
-    return dict(zip(bits, rows))
+    return rows
 
 
-def _entry_rows(entries: list, parties: int, codes: Mapping, bits: Sequence) -> dict:
-    """The rows of a table spec's entries, checked entry by entry: the first
-    failing entry raises its BoxSpecError."""
-    rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {
-        inputs: {} for inputs in bits}
+def _entry_rows(entries: list, parties: int, codes: Mapping, bits: Sequence) -> list:
+    """By input code, the (outputs, ps) lists of a table spec's entries,
+    checked entry by entry: the first failing entry raises its
+    BoxSpecError."""
+    rows: list[tuple[list, list]] = [([], []) for _ in bits]
+    given: set[tuple[int, int]] = set()  # (input code, outcome code) of each entry
     parsed: dict = {}  # each distinct 'num/den' string or int, parsed once
 
     def probability(value) -> Fraction:
@@ -633,7 +642,7 @@ def _entry_rows(entries: list, parties: int, codes: Mapping, bits: Sequence) -> 
         if not isinstance(entry, dict):
             raise BoxSpecError(f"table[{k}]: entry must be an object")
         try:
-            inputs, _ = _bit_tuple(entry["in"], codes)
+            inputs, in_code = _bit_tuple(entry["in"], codes)
             outputs, code = _bit_tuple(entry["out"], codes)
             p = probability(entry["p"])
         except KeyError as err:
@@ -642,9 +651,11 @@ def _entry_rows(entries: list, parties: int, codes: Mapping, bits: Sequence) -> 
             raise BoxSpecError(f"table[{k}]: {err}") from err
         if len(inputs) != parties or len(outputs) != parties:
             raise BoxSpecError(f"table[{k}]: 'in' and 'out' must have {parties} bits")
-        if outputs in rows[inputs]:
+        if (in_code, code) in given:
             raise BoxSpecError(f"table[{k}]: duplicate entry for {inputs} -> {outputs}")
-        rows[inputs][bits[code]] = p  # the shared tuple: NoSignalBox checks its bits by id
+        given.add((in_code, code))
+        rows[in_code][0].append(bits[code])  # the shared tuple: its code is found by its id
+        rows[in_code][1].append(p)
     return rows
 
 
@@ -657,10 +668,12 @@ def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
     is given twice for one input.  Only when a bulk check fails, or an
     entry is of another kind (a dict subclass, a tuple of bits, a
     ``Fraction``), is each entry checked in turn, which raises the first
-    failing entry's error or loads the other kinds.  Rows given with the
-    same entry sequence, the same outputs with the same p in the same
-    order, become one row object, so ``NoSignalBox`` checks each of them
-    once; a row given in another entry order stays a row of its own.  An
+    failing entry's error or loads the other kinds.  Either pass hands
+    each input's outputs and p's to the validator of ``NoSignalBox``,
+    which checks each row's outcomes and sum once: inputs given the same
+    entry sequence, the same outputs with the same p in the same order,
+    share one sequence, checked once; a row given in another entry order
+    is checked on its own, and shares the row id of an equal row.  An
     error names the first failing entry, or the first input whose row
     fails, as if every row were checked.
     """
@@ -692,15 +705,15 @@ def box_from_spec(data, *, label: str | None = None) -> NoSignalBox:
     if not isinstance(entries, list):
         raise BoxSpecError("field 'table' must be a list of entries")
     bits, codes, _ = shared_bits(parties)
-    rows = _bulk_rows(entries, codes, bits)
-    if rows is None:
-        rows = _entry_rows(entries, parties, codes, bits)
-    # rows with the same outputs and p objects in the same order become one
-    # object, which NoSignalBox checks once; the ids are of live objects
-    first: dict[tuple, dict] = {}
-    rows = {inputs: first.setdefault((*map(id, row), *map(id, row.values())), row)
-            for inputs, row in rows.items()}
+    given = _bulk_rows(entries, codes, bits)
+    if given is None:
+        given = _entry_rows(entries, parties, codes, bits)
+    # the same outputs and p objects in the same order: one sequence, checked
+    # once; the ids are of live objects
+    first: dict[tuple, tuple] = {}
+    given = [first.setdefault((*map(id, row[0]), *map(id, row[1])), row) for row in given]
     try:
-        return NoSignalBox(parties, rows, label=label)
+        return NoSignalBox._of(parties, *_checked_rows(parties, given, lambda row: zip(*row)),
+                               label=label)
     except ValueError as err:
         raise BoxSpecError(f"table: {err}") from err

@@ -96,7 +96,7 @@ def _untraced(phase: str, counts: Counts | None = None) -> None:
 
 def _constrained(cbox) -> Counts:
     """The counts of a constrain phase."""
-    return lambda: {"rows": len(cbox.rows), "distinct_rows": len(cbox.integer_rows),
+    return lambda: {"rows": len(cbox.row_ids), "distinct_rows": len(cbox.integer_rows),
                     "paradox_rows": len(cbox.paradox_inputs)}
 
 

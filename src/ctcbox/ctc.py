@@ -19,26 +19,25 @@ which `induced_parity_form` computes symbolically; the table built by
 
 A conditioned row depends only on the box's row and the looped input
 bits, so each distinct (row, looped bits) pair is conditioned once, from
-the box's integer row, and conditioned rows with the same items in the
-same order are one shared object.  Each probability is one Fraction per
-``constrain``, and the row ids and the per-input ``ConstrainedRow``s are
-made in bulk passes over the input codes.  Like a box, a
-``ConstrainedBox`` gives each input code a ``row_ids`` entry into
-``integer_rows``, its distinct rows in the exact integer format of
-``boxes`` for the signaling scan, each over its own denominator: every
-row is divided by its own surviving mass, and a denominator shared by
-the table would carry the primes of every row's mass in every
-numerator.  A paradox row is (1, ()).
+the box's integer row, and conditioned rows of the same integer form
+share a row id.  Like a box, a ``ConstrainedBox`` is its integer rows:
+``row_ids`` gives each input code an entry into ``integer_rows``, its
+distinct rows in the exact integer format of ``boxes``, each over its
+own denominator: every row is divided by its own surviving mass, and a
+denominator shared by the table would carry the primes of every row's
+mass in every numerator.  ``constrain`` builds no Fraction; the rows of
+Fractions are built when first read.  A paradox row is (1, ()).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .boxes import NoSignalBox, describe_box, shared_bits, spread_codes
+from .boxes import (NoSignalBox, describe_box, fraction_rows, printed_rows, shared_bits,
+                    spread_codes)
 from .forms import (PARTY_NAMES, BooleanForm, bit_string, input_names, normalize_pattern,
                     output_names, party_names)
 
@@ -52,52 +51,43 @@ class ConstrainedRow(NamedTuple):
 
 
 class ConstrainedBox:
-    """A box conditioned on output == input for a set of parties."""
+    """A box conditioned on output == input for a set of parties: its integer
+    rows, and ``rows`` of ``ConstrainedRow``s built when first read."""
 
     def __init__(self, box: NoSignalBox, pattern: Iterable[int]):
         self.box = box
         self.n = box.n
         self.pattern = normalize_pattern(box.n, pattern)
-        bits = shared_bits(self.n)[0]  # the input and outcome tuples, by code
         looped = spread_codes(self.n, self.pattern)[-1]  # the code of the looped bits
         # by input code, (box row id, looped bits)
-        keys = list(zip(box.row_ids, map(looped.__and__, range(len(bits)))))
+        keys = list(zip(box.row_ids, map(looped.__and__, range(1 << self.n))))
         conditioned: dict[tuple[int, int], int] = {}  # (box row id, looped bits) -> row id
         interned: dict[tuple, int] = {}  # integer form -> row id
-        outcomes: list[dict] = []
-        fractions: dict[tuple[int, int], Fraction] = {}  # (numerator, denominator) -> p
         for key in dict.fromkeys(keys):  # in order of first occurrence
             box_row, looped_bits = key
             # the kept numerators, over the box row's denominator
             kept = [(out, num) for out, num in box.integer_rows[box_row][1]
                     if out & looped == looped_bits]
             nums = [num for _, num in kept]
-            # over the lcm of the conditioned Fractions' denominators
+            # over the lcm of the conditioned probabilities' denominators
             common = math.gcd(*nums) or 1
             if common > 1:
                 kept = [(out, num // common) for out, num in kept]
             integer = (sum(nums) // common or 1, tuple(kept))  # a paradox row is (1, ())
-            row_id = conditioned[key] = interned.setdefault(integer, len(outcomes))
-            if row_id == len(outcomes):
-                den = integer[0]
-                for num in {num for _, num in kept}:
-                    if (num, den) not in fractions:
-                        fractions[num, den] = Fraction(num, den)
-                outcomes.append({bits[out]: fractions[num, den] for out, num in kept})
+            conditioned[key] = interned.setdefault(integer, len(interned))
         self.row_ids: list[int] = list(map(conditioned.__getitem__, keys))
-        paradox = [not row for row in outcomes]  # by row id
-        # tuple.__new__ is how ConstrainedRow._make builds a row, here without a
-        # Python call per input
-        self.rows: dict[tuple[int, ...], ConstrainedRow] = dict(zip(bits, map(
-            tuple.__new__, repeat(ConstrainedRow),
-            zip(bits, map(outcomes.__getitem__, self.row_ids),
-                map(paradox.__getitem__, self.row_ids)))))
         self.integer_rows: list[tuple[int, tuple]] = list(interned)
+
+    @cached_property
+    def rows(self) -> dict[tuple[int, ...], ConstrainedRow]:
+        outcomes = fraction_rows(self.n, self.integer_rows)
+        return {inputs: ConstrainedRow(inputs, outcomes[row_id], not outcomes[row_id])
+                for inputs, row_id in zip(shared_bits(self.n)[0], self.row_ids)}
 
     @property
     def paradox_inputs(self) -> list[tuple[int, ...]]:
-        return [inputs for inputs in sorted(self.rows)
-                if self.rows[inputs].paradox]
+        return [inputs for inputs, row_id in zip(shared_bits(self.n)[0], self.row_ids)
+                if not self.integer_rows[row_id][1]]
 
     def prob(self, inputs: Iterable[int], outputs: Iterable[int]) -> Fraction:
         """Conditioned p(outputs | inputs); zero on paradox rows."""
@@ -105,14 +95,11 @@ class ConstrainedBox:
 
     def deterministic_map(self) -> dict[tuple[int, ...], tuple[int, ...]] | None:
         """inputs -> outputs when every row has exactly one outcome, else None."""
-        mapping = {}
-        for inputs in sorted(self.rows):
-            row = self.rows[inputs]
-            if row.paradox or len(row.outcomes) != 1:
-                return None
-            (out,) = row.outcomes
-            mapping[inputs] = out
-        return mapping
+        if any(len(row) != 1 for _, row in self.integer_rows):
+            return None
+        bits = shared_bits(self.n)[0]
+        return {inputs: bits[self.integer_rows[row_id][1][0][0]]
+                for inputs, row_id in zip(bits, self.row_ids)}
 
     def __repr__(self) -> str:
         return (f"ConstrainedBox({self.box!r}, pattern={self.pattern}, "
@@ -146,14 +133,13 @@ def constrained_to_json(cbox: ConstrainedBox) -> list[dict]:
     error then names the row's inputs.
     """
     rows = []
-    for inputs, row in sorted(cbox.rows.items()):
-        try:
-            outcomes = [{"out": list(outcome), "p": str(p)}
-                        for outcome, p in sorted(row.outcomes.items())]
-        except ValueError as err:
-            raise ValueError(f"inputs {inputs}: {err}") from err
-        rows.append({"inputs": list(inputs), "outcomes": outcomes,
-                     "paradox": row.paradox})
+    try:
+        for inputs, outcomes in printed_rows(cbox):
+            rows.append({"inputs": list(inputs),
+                         "outcomes": [{"out": list(out), "p": p} for out, p in outcomes],
+                         "paradox": not outcomes})
+    except ValueError as err:  # printing the row of the next input
+        raise ValueError(f"inputs {shared_bits(cbox.n)[0][len(rows)]}: {err}") from err
     return rows
 
 

@@ -7,7 +7,8 @@ absolute tolerance and solver residuals a 1e-10 trace-norm tolerance.
 
 Run with `pytest tests/test_acceptance.py`; the per-criterion verdicts
 are printed in an "acceptance criteria" section at the end of the run
-(see conftest.py).
+(see conftest.py).  Only criterion 10, the quantum loop, needs numpy: on
+a Python without it that criterion is skipped, and reads SKIP.
 """
 
 import functools
@@ -17,14 +18,12 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
+import pytest
 
 from conftest import record_acceptance
 from ctcbox.boxes import (BoxName, NAMED_FORMS, all_bit_tuples, chsh_value,
                           is_no_signaling, named_box)
 from ctcbox.ctc import constrain
-from ctcbox.deutsch import (classical_consistency_crosscheck, example,
-                            fixed_point, trace_norm)
 from ctcbox.signaling import analyze
 
 MI_TOL = 1e-12
@@ -80,10 +79,13 @@ def criterion(number, description):
         def wrapper():
             try:
                 fn()
-            except BaseException:
-                record_acceptance(number, description, False)
+            except pytest.skip.Exception:
+                record_acceptance(number, description, "SKIP")
                 raise
-            record_acceptance(number, description, True)
+            except BaseException:
+                record_acceptance(number, description, "FAIL")
+                raise
+            record_acceptance(number, description, "PASS")
         return wrapper
     return decorate
 
@@ -187,6 +189,10 @@ def test_criterion_09_mermin2():
 @criterion(10, "loop solver: swap copies rho (10 random states), flip gives I/2, "
               "grandfather crosscheck passes")
 def test_criterion_10_deutsch():
+    np = pytest.importorskip("numpy")
+    from ctcbox.deutsch import (classical_consistency_crosscheck, example, fixed_point,
+                                trace_norm)
+
     swap, _, d = example("swap")
     rng = np.random.default_rng(11)
     for _ in range(10):

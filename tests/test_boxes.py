@@ -216,6 +216,64 @@ def test_box_equality_ignores_construction_route():
     assert rebuilt.form is None
 
 
+def _by_every_route(n, rows):
+    """The table ``rows`` built every way a table gets in: rows in the given
+    and in reversed outcome order, bool bits with integral probabilities as
+    ints, a spec of "num/den" strings (loaded in bulk) and a spec of
+    Fractions in reversed entry order (loaded entry by entry)."""
+    reverse = {x: dict(reversed(row.items())) for x, row in rows.items()}
+    boolean = {tuple(map(bool, x)): {tuple(map(bool, out)): p.numerator if p.denominator == 1
+                                     else p for out, p in row.items()}
+               for x, row in rows.items()}
+    strings = [{"in": list(x), "out": list(out), "p": f"{p.numerator}/{p.denominator}"}
+               for x, row in rows.items() for out, p in row.items()]
+    fractions = [{"in": [bool(b) for b in x], "out": list(out), "p": p}
+                 for x, row in reverse.items() for out, p in row.items()]
+    return [NoSignalBox(n, rows), NoSignalBox(n, reverse), NoSignalBox(n, boolean),
+            box_from_spec(json.loads(json.dumps({"parties": n, "table": strings}))),
+            box_from_spec({"parties": n, "table": fractions})]
+
+
+def _mixed_table(n):
+    """A row per input over unrelated denominators, one of them a single
+    outcome of probability 1."""
+    outcomes = all_bit_tuples(n)
+    rows = {}
+    for k, x in enumerate(outcomes):
+        den = (10 ** 18 + 9, 2 ** 61 - 1, 7)[k % 3]
+        rows[x] = ({outcomes[k]: Fraction(1)} if k == 5 else
+                   {outcomes[k]: Fraction(k + 1, den), outcomes[-1 - k]: Fraction(3, 7),
+                    outcomes[k ^ 1]: 1 - Fraction(k + 1, den) - Fraction(3, 7)})
+    return rows
+
+
+@pytest.mark.parametrize("n, form", [
+    (3, BooleanForm.from_monomials(3, [(0, 1), (1, 2)])),
+    (4, BooleanForm.from_monomials(4, [(0, 1, 2), (3,)])),
+    (3, None),
+])
+def test_a_table_equals_itself_by_every_route_and_nothing_nearby(n, form):
+    rows = (_mixed_table(n) if form is None
+            else {x: dict(row) for x, row in parity_box(form).rows.items()})
+    boxes_ = _by_every_route(n, rows) + ([parity_box(form)] if form else [])
+    for box in boxes_:
+        assert all(box == other and other == box for other in boxes_)
+    # equal entry for entry, although rows in another outcome order are
+    # other integer rows
+    assert boxes_[0].integer_rows != boxes_[1].integer_rows
+    # one row moves 1/10**18 from one outcome to another
+    x = all_bit_tuples(n)[2]
+    near = {inputs: dict(row) for inputs, row in rows.items()}
+    first, second = list(near[x])[:2]
+    near[x][first] += Fraction(1, 10 ** 18)
+    near[x][second] -= Fraction(1, 10 ** 18)
+    for box in _by_every_route(n, near):
+        assert all(box != other and other != box for other in boxes_)
+    # comparing builds no rows of Fractions; once built, each is the table
+    assert not any("rows" in vars(box) for box in boxes_)
+    assert all(box.rows == rows for box in boxes_)
+
+
 def test_prob_lookup():
     pr = named_box("pr")
     assert pr.prob((0, 0), (0, 0)) == Fraction(1, 2)

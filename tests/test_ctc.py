@@ -1,14 +1,18 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctcbox import boxes, ctc
 from ctcbox.boxes import (BoxName, NAMED_FORMS, NoSignalBox, all_bit_tuples,
-                          named_box)
+                          box_to_spec, is_no_signaling, named_box)
+from ctcbox.cli import main
 from ctcbox.ctc import (ConstrainedBox, constrain, constrained_to_json,
                         induced_parity_form, normalize_pattern, parse_pattern)
 from ctcbox.forms import BooleanForm, party_names
+from ctcbox.signaling import analyze, scan_report_json
 from signaling_oracle import xor_bits
 
 
@@ -234,3 +238,38 @@ def test_conditioning_matches_fractions_on_every_pattern_of_the_named_boxes(name
     for size in range(box.n + 1):
         for pattern in combinations(range(box.n), size):
             _assert_conditioning_matches_fractions(box, pattern)
+
+
+def test_verdicts_scans_and_traced_conditioning_build_no_rows_of_fractions(
+        capsys, monkeypatch, tmp_path):
+    built = []  # the party count of each rows view built
+    for module in (boxes, ctc):
+        def counting(n, integer_rows, _build=module.fraction_rows):
+            built.append(n)
+            return _build(n, integer_rows)
+
+        monkeypatch.setattr(module, "fraction_rows", counting)
+    monkeypatch.setenv("CTCBOX_TRACE", "1")
+    for n in (2, 3):
+        # every row its inputs w.p. 1/3 and their complement w.p. 2/3: no
+        # paradox row once alice is looped
+        box = NoSignalBox(n, {x: {x: Fraction(1, 3), tuple(1 - b for b in x): Fraction(2, 3)}
+                              for x in all_bit_tuples(n)})
+        cbox = constrain(box, [0])
+        is_no_signaling(box)
+        analyze(cbox, 0, [1])
+        scan_report_json("t", cbox)
+        assert "rows" not in vars(box) and "rows" not in vars(cbox)
+        path = tmp_path / f"table{n}.json"
+        path.write_text(json.dumps(box_to_spec(box)))
+        for argv in (["verify"], ["analyze", "--ctc", "alice", "--sender", "alice",
+                                  "--receivers", "bob"], ["analyze", "--ctc", "alice"]):
+            for json_flag in ([], ["--json"]):
+                assert main([*argv, "--spec", str(path), *json_flag]) in (0, 1)
+                err = capsys.readouterr().err
+                if argv[0] == "analyze":
+                    assert '"phase": "constrain"' in err and '"rows": ' in err
+    assert built == []
+    # the view, once read, is kept
+    assert box.rows is box.rows and cbox.rows is cbox.rows
+    assert len(built) == 2

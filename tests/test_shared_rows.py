@@ -337,16 +337,22 @@ class FreshRows(Mapping):
         return len(self._rows)
 
 
-def test_rows_handed_out_afresh_build_the_box_a_plain_dict_builds():
+def test_rows_handed_out_afresh_build_the_box_a_plain_dict_builds(monkeypatch):
     n = 4
     half = Fraction(1, 2)
     # every row different: its inputs and their complement, in that order
     rows = {x: {x: half, tuple(1 - b for b in x): half} for x in all_bit_tuples(n)}
     fresh_rows = FreshRows(rows)
-    fresh, plain = NoSignalBox(n, fresh_rows), NoSignalBox(n, rows)
+    calls = _counting_checks(monkeypatch)
+    fresh = NoSignalBox(n, fresh_rows)
     # each row is looked up once and held while the box is built, so no
-    # row's id is handed to another
+    # row's id is handed to another, and the validator checks each row
+    # once, at its own input
     assert len(set(fresh_rows.ids)) == len(fresh_rows.ids) == 2 ** n
+    assert calls == all_bit_tuples(n)
+    calls.clear()
+    plain = NoSignalBox(n, rows)
+    assert calls == all_bit_tuples(n)
     assert fresh == plain
     assert fresh.row_ids == plain.row_ids == list(range(2 ** n))
     assert fresh.integer_rows == plain.integer_rows
@@ -399,14 +405,15 @@ def _mixture_spec(n):
 
 
 def _counting_checks(monkeypatch):
+    """The inputs at which the validator checks a given row, in order."""
     calls = []
-    checked_row = boxes._checked_row
+    integer_row = boxes._integer_row
 
-    def counting(n, given, inputs, *rest):
+    def counting(n, pairs, inputs, *rest):
         calls.append(inputs)
-        return checked_row(n, given, inputs, *rest)
+        return integer_row(n, pairs, inputs, *rest)
 
-    monkeypatch.setattr(boxes, "_checked_row", counting)
+    monkeypatch.setattr(boxes, "_integer_row", counting)
     return calls
 
 

@@ -1,13 +1,16 @@
 import copy
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -799,7 +802,7 @@ def _shape_runs(n, cbox):
 
 
 SHAPE_CACHES = (boxes.projection, signaling._reorder, signaling._labels, boxes.spread_codes,
-                boxes.shared_bits, boxes.parity_outcomes, forms.party_masks)
+                boxes.shared_bits, boxes.parity_rows, forms.party_masks)
 
 
 def test_the_shape_caches_hold_one_entry_per_shape():
@@ -858,12 +861,9 @@ def test_the_bit_code_tables_follow_from_the_bits():
         assert labels == list(map(bit_string, bits))
         assert [int(label, 2) for label in labels] == list(range(2 ** n))
         if n > 1:
-            weight, outcomes, integer_rows = boxes.parity_outcomes(n)
-            assert weight == Fraction(1, 2 ** (n - 1))
+            integer_rows = boxes.parity_rows(n)
             for value in (0, 1):
                 kept = [out for out in bits if xor_bits(out) == value]
-                assert list(outcomes[value]) == kept
-                assert all(a is b for a, b in zip(outcomes[value], kept))
                 assert integer_rows[value] == (2 ** (n - 1), tuple((codes[out], 1) for out in kept))
         # a coalition's codes, also in an order drawn at random, and its
         # settings order: the coalition's codes each with every pattern of
@@ -881,35 +881,55 @@ def test_the_bit_code_tables_follow_from_the_bits():
                         for pattern in spread(n, others)]
 
 
-def test_the_shapes_of_every_party_count_take_little_memory():
-    shapes = [(n, coal) for n in range(2, boxes.MAX_PARTIES + 1) for size in range(1, n)
-              for coal in combinations(range(n), size)]
-    # each coalition's settings order: its parties, then the others
-    orders = [(n, (*coal, *(i for i in range(n) if i not in coal))) for n, coal in shapes]
-    counts = [(n,) for n in range(1, boxes.MAX_PARTIES + 1)]
-    # for each kind of table, its cache up to 7 parties, and the tables of
-    # every shape up to MAX_PARTIES; the tables it reads are built first, so
-    # that each kind counts its own memory; the settings orders and the
-    # coalitions' codes, both of spread_codes, are measured one after the other
-    up_to_seven, every = [], []
-    for table, keys in ((boxes.projection, shapes), (boxes.spread_codes, orders),
-                        (boxes.spread_codes, shapes), (boxes.shared_bits, counts),
-                        (boxes.parity_outcomes, counts[1:]), (forms.party_masks, counts)):
+# for each kind of table, its cache up to 7 parties, and the tables of every
+# shape up to MAX_PARTIES; the tables it reads are built first, so that each
+# kind counts its own memory; the settings orders and the coalitions' codes,
+# both of spread_codes, are measured one after the other
+SHAPE_MEMORY = """\
+import json
+import tracemalloc
+from itertools import combinations
+
+from ctcbox import boxes, forms
+
+shapes = [(n, coal) for n in range(2, boxes.MAX_PARTIES + 1) for size in range(1, n)
+          for coal in combinations(range(n), size)]
+# each coalition's settings order: its parties, then the others
+orders = [(n, (*coal, *(i for i in range(n) if i not in coal))) for n, coal in shapes]
+counts = [(n,) for n in range(1, boxes.MAX_PARTIES + 1)]
+up_to_seven, every = [], []
+for table, keys in ((boxes.projection, shapes), (boxes.spread_codes, orders),
+                    (boxes.spread_codes, shapes), (boxes.shared_bits, counts),
+                    (boxes.parity_rows, counts[1:]), (forms.party_masks, counts)):
+    held = [table(*key) for key in keys]
+    table.cache_clear()
+    tracemalloc.start()
+    try:
+        held = [table(*key) for key in keys if key[0] <= 7]
+        up_to_seven.append(tracemalloc.get_traced_memory()[0])
         held = [table(*key) for key in keys]
         table.cache_clear()
-        tracemalloc.start()
-        try:
-            held = [table(*key) for key in keys if key[0] <= 7]
-            up_to_seven.append(tracemalloc.get_traced_memory()[0])
-            held = [table(*key) for key in keys]
-            table.cache_clear()
-            before = tracemalloc.get_traced_memory()[0]
-            held.clear()
-            every.append(before - tracemalloc.get_traced_memory()[0])
-        finally:
-            tracemalloc.stop()
+        before = tracemalloc.get_traced_memory()[0]
+        held.clear()
+        every.append(before - tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+print(json.dumps([up_to_seven, every]))
+"""
+
+
+def test_the_shapes_of_every_party_count_take_little_memory():
+    # in a fresh interpreter: tracemalloc does not see the tuples taken from
+    # the interpreter's free lists, which the tests run before fill
+    src = str(Path(boxes.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SHAPE_MEMORY], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    up_to_seven, every = json.loads(proc.stdout)
     # the three tables of each coalition, then the tables of n: the bit tuples
-    # with their codes, the parity outcomes and the party masks
+    # with their codes, the parity rows and the party masks
     assert sum(up_to_seven[:3]) < 0.2 * 2 ** 20
     assert sum(up_to_seven[3:]) < 0.1 * 2 ** 20
     assert max(every) <= 3 * 2 ** 20

@@ -1,23 +1,32 @@
 """Table specs loaded in bulk passes against the per-entry loader they replace.
 
-``box_from_spec`` checks and fills a table of plain JSON entries in bulk
-passes, and checks entry by entry only when a bulk check fails or an entry
-is of another kind.  ``per_entry_box`` below is the loader as it was, one
-Python step per entry; both must give the same boxes, row for row, and the
-same error for the same first failing entry.
+``box_from_spec`` checks and gathers a table of plain JSON entries in bulk
+passes, checks entry by entry only when a bulk check fails or an entry is
+of another kind, and hands each input's outcomes to the one validator of
+given rows.  ``per_entry_box`` below is the loader as it was, one Python
+step per entry into rows of Fractions, each row object checked on its own;
+both must give the same boxes, row for row, check the same rows at the
+same inputs, and give the same error for the same first failing entry.
 """
 
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from ctcbox import boxes
-from ctcbox.boxes import BoxSpecError, NoSignalBox, all_bit_tuples, box_from_spec
+from ctcbox.boxes import BoxSpecError, all_bit_tuples, box_from_spec
 
 
-def per_entry_box(data, *, label=None):
-    """A table spec's box, every entry checked and placed on its own."""
+def per_entry_box(data):
+    """A table spec's table as the loader built it from rows of Fractions:
+    every entry checked and placed on its own, rows of the same entries in
+    the same order made one object, and each row object checked once, at
+    its first input.  Returns its rows ({inputs: {outputs: p}}, one dict
+    per distinct row), ``row_ids``, ``integer_rows`` and the inputs at
+    which a row was checked."""
     parties, entries = data["parties"], data["table"]
     bits, codes, _ = boxes.shared_bits(parties)
     rows = {inputs: {} for inputs in bits}
@@ -49,10 +58,29 @@ def per_entry_box(data, *, label=None):
     first = {}
     rows = {inputs: first.setdefault((*map(id, row), *map(id, row.values())), row)
             for inputs, row in rows.items()}
-    try:
-        return NoSignalBox(parties, rows, label=label)
-    except ValueError as err:
-        raise BoxSpecError(f"table: {err}") from err
+    by_object, by_form, distinct = {}, {}, []  # id(row) and integer form -> row id
+    checked, row_ids = [], []
+    for inputs, row in rows.items():
+        if id(row) not in by_object:
+            checked.append(inputs)
+            for out, p in row.items():
+                if p < 0:
+                    raise BoxSpecError(f"table: negative probability {p} at inputs {inputs}, "
+                                       f"outputs {out}")
+            kept = {out: p for out, p in row.items() if p}
+            if sum(kept.values()) != 1:
+                raise BoxSpecError(f"table: probabilities for inputs {inputs} sum to "
+                                   f"{sum(kept.values(), Fraction(0))}, expected 1")
+            den = math.lcm(*(p.denominator for p in kept.values()))
+            form = (den, tuple((codes[out], p.numerator * (den // p.denominator))
+                               for out, p in kept.items()))
+            if form not in by_form:
+                by_form[form] = len(distinct)
+                distinct.append(kept)
+            by_object[id(row)] = by_form[form]
+        row_ids.append(by_object[id(row)])
+    return SimpleNamespace(rows=dict(zip(bits, map(distinct.__getitem__, row_ids))),
+                           row_ids=row_ids, integer_rows=list(by_form), checked=checked)
 
 
 class Entry(dict):
@@ -217,21 +245,27 @@ def outcome(load, spec):
         return str(err)
 
 
-def sharing(box):
+def sharing(table):
     """For each input, the first input whose row is the same object."""
     first = {}
-    return [first.setdefault(id(row), k) for k, row in enumerate(box.rows.values())]
+    return [first.setdefault(id(row), k) for k, row in enumerate(table.rows.values())]
 
 
 def test_bulk_passes_load_the_boxes_and_errors_of_the_per_entry_loader(monkeypatch):
-    entry_rows = boxes._entry_rows
+    entry_rows, integer_row = boxes._entry_rows, boxes._integer_row
     calls = []  # the tables checked entry by entry
+    checked = []  # the inputs at which the validator checked a row
 
     def counting(entries, *rest):
         calls.append(entries)
         return entry_rows(entries, *rest)
 
+    def validating(n, pairs, inputs, *rest):
+        checked.append(inputs)
+        return integer_row(n, pairs, inputs, *rest)
+
     monkeypatch.setattr(boxes, "_entry_rows", counting)
+    monkeypatch.setattr(boxes, "_integer_row", validating)
     loaded = {"in bulk": 0, "entry by entry": 0}
     failed = 0
     for seed in range(300):
@@ -240,16 +274,21 @@ def test_bulk_passes_load_the_boxes_and_errors_of_the_per_entry_loader(monkeypat
         if seed % 2:
             spec = corrupt(rng, spec)
         calls.clear()
+        checked.clear()
         new, old = outcome(box_from_spec, spec), outcome(per_entry_box, spec)
         if isinstance(old, str):
             failed += 1
             assert new == old, seed
             continue
         loaded["entry by entry" if calls else "in bulk"] += 1
-        assert new == old
+        # each distinct row checked once, at its first input, as the loader did
+        assert checked == old.checked, seed
+        # the view is the loader's table of Fractions: keys, item order, sharing
+        assert new.rows == old.rows
         assert list(new.rows) == list(old.rows)
         assert ([list(row.items()) for row in new.rows.values()]
                 == [list(row.items()) for row in old.rows.values()])
+        assert all(type(p) is Fraction for row in new.rows.values() for p in row.values())
         assert new.row_ids == old.row_ids
         assert new.integer_rows == old.integer_rows
         assert sharing(new) == sharing(old)
