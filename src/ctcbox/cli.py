@@ -11,11 +11,12 @@ Subcommands, and the module that builds and renders each one's payload:
     reproduce   rebuild the reference scenario tables and compare     tables
 
 This module parses arguments, loads inputs, dispatches, and prints: the
-payload with ``--json``, else the lines its renderer yields.  Of a payload
-it reads only the top-level "ok", false for exit code 1.  Every subcommand
-loads forms, boxes, ctc and tables, which the parser's help text needs;
-``analyze`` alone loads signaling, and ``deutsch`` alone loads deutsch and
-numpy, each when it runs.
+payload with ``--json``, else the lines its renderer yields; a text
+scan's payload leaves out the entries, which its renderer does not read.
+Of a payload it reads only the top-level "ok", false for exit code 1.
+Every subcommand loads forms, boxes, ctc and tables, which the parser's
+help text needs; ``analyze`` alone loads signaling, and ``deutsch`` alone
+loads deutsch and numpy, each when it runs.
 
 With CTCBOX_TRACE=1 in the environment, each phase a subcommand runs
 writes one JSON line to stderr when it ends, {"phase": name, "ms": wall
@@ -27,11 +28,11 @@ time runs from the end of the one before, the first one's from the start
 of ``main``, and leaves out the trace's own work.  Some phases also carry
 counts (``COUNTS``): constrain its rows, distinct rows and paradox rows;
 a signaling report's analyze its directions, settings and dependent
-settings, and for a full scan the distinct lines, buckets and analyses
-the scan built, each counted per coalition size.  Stdout and exit codes
-are the same either way; with the variable unset, tracing costs one
-environment lookup and a call of an empty function per phase, and no
-count is taken.
+settings, and the distinct lines, buckets and analyses that its scan,
+of every direction or of one, built per coalition size.  Stdout and
+exit codes are the same either way; with the variable unset, tracing
+costs one environment lookup and a call of an empty function per phase,
+and no count is taken.
 
 Exit codes: 0 on success, 1 when a requested check fails (signaling
 witness found, scenario mismatch, solver did not converge), 2 on usage
@@ -191,7 +192,7 @@ def cmd_verify(args) -> tuple[dict, Render]:
 
 def cmd_analyze(args) -> tuple[dict, Render]:
     # imported here, so that the other subcommands do not compile it
-    from .signaling import _scan_report, render_report, render_scan, report_json
+    from .signaling import _check_scenario, _report, render_report, render_scan
     args.phase("import")
 
     # checked first: loading and constraining a large box takes seconds
@@ -201,23 +202,21 @@ def cmd_analyze(args) -> tuple[dict, Render]:
     box = _load_box(args)
     cbox = constrain(box, _parties(args.ctc, box.n))
     args.phase("constrain", _constrained(cbox))
-    if args.sender is None:
-        payload, built = _scan_report(box.label, cbox)
-        render = partial(render_scan, box)
-    else:
+    direction = None
+    if args.sender is not None:
         sender_ids = _parties(args.sender, box.n)
         if len(sender_ids) != 1:
             raise ValueError("--sender takes exactly one party")
-        payload = report_json(box.label, cbox, sender_ids[0],
-                              _parties(args.receivers, box.n))
-        render = partial(render_report, box)
-        built = {}  # one direction fills no store of a scan: no count of one
+        direction = _check_scenario(cbox, sender_ids[0], _parties(args.receivers, box.n))
+    # a direction's text lists its entries, a scan's only its summaries
+    payload, built = _report(box.label, cbox, direction,
+                             entries=args.json or direction is not None)
     summary = payload["summary"]  # one direction's has no count of directions
     args.phase("analyze", lambda: {"directions": summary.get("directions", 1),
                                    "settings": summary["settings"],
                                    "dependent_settings": summary["dependent_settings"],
                                    **built})
-    return payload, render
+    return payload, partial(render_scan if direction is None else render_report, box)
 
 
 def cmd_deutsch(args) -> tuple[dict, Render]:

@@ -83,19 +83,20 @@ last sender's.  Within a size the directions come by sender, then
 coalition; each leaves a record, (sender, coalition, ``impractical``,
 analyses), and the store is dropped once its size is done.  The records
 are then sorted into report order, by sender, then coalition size, then
-coalition.  A single direction keeps a store of its own.  A direction
-raises at its first setting whose line holds a paradox row, and names
-the line's first paradox row, sender bit 0's bystander patterns before
-bit 1's; a report names the direction such a row stops.  A paradox row
-stops the first direction of a scan, party 0 -> party 1, which reads
-every input.
-A scan formats each direction's successes as it reads the direction, so
-a success too long to print stops that direction.  The scan keeps the
-error and reads no further direction of that sender or a later one;
-once every size is done it raises the last error it kept.  Each error
-kept after another is a smaller sender's, so the last is that of the
-first direction in report order that fails, and every direction before
-it has been read.
+coalition.  A single direction is a scan of its one record, on a store of
+its own: every report and ``SignalingEntry`` is read from a scan's
+records.  A direction raises at its first setting whose line holds a
+paradox row, and names the line's first paradox row, sender bit 0's
+bystander patterns before bit 1's; a report names the direction such a
+row stops.  A paradox row stops the first direction of a scan, party 0
+-> party 1, which reads every input.
+A scan formats each direction's successes as it reads the direction,
+whether or not its report lists entries, so a success too long to print
+stops that direction.  The scan keeps the error and reads no further
+direction of that sender or a later one; once every size is done it
+raises the last error it kept.  Each error kept after another is a
+smaller sender's, so the last is that of the first direction in report
+order that fails, and every direction before it has been read.
 """
 
 from __future__ import annotations
@@ -169,11 +170,11 @@ class _Store:
 
 class _Coalition(CoalitionMarginals):
     """What the directions toward one receiver coalition share, whichever
-    party sends: each setting's row of marginal indices, on top of a
-    ``store`` of its size's marginals and what is keyed by their indices,
-    its own unless a scan passes one (see the module docstring)."""
+    party sends: each setting's row of marginal indices, on top of the
+    ``store`` of its size's marginals and what is keyed by their indices
+    (see the module docstring)."""
 
-    def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...], store: _Store | None = None):
+    def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...], store: _Store):
         super().__init__(cbox, coal)
         self.others = [i for i in range(cbox.n) if i not in coal]  # sender and bystanders
         # the settings and output keys by code, their codes, their bit strings by code
@@ -183,8 +184,7 @@ class _Coalition(CoalitionMarginals):
         self.order = spread_codes(cbox.n, (*coal, *self.others))
         self.impractical = bool(set(coal) & set(cbox.pattern))
         self.rows: list[tuple] | None = None  # by setting code, once a direction read all
-        self.store = store = _Store() if store is None else store
-        self.indices, self.marginals = store.indices, store.marginals
+        self.store, self.indices, self.marginals = store, store.indices, store.marginals
         self.by_line, self.by_half, self.by_counts = store.by_line, store.by_half, store.by_counts
 
     @property
@@ -382,9 +382,8 @@ def _entries(sender: int, coal: tuple[int, ...], impractical: bool,
 def analyze(cbox: ConstrainedBox, sender: int,
             coalition: Iterable[int]) -> list[SignalingEntry]:
     """One entry per receiver setting, settings in lexicographic order."""
-    sender, coal = _check_scenario(cbox, sender, coalition)
-    shared = _Coalition(cbox, coal)
-    return _entries(sender, coal, shared.impractical, _analyse_direction(shared, sender))
+    (record,) = _scan(cbox, direction=_check_scenario(cbox, sender, coalition))[0]
+    return _entries(*record)
 
 
 def mean_mi_bits(entries: Iterable[SignalingEntry]) -> float:
@@ -399,11 +398,6 @@ def mean_mi_bits(entries: Iterable[SignalingEntry]) -> float:
     for e in entries:
         total += e.mi_bits
     return total / len(entries)
-
-
-def _toward(n: int, sender: int, size: int) -> Iterator[tuple[int, ...]]:
-    """The coalitions of ``size`` parties that ``sender`` sends to, in order."""
-    return combinations([i for i in range(n) if i != sender], size)
 
 
 def _analysed(shared: _Coalition, sender: int,
@@ -426,20 +420,25 @@ def _analysed(shared: _Coalition, sender: int,
     return analyses
 
 
-def _scan(cbox: ConstrainedBox, names: tuple[str, ...] | None = None
+def _scan(cbox: ConstrainedBox, names: tuple[str, ...] | None = None,
+          direction: tuple[int, tuple[int, ...]] | None = None
           ) -> tuple[list[tuple[int, tuple[int, ...], bool, list[_Analysis]]], dict[str, int]]:
     """Each direction's (sender, coalition, impractical, analyses), by
     sender, then coalition size, then coalition, and the counts of the
     distinct lines, buckets and analyses built, one coalition size at a
-    time (see the module docstring).  A coalition's state lasts from its
-    first direction to its last sender's, the highest party outside it.
-    An error is the first in this order; ``names`` as for ``_analysed``."""
+    time (see the module docstring), or of ``direction`` alone, a (sender,
+    coalition) pair from ``_check_scenario``.  A coalition's state lasts
+    from its first direction to its last sender's, the highest party
+    outside it.  An error is the first in this order; ``names`` as for
+    ``_analysed``."""
     n = cbox.n
     records, error, stop = [], None, n
     built = dict.fromkeys(("lines", "buckets", "analyses"), 0)
-    for size in range(1, n):
+    for size in range(1, n) if direction is None else (len(direction[1]),):
         store, begun = _Store(), {}  # begun: coalitions begun, not done
-        for sender, coal in ((s, c) for s in range(stop) for c in _toward(n, s, size)):
+        directions = ((s, c) for s in range(stop)  # each sender's coalitions of this size
+                      for c in combinations([i for i in range(n) if i != s], size))
+        for sender, coal in directions if direction is None else (direction,):
             shared = begun.get(coal)
             if shared is None:
                 shared = begun[coal] = _Coalition(cbox, coal, store)
@@ -475,56 +474,55 @@ def full_scan(cbox: ConstrainedBox) -> Iterator[tuple[int, tuple[int, ...],
 
 
 def _direction_json(names: tuple[str, ...], sender: int, coal: tuple[int, ...],
-                    impractical: bool, analyses: list[_Analysis]) -> dict:
+                    impractical: bool, analyses: list[_Analysis], entries: bool = True) -> dict:
     """The direction's report, from its analyses with their successes
-    formatted."""
-    coalition_names = [names[i] for i in coal]
-    entries_json = [{"sender": names[sender], "coalition": coalition_names.copy(),
-                     "setting": list(setting), "dependent": a.dependent,
-                     "rule": dict(a.rule_json), "success": a.success_json,
-                     "mi_bits": a.mi_bits, "impractical": impractical, "note": a.note}
-                    for setting, a in zip(shared_bits(len(coal))[0], analyses)]
+    formatted; its entries only if asked for."""
+    report = {"sender": names[sender], "coalition": [names[i] for i in coal]}
+    if entries:
+        report["entries"] = [{"sender": names[sender], "coalition": report["coalition"].copy(),
+                              "setting": list(setting), "dependent": a.dependent,
+                              "rule": dict(a.rule_json), "success": a.success_json,
+                              "mi_bits": a.mi_bits, "impractical": impractical, "note": a.note}
+                             for setting, a in zip(shared_bits(len(coal))[0], analyses)]
     dependent = sum(1 for a in analyses if a.dependent)
     # both counting conventions: settings, and (setting, sender bit) cases
-    summary = {"settings": len(analyses), "dependent_settings": dependent,
-               "cases": 2 * len(analyses), "dependent_cases": 2 * dependent,
-               "impractical": impractical}
-    return {"sender": names[sender], "coalition": coalition_names,
-            "entries": entries_json, "summary": summary}
-
-
-def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
-                coalition: Iterable[int]) -> dict:
-    """Full signaling report for one sender/coalition pair as a JSON dict."""
-    sender, coal = _check_scenario(cbox, sender, coalition)
-    names, shared = party_names(cbox.n), _Coalition(cbox, coal)
-    analyses = _analysed(shared, sender, names)
-    report = {**head_json(box_label, cbox.n, cbox.pattern),
-              **_direction_json(names, sender, coal, shared.impractical, analyses)}
-    report["summary"]["max_success"] = str(max(Fraction(*a.odds) for a in analyses))
-    report["summary"]["mean_mi_bits"] = mean_mi_bits(analyses)
+    report["summary"] = {"settings": len(analyses), "dependent_settings": dependent,
+                         "cases": 2 * len(analyses), "dependent_cases": 2 * dependent,
+                         "impractical": impractical}
     return report
 
 
-def _scan_report(box_label: str, cbox: ConstrainedBox) -> tuple[dict, dict]:
-    """``scan_report_json``'s payload, and the counts of the distinct lines,
-    buckets and analyses its scan built."""
+def _report(box_label: str, cbox: ConstrainedBox, direction: tuple | None = None,
+            entries: bool = True) -> tuple[dict, dict]:
+    """``scan_report_json``'s payload, or ``report_json``'s of a ``direction``
+    as ``_scan`` takes it, each report's entries only if asked for, and the
+    counts of the distinct lines, buckets and analyses its scan built."""
     names = party_names(cbox.n)
-    records, built = _scan(cbox, names)
-    reports = [_direction_json(names, *record) for record in records]
+    records, built = _scan(cbox, names, direction)
+    reports = [_direction_json(names, *record, entries) for record in records]
+    head = head_json(box_label, cbox.n, cbox.pattern)
+    if direction is not None:
+        (report,), analyses = reports, records[0][3]
+        report["summary"]["max_success"] = str(max(Fraction(*a.odds) for a in analyses))
+        report["summary"]["mean_mi_bits"] = mean_mi_bits(analyses)
+        return {**head, **report}, built
     overall = {key: sum(r["summary"][key] for r in reports) for key in
                ("settings", "dependent_settings", "cases", "dependent_cases")}
     overall["directions"] = len(reports)
     overall["dependent_directions"] = sum(r["summary"]["dependent_settings"] > 0
                                           for r in reports)
-    payload = {**head_json(box_label, cbox.n, cbox.pattern),
-               "reports": reports, "summary": overall}
-    return payload, built
+    return {**head, "reports": reports, "summary": overall}, built
+
+
+def report_json(box_label: str, cbox: ConstrainedBox, sender: int,
+                coalition: Iterable[int]) -> dict:
+    """Full signaling report for one sender/coalition pair as a JSON dict."""
+    return _report(box_label, cbox, _check_scenario(cbox, sender, coalition))[0]
 
 
 def scan_report_json(box_label: str, cbox: ConstrainedBox) -> dict:
     """Each direction's report, in ``full_scan``'s order, and overall counts."""
-    return _scan_report(box_label, cbox)[0]
+    return _report(box_label, cbox)[0]
 
 
 def _counts(s: dict) -> str:

@@ -47,7 +47,7 @@ from ctcbox.boxes import (CoalitionMarginals, NoSignalingVerdict, SignalingWitne
                           all_bit_tuples, decode_bucket)
 from ctcbox.ctc import head_json
 from ctcbox.forms import as_bit, bit_string, normalize_pattern, party_names
-from ctcbox.signaling import _Coalition
+from ctcbox.signaling import _Coalition, _Store
 
 
 def xor_bits(bits):
@@ -152,7 +152,7 @@ def analyze_setting(cbox, sender, coalition, setting):
     setting = tuple(as_bit(b) for b in setting)
     if len(setting) != len(coal):
         raise ValueError("setting must give one bit per coalition party")
-    shared = _Coalition(cbox, coal)
+    shared = _Coalition(cbox, coal, _Store())
     line = engine_line(shared, shared.inputs(shared.codes[setting], sender))
     # _entries pairs a direction's analyses with its settings in order
     (entry,) = signaling._entries(sender, coal, shared.impractical, [shared.analysis_of(line)])
@@ -162,7 +162,7 @@ def analyze_setting(cbox, sender, coalition, setting):
 def engine_observation(cbox, sender, coalition, setting, sender_value):
     """The engine's bucket of one sender input value as {outputs: Fraction},
     read from that value's rows alone; raises at the first paradox row."""
-    shared = _Coalition(cbox, tuple(coalition))
+    shared = _Coalition(cbox, tuple(coalition), _Store())
     inputs = shared.inputs(shared.codes[tuple(setting)], sender)
     half = len(inputs) // 2
     line = engine_line(shared, inputs[half:] if sender_value else inputs[:half])
@@ -264,7 +264,7 @@ def per_coalition_scan(cbox):
             for coalition in combinations(others, size):
                 shared = begun.get(coalition)
                 if shared is None:
-                    shared = begun[coalition] = _Coalition(cbox, coalition)
+                    shared = begun[coalition] = _Coalition(cbox, coalition, _Store())
                 yield sender, shared
                 if sender == shared.others[-1]:
                     del begun[coalition]

@@ -6,19 +6,31 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from ctcbox import cli, deutsch
+from ctcbox import cli
 from ctcbox.boxes import box_from_spec, named_box
 from ctcbox.cli import main
-from ctcbox.deutsch import example, matrix_to_json
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def solver():
+    """numpy and ``ctcbox.deutsch``, which the solver tests need; on a
+    Python without numpy the test skips."""
+    np = pytest.importorskip("numpy")
+    from ctcbox import deutsch
+    return np, deutsch
+
+
+def needs_solver(argv) -> None:
+    """Skip on a Python without numpy if ``argv`` runs the solver."""
+    if argv[0] == "deutsch":
+        solver()
 
 
 def test_list_text_and_json(capsys):
@@ -212,6 +224,7 @@ def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000)
     for argv in (["show", "--spec", str(path)], ["deutsch", "--file", str(path)]):
+        needs_solver(argv)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "not valid JSON" in err
 
@@ -225,6 +238,7 @@ LONG_INTEGER = b"[" + b"1" * 5000 + b"]"
                                   ("deutsch", "--file")], ids=["spec", "stdin", "deutsch"])
 @pytest.mark.parametrize("data", [b"\xff{}", LONG_INTEGER], ids=["not-utf-8", "long-integer"])
 def test_unreadable_json_is_refused_by_name(capsys, tmp_path, monkeypatch, argv, data):
+    needs_solver(argv)
     if argv[-1] == "-":
         path = "stdin"  # as every output labels it
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
@@ -248,6 +262,7 @@ def test_unreadable_json_is_refused_by_name(capsys, tmp_path, monkeypatch, argv,
 
 
 def test_deutsch_example_json(capsys):
+    solver()
     code, out, _ = run(capsys, "deutsch", "--example", "swap",
                        "--crosscheck", "--json")
     assert code == 0
@@ -260,8 +275,9 @@ def test_deutsch_example_json(capsys):
 
 
 def test_deutsch_problem_file(capsys, tmp_path):
-    u, rho, d_loop = example("grandfather")
-    problem = {"unitary": matrix_to_json(u), "rho_cr": matrix_to_json(rho),
+    np, deutsch = solver()
+    u, rho, d_loop = deutsch.example("grandfather")
+    problem = {"unitary": deutsch.matrix_to_json(u), "rho_cr": deutsch.matrix_to_json(rho),
                "d_loop": d_loop}
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem))
@@ -272,6 +288,7 @@ def test_deutsch_problem_file(capsys, tmp_path):
 
 
 def test_deutsch_usage_errors(capsys, tmp_path):
+    np, deutsch = solver()
     code, _, err = run(capsys, "deutsch")
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "deutsch", "--example", "bogus")
@@ -283,7 +300,7 @@ def test_deutsch_usage_errors(capsys, tmp_path):
                        "--crosscheck")
     assert code == 2 and "permutation" in err
     path = tmp_path / "incomplete.json"
-    path.write_text(json.dumps({"unitary": matrix_to_json(np.eye(2))}))
+    path.write_text(json.dumps({"unitary": deutsch.matrix_to_json(np.eye(2))}))
     code, _, err = run(capsys, "deutsch", "--file", str(path))
     assert code == 2
 
@@ -291,12 +308,13 @@ def test_deutsch_usage_errors(capsys, tmp_path):
 def oscillating_problem(tmp_path):
     """Problem file for a permutation map that converges at step 1 through
     the averaged iterates."""
+    np, deutsch = solver()
     perm = [2, 5, 0, 8, 11, 1, 3, 6, 9, 4, 7, 10]
     u = np.zeros((12, 12))
     for source, target in enumerate(perm):
         u[target, source] = 1
     rho = np.diag([0.5, 0.5, 0, 0])
-    problem = {"unitary": matrix_to_json(u), "rho_cr": matrix_to_json(rho),
+    problem = {"unitary": deutsch.matrix_to_json(u), "rho_cr": deutsch.matrix_to_json(rho),
                "d_loop": 3}
     path = tmp_path / "oscillating.json"
     path.write_text(json.dumps(problem))
@@ -304,6 +322,7 @@ def oscillating_problem(tmp_path):
 
 
 def test_deutsch_max_iter_budget(capsys, tmp_path):
+    solver()
     code, _, _ = run(capsys, "deutsch", "--example", "swap", "--max-iter", "5")
     assert code == 0
 
@@ -329,6 +348,7 @@ def test_crosscheck_checks_the_printed_solve(capsys, tmp_path):
 
 
 def test_deutsch_crosscheck_solves_once(capsys, monkeypatch):
+    _, deutsch = solver()
     calls = []
     real = deutsch.fixed_point
 
@@ -344,9 +364,10 @@ def test_deutsch_crosscheck_solves_once(capsys, monkeypatch):
 @pytest.mark.parametrize("d_loop", [2.5, True])
 def test_deutsch_rejects_non_integer_loop_dimension(capsys, tmp_path, d_loop):
     # with a 2 x 2 unitary and a qubit CR state, d_loop = 1 would be valid
+    np, deutsch = solver()
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps({"unitary": matrix_to_json(np.eye(2)),
-                                "rho_cr": matrix_to_json(np.eye(2) / 2),
+    path.write_text(json.dumps({"unitary": deutsch.matrix_to_json(np.eye(2)),
+                                "rho_cr": deutsch.matrix_to_json(np.eye(2) / 2),
                                 "d_loop": d_loop}))
     code, out, err = run(capsys, "deutsch", "--file", str(path))
     assert code == 2 and out == "" and "positive integer" in err
@@ -447,6 +468,7 @@ def test_zero_denominator_is_named_in_the_error(capsys, tmp_path, p):
 ], ids=["one-party-constraint", "constraint-not-a-list", "table-entry",
         "huge-bit-beside-float-bit", "problem-not-an-object", "short-unitary-row"])
 def test_malformed_files_are_refused_by_name(capsys, tmp_path, command, data, message):
+    needs_solver([command])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     flag = "--file" if command == "deutsch" else "--spec"
@@ -530,16 +552,18 @@ def test_a_dependent_setting_carries_positive_information(capsys, tmp_path):
 @pytest.mark.parametrize("option", ["--max-iter=-1", "--tol=nan", "--tol=inf",
                                     "--tol=0", "--tol=-1e-9"])
 def test_deutsch_rejects_meaningless_budgets(capsys, option):
+    solver()
     code, out, err = run(capsys, "deutsch", "--example", "swap", option, "--json")
     assert code == 2 and out == "" and "error:" in err
 
 
 def test_deutsch_rejects_non_finite_matrix_entries(capsys, tmp_path):
-    u, rho, d_loop = example("swap")
-    unitary = matrix_to_json(u)
+    _, deutsch = solver()
+    u, rho, d_loop = deutsch.example("swap")
+    unitary = deutsch.matrix_to_json(u)
     unitary[0][0] = [float("nan"), 0.0]
     path = tmp_path / "nan.json"
-    path.write_text(json.dumps({"unitary": unitary, "rho_cr": matrix_to_json(rho),
+    path.write_text(json.dumps({"unitary": unitary, "rho_cr": deutsch.matrix_to_json(rho),
                                 "d_loop": d_loop}))
     code, out, err = run(capsys, "deutsch", "--file", str(path), "--max-iter", "10")
     assert code == 2 and out == "" and "finite" in err
@@ -581,6 +605,7 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
 def test_empty_option_value_is_a_usage_error(capsys, argv):
     # an empty value is a value: verify must not fall back to the built-in
     # boxes, nor analyze to the full scan
+    needs_solver(argv)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "error:" in err
 
@@ -632,10 +657,12 @@ def test_help_epilog_names_every_exit_code(capsys):
 def test_renderers_read_only_the_json(tmp_path, monkeypatch, argv):
     # the text must come from the payload as --json prints it, so that a
     # payload read back from JSON renders to the same lines
+    needs_solver(argv)
     leaky = {(0, 0): (0, 0), (0, 1): (1, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
     (tmp_path / "leaky.json").write_text(json.dumps({"parties": 2, "table": [
         {"in": list(i), "out": list(o), "p": "1"} for i, o in leaky.items()]}))
-    oscillating_problem(tmp_path)
+    if argv[0] == "deutsch":
+        oscillating_problem(tmp_path)
     monkeypatch.chdir(tmp_path)
     args = cli.build_parser().parse_args(argv)
     payload, render = args.func(args)
@@ -652,11 +679,12 @@ def traced_phases(capsys, monkeypatch, *argv):
 def test_only_on_demand_imports_write_an_import_phase(capsys, monkeypatch):
     _, phases = traced_phases(capsys, monkeypatch, "list")
     assert [phase["phase"] for phase in phases] == ["build", "render"]
-    _, phases = traced_phases(capsys, monkeypatch, "deutsch", "--example", "swap")
-    assert [phase["phase"] for phase in phases] == ["import", "build", "solve", "render"]
     _, phases = traced_phases(capsys, monkeypatch, "analyze", "--box", "pr", "--sender",
                               "alice")
     assert [phase["phase"] for phase in phases] == ["import"]
+    solver()
+    _, phases = traced_phases(capsys, monkeypatch, "deutsch", "--example", "swap")
+    assert [phase["phase"] for phase in phases] == ["import", "build", "solve", "render"]
 
 
 def test_a_traced_scan_counts_its_rows_settings_and_shared_work(capsys, monkeypatch):
@@ -678,5 +706,8 @@ def test_a_traced_scan_counts_its_rows_settings_and_shared_work(capsys, monkeypa
     code, phases = traced_phases(capsys, monkeypatch, "analyze", "--box", "svetlichny",
                                  "--sender", "alice", "--receivers", "bob,charlie")
     assert code == 0
+    # one direction is a scan of one record, and counts its shared work too:
+    # settings y,z = 01 and 10 read the same line
     assert {key: phases[-2][key] for key in phases[-2] if key != "ms"} == {
-        "phase": "analyze", "directions": 1, "settings": 4, "dependent_settings": 0}
+        "phase": "analyze", "directions": 1, "settings": 4, "dependent_settings": 0,
+        "lines": 3, "buckets": 2, "analyses": 3}

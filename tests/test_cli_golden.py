@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from ctcbox.cli import COUNTS, PHASES, main
+from ctcbox.cli import COUNTS, PHASES, build_parser, main
 
 # table.json mixes the pr box (weight 1/3) with a local box that always
 # answers (0, 0); leaky.json is the deterministic table of pr with bob looped,
@@ -247,16 +247,22 @@ GOLDEN = {
 }
 
 
-def run_case(argv: str, directory, monkeypatch, capsys) -> tuple[int, str, str]:
-    """The exit code, the sha256 of stdout, and stderr; a ``deutsch`` case
-    is skipped on a Python without numpy."""
-    if argv.startswith("deutsch"):
-        pytest.importorskip("numpy")
+def enter_case_directory(directory, monkeypatch) -> None:
+    """Write the input files to ``directory``, make it the working
+    directory, and put ``STDIN`` on stdin."""
     for name, data in FILES.items():
         (directory / name).write_text(json.dumps(data))
     (directory / "bad.json").write_text("{not json")
     monkeypatch.chdir(directory)
     monkeypatch.setattr(sys, "stdin", io.StringIO(STDIN))
+
+
+def run_case(argv: str, directory, monkeypatch, capsys) -> tuple[int, str, str]:
+    """The exit code, the sha256 of stdout, and stderr; a ``deutsch`` case
+    is skipped on a Python without numpy."""
+    if argv.startswith("deutsch"):
+        pytest.importorskip("numpy")
+    enter_case_directory(directory, monkeypatch)
     try:
         code = main(shlex.split(argv))
     except SystemExit as stop:
@@ -270,16 +276,35 @@ def test_cli_output_is_pinned(argv, tmp_path, monkeypatch, capsys):
     assert run_case(argv, tmp_path, monkeypatch, capsys)[:2] == GOLDEN[argv]
 
 
+# every full scan among the cases that exits 0, without its --json flag
+SCANS = sorted({argv.removesuffix(" --json") for argv, (code, _) in GOLDEN.items()
+                if argv.startswith("analyze") and "--sender" not in argv and code == 0})
+
+
+@pytest.mark.parametrize("argv", SCANS)
+def test_a_text_scan_reports_all_but_the_entries(argv, tmp_path, monkeypatch):
+    # the text is rendered from a payload whose reports list no entries
+    enter_case_directory(tmp_path, monkeypatch)
+    made = []
+    for flags in ("", " --json"):
+        args = build_parser().parse_args(shlex.split(argv + flags))
+        made.append(args.func(args))
+    (text, render), (full, _) = made
+    full = json.loads(json.dumps(full))  # as --json prints it
+    assert all("entries" in report for report in full["reports"])
+    without = {**full, "reports": [{key: value for key, value in report.items()
+                                    if key != "entries"} for report in full["reports"]]}
+    assert json.dumps(text) == json.dumps(without)  # key order too
+    assert list(render(text)) == list(render(full))
+
+
 def traced_counts(argv: str, phase: str) -> set[str]:
     """The count keys documented for this phase of this invocation: all of
-    a constrain phase's, and an analyze phase's for a signaling report,
-    the scan's last three only for a full scan."""
-    documented = COUNTS.get(phase, ())
+    a constrain phase's, and all of an analyze phase's for a signaling
+    report, of one direction or of every one."""
     if phase == "analyze" and not argv.startswith("analyze"):
         return set()  # a verdict
-    if phase == "analyze" and "--sender" in argv:
-        return set(documented[:3])
-    return set(documented)
+    return set(COUNTS.get(phase, ()))
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN))

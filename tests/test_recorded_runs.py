@@ -226,6 +226,43 @@ def test_a_traced_scan_keeps_its_bytes_and_counts_its_work(tmp_path):
                                          "buckets": 106, "analyses": 190}.items()
 
 
+# Runs the command after its first two arguments, its stdout to the file
+# the first names, killed after the seconds the second gives, and prints
+# its exit code and its peak RSS as os.wait4 reads them: this process's
+# own, where RUSAGE_CHILDREN would read the largest child waited for yet.
+# On Linux a process's peak includes that of the memory it was started
+# from, so the test process, large after other tests, starts this small
+# one, which starts the command.
+PEAK_OF = """
+import os, signal, subprocess, sys, time
+with open(sys.argv[1], "wb") as out:
+    proc = subprocess.Popen(sys.argv[3:], stdout=out, stderr=subprocess.DEVNULL)
+deadline = time.monotonic() + float(sys.argv[2])
+while not (reaped := os.wait4(proc.pid, os.WNOHANG))[0]:
+    if time.monotonic() > deadline:
+        os.kill(proc.pid, signal.SIGKILL)
+    time.sleep(0.02)
+proc.returncode = os.waitstatus_to_exitcode(reaped[1])
+print(proc.returncode, reaped[2].ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="no os.wait4 to read one child's usage")
+def test_a_ten_party_text_scan_builds_no_entry(tmp_path):
+    # a text scan prints each direction's summary, so it builds none of the
+    # 196,820 entry dicts of the --json payload: about 30 MB on Linux, where
+    # building them took 433 MB
+    (tmp_path / "cycle10.json").write_text(cycle_spec(10))
+    proc = subprocess.run([sys.executable, "-c", PEAK_OF, "scan10.txt", "60", sys.executable,
+                           "-m", "ctcbox.cli", "analyze", "--spec", "cycle10.json", "--ctc", "0"],
+                          capture_output=True, check=True, cwd=tmp_path, env=ENV, timeout=90)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0
+    assert (hashlib.sha256((tmp_path / "scan10.txt").read_bytes()).hexdigest()
+            == "f606afa2ea4a3650bc594191e3bba2ef5ebd073296b6cd5b71ec7867eac5f9f2")
+    assert peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10) < 100  # MB
+
+
 # the file a solve's stdout was written to -> (argv, time bound in s, exit
 # code, its line of stdout); 1,500, 766 and 1,100 stop in the first long
 # window (steps 1279-2302), the last two after two and three full blocks;
