@@ -163,11 +163,12 @@ class NoSignalBox:
     of ``shared_bits(n)``.  Rows are never modified.
 
     ``form`` records the parity constraint the box was built from, when
-    there is one; boxes loaded from explicit tables carry ``form=None``.
+    there is one: only ``parity_box`` sets it, on the rows it built from
+    that form.  A box built from a table, even from a parity box's rows,
+    has ``form`` None, so its spec and description are those of a table.
     """
 
-    def __init__(self, n: int, rows: Mapping, *, form: BooleanForm | None = None,
-                 label: str | None = None):
+    def __init__(self, n: int, rows: Mapping, *, label: str | None = None):
         if n < 1:
             raise ValueError("a box needs at least one party")
         bits, codes, _ = shared_bits(n)
@@ -177,7 +178,7 @@ class NoSignalBox:
         if len(rows) != len(bits):
             extra = [key for key in rows if key not in codes]
             raise ValueError(f"unexpected input tuples: {extra[:3]}")
-        self.n, self.form, self.label = n, form, label
+        self.n, self.form, self.label = n, None, label
 
     @classmethod
     def _of(cls, n: int, row_ids: list[int], integer_rows: list[tuple[int, tuple]],
@@ -350,7 +351,7 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     only when none of them fails.  A box whose witness has at most n-3
     parties pays for that probe.
 
-    Each stage compares marginals on the scan's engine, a
+    Each stage compares marginals on the verdict's engine, a
     ``CoalitionMarginals`` per coalition: only the inputs compared are
     read, each distinct row is projected at most once per coalition over
     its own denominator, and two inputs differ when their marginals'
@@ -361,8 +362,8 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     (``spread_codes`` and ``projection``), each built once per (party
     count, parties) in the process; no table is keyed by a box, so a
     second verdict of an equal box does its projections again.  The
-    witness marginals are decoded from the two rows compared, projected
-    once more.
+    witness marginals are decoded from the two rows compared, each
+    ``projected`` once more: the dicts whose distribution ids differ.
     """
     n = box.n
     signaling = []
@@ -379,8 +380,7 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     inputs = shared_bits(n)[0]
     return NoSignalingVerdict(False, SignalingWitness(
         state.coal, *(inputs[code] for code in move),
-        *(decode_bucket(state.marginals[state.marginal(box.row_ids[code])], len(state.coal))
-          for code in move)))
+        *(decode_bucket(state.projected(box.row_ids[code]), len(state.coal)) for code in move)))
 
 
 def _first_failure(box: NoSignalBox, signaling: list[int], sizes: Iterable[int]
@@ -470,24 +470,20 @@ def projection(n: int, coal: tuple[int, ...]) -> array:
 
 class CoalitionMarginals:
     """The marginals of the distinct rows of a ``NoSignalBox`` or a
-    ``ConstrainedBox`` on one coalition (a tuple of parties): the engine of
-    both the verdict and the signaling scan.  ``project`` is the coalition's
-    ``projection``, shared by every box of its party count.  A row (by its
-    id in ``row_ids``) is projected when its marginal or, for the verdict,
-    its distribution id is first asked for.
-    Rows whose marginals have the same denominator, keys and numerators in
-    order share one (den, {output code: numerator}), over the row's own
-    denominator and keyed in order of first occurrence, the order the scan
-    sums floats in.  Marginals equal in lowest terms, in any key order,
-    share a distribution id, found only for the rows compared."""
+    ``ConstrainedBox`` on one coalition (a tuple of parties): the verdict's
+    engine.  ``project`` is the coalition's ``projection``, shared by every
+    box of its party count.  A row's marginal (the row by its id in
+    ``row_ids``) is ``projected``: (den, {output code: numerator}) over the
+    row's own denominator, keyed in order of first occurrence.  Marginals
+    equal in lowest terms, in any key order, share a distribution id, found
+    only for the rows compared, each projected once per coalition.  The
+    signaling scan's ``_Coalition`` projects rows the same way and keeps
+    its own marginal indices."""
 
     def __init__(self, box, coal: tuple[int, ...]):
         self.box, self.coal = box, coal
         self.project = projection(box.n, coal)
-        self.index_of: list[int | None] = [None] * len(box.integer_rows)  # by row id
         self.dist_of: list[int | None] = [None] * len(box.integer_rows)  # by row id
-        self.marginals: list[tuple[int, dict]] = []  # the distinct marginals, by index
-        self.indices: dict[tuple, int] = {}  # (den, keys, numerators) -> index
         self.dist_ids: dict[tuple, int] = {}  # (den, keys, numerators), lowest terms -> id
 
     def projected(self, row_id: int) -> tuple[int, dict]:
@@ -500,31 +496,17 @@ class CoalitionMarginals:
             counts[key] = counts.get(key, 0) + num
         return den, counts
 
-    def marginal(self, row_id: int) -> int:
-        """The index of the row's marginal."""
-        index = self.index_of[row_id]
-        if index is None:
-            den, counts = self.projected(row_id)
-            index = self.index_of[row_id] = self.indices.setdefault(
-                (den, tuple(counts), tuple(counts.values())), len(self.marginals))
-            if index == len(self.marginals):
-                self.marginals.append((den, counts))
-        return index
-
     def distribution(self, row_id: int) -> int:
-        """The distribution id of the row's marginal; a row with no marginal
-        index is projected without one, as the verdict needs only ids."""
-        found = self.dist_of[row_id]
-        if found is None:
-            index = self.index_of[row_id]
-            den, counts = self.projected(row_id) if index is None else self.marginals[index]
-            keys = sorted(counts)
-            nums = tuple(map(counts.__getitem__, keys))
-            g = math.gcd(den, *nums)
-            if g > 1:
-                den, nums = den // g, tuple([num // g for num in nums])
-            found = self.dist_of[row_id] = self.dist_ids.setdefault(
-                (den, tuple(keys), nums), len(self.dist_ids))
+        """The distribution id of the row's marginal, projected to find it;
+        ``first_change`` asks only for a row whose id is not yet known."""
+        den, counts = self.projected(row_id)
+        keys = sorted(counts)
+        nums = tuple(map(counts.__getitem__, keys))
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den, nums = den // g, tuple([num // g for num in nums])
+        found = self.dist_of[row_id] = self.dist_ids.setdefault(
+            (den, tuple(keys), nums), len(self.dist_ids))
         return found
 
     def first_change(self, senders: Sequence[int]) -> tuple[int, int] | None:

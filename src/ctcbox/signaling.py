@@ -36,12 +36,13 @@ totals for a binary sender.
 Every observation is the bucket of one (setting, sender bit), summed
 from its own 2^b rows for b bystanders: the setting's and the sender's
 bits with every bystander pattern, keyed by the coalition's outputs,
-over the lcm of their denominators times 2^b.  The marginals come from
-``boxes.CoalitionMarginals``, the engine the no-signaling verdict runs
-on too: each distinct row (``ConstrainedBox.integer_rows``, over its own
-denominator) is projected onto the coalition once, rows with equal
-marginals in the same key order share one, and an input is read as the
-index of its row's marginal (``ConstrainedBox.row_ids``).  A full scan
+over the lcm of their denominators times 2^b.  Each distinct row
+(``ConstrainedBox.integer_rows``, over its own denominator) is projected
+onto the coalition once, as ``boxes.CoalitionMarginals`` projects it for
+the no-signaling verdict; the scan's ``_Coalition`` interns the marginal
+itself, rows with equal marginals in the same key order sharing one
+index, and an input is read as the index of its row's marginal
+(``ConstrainedBox.row_ids``).  A full scan
 or a direction reads every input once per coalition, in C, as one row
 per setting: the marginal indices of its 2^(b+1) inputs, lexicographic
 in the parties outside the coalition.  Which inputs a setting has, and
@@ -172,7 +173,9 @@ class _Coalition(CoalitionMarginals):
     """What the directions toward one receiver coalition share, whichever
     party sends: each setting's row of marginal indices, on top of the
     ``store`` of its size's marginals and what is keyed by their indices
-    (see the module docstring)."""
+    (see the module docstring).  Rows are ``projected`` as the verdict
+    projects them; their marginals are interned into the store, not into
+    the verdict's distribution ids."""
 
     def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...], store: _Store):
         super().__init__(cbox, coal)
@@ -186,6 +189,17 @@ class _Coalition(CoalitionMarginals):
         self.rows: list[tuple] | None = None  # by setting code, once a direction read all
         self.store, self.indices, self.marginals = store, store.indices, store.marginals
         self.by_line, self.by_half, self.by_counts = store.by_line, store.by_half, store.by_counts
+
+    def marginal(self, row_id: int) -> int:
+        """The index of the row's marginal in the store, projected to find
+        it: equal (den, output codes, numerators) share one index."""
+        den, counts = self.projected(row_id)
+        marginals = self.marginals
+        index = self.indices.setdefault((den, tuple(counts), tuple(counts.values())),
+                                        len(marginals))
+        if index == len(marginals):
+            marginals.append((den, counts))
+        return index
 
     @property
     def paradox(self) -> int | None:

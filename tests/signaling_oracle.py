@@ -21,8 +21,9 @@ reads one of the two buckets the engine itself sums, to compare with
 ``ascending_witness`` is the no-signaling verdict as it ran before the
 witness search started at n - 2 parties: after the n conditions it scans
 every coalition by size from one party up, in the documented order, and
-stops at the first that fails.  It is the reference for
-``boxes.is_no_signaling``.
+stops at the first that fails.  Its witness marginals are summed by
+``marginal`` in Fractions, so they share no code with the engine's
+projection.  It is the reference for ``boxes.is_no_signaling``.
 
 ``per_coalition_full_scan`` and ``per_coalition_scan_report`` are the scan
 as it ran before coalitions of one size shared their work: sender by
@@ -106,8 +107,7 @@ def ascending_witness(box):
                 inputs = list(box.rows)
                 return NoSignalingVerdict(False, SignalingWitness(
                     coalition, *(inputs[code] for code in move),
-                    *(decode_bucket(state.marginals[state.marginal(box.row_ids[code])], size)
-                      for code in move)))
+                    *(marginal(box, coalition, inputs[code]) for code in move)))
     raise AssertionError("a signaling party leaves a witness")
 
 

@@ -11,7 +11,7 @@ from ctcbox.boxes import (BoxName, BoxSpecError, CHSH_CLASSICAL_BOUND,
                           CHSH_TSIRELSON_BOUND, MAX_PARTIES, NAMED_FORMS, CoalitionMarginals,
                           NoSignalBox, all_bit_tuples, box_from_spec, box_to_spec,
                           chsh_value, decode_bucket, exact_fraction, is_no_signaling,
-                          named_box, parity_box, parity_equation)
+                          describe_box, named_box, parity_box, parity_equation)
 from ctcbox.ctc import constrain
 from ctcbox.forms import BooleanForm
 from signaling_oracle import ascending_witness, marginal, xor_bits
@@ -318,7 +318,7 @@ def test_coalition_marginals_match_the_oracle_marginal():
             for coal in combinations(range(box.n), size):
                 state = CoalitionMarginals(box, coal)
                 for inputs, row_id in zip(all_bit_tuples(box.n), box.row_ids):
-                    bucket = state.marginals[state.marginal(row_id)]
+                    bucket = state.projected(row_id)
                     assert decode_bucket(bucket, size) == marginal(box, coal, inputs)
 
 
@@ -485,7 +485,7 @@ def test_parity_box_is_the_validated_box_of_its_rows():
                      if xor_bits(out) == value} for value in (0, 1)]
         label = f"f{k}" if k % 2 else None
         expected = NoSignalBox(n, {x: by_value[form.evaluate(x)] for x in all_bit_tuples(n)},
-                               form=form, label=label)
+                               label=label)
         box, again = parity_box(form, label=label), parity_box(form, label=label)
         assert all(a is b for a, b in zip(box.rows, expected.rows))
         # the same row objects shared by the same inputs, none of them by another box
@@ -496,7 +496,20 @@ def test_parity_box_is_the_validated_box_of_its_rows():
         assert not {*map(id, box.rows.values())} & {*map(id, again.rows.values())}
         assert box.row_ids == expected.row_ids
         assert box.integer_rows == expected.integer_rows
-        assert box.form is expected.form and box.label == expected.label
+        assert box.form is form and expected.form is None and box.label == expected.label
+
+
+def test_a_table_carries_no_form():
+    # a form attached to another table would write the form's spec and describe
+    # the form's equation; a table of the parity box's own rows is a table too
+    constant = {x: {(0, 0): 1} for x in all_bit_tuples(2)}
+    with pytest.raises(TypeError):
+        NoSignalBox(2, constant, form=NAMED_FORMS["pr"])
+    pr = named_box("pr")
+    table = NoSignalBox(2, pr.rows, label="pr")
+    assert table == pr and pr.form is NAMED_FORMS["pr"] and table.form is None
+    assert "table" in box_to_spec(table) and box_from_spec(box_to_spec(table)) == pr
+    assert describe_box(table) == "box pr (2 parties): explicit table"
 
 
 def test_chsh_values():

@@ -1,7 +1,8 @@
 import json
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")  # the quantum loop's tests skip on a Python without numpy
 
 from ctcbox import deutsch
 from ctcbox.deutsch import (EXAMPLE_NAMES, MAX_DIM, classical_consistency_crosscheck,

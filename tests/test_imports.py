@@ -140,6 +140,9 @@ def test_test_only_helpers_are_not_in_the_package():
     # an entry is built from a direction's record, not from one analysis
     assert not hasattr(_Coalition, "line")
     assert not hasattr(_Analysis, "rule") and not hasattr(_Analysis, "success")
+    # the verdict's engine keeps distribution ids; a scan's coalition, marginal indices
+    state = boxes.CoalitionMarginals(named_box("pr"), (0,))
+    assert not {"marginal", "index_of", "marginals", "indices"} & set(dir(state))
 
 
 def test_example_names_match_the_builders():

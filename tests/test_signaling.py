@@ -26,6 +26,7 @@ from signaling_oracle import (analyze_setting, engine_observation, entropy_bits,
                               map_rule, marginal, mutual_information_bits, per_coalition_full_scan,
                               per_coalition_scan_report, receiver_observation, rule_success,
                               spread, success_probability, xor_bits)
+from test_boxes import CountingRows
 from test_shared_rows import shared_row_tables
 
 MI_TOL = 1e-12
@@ -156,15 +157,18 @@ def test_a_scan_reads_each_input_once_per_coalition():
     n = 5
     cbox = _looped_cycle(n)
     rows = cbox.row_ids = RecordingRows(cbox.row_ids)
+    integer_rows = cbox.integer_rows = CountingRows(cbox.integer_rows)
     payload = scan_report_json("cycle", cbox)
     coalitions = 2 ** n - 2
     assert payload["summary"]["directions"] == n * (2 ** (n - 1) - 1) > coalitions
-    # whichever of its senders sends, a coalition reads every input once
+    # whichever of its senders sends, a coalition reads every input once and
+    # projects each distinct row once
     assert Counter(rows.touched) == {code: coalitions for code in range(2 ** n)}
+    assert integer_rows.reads == coalitions * len(integer_rows)
 
 
 @pytest.mark.parametrize("looped", [[0], [0, 1], [0, 1, 2]], ids=["one", "two", "three"])
-def test_a_verdict_reads_only_the_inputs_it_compares(looped):
+def test_a_verdict_reads_only_the_inputs_it_compares(monkeypatch, looped):
     # party 0 looped: the witness has n - 1 parties, found by a condition;
     # two parties: n - 2, found by the probe; three: n - 3, by the ascending loop
     n = 6
@@ -207,12 +211,30 @@ def test_a_verdict_reads_only_the_inputs_it_compares(looped):
     probe = first_failure(signaling_, [n - 2])
     witness = (first_failure(signaling_, range(1, n - 2)) or probe if probe
                else conditions[signaling_[-1]])
-    rows = table.row_ids = RecordingRows(table.row_ids)
+    projections = []  # (state, row id), in order
+
+    class Recorded(boxes.CoalitionMarginals):
+        def projected(self, row_id):
+            projections.append((self, row_id))
+            return super().projected(row_id)
+
+    monkeypatch.setattr(boxes, "CoalitionMarginals", Recorded)
+    row_ids = table.row_ids
+    rows = table.row_ids = RecordingRows(row_ids)
+    integer_rows = table.integer_rows = CountingRows(table.integer_rows)
     verdict = is_no_signaling(table)
     assert len(verdict.witness.coalition) == n - len(looped)
     assert [codes[verdict.witness.inputs_a], codes[verdict.witness.inputs_b]] == witness
     # the witness's two rows are read once more, to decode their marginals
     assert rows.touched == expected + witness
+    # every read of a row is a projection: each compared row once per
+    # state, then the witness's two rows once more, on the state that compared them
+    assert integer_rows.reads == len(projections)
+    *compared, (state, row_a), (again, row_b) = projections
+    assert max(Counter(compared).values()) == 1
+    assert again is state and state.coal == verdict.witness.coalition
+    assert [row_a, row_b] == [row_ids[code] for code in witness]
+    assert {(state, row_a), (state, row_b)} <= set(compared)
 
 
 def test_a_one_party_loop_verdict_builds_two_states_a_party(monkeypatch):
