@@ -15,9 +15,12 @@ from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain, combinations, product, repeat
 from operator import itemgetter, methodcaller
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .forms import BooleanForm, as_bit, bit_string, input_names, output_names, party_names
+
+if TYPE_CHECKING:
+    from .ctc import ConstrainedBox
 
 CHSH_CLASSICAL_BOUND = Fraction(2)
 CHSH_TSIRELSON_BOUND = 2 * math.sqrt(2)
@@ -313,7 +316,7 @@ class NoSignalingVerdict(NamedTuple):
         return self.ok
 
 
-def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
+def is_no_signaling(box: NoSignalBox | ConstrainedBox) -> NoSignalingVerdict:
     """Complete no-signaling check: n conditions, then the witness search.
 
     A box is no-signaling iff, for every proper coalition R and every
@@ -351,10 +354,12 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     only when none of them fails.  A box whose witness has at most n-3
     parties pays for that probe.
 
-    Each stage compares marginals on the verdict's engine, a
-    ``CoalitionMarginals`` per coalition: only the inputs compared are
-    read, each distinct row is projected at most once per coalition over
-    its own denominator, and two inputs differ when their marginals'
+    The box may be a ``NoSignalBox`` or a ``ConstrainedBox`` without a
+    paradox row: both are read through their integer rows.  Each stage
+    compares marginals with one ``_first_change`` call per coalition,
+    whose distribution ids last that call: only the inputs compared are
+    read, each distinct row is ``projected`` at most once per call over its
+    own denominator, and two inputs differ when their marginals'
     distribution ids do, so no number carries the primes of two rows.  A
     row's distribution id, once known, is read from a list without a call.
     The coalition's input codes, the senders' patterns and where each
@@ -368,34 +373,34 @@ def is_no_signaling(box: NoSignalBox) -> NoSignalingVerdict:
     n = box.n
     signaling = []
     for j in range(n):
-        state = CoalitionMarginals(box, tuple(i for i in range(n) if i != j))
-        move = state.first_change([j])
+        coal = tuple(i for i in range(n) if i != j)
+        move = _first_change(box, coal, [j])
         if move:
             signaling.append(j)
-            last = state, move  # the condition of the last signaling party
+            last = coal, move  # the condition of the last signaling party
     if not signaling:
         return NoSignalingVerdict(True)
     probe = _first_failure(box, signaling, [n - 2]) if n > 2 else None
-    state, move = (_first_failure(box, signaling, range(1, n - 2)) or probe) if probe else last
-    inputs = shared_bits(n)[0]
+    coal, move = (_first_failure(box, signaling, range(1, n - 2)) or probe) if probe else last
+    inputs, project = shared_bits(n)[0], projection(n, coal)
     return NoSignalingVerdict(False, SignalingWitness(
-        state.coal, *(inputs[code] for code in move),
-        *(decode_bucket(state.projected(box.row_ids[code]), len(state.coal)) for code in move)))
+        coal, *(inputs[code] for code in move),
+        *(decode_bucket(projected(box.integer_rows[box.row_ids[code]], project), len(coal))
+          for code in move)))
 
 
-def _first_failure(box: NoSignalBox, signaling: list[int], sizes: Iterable[int]
-                   ) -> tuple[CoalitionMarginals, tuple[int, int]] | None:
+def _first_failure(box: NoSignalBox | ConstrainedBox, signaling: list[int],
+                   sizes: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, int]] | None:
     """The first coalition of these sizes, by size then lexicographically,
-    whose marginal a party of ``signaling`` outside it moves: its state and
-    the two input codes compared; None when every one passes."""
+    whose marginal a party of ``signaling`` outside it moves: the coalition
+    and the two input codes compared; None when every one passes."""
     for size in sizes:
         for coalition in combinations(range(box.n), size):
             senders = [i for i in signaling if i not in coalition]
             if senders:
-                state = CoalitionMarginals(box, coalition)
-                move = state.first_change(senders)
+                move = _first_change(box, coalition, senders)
                 if move:
-                    return state, move
+                    return coalition, move
     return None
 
 
@@ -468,65 +473,53 @@ def projection(n: int, coal: tuple[int, ...]) -> array:
     return array("H", project)
 
 
-class CoalitionMarginals:
-    """The marginals of the distinct rows of a ``NoSignalBox`` or a
-    ``ConstrainedBox`` on one coalition (a tuple of parties): the verdict's
-    engine.  ``project`` is the coalition's ``projection``, shared by every
-    box of its party count.  A row's marginal (the row by its id in
-    ``row_ids``) is ``projected``: (den, {output code: numerator}) over the
-    row's own denominator, keyed in order of first occurrence.  Marginals
+def projected(row: tuple[int, tuple], project: array) -> tuple[int, dict]:
+    """One integer row's marginal on a coalition, ``project`` being the
+    coalition's ``projection``: (den, {output code: numerator}) over the
+    row's own denominator, keyed in order of first occurrence.  The verdict
+    and the signaling scan both project rows with it."""
+    den, outcomes = row
+    counts = {}
+    for out, num in outcomes:
+        key = project[out]
+        counts[key] = counts.get(key, 0) + num
+    return den, counts
+
+
+def _first_change(box: NoSignalBox | ConstrainedBox, coal: tuple[int, ...],
+                  senders: Sequence[int]) -> tuple[int, int] | None:
+    """The first pair of input codes, the coalition's inputs then the
+    senders' patterns lexicographic, whose marginals on the coalition are
+    different distributions; only the inputs compared are read.  Marginals
     equal in lowest terms, in any key order, share a distribution id, found
-    only for the rows compared, each projected once per coalition.  The
-    signaling scan's ``_Coalition`` projects rows the same way and keeps
-    its own marginal indices."""
+    only for the rows compared, each ``projected`` once per call."""
+    ids, integer_rows, project = box.row_ids, box.integer_rows, projection(box.n, coal)
+    dist_of: list[int | None] = [None] * len(integer_rows)  # by row id
+    dist_ids: dict[tuple, int] = {}  # (den, keys, numerators), lowest terms -> id
 
-    def __init__(self, box, coal: tuple[int, ...]):
-        self.box, self.coal = box, coal
-        self.project = projection(box.n, coal)
-        self.dist_of: list[int | None] = [None] * len(box.integer_rows)  # by row id
-        self.dist_ids: dict[tuple, int] = {}  # (den, keys, numerators), lowest terms -> id
-
-    def projected(self, row_id: int) -> tuple[int, dict]:
-        """The row's marginal, (den, {output code: numerator}) over the row's
-        denominator, keyed in order of first occurrence."""
-        den, row = self.box.integer_rows[row_id]
-        project, counts = self.project, {}
-        for out, num in row:
-            key = project[out]
-            counts[key] = counts.get(key, 0) + num
-        return den, counts
-
-    def distribution(self, row_id: int) -> int:
-        """The distribution id of the row's marginal, projected to find it;
-        ``first_change`` asks only for a row whose id is not yet known."""
-        den, counts = self.projected(row_id)
+    def distribution(row_id: int) -> int:
+        den, counts = projected(integer_rows[row_id], project)
         keys = sorted(counts)
         nums = tuple(map(counts.__getitem__, keys))
         g = math.gcd(den, *nums)
         if g > 1:
             den, nums = den // g, tuple([num // g for num in nums])
-        found = self.dist_of[row_id] = self.dist_ids.setdefault(
-            (den, tuple(keys), nums), len(self.dist_ids))
+        found = dist_of[row_id] = dist_ids.setdefault((den, tuple(keys), nums), len(dist_ids))
         return found
 
-    def first_change(self, senders: Sequence[int]) -> tuple[int, int] | None:
-        """The first pair of input codes, the coalition's inputs then the
-        senders' patterns lexicographic, whose marginals are different
-        distributions; only the inputs compared are read."""
-        ids, known, distribution = self.box.row_ids, self.dist_of, self.distribution
-        patterns = spread_codes(self.box.n, tuple(senders))[1:]
-        for base in spread_codes(self.box.n, self.coal):
-            a = ids[base]
-            for pattern in patterns:
-                b = ids[base | pattern]
-                if a != b:
-                    dist_a, dist_b = known[a], known[b]
-                    if dist_a is None:
-                        dist_a = distribution(a)
-                    if dist_b is None:
-                        dist_b = distribution(b)
-                    if dist_a != dist_b:
-                        return base, base | pattern
+    patterns = spread_codes(box.n, tuple(senders))[1:]
+    for base in spread_codes(box.n, coal):
+        a = ids[base]
+        for pattern in patterns:
+            b = ids[base | pattern]
+            if a != b:
+                dist_a, dist_b = dist_of[a], dist_of[b]
+                if dist_a is None:
+                    dist_a = distribution(a)
+                if dist_b is None:
+                    dist_b = distribution(b)
+                if dist_a != dist_b:
+                    return base, base | pattern
 
 
 def decode_bucket(bucket: tuple[int, dict], width: int) -> dict[tuple, Fraction]:

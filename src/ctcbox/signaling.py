@@ -38,8 +38,8 @@ from its own 2^b rows for b bystanders: the setting's and the sender's
 bits with every bystander pattern, keyed by the coalition's outputs,
 over the lcm of their denominators times 2^b.  Each distinct row
 (``ConstrainedBox.integer_rows``, over its own denominator) is projected
-onto the coalition once, as ``boxes.CoalitionMarginals`` projects it for
-the no-signaling verdict; the scan's ``_Coalition`` interns the marginal
+onto the coalition once, by ``boxes.projected`` as the no-signaling
+verdict projects it; the scan's ``_Coalition`` interns the marginal
 itself, rows with equal marginals in the same key order sharing one
 index, and an input is read as the index of its row's marginal
 (``ConstrainedBox.row_ids``).  A full scan
@@ -109,7 +109,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .boxes import CoalitionMarginals, NoSignalBox, shared_bits, spread_codes
+from .boxes import NoSignalBox, projected, projection, shared_bits, spread_codes
 from .ctc import ConstrainedBox, head_json, parse_pattern, render_head
 from .forms import bit_string, input_names, normalize_pattern, party_names
 
@@ -169,16 +169,16 @@ class _Store:
         self.by_pair: dict[tuple[int, int], _Analysis] = {}  # bucket ids -> analysis
 
 
-class _Coalition(CoalitionMarginals):
+class _Coalition:
     """What the directions toward one receiver coalition share, whichever
     party sends: each setting's row of marginal indices, on top of the
     ``store`` of its size's marginals and what is keyed by their indices
-    (see the module docstring).  Rows are ``projected`` as the verdict
-    projects them; their marginals are interned into the store, not into
-    the verdict's distribution ids."""
+    (see the module docstring).  Rows are ``boxes.projected`` as the
+    verdict projects them, through the coalition's ``project``; their
+    marginals are interned into the store."""
 
     def __init__(self, cbox: ConstrainedBox, coal: tuple[int, ...], store: _Store):
-        super().__init__(cbox, coal)
+        self.box, self.coal, self.project = cbox, coal, projection(cbox.n, coal)
         self.others = [i for i in range(cbox.n) if i not in coal]  # sender and bystanders
         # the settings and output keys by code, their codes, their bit strings by code
         self.keys, self.codes, _ = shared_bits(len(coal))
@@ -193,7 +193,7 @@ class _Coalition(CoalitionMarginals):
     def marginal(self, row_id: int) -> int:
         """The index of the row's marginal in the store, projected to find
         it: equal (den, output codes, numerators) share one index."""
-        den, counts = self.projected(row_id)
+        den, counts = projected(self.box.integer_rows[row_id], self.project)
         marginals = self.marginals
         index = self.indices.setdefault((den, tuple(counts), tuple(counts.values())),
                                         len(marginals))

@@ -1,8 +1,8 @@
 """Signaling measures written from their definitions, as test oracles.
 
 ``marginal`` is a box row's marginal on a coalition, summed in Fractions
-by ``project_outcomes``; the engine reads marginals through
-``boxes.CoalitionMarginals`` instead.
+by ``project_outcomes``; the engine projects integer rows with
+``boxes.projected`` instead.
 
 ``analyze_setting`` is the entry of one receiver setting, read from that
 setting's own inputs alone by ``engine_line``: a paradox row elsewhere
@@ -21,9 +21,12 @@ reads one of the two buckets the engine itself sums, to compare with
 ``ascending_witness`` is the no-signaling verdict as it ran before the
 witness search started at n - 2 parties: after the n conditions it scans
 every coalition by size from one party up, in the documented order, and
-stops at the first that fails.  Its witness marginals are summed by
-``marginal`` in Fractions, so they share no code with the engine's
-projection.  It is the reference for ``boxes.is_no_signaling``.
+stops at the first that fails.  ``first_move`` finds each condition's and
+each coalition's first differing pair of inputs by comparing Fraction
+marginals from ``marginal``, and the witness marginals are summed the
+same way, so the reference shares no code with the engine's input
+order, projection or distribution ids.  It is the reference for
+``boxes.is_no_signaling``.
 
 ``per_coalition_full_scan`` and ``per_coalition_scan_report`` are the scan
 as it ran before coalitions of one size shared their work: sender by
@@ -44,8 +47,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from ctcbox import signaling
-from ctcbox.boxes import (CoalitionMarginals, NoSignalingVerdict, SignalingWitness,
-                          all_bit_tuples, decode_bucket)
+from ctcbox.boxes import NoSignalingVerdict, SignalingWitness, all_bit_tuples, decode_bucket
 from ctcbox.ctc import head_json
 from ctcbox.forms import as_bit, bit_string, normalize_pattern, party_names
 from ctcbox.signaling import _Coalition, _Store
@@ -87,27 +89,51 @@ def project_outcomes(outcomes, coalition):
     return probs
 
 
+def first_move(box, coalition, senders):
+    """The first pair of inputs, the coalition's bits then the senders'
+    patterns lexicographic, every other bit 0, whose Fraction marginals on
+    the coalition differ; each marginal is summed once per distinct row of
+    ``box.rows``.  None when every pair agrees, and for the empty coalition
+    of a one-party box, whose marginal ``marginal`` refuses."""
+    if not coalition:
+        return None
+    summed = {}  # id of a row of box.rows -> its marginal
+
+    def marginal_at(inputs):
+        row = box.rows[inputs]
+        if id(row) not in summed:
+            summed[id(row)] = marginal(box, coalition, inputs)
+        return summed[id(row)]
+
+    patterns = list(product((0, 1), repeat=len(senders)))[1:]
+    for fixed in product((0, 1), repeat=len(coalition)):
+        base = [0] * box.n
+        for i, bit in zip(coalition, fixed):
+            base[i] = bit
+        for pattern in patterns:
+            trial = list(base)
+            for i, bit in zip(senders, pattern):
+                trial[i] = bit
+            if marginal_at(tuple(base)) != marginal_at(tuple(trial)):
+                return tuple(base), tuple(trial)
+    return None
+
+
 def ascending_witness(box):
     """``is_no_signaling(box)`` by an ascending search: the n conditions,
     then every coalition by size then lexicographically, skipping those
     that hold every signaling party, until one fails."""
     n = box.n
-    signaling_ = [j for j in range(n) if CoalitionMarginals(
-        box, tuple(i for i in range(n) if i != j)).first_change([j])]
+    signaling_ = [j for j in range(n) if first_move(box, [i for i in range(n) if i != j], [j])]
     if not signaling_:
         return NoSignalingVerdict(True)
     for size in range(1, n):
         for coalition in combinations(range(n), size):
             senders = [i for i in signaling_ if i not in coalition]
-            if not senders:
-                continue
-            state = CoalitionMarginals(box, coalition)
-            move = state.first_change(senders)
+            move = senders and first_move(box, coalition, senders)
             if move:
-                inputs = list(box.rows)
                 return NoSignalingVerdict(False, SignalingWitness(
-                    coalition, *(inputs[code] for code in move),
-                    *(marginal(box, coalition, inputs[code]) for code in move)))
+                    coalition, *move, *(marginal(box, coalition, inputs) for inputs in move)))
     raise AssertionError("a signaling party leaves a witness")
 
 

@@ -3,13 +3,14 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import ANY
 
 import pytest
 
 from ctcbox import boxes
 from ctcbox.boxes import (BoxName, BoxSpecError, CHSH_CLASSICAL_BOUND,
-                          CHSH_TSIRELSON_BOUND, MAX_PARTIES, NAMED_FORMS, CoalitionMarginals,
-                          NoSignalBox, all_bit_tuples, box_from_spec, box_to_spec,
+                          CHSH_TSIRELSON_BOUND, MAX_PARTIES, NAMED_FORMS, NoSignalBox,
+                          all_bit_tuples, box_from_spec, box_to_spec,
                           chsh_value, decode_bucket, exact_fraction, is_no_signaling,
                           describe_box, named_box, parity_box, parity_equation)
 from ctcbox.ctc import constrain
@@ -168,8 +169,9 @@ def _rows_with(n, inputs, row):
     (2, _rows_with(2, (0, 0), {(1.0, 0): 1}), "expected a bit (0 or 1), got 1.0"),
     (2, _rows_with(2, (1, 0), {(0, 0): "1/0"}),
      "probability '1/0' has a zero denominator"),
+    (0, {}, "a box needs at least one party"),
 ], ids=["arity", "duplicate", "sum", "empty-row", "negative", "missing-row",
-        "unexpected-inputs", "float-bit", "zero-denominator"])
+        "unexpected-inputs", "float-bit", "zero-denominator", "no-party"])
 def test_box_validation_messages(n, rows, message):
     with pytest.raises(ValueError) as err:
         NoSignalBox(n, rows)
@@ -258,6 +260,8 @@ def test_a_table_equals_itself_by_every_route_and_nothing_nearby(n, form):
     boxes_ = _by_every_route(n, rows) + ([parity_box(form)] if form else [])
     for box in boxes_:
         assert all(box == other and other == box for other in boxes_)
+        # a box leaves the comparison with anything else to the other side
+        assert box == ANY and box != rows
     # equal entry for entry, although rows in another outcome order are
     # other integer rows
     assert boxes_[0].integer_rows != boxes_[1].integer_rows
@@ -316,9 +320,9 @@ def test_coalition_marginals_match_the_oracle_marginal():
     for box in cases:
         for size in range(1, box.n + 1):
             for coal in combinations(range(box.n), size):
-                state = CoalitionMarginals(box, coal)
+                project = boxes.projection(box.n, coal)
                 for inputs, row_id in zip(all_bit_tuples(box.n), box.row_ids):
-                    bucket = state.projected(row_id)
+                    bucket = boxes.projected(box.integer_rows[row_id], project)
                     assert decode_bucket(bucket, size) == marginal(box, coal, inputs)
 
 
@@ -461,6 +465,24 @@ def test_the_verdict_equals_the_ascending_search():
     # passing boxes, and witnesses of n - 1, n - 2, n - 3 and 1 party
     assert {(5, None), (6, 5), (6, 4), (6, 3), (5, 1), (7, 6), (7, 5), (7, 4)} <= sizes
     assert is_no_signaling(mix5).ok
+
+
+def test_a_constrained_box_has_the_verdict_of_its_table():
+    # the verdict reads a ConstrainedBox through its integer rows as it reads
+    # a table; a box with a paradox row is no box and is left out
+    pinned = skipped = 0
+    for form in [*anf_forms(2), *anf_forms(3)]:
+        for size in range(form.n + 1):
+            for looped in combinations(range(form.n), size):
+                cbox = constrain(parity_box(form), looped)
+                if any(row.paradox for row in cbox.rows.values()):
+                    skipped += 1
+                    continue
+                table = NoSignalBox(form.n, {x: row.outcomes for x, row in cbox.rows.items()})
+                assert verdict_items(is_no_signaling(cbox)) == verdict_items(
+                    is_no_signaling(table)), (form, looped)
+                pinned += 1
+    assert (pinned, skipped) == (1842, 270)
 
 
 def sharing(box):

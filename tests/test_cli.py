@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from ctcbox import cli
-from ctcbox.boxes import box_from_spec, named_box
+from ctcbox import cli, tables
+from ctcbox.boxes import BoxName, box_from_spec, named_box
 from ctcbox.cli import main
 
 
@@ -384,6 +384,18 @@ def test_reproduce_single_and_all(capsys):
     assert out_all == out_table_all
     for key in ("I", "II", "III", "IV"):
         assert f"scenario {key}:" in out_all
+
+
+def test_reproduce_fails_a_scenario_that_is_not_deterministic(capsys, monkeypatch):
+    # looping alice alone leaves bob and charlie two outcomes a row: no map
+    monkeypatch.setitem(tables.SCENARIOS, "V", tables.Scenario("V", BoxName.SVETLICHNY, (0,), {}))
+    code, out, _ = run(capsys, "reproduce", "--all")
+    assert code == 1
+    assert out.endswith("\n\nscenario V: box svetlichny, self-consistent parties: alice\n"
+                        "induced relation: b ^ c = x.y ^ x.z ^ y.z ^ x\n"
+                        "check: FAIL (constrained box is not deterministic)\n"
+                        "\n"
+                        "overall: FAIL\n")
 
 
 def test_reproduce_json(capsys):

@@ -71,6 +71,7 @@ def test_render_orders_largest_monomials_first():
     form = BooleanForm.from_monomials(2, [[0], [0, 1]])
     assert form.render() == "x.y ^ x"
     assert form.render(("u", "v")) == "u.v ^ u"
+    assert str(form) == "x.y ^ x"
 
 
 def test_render_includes_constant_term():
@@ -96,6 +97,8 @@ def test_form_checks_its_parties_and_monomials():
         BooleanForm(0, frozenset())
     with pytest.raises(ValueError, match="^party index 2 out of range for 2 parties$"):
         BooleanForm(2, frozenset({frozenset({0, 2})}))
+    with pytest.raises(ValueError, match="^cannot combine forms over different party counts$"):
+        BooleanForm.variable(2, 0) ^ BooleanForm.variable(3, 0)
 
 
 def test_equal_forms_hash_equal_and_print_their_fields():

@@ -68,6 +68,15 @@ def test_deutsch_without_numpy_is_a_usage_error():
     assert proc.stderr == b"error: the deutsch subcommand needs numpy\n"
 
 
+def test_deutsch_raises_the_import_error_of_its_own_module(monkeypatch):
+    # with numpy present, a module that fails to import is no usage error
+    pytest.importorskip("numpy")
+    monkeypatch.setitem(sys.modules, "ctcbox.deutsch", None)
+    with pytest.raises(ImportError) as err:
+        main(["deutsch", "--example", "swap"])
+    assert err.value.name == "ctcbox.deutsch"
+
+
 @pytest.mark.parametrize("argv", CLASSICAL_COMMANDS + [["deutsch", "--example", "swap"]],
                          ids=" ".join)
 def test_only_analyze_loads_signaling(argv):
@@ -140,9 +149,10 @@ def test_test_only_helpers_are_not_in_the_package():
     # an entry is built from a direction's record, not from one analysis
     assert not hasattr(_Coalition, "line")
     assert not hasattr(_Analysis, "rule") and not hasattr(_Analysis, "success")
-    # the verdict's engine keeps distribution ids; a scan's coalition, marginal indices
-    state = boxes.CoalitionMarginals(named_box("pr"), (0,))
-    assert not {"marginal", "index_of", "marginals", "indices"} & set(dir(state))
+    # the verdict's distribution ids last one call; a scan's coalition
+    # projects rows with the same function and inherits nothing
+    assert not hasattr(boxes, "CoalitionMarginals")
+    assert _Coalition.__bases__ == (object,)
 
 
 def test_example_names_match_the_builders():

@@ -211,14 +211,26 @@ def test_a_verdict_reads_only_the_inputs_it_compares(monkeypatch, looped):
     probe = first_failure(signaling_, [n - 2])
     witness = (first_failure(signaling_, range(1, n - 2)) or probe if probe
                else conditions[signaling_[-1]])
-    projections = []  # (state, row id), in order
+    calls = []  # the coalition of each _first_change call, in order
+    projections = []  # (calls begun, inside a call, row id, projection), in order
+    inside = [False]
+    row_id_of = {id(row): row_id for row_id, row in enumerate(table.integer_rows)}
+    first_change, projected = boxes._first_change, boxes.projected
 
-    class Recorded(boxes.CoalitionMarginals):
-        def projected(self, row_id):
-            projections.append((self, row_id))
-            return super().projected(row_id)
+    def recorded_call(box, coal, senders):
+        calls.append(coal)
+        inside[0] = True
+        try:
+            return first_change(box, coal, senders)
+        finally:
+            inside[0] = False
 
-    monkeypatch.setattr(boxes, "CoalitionMarginals", Recorded)
+    def recorded_projection(row, project):
+        projections.append((len(calls), inside[0], row_id_of[id(row)], project))
+        return projected(row, project)
+
+    monkeypatch.setattr(boxes, "_first_change", recorded_call)
+    monkeypatch.setattr(boxes, "projected", recorded_projection)
     row_ids = table.row_ids
     rows = table.row_ids = RecordingRows(row_ids)
     integer_rows = table.integer_rows = CountingRows(table.integer_rows)
@@ -227,33 +239,40 @@ def test_a_verdict_reads_only_the_inputs_it_compares(monkeypatch, looped):
     assert [codes[verdict.witness.inputs_a], codes[verdict.witness.inputs_b]] == witness
     # the witness's two rows are read once more, to decode their marginals
     assert rows.touched == expected + witness
-    # every read of a row is a projection: each compared row once per
-    # state, then the witness's two rows once more, on the state that compared them
+    # every read of a row is a projection: each compared row once per call,
+    # then the witness's two rows once more, after the last call, with the
+    # witness coalition's projection
     assert integer_rows.reads == len(projections)
-    *compared, (state, row_a), (again, row_b) = projections
+    *compared, (call_a, in_a, row_a, project_a), (call_b, in_b, row_b, project_b) = projections
+    assert all(within for _, within, _, _ in compared)
+    compared = [(call, row_id) for call, _, row_id, _ in compared]
     assert max(Counter(compared).values()) == 1
-    assert again is state and state.coal == verdict.witness.coalition
+    assert call_a == call_b == len(calls) and not in_a and not in_b
+    assert project_a is project_b is boxes.projection(n, verdict.witness.coalition)
     assert [row_a, row_b] == [row_ids[code] for code in witness]
-    assert {(state, row_a), (state, row_b)} <= set(compared)
+    # the call for the witness coalition compared both of them
+    call = calls.index(verdict.witness.coalition) + 1
+    assert calls.count(verdict.witness.coalition) == 1
+    assert {(call, row_a), (call, row_b)} <= set(compared)
 
 
 def test_a_one_party_loop_verdict_builds_two_states_a_party(monkeypatch):
     # n conditions and the n - 1 coalitions of n - 2 free parties decide
-    # the witness of the n - 1 free parties; the ascending search built 135
+    # the witness of the n - 1 free parties; the ascending search made 135 calls
     n = 8
     cbox = _looped_cycle(n)
     table = NoSignalBox(n, {x: row.outcomes for x, row in cbox.rows.items()})
-    built = []
+    calls = []
+    first_change = boxes._first_change
 
-    class Counted(boxes.CoalitionMarginals):
-        def __init__(self, box, coal):
-            built.append(coal)
-            super().__init__(box, coal)
+    def counted(box, coal, senders):
+        calls.append(coal)
+        return first_change(box, coal, senders)
 
-    monkeypatch.setattr(boxes, "CoalitionMarginals", Counted)
+    monkeypatch.setattr(boxes, "_first_change", counted)
     verdict = is_no_signaling(table)
     assert verdict.witness.coalition == tuple(range(1, n))
-    assert len(built) <= 2 * n - 1
+    assert len(calls) <= 2 * n - 1
 
 
 def test_scan_does_not_project_setting_by_setting(monkeypatch):
